@@ -28,7 +28,7 @@ from .embed import (
     parse_lattice_map,
     refutation_witness,
 )
-from .errors import CapacityError, InfeasibleGridError, ValidationError
+from .errors import AmplitudeError, CapacityError, InfeasibleGridError, ValidationError
 from .fields import (
     FieldCertificate,
     FieldSpec,
@@ -59,6 +59,7 @@ from .tree import (
     graph_distance,
     parent,
     parse_edge_list,
+    region_arrays,
     region_node_count,
     region_nodes,
     tree_distance,

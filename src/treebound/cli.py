@@ -2,7 +2,8 @@
 structured JSON-lines / CSV output.
 
 Exit codes: 0 success, 1 validation error, 2 a certified bound violation
-was detected, 3 capacity (size cap) error.
+was detected, 3 capacity (size cap) error or a sampled value outside its
+amplitude bound.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .embed import (
     parse_lattice_map,
     refutation_witness,
 )
-from .errors import CapacityError, ValidationError
+from .errors import AmplitudeError, CapacityError, ValidationError
 from .fields import field_to_csv, sample_field
 from .paircount import count_pairs_closed
 from .tree import GraphSpec, parse_edge_list
@@ -382,7 +383,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except CapacityError as exc:
+    except (CapacityError, AmplitudeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     except FileNotFoundError as exc:

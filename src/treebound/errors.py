@@ -11,3 +11,7 @@ class CapacityError(RuntimeError):
 
 class InfeasibleGridError(ValidationError):
     """A parameter search grid contains no admissible point."""
+
+
+class AmplitudeError(RuntimeError):
+    """A sampled field value fell outside its amplitude bound ``[-C, C]``."""

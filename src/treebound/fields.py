@@ -15,10 +15,16 @@ hold exactly for the first two:
   mixing envelope (its certificate is flagged heuristic).
 
 Every innovation comes from a counter-based generator keyed on
-``(master_seed, replicate_index, node)``: a fixed avalanche mix of the
-three values.  Results therefore never depend on iteration order, chunking
-or worker count, which is what makes Monte Carlo runs reproducible and
-mergeable.
+``(master_seed, replicate_index, node)``: the SplitMix64 finalizer applied
+to the three values.  Results therefore never depend on iteration order,
+chunking or worker count, which is what makes Monte Carlo runs reproducible
+and mergeable.
+
+Each call to :func:`field_values`, :func:`sample_field` or
+:func:`region_sums` compiles the field once into a linear operator on a
+replicate's innovations (a scale by ``C``, a CSR matrix of ball means, or the
+autoregression over parent indices), then hashes, maps and bound-checks
+chunks of replicates.  No innovation bit changes, so the guarantee holds.
 """
 
 from __future__ import annotations
@@ -28,10 +34,11 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .bounds import MixingEnvelope
-from .errors import ValidationError
-from .tree import NodeId, Region, children, parent, region_nodes
+from .errors import AmplitudeError, ValidationError
+from .tree import NodeId, Region, ball_arrays, region_arrays, region_nodes, validate_node
 
 AR_TABLE_HORIZON = 64
 
@@ -41,27 +48,31 @@ _C_SEED = np.uint64(0x9E3779B97F4A7C15)
 _C_REP = np.uint64(0xA0761D6478BD642F)
 _C_GEN = np.uint64(0xE7037ED1A0B428DB)
 _C_IDX = np.uint64(0x8EBC6AF09C88C6E3)
-_INV_2_53 = 1.0 / (1 << 53)
+_INV_2_52 = 1.0 / (1 << 52)  # 2 * 2**-53: maps the top 53 bits onto [0, 2) exactly
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
-    x = (x ^ (x >> np.uint64(30))) * _M1
-    x = (x ^ (x >> np.uint64(27))) * _M2
-    return x ^ (x >> np.uint64(31))
+    """The SplitMix64 finalizer, applied to ``x`` in place."""
+    tmp = np.empty_like(x)
+    for shift, mult in ((30, _M1), (27, _M2)):
+        np.bitwise_xor(x, np.right_shift(x, shift, out=tmp), out=x)
+        np.multiply(x, mult, out=x)
+    return np.bitwise_xor(x, np.right_shift(x, 31, out=tmp), out=x)
 
 
 def _innovations(seed: int, reps: np.ndarray, js: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """Uniform [-1, 1) innovations keyed on (seed, replicate, node).
-
-    Shape (len(reps), len(js)); pure function of its inputs.
-    """
-    with np.errstate(over="ignore"):
-        s = _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) ^ _C_SEED)
-        r = _mix64(s ^ _mix64(reps.astype(np.uint64) ^ _C_REP))
-        n = _mix64(_mix64(js.astype(np.uint64) ^ _C_GEN) ^ _mix64(ks.astype(np.uint64) ^ _C_IDX))
-        h = _mix64(r[:, None] ^ n[None, :])
-    u = (h >> np.uint64(11)).astype(np.float64) * _INV_2_53
-    return 2.0 * u - 1.0
+    """Uniform [-1, 1) innovations keyed on (seed, replicate, node), shape
+    (len(reps), len(js)), C-contiguous; a pure function of its inputs."""
+    s = _mix64(np.array([seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64) ^ _C_SEED)
+    r = _mix64(s ^ _mix64(reps.astype(np.uint64) ^ _C_REP))
+    n = _mix64(_mix64(js.astype(np.uint64) ^ _C_GEN) ^ _mix64(ks.astype(np.uint64) ^ _C_IDX))
+    out = np.empty((len(r), len(n)), dtype=np.uint64)
+    step = max(1, (1 << 15) // max(len(n), 1))  # blocks of about 32k values stay in cache
+    for start in range(0, len(r), step):
+        h = _mix64(np.bitwise_xor(r[start : start + step, None], n, out=out[start : start + step]))
+        u = np.multiply(np.right_shift(h, 11, out=h), _INV_2_52, out=h.view(np.float64))
+        u -= 1.0
+    return out.view(np.float64)
 
 
 @dataclass(frozen=True)
@@ -82,8 +93,8 @@ class FieldSpec:
         if self.kind == "independent":
             pass
         elif self.kind == "m_dependent":
-            if self.m is None or self.m < 1:
-                raise ValidationError(f"m_dependent field needs radius m >= 1, got {self.m!r}")
+            if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 1:
+                raise ValidationError(f"m_dependent field needs integer m >= 1, got {self.m!r}")
         elif self.kind == "branching_ar":
             if self.a is None or not abs(self.a) < 1:
                 raise ValidationError(f"branching_ar field needs |a| < 1, got {self.a!r}")
@@ -131,76 +142,76 @@ def field_certificate(spec: FieldSpec) -> FieldCertificate:
     )
 
 
-def _ball(v: NodeId, A: int, m: int) -> list[NodeId]:
-    """Nodes of the infinite tree within tree distance m of v, sorted."""
-    seen = {v}
-    frontier = [v]
-    for _ in range(m):
-        nxt = []
-        for u in frontier:
-            p = parent(u, A)
-            neighbors = children(u, A) + ([p] if p is not None else [])
-            for nb in neighbors:
-                if nb not in seen:
-                    seen.add(nb)
-                    nxt.append(nb)
-        frontier = nxt
-    return sorted(seen)
+def _compile(spec: FieldSpec, js: np.ndarray, ks: np.ndarray, A: int):
+    """Sampler of the field at targets ``(js, ks)``: replicate ids to C-contiguous
+    values (replicates, targets).  The support whose innovations are hashed and
+    the operator from innovations to values are built here, once."""
+    if not len(js):
+        return lambda reps: np.zeros((len(reps), 0))
+    if spec.kind == "independent":
+        support_j, support_k, apply = js, ks, lambda u: np.multiply(u, spec.C, out=u)
+    elif spec.kind == "m_dependent":
+        support_j, support_k, apply = _ball_means(js, ks, A, spec.m, spec.C)
+    else:
+        support_j, support_k, apply = _autoregression(js, ks, A, spec.a, spec.C)
+    limit = spec.C * (1.0 + 1e-12)
+
+    def sample(reps: np.ndarray) -> np.ndarray:
+        values = apply(_innovations(spec.master_seed, reps, support_j, support_k))
+        if values.size and not (-limit <= values.min() and values.max() <= limit):
+            raise AmplitudeError(f"a sampled value lies outside the amplitude bound C = {spec.C!r}")
+        return values
+
+    return sample
 
 
-def _node_arrays(nodes: Sequence[NodeId]) -> tuple[np.ndarray, np.ndarray]:
-    js = np.array([v.j for v in nodes], dtype=np.uint64)
-    ks = np.array([v.k for v in nodes], dtype=np.uint64)
-    return js, ks
+def _ball_means(js: np.ndarray, ks: np.ndarray, A: int, m: int, C: float):
+    """CSR map with entry ``C/|ball(v)|`` at each node of the radius-``m`` ball of target ``v``."""
+    rows, member_j, member_k = ball_arrays(js, ks, A, m)
+    order = np.lexsort((member_k, member_j))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (np.diff(member_j[order]) != 0) | (np.diff(member_k[order]) != 0)
+    cols = np.empty(len(order), dtype=np.intp)
+    cols[order] = np.cumsum(first) - 1
+    sizes = np.bincount(rows)
+    matrix = csr_array(((C / sizes)[rows], (rows, cols)), shape=(len(js), int(first.sum())))
+
+    def apply(u: np.ndarray) -> np.ndarray:
+        out = np.empty((len(u), len(js)))
+        for row, innovations in zip(out, u):  # contiguous rows: no transposed copies
+            row[:] = matrix @ innovations
+        return out
+
+    return member_j[order][first], member_k[order][first], apply
 
 
-def _values_independent(spec: FieldSpec, nodes, reps: np.ndarray) -> np.ndarray:
-    js, ks = _node_arrays(nodes)
-    return spec.C * _innovations(spec.master_seed, reps, js, ks)
+def _autoregression(js: np.ndarray, ks: np.ndarray, A: int, a: float, C: float):
+    """``Z_root = C U`` and ``Z_v = a Z_parent + (1 - |a|) C U_v`` over the
+    ancestor closure of the targets, one generation slice at a time."""
+    levels, local = [None] * (int(js.max()) + 1), np.empty(len(js), dtype=np.intp)
+    level = np.empty(0, dtype=np.int64)
+    for j in range(len(levels) - 1, -1, -1):
+        at = js == j
+        levels[j] = level = np.union1d(ks[at], (level - 1) // A + 1)
+        local[at] = np.searchsorted(level, ks[at])
+    starts = np.cumsum([0] + [len(level) for level in levels])
+    parents = [
+        starts[j - 1] + np.searchsorted(levels[j - 1], (levels[j] - 1) // A + 1)
+        for j in range(1, len(levels))
+    ]
+    rows = starts[js] + local
+    identity = np.array_equal(rows, np.arange(starts[-1]))
 
+    def apply(u: np.ndarray) -> np.ndarray:
+        u[:, 0] *= C
+        for j, parent_cols in enumerate(parents, start=1):
+            z = u[:, starts[j] : starts[j + 1]]
+            z *= (1.0 - abs(a)) * C
+            z += a * np.take(u, parent_cols, axis=1)
+        return u if identity else np.take(u, rows, axis=1)
 
-def _values_m_dependent(spec: FieldSpec, nodes, A: int, reps: np.ndarray) -> np.ndarray:
-    balls = [_ball(v, A, spec.m) for v in nodes]
-    support = sorted({u for ball in balls for u in ball})
-    col = {u: i for i, u in enumerate(support)}
-    member_cols = np.array([col[u] for ball in balls for u in ball], dtype=np.intp)
-    sizes_int = [len(ball) for ball in balls]
-    offsets = np.cumsum([0] + sizes_int[:-1]).astype(np.intp)
-    sizes = np.array(sizes_int, dtype=np.float64)
-    js, ks = _node_arrays(support)
-    innov = _innovations(spec.master_seed, reps, js, ks)
-    sums = np.add.reduceat(innov[:, member_cols], offsets, axis=1)
-    return spec.C * (sums / sizes)
-
-
-def _values_branching_ar(spec: FieldSpec, nodes, A: int, reps: np.ndarray) -> np.ndarray:
-    closure = set(nodes)
-    stack = list(nodes)
-    while stack:
-        p = parent(stack.pop(), A)
-        if p is not None and p not in closure:
-            closure.add(p)
-            stack.append(p)
-    ordered = sorted(closure)
-    col = {u: i for i, u in enumerate(ordered)}
-    js, ks = _node_arrays(ordered)
-    innov = _innovations(spec.master_seed, reps, js, ks)
-    a, C = spec.a, spec.C
-    values = np.empty_like(innov)
-    by_gen: dict[int, list[NodeId]] = {}
-    for u in ordered:
-        by_gen.setdefault(u.j, []).append(u)
-    for gen in sorted(by_gen):
-        cols = np.array([col[u] for u in by_gen[gen]], dtype=np.intp)
-        if gen == 0:
-            values[:, cols] = C * innov[:, cols]
-        else:
-            parent_cols = np.array(
-                [col[parent(u, A)] for u in by_gen[gen]], dtype=np.intp
-            )
-            values[:, cols] = a * values[:, parent_cols] + (1.0 - abs(a)) * C * innov[:, cols]
-    keep = np.array([col[u] for u in nodes], dtype=np.intp)
-    return values[:, keep]
+    support_j = np.repeat(np.arange(len(levels), dtype=np.int64), np.diff(starts))
+    return support_j, np.concatenate(levels), apply
 
 
 def field_values(
@@ -211,30 +222,19 @@ def field_values(
     Deterministic given (master_seed, replicate, node); independent of the
     order in which replicates are batched.
     """
-    if not nodes:
-        return np.zeros((len(replicates), 0))
-    reps = np.asarray(list(replicates), dtype=np.uint64)
-    if spec.kind == "independent":
-        out = _values_independent(spec, nodes, reps)
-    elif spec.kind == "m_dependent":
-        out = _values_m_dependent(spec, nodes, A, reps)
-    else:
-        out = _values_branching_ar(spec, nodes, A, reps)
-    limit = spec.C * (1.0 + 1e-12)
-    if out.size and np.abs(out).max() > limit:
-        raise RuntimeError("amplitude bound violated by a sampled value")
-    return out
+    for v in nodes:
+        validate_node(v, A)
+    js, ks = np.array([(v.j, v.k) for v in nodes], dtype=np.int64).reshape(-1, 2).T
+    return _compile(spec, js, ks, A)(np.asarray(list(replicates), dtype=np.uint64))
 
 
 def sample_field(
     spec: FieldSpec, region: Region, A: int, replicate_index: int
 ) -> dict[NodeId, float]:
     """One realization of the field on ``region`` as a node-to-value map."""
-    nodes = list(region_nodes(region, A))
-    if not nodes:
-        return {}
-    values = field_values(spec, nodes, A, [replicate_index])[0]
-    return {v: float(x) for v, x in zip(nodes, values)}
+    js, ks = region_arrays(region, A)
+    values = _compile(spec, js, ks, A)(np.array([replicate_index], dtype=np.uint64))[0]
+    return dict(zip(region_nodes(region, A), values.tolist()))
 
 
 def region_sums(
@@ -249,12 +249,12 @@ def region_sums(
     Chunk boundaries do not affect the result: each replicate's sum is a
     row-wise reduction of values that depend only on (seed, replicate, node).
     """
-    nodes = list(region_nodes(region, A))
-    reps = list(replicates)
+    js, ks = region_arrays(region, A)
+    reps = np.asarray(list(replicates), dtype=np.uint64)
     out = np.empty(len(reps), dtype=np.float64)
+    sample = _compile(spec, js, ks, A)
     for start in range(0, len(reps), chunk):
-        batch = reps[start : start + chunk]
-        out[start : start + len(batch)] = field_values(spec, nodes, A, batch).sum(axis=1)
+        out[start : start + chunk] = sample(reps[start : start + chunk]).sum(axis=1)
     return out
 
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
+import numpy as np
+
 from .errors import CapacityError, ValidationError
 
 MAX_LABEL = 1 << 63          # generation and index must stay below 63 usable bits
@@ -128,6 +130,37 @@ def tree_distance(v: NodeId, w: NodeId, A: int) -> int:
         kw = (kw + A - 1) // A
         dist += 2
     return dist
+
+
+def ball_arrays(
+    js: np.ndarray, ks: np.ndarray, A: int, m: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every node within tree distance ``m`` of each node ``(js[i], ks[i])``,
+    as ``(i, j, k)`` arrays with no repeats within a ball.
+
+    A ball member lies ``up`` steps above its center and then ``down`` steps
+    into that ancestor's subtree, outside the branch the walk came up
+    through.  Raises :class:`ValidationError` when a ball would need labels
+    past the 63-bit range, as :func:`children` does.
+    """
+    if len(js) and (int(js.max()) + m >= MAX_LABEL or int(ks.max()) * A**m >= MAX_LABEL):
+        raise ValidationError(f"radius-{m} balls of these nodes overflow the 63-bit label range")
+    members = []
+    center, anc_j, anc_k, skip = np.arange(len(js)), js, ks, None
+    for up in range(m + 1):
+        for down in range(m - up + 1):
+            offsets = np.arange(A**down)
+            k = (anc_k[:, None] - 1) * A**down + 1 + offsets
+            if up and down:
+                keep = offsets // A ** (down - 1) != skip[:, None]
+            else:
+                keep = np.ones(k.shape, dtype=bool)
+            grid = np.broadcast_arrays(center[:, None], anc_j[:, None] + down, k)
+            members.append(np.stack(grid)[:, keep])
+        lift = anc_j > 0
+        center, anc_j = center[lift], anc_j[lift] - 1
+        skip, anc_k = (anc_k[lift] - 1) % A, (anc_k[lift] - 1) // A + 1
+    return tuple(np.concatenate(members, axis=1))
 
 
 def _is_tree_edge(a: NodeId, b: NodeId, A: int) -> bool:
@@ -276,6 +309,29 @@ def region_node_count(region: Region, A: int) -> int:
     return (A**region.count - 1) // (A - 1)
 
 
+def _generation_runs(region: Region, A: int, cap: int) -> list[tuple[int, int, int]]:
+    """``(j, first_k, count)`` for each generation of ``region``, in order.
+
+    Checks the cap and the 63-bit label range before anything is built.
+    """
+    count = region_node_count(region, A)
+    if count > cap:
+        raise CapacityError(
+            f"region holds {count} nodes, exceeding the cap of {cap}"
+        )
+    if isinstance(region, Subtree):
+        runs = [(region.j + d, A**d * (region.k - 1) + 1, A**d) for d in range(region.depth)]
+    elif isinstance(region, Strip):
+        runs = [(j, 1, A**j) for j in range(region.level, region.level + region.depth)]
+    else:
+        runs = [(j, 1, A**j) for j in range(region.count)]
+    if runs:
+        j, first, count = runs[-1]  # the deepest generation holds the largest labels
+        if j >= MAX_LABEL or first + count - 1 >= MAX_LABEL:
+            raise ValidationError(f"region {region!r} overflows the 63-bit label range")
+    return runs
+
+
 def region_nodes(
     region: Region, A: int, cap: int = DEFAULT_NODE_CAP
 ) -> Iterator[NodeId]:
@@ -285,25 +341,24 @@ def region_nodes(
     count exceeds ``cap``; region sizes are exponential and must fail loudly
     rather than exhaust memory.
     """
-    count = region_node_count(region, A)
-    if count > cap:
-        raise CapacityError(
-            f"region holds {count} nodes, exceeding the cap of {cap}"
-        )
-    if isinstance(region, Subtree):
-        for d in range(region.depth):
-            base = A**d * (region.k - 1)
-            for t in range(1, A**d + 1):
-                yield NodeId(region.j + d, base + t)
-    elif isinstance(region, Strip):
-        for d in range(region.depth):
-            j = region.level + d
-            for k in range(1, A**j + 1):
-                yield NodeId(j, k)
-    else:
-        for j in range(region.count):
-            for k in range(1, A**j + 1):
-                yield NodeId(j, k)
+    for j, first, count in _generation_runs(region, A, cap):
+        for k in range(first, first + count):
+            yield NodeId(j, k)
+
+
+def region_arrays(
+    region: Region, A: int, cap: int = DEFAULT_NODE_CAP
+) -> tuple[np.ndarray, np.ndarray]:
+    """Generations and indices (int64) of the nodes of ``region``, in the
+    order of :func:`region_nodes`, without building a :class:`NodeId`."""
+    runs = _generation_runs(region, A, cap)
+    counts = [count for _, _, count in runs]
+    js = np.repeat(np.array([j for j, _, _ in runs], dtype=np.int64), counts)
+    ks = np.concatenate(
+        [np.arange(first, first + count, dtype=np.int64) for _, first, count in runs]
+        or [np.empty(0, dtype=np.int64)]
+    )
+    return js, ks
 
 
 def parse_edge_list(text: str) -> list[tuple[NodeId, NodeId]]:

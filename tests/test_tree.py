@@ -17,6 +17,7 @@ from treebound import (
     graph_distance,
     parent,
     parse_edge_list,
+    region_arrays,
     region_node_count,
     region_nodes,
     tree_distance,
@@ -232,3 +233,19 @@ def test_parse_edge_list():
         parse_edge_list("1 2 3\n")
     with pytest.raises(ValidationError):
         parse_edge_list("a b c d\n")
+
+
+def test_region_arrays_match_region_nodes():
+    for A in (2, 3):
+        for region in (Subtree(2, 3, 3), Strip(1, 3), Generations(4), Generations(0)):
+            js, ks = region_arrays(region, A)
+            assert js.dtype == ks.dtype == "int64"
+            assert list(zip(js.tolist(), ks.tolist())) == [
+                (v.j, v.k) for v in region_nodes(region, A)
+            ]
+    with pytest.raises(CapacityError):
+        region_arrays(Generations(30), 2)
+    # a subtree whose deepest indices reach 2**63 fails before building anything
+    for enumerate_region in (region_arrays, lambda r, A: list(region_nodes(r, A))):
+        with pytest.raises(ValidationError):
+            enumerate_region(Subtree(61, 2**61, 3), 2)
