@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional, Sequence
 
-from .errors import InfeasibleGridError, ValidationError
+from .errors import CapacityError, InfeasibleGridError, ValidationError
 from .paircount import count_pairs_closed
 
 _SQRT_E = math.sqrt(math.e)
@@ -122,7 +122,7 @@ class MixingEnvelope:
             return 0.25 if n <= 2 * self.m else 0.0
         if self.kind == "super_exponential":
             rate = float(self.g(n))
-            if rate <= 0.0:
+            if not rate > 0.0:  # NaN fails too
                 raise ValidationError(f"rate function must be positive, got g({n}) = {rate}")
             return math.exp(-n * rate)
         if self.kind == "table":
@@ -181,16 +181,7 @@ class BoundBreakdown:
     indicator_wedge: int
 
     def as_dict(self) -> dict:
-        return {
-            "log_factor_markov": float(self.log_factor_markov),
-            "log_factor_mixing": float(self.log_factor_mixing),
-            "log_factor_variance": float(self.log_factor_variance),
-            "variance_proxy": float(self.variance_proxy),
-            "block_count": int(self.block_count),
-            "log_total": float(self.log_total),
-            "log_total_clamped": float(self.log_total_clamped),
-            "indicator_wedge": int(self.indicator_wedge),
-        }
+        return asdict(self)
 
 
 def _ceil_log(A: int, x: int) -> int:
@@ -202,31 +193,52 @@ def _ceil_log(A: int, x: int) -> int:
     return t
 
 
+def finite_violations(zero_ok: Sequence[str] = (), **values: float) -> list[str]:
+    """One message per value that is NaN, infinite or not > 0 (not >= 0 for
+    the names in ``zero_ok``)."""
+    return [
+        f"{name} = {value!r} must be finite and {'>=' if name in zero_ok else '>'} 0"
+        for name, value in values.items()
+        if not (math.isfinite(value) and (value > 0 or (value == 0 and name in zero_ok)))
+    ]
+
+
+def _reject(msgs: list[str]) -> None:
+    if msgs:
+        raise ValidationError("inadmissible input: " + "; ".join(msgs))
+
+
+def _float_in_range(term: str, value) -> float:
+    """``float(value)``; :class:`CapacityError` naming ``term`` if it is not finite."""
+    try:
+        out = float(value)
+    except OverflowError:  # an exact integer past about 1.8e308
+        out = math.inf
+    if not math.isfinite(out):
+        raise CapacityError(f"{term} leaves float range at this depth")
+    return out
+
+
 def beta_cap(A: int, P: int, P2: int, C: float) -> float:
     """Largest admissible tilt: (A-1) / (4*e*C*P2*(A**P - 1))."""
-    if A < 2 or P < 1 or P2 < 1 or C <= 0:
+    if A < 2 or P < 1 or P2 < 1 or finite_violations(C=C):
         raise ValidationError(
-            f"beta_cap needs A >= 2, P >= 1, P2 >= 1, C > 0, got ({A}, {P}, {P2}, {C})"
+            f"beta_cap needs A >= 2, P >= 1, P2 >= 1, finite C > 0, got ({A}, {P}, {P2}, {C})"
         )
-    return (A - 1) / (4.0 * math.e * C * P2 * (A**P - 1))
+    return (A - 1) / (4.0 * math.e * C * P2 * _float_in_range("A**P", A**P - 1))
+
+
+def _scalar_violations(
+    A: int, L: int, P: int, C: float, sigma2: float, epsilon: float
+) -> list[str]:
+    low = (("A", A, 2), ("L", L, 0), ("P", P, 1))
+    msgs = [f"{name} = {v} must be >= {lo}" for name, v, lo in low if v < lo]
+    return msgs + finite_violations(("sigma2",), C=C, sigma2=sigma2, epsilon=epsilon)
 
 
 def _admissibility_violations(inp: BernsteinInput) -> list[str]:
-    msgs = []
-    if inp.A < 2:
-        msgs.append(f"A = {inp.A} must be >= 2")
-    if inp.L < 0:
-        msgs.append(f"L = {inp.L} must be >= 0")
-    if inp.P < 1:
-        msgs.append(f"P = {inp.P} must be >= 1")
-    if inp.C <= 0:
-        msgs.append(f"C = {inp.C} must be > 0")
-    if inp.sigma2 < 0:
-        msgs.append(f"sigma2 = {inp.sigma2} must be >= 0")
-    if inp.epsilon <= 0:
-        msgs.append(f"epsilon = {inp.epsilon} must be > 0")
-    if inp.beta <= 0:
-        msgs.append(f"beta = {inp.beta} must be > 0")
+    msgs = _scalar_violations(inp.A, inp.L, inp.P, inp.C, inp.sigma2, inp.epsilon)
+    msgs += finite_violations(beta=inp.beta)
     if msgs:
         return msgs
     if inp.Q2 < 2:
@@ -243,56 +255,74 @@ def _admissibility_violations(inp: BernsteinInput) -> list[str]:
     return msgs
 
 
+def _mixing_pair_sum(envelope: MixingEnvelope, A: int, P: int) -> float:
+    """``sum_{k=1}^{2(P-1)} alpha(k) * N(P, k)``, skipping zero envelope values."""
+    total = 0.0
+    for k in range(1, 2 * (P - 1) + 1):
+        a_k = envelope(k)
+        if a_k != 0.0:
+            total += a_k * _float_in_range(f"N(P, {k})", count_pairs_closed(A, P, k))
+    return total
+
+
 def variance_proxy(
     A: int, P: int, sigma2: float, C: float, envelope: MixingEnvelope
 ) -> float:
     """Per-block variance proxy: subtree size times sigma2 plus the mixing
     covariance tail 4*C**2 * sum_k alpha(k) * N(P, k)."""
-    proxy = (A**P - 1) // (A - 1) * sigma2
-    tail = 0.0
-    for k in range(1, 2 * (P - 1) + 1):
-        a_k = envelope(k)
-        if a_k == 0.0:
-            continue
-        tail += a_k * float(count_pairs_closed(A, P, k))
-    return proxy + 4.0 * C * C * tail
+    size = _float_in_range("subtree size (A**P - 1)/(A - 1)", (A**P - 1) // (A - 1))
+    return size * sigma2 + 4.0 * C * C * _mixing_pair_sum(envelope, A, P)
+
+
+def _block_ratio(n_roots: int, block_sum: int) -> float:
+    """``A**L / (P2 + Q2)`` rounded once from the exact integers; ``inf`` past
+    float range, where only a log factor with a zero coefficient stays finite."""
+    try:
+        return n_roots / block_sum
+    except OverflowError:
+        return math.inf
+
+
+def _strip_terms(inp: BernsteinInput, proxy: float) -> BoundBreakdown:
+    """The strip bound of an admissible input, given its variance proxy."""
+    n_roots = inp.A**inp.L
+    block_sum = inp.P2 + inp.Q2
+    ratio = _block_ratio(n_roots, block_sum)
+    block_count = -(-n_roots // block_sum)  # ceil
+
+    alpha_f = inp.envelope(inp.f)
+    log_mixing = log_variance = 0.0
+    if alpha_f != 0.0:
+        exponent = block_sum / (2 * block_sum + n_roots)
+        log_mixing = _float_in_range(
+            "log_factor_mixing", 10.0 * _SQRT_E * alpha_f**exponent * ratio
+        )
+    if proxy != 0.0:
+        log_variance = _float_in_range(
+            "log_factor_variance",
+            4.0 * inp.beta**2 * math.e * inp.P2**2 * proxy * (ratio + 1.0),
+        )
+
+    log_markov = math.log(2.0) - inp.beta * inp.epsilon
+    log_total = log_markov + log_mixing + log_variance
+    return BoundBreakdown(
+        log_factor_markov=log_markov, log_factor_mixing=log_mixing,
+        log_factor_variance=log_variance, variance_proxy=proxy,
+        block_count=block_count, log_total=log_total,
+        log_total_clamped=min(0.0, log_total), indicator_wedge=0,
+    )
 
 
 def bernstein_bound(inp: BernsteinInput) -> BoundBreakdown:
     """Evaluate the strip bound, in log-space.
 
     The mixing factor uses the convention ``0**x = 0`` for ``x > 0``, so an
-    identically-zero envelope contributes a factor of exactly 1.
+    identically-zero envelope contributes a factor of exactly 1.  A log
+    factor that leaves float range raises :class:`CapacityError` naming it.
     """
-    violations = _admissibility_violations(inp)
-    if violations:
-        raise ValidationError("inadmissible input: " + "; ".join(violations))
-
-    A, L, P2, Q2 = inp.A, inp.L, inp.P2, inp.Q2
-    n_roots = A**L
-    block_sum = P2 + Q2
-    ratio = n_roots / block_sum
-    block_count = -(-n_roots // block_sum)  # ceil
-
-    alpha_f = inp.envelope(inp.f)
-    exponent = block_sum / (2 * block_sum + n_roots)
-    log_mixing = 10.0 * _SQRT_E * alpha_f**exponent * ratio
-
-    proxy = variance_proxy(A, inp.P, inp.sigma2, inp.C, inp.envelope)
-    log_variance = 4.0 * inp.beta**2 * math.e * P2**2 * proxy * (ratio + 1.0)
-
-    log_markov = math.log(2.0) - inp.beta * inp.epsilon
-    log_total = log_markov + log_mixing + log_variance
-    return BoundBreakdown(
-        log_factor_markov=log_markov,
-        log_factor_mixing=log_mixing,
-        log_factor_variance=log_variance,
-        variance_proxy=proxy,
-        block_count=block_count,
-        log_total=log_total,
-        log_total_clamped=min(0.0, log_total),
-        indicator_wedge=0,
-    )
+    _reject(_admissibility_violations(inp))
+    proxy = variance_proxy(inp.A, inp.P, inp.sigma2, inp.C, inp.envelope)
+    return _strip_terms(inp, proxy)
 
 
 def summability_ratio(envelope: MixingEnvelope, A: int, P: int) -> float:
@@ -303,13 +333,7 @@ def summability_ratio(envelope: MixingEnvelope, A: int, P: int) -> float:
     """
     if A < 2 or P < 1:
         raise ValidationError(f"summability_ratio needs A >= 2, P >= 1, got ({A}, {P})")
-    total = 0.0
-    for k in range(1, 2 * (P - 1) + 1):
-        a_k = envelope(k)
-        if a_k == 0.0:
-            continue
-        total += a_k * float(count_pairs_closed(A, P, k))
-    return total / (P * A**P)
+    return _mixing_pair_sum(envelope, A, P) / (P * A**P)
 
 
 @dataclass(frozen=True)
@@ -362,12 +386,9 @@ def concentration_schedule(inp: ConcentrationInput) -> ConcentrationSchedule:
         raise ValidationError(f"L = {inp.L} must be >= 2 for a non-trivial split")
     if not 0.0 < inp.eta < 1.0:
         raise ValidationError(f"eta = {inp.eta} must lie in (0, 1)")
-    if inp.D <= 0.0:
-        raise ValidationError(f"D = {inp.D} must be > 0")
-    if inp.C <= 0.0:
-        raise ValidationError(f"C = {inp.C} must be > 0")
-    if inp.epsilon <= 0.0:
-        raise ValidationError(f"epsilon = {inp.epsilon} must be > 0")
+    _reject(finite_violations(
+        ("sigma2",), D=inp.D, C=inp.C, sigma2=inp.sigma2, epsilon=inp.epsilon
+    ))
 
     A, L = inp.A, inp.L
     P1 = _floor_pow(L, inp.eta)
@@ -378,23 +399,22 @@ def concentration_schedule(inp: ConcentrationInput) -> ConcentrationSchedule:
         raise ValidationError(
             f"derived strip level L - P1 = {strip_level} must be >= 1"
         )
-    P2 = int(math.floor(inp.D * A**strip_level * math.log(L) / strip_level))
+    strip_roots = _float_in_range("A**(L - P1)", A**strip_level)
+    P2 = int(math.floor(_float_in_range(
+        "derived P2", inp.D * strip_roots * math.log(L) / strip_level
+    )))
     if P2 < 2:
         raise ValidationError(f"derived P2 = {P2} is below the minimum block length 2")
     if 2 * P2 >= A**strip_level:
         raise ValidationError(
             f"derived P2 + Q2 = {2 * P2} must be < A**(L - P1) = {A**strip_level}"
         )
-    beta = (A - 1) / (4.0 * math.e * inp.C * P2 * (A**P1 - 1))
     n_region = (A**L - 1) // (A - 1)
+    threshold = 0.5 * inp.epsilon * _float_in_range("|region|", n_region)
     return ConcentrationSchedule(
-        P1=P1,
-        P2=P2,
-        Q2=P2,
-        beta=beta,
-        f=2 * _ceil_log(A, P2),
-        strip_level=strip_level,
-        strip_threshold=0.5 * inp.epsilon * n_region,
+        P1=P1, P2=P2, Q2=P2, beta=beta_cap(A, P1, P2, inp.C),
+        f=2 * _ceil_log(A, P2), strip_level=strip_level,
+        strip_threshold=_float_in_range("strip threshold", threshold),
         n_region=n_region,
     )
 
@@ -409,31 +429,19 @@ def concentration_bound(inp: ConcentrationInput) -> BoundBreakdown:
     """
     sched = concentration_schedule(inp)
     A, L = inp.A, inp.L
-    indicator = 1 if 4.0 * inp.C * (A**sched.strip_level - 1) > inp.epsilon * (A**L - 1) else 0
-    strip = bernstein_bound(
-        BernsteinInput(
-            A=A,
-            L=sched.strip_level,
-            P=sched.P1,
-            P2=sched.P2,
-            Q2=sched.Q2,
-            beta=sched.beta,
-            epsilon=sched.strip_threshold,
-            C=inp.C,
-            sigma2=inp.sigma2,
-            envelope=inp.envelope,
-        )
-    )
+    wedge_max = 4.0 * inp.C * _float_in_range("A**(L - P1)", A**sched.strip_level - 1)
+    indicator = 1 if wedge_max > inp.epsilon * _float_in_range("A**L", A**L - 1) else 0
+    strip = bernstein_bound(BernsteinInput(
+        A=A, L=sched.strip_level, P=sched.P1, P2=sched.P2, Q2=sched.Q2,
+        beta=sched.beta, epsilon=sched.strip_threshold, C=inp.C,
+        sigma2=inp.sigma2, envelope=inp.envelope,
+    ))
     if indicator:
         log_total = math.log1p(math.exp(min(strip.log_total, 700.0)))
     else:
         log_total = strip.log_total
-    return BoundBreakdown(
-        log_factor_markov=strip.log_factor_markov,
-        log_factor_mixing=strip.log_factor_mixing,
-        log_factor_variance=strip.log_factor_variance,
-        variance_proxy=strip.variance_proxy,
-        block_count=strip.block_count,
+    return replace(
+        strip,
         log_total=log_total,
         log_total_clamped=min(0.0, log_total),
         indicator_wedge=indicator,
@@ -451,8 +459,7 @@ def asymptotic_fit(
     """
     if len(series) < 4:
         raise ValidationError(f"fit needs at least 4 points, got {len(series)}")
-    if epsilon <= 0:
-        raise ValidationError(f"epsilon = {epsilon} must be > 0")
+    _reject(finite_violations(epsilon=epsilon))
     xs, ys = [], []
     for L, log_bound in series:
         if L < 2:
@@ -481,22 +488,18 @@ def asymptotic_fit(
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Search grid for :func:`optimize_params`.
+    """Search grid of block lengths for :func:`optimize_params`.
 
-    ``beta`` is scanned on a log grid with ``beta_per_decade`` points per
-    decade over ``beta_decades`` decades up to (and including) the cap.
+    Only ``(P2, Q2)`` is searched; the tilt ``beta`` has a closed-form
+    optimum per pair, so it needs no grid.
     """
 
     p2_values: tuple[int, ...]
     q2_values: tuple[int, ...]
-    beta_per_decade: int = 32
-    beta_decades: float = 4.0
 
     def __post_init__(self) -> None:
         if not self.p2_values or not self.q2_values:
             raise ValidationError("grid must list at least one P2 and one Q2 value")
-        if self.beta_per_decade < 1 or self.beta_decades <= 0:
-            raise ValidationError("beta grid must have positive density and width")
 
 
 def optimize_params(
@@ -509,36 +512,33 @@ def optimize_params(
     epsilon: float,
     grid: GridSpec,
 ) -> BernsteinInput:
-    """Pick the admissible ``(P2, Q2, beta)`` on the grid minimizing log_total.
+    """Pick the admissible ``(P2, Q2, beta)`` minimizing log_total.
 
-    Deterministic tie-break: smallest P2, then smallest Q2, then largest
-    beta (iteration order makes first-found win on exact ties).
+    ``log_total`` is ``log 2 - beta*eps`` plus a term free of beta plus
+    ``K*beta**2`` with ``K = 4*e*P2**2*proxy*(ratio + 1)``, so for each grid
+    pair the optimal tilt is ``min(beta_cap, eps / (2*K))``, and ``beta_cap``
+    when the proxy is 0.  The variance proxy is computed once per call.
+    Deterministic tie-break: smallest P2, then smallest Q2.
     """
-    best: Optional[tuple[float, BernsteinInput]] = None
-    n_beta = int(round(grid.beta_per_decade * grid.beta_decades)) + 1
+    _reject(_scalar_violations(A, L, P, C, sigma2, epsilon))
+    proxy = variance_proxy(A, P, sigma2, C, envelope)
+    n_roots = A**L
+    candidates = []
     for p2 in sorted(set(grid.p2_values)):
         for q2 in sorted(set(grid.q2_values)):
-            if q2 < 2 or q2 > p2 or p2 + q2 >= A**L:
+            if q2 < 2 or q2 > p2 or p2 + q2 >= n_roots:
                 continue
-            cap = beta_cap(A, P, p2, C)
-            log_hi = math.log10(cap)
-            if n_beta == 1:
-                betas = [cap]
-            else:
-                betas = [
-                    10.0 ** (log_hi - grid.beta_decades * i / (n_beta - 1))
-                    for i in range(n_beta)
-                ]
-            for beta in betas:  # descending from the cap
-                cand = BernsteinInput(
-                    A=A, L=L, P=P, P2=p2, Q2=q2, beta=beta,
-                    epsilon=epsilon, C=C, sigma2=sigma2, envelope=envelope,
-                )
-                value = bernstein_bound(cand).log_total
-                if best is None or value < best[0]:
-                    best = (value, cand)
-    if best is None:
+            beta = beta_cap(A, P, p2, C)
+            if proxy != 0.0:
+                ratio = _block_ratio(n_roots, p2 + q2)
+                beta = min(beta, epsilon / (8.0 * math.e * p2**2 * proxy * (ratio + 1.0)))
+            candidates.append(BernsteinInput(
+                A=A, L=L, P=P, P2=p2, Q2=q2, beta=beta,
+                epsilon=epsilon, C=C, sigma2=sigma2, envelope=envelope,
+            ))
+    if not candidates:
         raise InfeasibleGridError(
             f"infeasible grid: no admissible (P2, Q2) for A = {A}, L = {L}"
         )
-    return best[1]
+    # min keeps the first of equal values: the smallest P2, then Q2
+    return min(candidates, key=lambda cand: _strip_terms(cand, proxy).log_total)

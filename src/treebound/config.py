@@ -69,7 +69,7 @@ def parse_envelope(text: str) -> MixingEnvelope:
             return MixingEnvelope.m_dependent(int(args[0]))
         if name == "super_exponential" and len(args) == 1:
             scale = float(args[0])
-            if scale <= 0:
+            if not scale > 0:  # NaN fails too
                 raise ValidationError(f"super_exponential scale must be > 0, got {scale}")
             return MixingEnvelope.super_exponential(lambda n, s=scale: s * n)
         if name == "table" and args:

@@ -32,6 +32,7 @@ from .bounds import (
     bernstein_bound,
     concentration_bound,
     ConcentrationInput,
+    finite_violations,
     optimize_params,
 )
 from .errors import CapacityError, ValidationError
@@ -263,8 +264,9 @@ def mc_tail(
         raise ValidationError(f"need at least 100 replicates, got {n_replicates}")
     if not eps_grid:
         raise ValidationError("epsilon grid must be non-empty")
-    if any(e <= 0 for e in eps_grid):
-        raise ValidationError("epsilon values must be positive")
+    bad = finite_violations(**{f"epsilon[{i}]": e for i, e in enumerate(eps_grid)})
+    if bad:
+        raise ValidationError("; ".join(bad))
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
 
@@ -286,11 +288,6 @@ def mc_tail(
                 inp = optimize_params(
                     A, region.level, region.depth, cert.C, cert.sigma2,
                     cert.envelope, e, grid or _default_grid(A, region.level),
-                )
-                inp = BernsteinInput(
-                    A=A, L=region.level, P=region.depth, P2=inp.P2, Q2=inp.Q2,
-                    beta=inp.beta, epsilon=e, C=cert.C, sigma2=cert.sigma2,
-                    envelope=cert.envelope,
                 )
             log_bounds.append(bernstein_bound(inp).log_total)
     elif isinstance(region, Generations):

@@ -8,12 +8,16 @@ that only shares the exact integer helpers with the implementation.
 
 import math
 import random
+from dataclasses import replace
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treebound import (
     BernsteinInput,
+    CapacityError,
     ConcentrationInput,
     GridSpec,
     InfeasibleGridError,
@@ -28,6 +32,7 @@ from treebound import (
     optimize_params,
     summability_ratio,
 )
+from treebound import bounds as bounds_mod
 
 mpmath.mp.dps = 50
 
@@ -335,27 +340,158 @@ def test_optimizer_infeasible_and_singleton():
         optimize_params(2, 2, 2, 1.0, 1 / 3, env, 10.0,
                         GridSpec(p2_values=(8,), q2_values=(8,)))
     single = optimize_params(2, 5, 3, 1.0, 1 / 3, env, 50.0,
-                             GridSpec(p2_values=(3,), q2_values=(3,),
-                                      beta_per_decade=1, beta_decades=1e-9))
+                             GridSpec(p2_values=(3,), q2_values=(3,)))
     assert (single.P2, single.Q2) == (3, 3)
 
 
 def test_optimizer_never_beats_exhaustive_scan():
     env = MixingEnvelope.zero()
-    grid = GridSpec(p2_values=(2, 3, 4, 6, 8), q2_values=(2, 3, 4, 6, 8),
-                    beta_per_decade=2, beta_decades=2.0)
+    grid = GridSpec(p2_values=(2, 3, 4, 6, 8), q2_values=(2, 3, 4, 6, 8))
+    beta_per_decade, beta_decades = 2, 2.0
     best = optimize_params(2, 5, 3, 1.0, 1 / 3, env, 80.0, grid)
     best_val = bernstein_bound(best).log_total
-    n_beta = int(round(grid.beta_per_decade * grid.beta_decades)) + 1
+    n_beta = int(round(beta_per_decade * beta_decades)) + 1
     for p2 in grid.p2_values:
         for q2 in grid.q2_values:
             if q2 < 2 or q2 > p2 or p2 + q2 >= 32:
                 continue
             cap = beta_cap(2, 3, p2, 1.0)
             for i in range(n_beta):
-                beta = 10.0 ** (math.log10(cap) - grid.beta_decades * i / (n_beta - 1))
+                beta = 10.0 ** (math.log10(cap) - beta_decades * i / (n_beta - 1))
                 val = bernstein_bound(
                     BernsteinInput(A=2, L=5, P=3, P2=p2, Q2=q2, beta=beta,
                                    epsilon=80.0, C=1.0, sigma2=1 / 3, envelope=env)
                 ).log_total
                 assert best_val <= val + 1e-12
+
+
+def _old_beta_scan(A, L, P, p2, q2, C, sigma2, env, eps):
+    """The 129-point log grid (32 per decade over 4 decades, down from the
+    cap) the optimizer used to scan at each (P2, Q2)."""
+    cap = beta_cap(A, P, p2, C)
+    return [
+        bernstein_bound(
+            BernsteinInput(A=A, L=L, P=P, P2=p2, Q2=q2,
+                           beta=10.0 ** (math.log10(cap) - 4.0 * i / 128),
+                           epsilon=eps, C=C, sigma2=sigma2, envelope=env)
+        ).log_total
+        for i in range(129)
+    ]
+
+
+_ENVELOPES = st.one_of(
+    st.just(MixingEnvelope.zero()),
+    st.integers(1, 3).map(MixingEnvelope.m_dependent),
+    st.tuples(st.floats(0.0, 0.25), st.floats(0.3, 1.0)).map(
+        lambda hd: MixingEnvelope.table([hd[0] * hd[1] ** i for i in range(8)])
+    ),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    AL=st.sampled_from([(2, 3), (2, 4), (2, 5), (3, 2), (3, 3)]),
+    P=st.integers(1, 4),
+    eps=st.floats(0.1, 200.0),
+    C=st.floats(0.5, 2.0),
+    sigma2=st.floats(0.0, 1.0),
+    env=_ENVELOPES,
+)
+def test_closed_form_beta_never_loses_to_the_old_scan(AL, P, eps, C, sigma2, env):
+    A, L = AL
+    sizes = (2, 3, 4, 6, 8)
+    grid = GridSpec(p2_values=sizes, q2_values=sizes)
+    best = optimize_params(A, L, P, C, sigma2, env, eps, grid)
+    best_val = bernstein_bound(best).log_total
+    for p2 in sizes:
+        for q2 in sizes:
+            if q2 > p2 or p2 + q2 >= A**L:
+                continue
+            scan = _old_beta_scan(A, L, P, p2, q2, C, sigma2, env, eps)
+            assert best_val <= min(scan) + 1e-12
+            pair = optimize_params(A, L, P, C, sigma2, env, eps,
+                                   GridSpec(p2_values=(p2,), q2_values=(q2,)))
+            pair_val = bernstein_bound(pair).log_total
+            assert pair_val <= min(scan) + 1e-12
+            cap = beta_cap(A, P, p2, C)
+            for beta in (pair.beta * (1 - 1e-3), pair.beta * (1 + 1e-3)):
+                if beta < cap:
+                    moved = bernstein_bound(replace(pair, beta=beta)).log_total
+                    assert moved >= pair_val - 1e-12
+
+
+def test_optimizer_zero_proxy_takes_the_cap():
+    env = MixingEnvelope.zero()
+    best = optimize_params(2, 5, 3, 1.0, 0.0, env, 50.0,
+                           GridSpec(p2_values=(2, 4), q2_values=(2, 4)))
+    assert best.beta == beta_cap(2, 3, best.P2, 1.0)
+    bb = bernstein_bound(best)
+    assert bb.variance_proxy == 0.0 and bb.log_factor_variance == 0.0
+    assert math.isfinite(bb.log_total)
+    assert bb.log_total == pytest.approx(math.log(2) - best.beta * 50.0, rel=1e-14)
+
+
+def test_optimizer_computes_the_proxy_once(monkeypatch):
+    calls = []
+    real = bounds_mod.variance_proxy
+    monkeypatch.setattr(bounds_mod, "variance_proxy", lambda *a: calls.append(a) or real(*a))
+    sizes = (2, 3, 4, 6, 8, 12, 16)
+    optimize_params(2, 6, 5, 1.0, 1 / 3, MixingEnvelope.m_dependent(1), 80.0,
+                    GridSpec(p2_values=sizes, q2_values=sizes))
+    assert len(calls) == 1
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("epsilon", _NAN), ("epsilon", _INF), ("beta", _NAN), ("C", _NAN),
+    ("C", _INF), ("sigma2", _NAN), ("sigma2", _INF),
+])
+def test_bernstein_rejects_non_finite_input(field, value):
+    with pytest.raises(ValidationError) as err:
+        bernstein_bound(_zero_input(**{field: value}))
+    assert f"{field} = {value!r}" in str(err.value)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("epsilon", _NAN), ("epsilon", 0.0), ("C", _NAN), ("sigma2", _NAN), ("sigma2", -1.0),
+])
+def test_optimizer_rejects_bad_scalars(field, value):
+    args = dict(A=2, L=5, P=3, C=1.0, sigma2=1 / 3, envelope=MixingEnvelope.zero(),
+                epsilon=50.0, grid=GridSpec(p2_values=(4,), q2_values=(4,)))
+    args[field] = value
+    with pytest.raises(ValidationError):
+        optimize_params(**args)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("epsilon", _NAN), ("C", _NAN), ("sigma2", _NAN), ("D", _NAN), ("D", _INF),
+])
+def test_concentration_rejects_non_finite_input(field, value):
+    base = dict(A=2, L=12, epsilon=0.5, C=1.0, sigma2=1 / 3, envelope=MixingEnvelope.zero())
+    base[field] = value
+    with pytest.raises(ValidationError):
+        concentration_bound(ConcentrationInput(**base))
+
+
+def test_depth_past_float_range_raises_capacity_error():
+    env = MixingEnvelope.m_dependent(2)  # alpha(f = 4) = 1/4
+    deep = _zero_input(L=1100, envelope=env)
+    with pytest.raises(CapacityError, match="log_factor_mixing"):
+        bernstein_bound(deep)
+    with pytest.raises(CapacityError, match="log_factor_variance"):
+        bernstein_bound(_zero_input(L=1100))
+    with pytest.raises(CapacityError, match="log_factor"):
+        optimize_params(2, 1100, 3, 1.0, 1 / 3, env, 50.0,
+                        GridSpec(p2_values=(4,), q2_values=(4,)))
+    with pytest.raises(CapacityError, match=r"A\*\*\(L - P1\)"):
+        concentration_bound(ConcentrationInput(A=2, L=1100, epsilon=0.5, C=1.0,
+                                               sigma2=1 / 3, envelope=env))
+
+
+def test_zero_terms_stay_finite_past_float_range():
+    bb = bernstein_bound(_zero_input(L=1100, sigma2=0.0))
+    assert bb.log_factor_mixing == 0.0 and bb.log_factor_variance == 0.0
+    assert bb.log_total == math.log(2) - beta_cap(2, 3, 4, 1.0) * 50.0
+    assert bb.block_count == -(-2**1100 // 8)

@@ -178,3 +178,26 @@ def test_bad_region_spec(capsys):
                        "blob(3)", "--field", "independent", "--C", "1")
     assert code == 1
     assert "blob" in err
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "40,nan"])
+def test_mc_tail_non_finite_epsilon_exits_one(capsys, eps):
+    code, out, err = run(capsys, "mc-tail", "--rate", "2", "--C", "1",
+                         "--region", "strip(5,3)", "--field", "independent",
+                         "--replicates", "200", "--epsilons", eps)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "epsilon" in err
+
+
+def test_bounds_past_float_range_exit_three(capsys):
+    code, _, err = run(capsys, "bernstein-bound", "--A", "2", "--L", "1100", "--P", "3",
+                       "--P2", "4", "--Q2", "4", "--beta", "0.003", "--epsilon", "50",
+                       "--C", "1", "--sigma2", "0.3", "--envelope", "zero")
+    assert code == 3
+    assert err.startswith("error:") and "log_factor_variance" in err
+    code, _, err = run(capsys, "concentration-bound", "--A", "2", "--L", "1100",
+                       "--epsilon", "0.5", "--C", "1", "--sigma2", "0.3",
+                       "--envelope", "zero")
+    assert code == 3
+    assert err.startswith("error:") and "float range" in err

@@ -192,6 +192,14 @@ def test_mc_tail_uncertified_for_heuristic_envelope():
     assert estimates[0].violated is None
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
+def test_mc_tail_rejects_non_finite_thresholds(bad):
+    spec = FieldSpec.independent(C=1.0, master_seed=0)
+    for region in (Strip(3, 2), Generations(4)):
+        with pytest.raises(ValidationError, match=r"epsilon\[1\]"):
+            mc_tail(spec, region, 2, [1.0, bad], 200)
+
+
 def test_mc_tail_region_support():
     spec = FieldSpec.independent(C=1.0, master_seed=0)
     with pytest.raises(ValidationError):
