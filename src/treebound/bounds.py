@@ -221,24 +221,25 @@ def _float_in_range(term: str, value) -> float:
 
 def beta_cap(A: int, P: int, P2: int, C: float) -> float:
     """Largest admissible tilt: (A-1) / (4*e*C*P2*(A**P - 1))."""
-    if A < 2 or P < 1 or P2 < 1 or finite_violations(C=C):
-        raise ValidationError(
-            f"beta_cap needs A >= 2, P >= 1, P2 >= 1, finite C > 0, got ({A}, {P}, {P2}, {C})"
-        )
+    _reject(_scalar_violations((("A", A, 2), ("P", P, 1), ("P2", P2, 1)), C=C))
     return (A - 1) / (4.0 * math.e * C * P2 * _float_in_range("A**P", A**P - 1))
 
 
-def _scalar_violations(
-    A: int, L: int, P: int, C: float, sigma2: float, epsilon: float
-) -> list[str]:
-    low = (("A", A, 2), ("L", L, 0), ("P", P, 1))
-    msgs = [f"{name} = {v} must be >= {lo}" for name, v, lo in low if v < lo]
-    return msgs + finite_violations(("sigma2",), C=C, sigma2=sigma2, epsilon=epsilon)
+def _scalar_violations(lows: Sequence[tuple[str, int, int]], **reals: float) -> list[str]:
+    """Messages for each ``(name, value, low)`` that is not an integer ``>= low``
+    (a bool is not) and each real value not finite and > 0 (``sigma2`` may be 0)."""
+    msgs = [
+        f"{name} = {v!r} must be an integer >= {lo}" for name, v, lo in lows
+        if not isinstance(v, int) or isinstance(v, bool) or v < lo
+    ]
+    return msgs + finite_violations(("sigma2",), **reals)
 
 
 def _admissibility_violations(inp: BernsteinInput) -> list[str]:
-    msgs = _scalar_violations(inp.A, inp.L, inp.P, inp.C, inp.sigma2, inp.epsilon)
-    msgs += finite_violations(beta=inp.beta)
+    msgs = _scalar_violations(
+        (("A", inp.A, 2), ("L", inp.L, 0), ("P", inp.P, 1), ("P2", inp.P2, 1), ("Q2", inp.Q2, 1)),
+        C=inp.C, sigma2=inp.sigma2, epsilon=inp.epsilon, beta=inp.beta,
+    )
     if msgs:
         return msgs
     if inp.Q2 < 2:
@@ -331,9 +332,9 @@ def summability_ratio(envelope: MixingEnvelope, A: int, P: int) -> float:
     Bounded over P exactly when the mixing series is summable against the
     pair counts; identically zero envelopes give 0.
     """
-    if A < 2 or P < 1:
-        raise ValidationError(f"summability_ratio needs A >= 2, P >= 1, got ({A}, {P})")
-    return _mixing_pair_sum(envelope, A, P) / (P * A**P)
+    _reject(_scalar_violations((("A", A, 2), ("P", P, 1))))
+    total = _mixing_pair_sum(envelope, A, P)
+    return 0.0 if total == 0.0 else total / _float_in_range("P * A**P", P * A**P)
 
 
 @dataclass(frozen=True)
@@ -380,15 +381,10 @@ def _floor_pow(L: int, eta: float) -> int:
 
 def concentration_schedule(inp: ConcentrationInput) -> ConcentrationSchedule:
     """Derive (P1, P2, Q2, beta, f) and the strip threshold, with validation."""
-    if inp.A < 2:
-        raise ValidationError(f"A = {inp.A} must be >= 2")
-    if inp.L < 2:
-        raise ValidationError(f"L = {inp.L} must be >= 2 for a non-trivial split")
+    _reject(_scalar_violations((("A", inp.A, 2), ("L", inp.L, 2)), D=inp.D, C=inp.C,
+                               sigma2=inp.sigma2, epsilon=inp.epsilon))
     if not 0.0 < inp.eta < 1.0:
         raise ValidationError(f"eta = {inp.eta} must lie in (0, 1)")
-    _reject(finite_violations(
-        ("sigma2",), D=inp.D, C=inp.C, sigma2=inp.sigma2, epsilon=inp.epsilon
-    ))
 
     A, L = inp.A, inp.L
     P1 = _floor_pow(L, inp.eta)
@@ -520,7 +516,8 @@ def optimize_params(
     when the proxy is 0.  The variance proxy is computed once per call.
     Deterministic tie-break: smallest P2, then smallest Q2.
     """
-    _reject(_scalar_violations(A, L, P, C, sigma2, epsilon))
+    _reject(_scalar_violations((("A", A, 2), ("L", L, 0), ("P", P, 1)),
+                               C=C, sigma2=sigma2, epsilon=epsilon))
     proxy = variance_proxy(A, P, sigma2, C, envelope)
     n_roots = A**L
     candidates = []

@@ -288,14 +288,12 @@ def _cmd_simulate(args) -> int:
     A = int(opts["rate"])
     region = parse_region(opts["region"])
     field = parse_field(opts["field"], C=float(opts["C"]), master_seed=int(opts.get("seed", "0")))
-    values = sample_field(field, region, A, int(opts.get("replicate", "0")))
+    sample = sample_field(field, region, A, int(opts.get("replicate", "0")))
     if args.format == "json":
-        text = "".join(
-            json.dumps({"j": v.j, "k": v.k, "value": values[v]}) + "\n"
-            for v in sorted(values)
-        )
+        rows = zip(*(array.tolist() for array in sample))
+        text = "".join(json.dumps({"j": j, "k": k, "value": v}) + "\n" for j, k, v in rows)
     else:
-        text = field_to_csv(values)
+        text = field_to_csv(sample)
     _emit(text, args.out)
     return EXIT_OK
 

@@ -10,22 +10,33 @@ a Chebyshev ball of radius ``R`` in ``Z**N`` holds only ``(2R+1)**N``
 points, a sufficiently deep generation cannot stay Lipschitz for any fixed
 constant: :func:`refutation_witness` searches exactly those generations
 for a violating pair.
+
+A :class:`LatticeMap` holds label-sorted int64 arrays, so the scans work on
+whole generation blocks and a :class:`NodeId` appears only where a caller
+hands one in or gets one back.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
+
+import numpy as np
 
 from .bounds import MixingEnvelope
 from .errors import CapacityError, ValidationError
 from .tree import (
     DEFAULT_NODE_CAP,
+    MAX_LABEL,
+    Generations,
     GraphSpec,
     NodeId,
+    _check_rate,
     graph_distance,
-    tree_distance,
+    region_arrays,
 )
 
 Point = tuple[int, ...]
@@ -33,38 +44,66 @@ Point = tuple[int, ...]
 
 @dataclass(frozen=True, eq=False)
 class LatticeMap:
-    """A finite injective assignment of tree nodes to points of ``Z**dim``."""
+    """A finite injective assignment of tree nodes to points of ``Z**dim``:
+    node ``(js[i], ks[i])`` goes to ``points[i]``, labels sorted and distinct."""
 
     dim: int
-    entries: Mapping[NodeId, Point]
-    depth: int = -1
+    js: np.ndarray
+    ks: np.ndarray
+    points: np.ndarray
+    depth: int = field(init=False)  # the deepest mapped generation
 
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValidationError(f"lattice dimension must be >= 1, got {self.dim}")
-        if not self.entries:
+        js, ks = np.asarray(self.js), np.asarray(self.ks)
+        if not len(js):
             raise ValidationError("lattice map must cover at least one node")
-        images = set()
-        max_gen = 0
-        for node, point in self.entries.items():
-            if len(point) != self.dim:
-                raise ValidationError(
-                    f"point {point} for node ({node.j},{node.k}) is not {self.dim}-dimensional"
-                )
-            if point in images:
-                raise ValidationError(f"map is not injective: point {point} is reused")
-            images.add(point)
-            max_gen = max(max_gen, node.j)
-        if self.depth == -1:
-            object.__setattr__(self, "depth", max_gen)
+        try:
+            points = np.asarray(self.points)
+        except ValueError:  # points of unequal lengths
+            points = np.empty(0)
+        shaped = ks.shape == js.shape and points.shape == (len(js), self.dim)
+        if not shaped or any(a.dtype.kind != "i" for a in (js, ks, points)):
+            raise ValidationError(f"need integer labels and {self.dim}-dimensional integer points")
+        js, ks, points = (a.astype(np.int64) for a in (js, ks, points))
+        if js.min() < 0 or ks.min() < 1:
+            raise ValidationError("node labels need generation >= 0 and index >= 1")
+        if not ((np.diff(js) > 0) | ((np.diff(js) == 0) & (np.diff(ks) > 0))).all():
+            raise ValidationError("node labels must be sorted (generation, index) and distinct")
+        images, counts = np.unique(points, axis=0, return_counts=True)
+        if counts.max() > 1:
+            point = tuple(images[counts > 1][0].tolist())
+            raise ValidationError(f"map is not injective: point {point} is reused")
+        for name, array in (("js", js), ("ks", ks), ("points", points)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        object.__setattr__(self, "depth", int(js[-1]))
 
-    def is_generation_closed(self, A: int, up_to: int) -> bool:
-        """True if every node of generations 0..up_to is mapped."""
-        for j in range(up_to + 1):
-            for k in range(1, A**j + 1):
-                if NodeId(j, k) not in self.entries:
-                    return False
-        return True
+    @classmethod
+    def from_entries(cls, dim: int, mapping: Mapping[NodeId, Point]) -> "LatticeMap":
+        """A map from explicit ``{NodeId: point}`` entries."""
+        items = sorted(mapping.items())
+        js, ks = np.array([(v.j, v.k) for v, _ in items], dtype=np.int64).reshape(-1, 2).T
+        return cls(dim, js, ks, [point for _, point in items])
+
+    @cached_property
+    def entries(self) -> Mapping[NodeId, Point]:
+        """Read-only ``{NodeId: point}`` view, built on first use."""
+        rows = zip(self.js.tolist(), self.ks.tolist(), map(tuple, self.points.tolist()))
+        return MappingProxyType({NodeId(j, k): point for j, k, point in rows})
+
+
+def _closed_depth(A: int, m: LatticeMap) -> int:
+    """Check the labels of ``m`` against the rate-``A`` tree; return the largest
+    ``d`` such that every node of generations ``0..d`` is mapped, or -1."""
+    _check_rate(A)
+    gens, at, counts = np.unique(m.js, return_inverse=True, return_counts=True)
+    sizes = np.array([min(A ** min(j, 63), MAX_LABEL - 1) for j in gens.tolist()])
+    bad = np.flatnonzero(m.ks > sizes[at])
+    if len(bad):
+        raise ValidationError(f"node ({m.js[bad[0]]}, {m.ks[bad[0]]}) is out of range for rate {A}")
+    return int(np.cumprod((gens == np.arange(len(gens))) & (counts == sizes)).sum()) - 1
 
 
 def chebyshev(p: Point, q: Point) -> int:
@@ -75,29 +114,16 @@ def distortion_constant(g: GraphSpec, m: LatticeMap) -> float:
     """Max Chebyshev image distance over the edges of ``g`` within depth.
 
     Covers the tree edges between mapped generations plus every extra edge;
-    returns ``inf`` as soon as an edge endpoint is unmapped.
+    returns ``inf`` when an edge endpoint is unmapped.
     """
-    A = g.A
-    worst = 0.0
-    for j in range(m.depth):
-        for k in range(1, A**j + 1):
-            v = NodeId(j, k)
-            pv = m.entries.get(v)
-            if pv is None:
-                return math.inf
-            base = A * (k - 1)
-            for t in range(1, A + 1):
-                w = NodeId(j + 1, base + t)
-                pw = m.entries.get(w)
-                if pw is None:
-                    return math.inf
-                worst = max(worst, float(chebyshev(pv, pw)))
-    for a, b in g.extra_edges:
-        pa, pb = m.entries.get(a), m.entries.get(b)
-        if pa is None or pb is None:
-            return math.inf
-        worst = max(worst, float(chebyshev(pa, pb)))
-    return worst
+    ends = [v for edge in g.extra_edges for v in edge]
+    if _closed_depth(g.A, m) < m.depth or any(v.j > m.depth for v in ends):
+        return math.inf
+    # generations 0..depth in full: row r is the r-th node breadth-first, parent row (r - 1) // A
+    child = np.arange(1, len(m.js))
+    extra = np.array([np.searchsorted(m.js, v.j) + v.k - 1 for v in ends], dtype=np.int64)
+    u, w = np.concatenate([(child - 1) // g.A, extra[0::2]]), np.concatenate([child, extra[1::2]])
+    return float(np.abs(m.points[u] - m.points[w]).max(initial=0))
 
 
 def lipschitz_check(
@@ -144,6 +170,7 @@ def refutation_witness(
         raise ValidationError(f"constant must be positive, got {C}")
     if k_max < 0:
         raise ValidationError(f"k_max must be >= 0, got {k_max}")
+    closed = _closed_depth(A, m)
     ceil_c = math.ceil(C)
     for k in range(1, k_max + 1):
         size = A**k
@@ -153,15 +180,19 @@ def refutation_witness(
             )
         if size <= (2 * ceil_c * k + 1) ** m.dim:
             continue
-        if not m.is_generation_closed(A, k):
+        if closed < k:
             raise ValidationError(f"map is not generation-closed up to {k}")
-        for kv in range(1, size + 1):
-            v = NodeId(k, kv)
-            pv = m.entries[v]
-            for kw in range(kv + 1, size + 1):
-                w = NodeId(k, kw)
-                if chebyshev(pv, m.entries[w]) > C * tree_distance(v, w, A):
-                    return (k, v, w)
+        first = (size - 1) // (A - 1)
+        block = m.points[first : first + size]
+        scales = A ** np.arange(1, k, dtype=np.int64)
+        for a in range(size - 1):
+            # 0-based indices a < b differ s levels up iff b >= (a // A**s + 1) * A**s,
+            # and d_T = 2 * (1 + the number of levels s in 1..k-1 where they differ)
+            b = np.arange(a + 1, size)
+            apart = np.searchsorted((a // scales + 1) * scales, b, side="right")
+            far = np.abs(block[a + 1 :] - block[a]).max(axis=1) > C * (2 * (apart + 1))
+            if far.any():
+                return (k, NodeId(k, a + 1), NodeId(k, a + 2 + int(np.argmax(far))))
     return None
 
 
@@ -193,17 +224,9 @@ def breadth_first_row_layout(A: int, depth: int, dim: int) -> LatticeMap:
     """
     if dim not in (1, 2):
         raise ValidationError(f"row layout is defined for dimensions 1 and 2, got {dim}")
-    entries: dict[NodeId, Point] = {}
-    offset = 0
-    for j in range(depth + 1):
-        for k in range(1, A**j + 1):
-            node = NodeId(j, k)
-            if dim == 2:
-                entries[node] = (k, j)
-            else:
-                entries[node] = (offset + k - 1,)
-        offset += A**j
-    return LatticeMap(dim=dim, entries=entries)
+    js, ks = region_arrays(Generations(depth + 1), A)
+    points = np.stack([ks, js], axis=1) if dim == 2 else np.arange(len(js))[:, None]
+    return LatticeMap(dim, js, ks, points)
 
 
 def packed_layout(A: int, depth: int, dim: int) -> LatticeMap:
@@ -216,35 +239,28 @@ def packed_layout(A: int, depth: int, dim: int) -> LatticeMap:
     """
     if dim < 1:
         raise ValidationError(f"dimension must be >= 1, got {dim}")
-    entries: dict[NodeId, Point] = {}
+    js, ks = region_arrays(Generations(depth + 1), A)
+    blocks = [np.empty((0, dim), dtype=np.int64)]
     z_offset = 0
     for j in range(depth + 1):
         size = A**j
         side = max(1, math.ceil(size ** (1.0 / dim)))
         while side**dim < size:
             side += 1
-        max_last = 0
-        for k in range(1, size + 1):
-            rem = k - 1
-            coords = []
-            for _ in range(dim - 1):
-                coords.append(rem % side)
-                rem //= side
-            coords.append(rem + z_offset)
-            max_last = max(max_last, rem)
-            entries[NodeId(j, k)] = tuple(coords)
-        z_offset += max_last + 1
-    return LatticeMap(dim=dim, entries=entries)
+        index, layer = np.arange(size, dtype=np.int64), side ** (dim - 1)
+        coords = [index // side**d % side for d in range(dim - 1)] + [index // layer + z_offset]
+        blocks.append(np.stack(coords, axis=1))
+        z_offset += (size - 1) // layer + 1
+    return LatticeMap(dim, js, ks, np.concatenate(blocks))
 
 
 def parse_lattice_map(text: str) -> LatticeMap:
     """Parse a lattice map from text lines ``j k x1 ... xN``.
 
     Blank lines are skipped and ``#`` starts a comment; the dimension is
-    inferred from the first data line.
+    inferred from the first data line and must hold on every line.
     """
     entries: dict[NodeId, Point] = {}
-    dim = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -259,16 +275,9 @@ def parse_lattice_map(text: str) -> LatticeMap:
         except ValueError as exc:
             raise ValidationError(f"lattice map line {lineno}: {exc}") from exc
         node = NodeId(numbers[0], numbers[1])
-        point = tuple(numbers[2:])
-        if dim is None:
-            dim = len(point)
-        elif len(point) != dim:
-            raise ValidationError(
-                f"lattice map line {lineno}: dimension {len(point)} != {dim}"
-            )
         if node in entries:
             raise ValidationError(f"lattice map line {lineno}: node repeated")
-        entries[node] = point
+        entries[node] = tuple(numbers[2:])
     if not entries:
         raise ValidationError("lattice map is empty")
-    return LatticeMap(dim=dim, entries=entries)
+    return LatticeMap.from_entries(len(next(iter(entries.values()))), entries)

@@ -25,6 +25,8 @@ Each call to :func:`field_values`, :func:`sample_field` or
 replicate's innovations (a scale by ``C``, a CSR matrix of ball means, or the
 autoregression over parent indices), then hashes, maps and bound-checks
 chunks of replicates.  No innovation bit changes, so the guarantee holds.
+Regions enter as the int64 labels of ``tree.region_arrays``, and
+:func:`sample_field` returns ``(js, ks, values)`` in that label-sorted order.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from scipy.sparse import csr_array
 
 from .bounds import MixingEnvelope
 from .errors import AmplitudeError, ValidationError
-from .tree import NodeId, Region, ball_arrays, region_arrays, region_nodes, validate_node
+from .tree import NodeId, Region, ball_arrays, region_arrays, validate_node
 
 AR_TABLE_HORIZON = 64
 
@@ -230,11 +232,11 @@ def field_values(
 
 def sample_field(
     spec: FieldSpec, region: Region, A: int, replicate_index: int
-) -> dict[NodeId, float]:
-    """One realization of the field on ``region`` as a node-to-value map."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One realization of the field on ``region``: the int64 labels ``(js, ks)``
+    in region order, which is label-sorted, and the values at them."""
     js, ks = region_arrays(region, A)
-    values = _compile(spec, js, ks, A)(np.array([replicate_index], dtype=np.uint64))[0]
-    return dict(zip(region_nodes(region, A), values.tolist()))
+    return js, ks, _compile(spec, js, ks, A)(np.array([replicate_index], dtype=np.uint64))[0]
 
 
 def region_sums(
@@ -258,9 +260,7 @@ def region_sums(
     return out
 
 
-def field_to_csv(values: dict[NodeId, float]) -> str:
-    """Debug dump of a sampled field as CSV lines ``j,k,value``."""
-    lines = ["j,k,value"]
-    for v in sorted(values):
-        lines.append(f"{v.j},{v.k},{values[v]!r}")
-    return "\n".join(lines) + "\n"
+def field_to_csv(sample: tuple[np.ndarray, np.ndarray, np.ndarray]) -> str:
+    """Debug dump of a :func:`sample_field` result as CSV lines ``j,k,value``."""
+    rows = zip(*(array.tolist() for array in sample))
+    return "j,k,value\n" + "".join(f"{j},{k},{value!r}\n" for j, k, value in rows)

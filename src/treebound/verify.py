@@ -21,7 +21,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.stats import beta as _beta_dist
@@ -126,19 +126,13 @@ def exact_alpha(space: FiniteSpace) -> float:
     return float(max(pos.max(), neg.max()))
 
 
-class DavydovResult:
+class DavydovResult(NamedTuple):
     """lhs/rhs of the covariance inequality on a finite space."""
 
-    __slots__ = ("lhs", "rhs", "holds", "alpha")
-
-    def __init__(self, lhs: float, rhs: float, holds: bool, alpha: float):
-        self.lhs = lhs
-        self.rhs = rhs
-        self.holds = holds
-        self.alpha = alpha
-
-    def __iter__(self):
-        return iter((self.lhs, self.rhs, self.holds))
+    lhs: float
+    rhs: float
+    holds: bool
+    alpha: float
 
 
 def davydov_check(space: FiniteSpace, p: float, q: float, r: float) -> DavydovResult:

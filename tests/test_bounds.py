@@ -495,3 +495,48 @@ def test_zero_terms_stay_finite_past_float_range():
     assert bb.log_factor_mixing == 0.0 and bb.log_factor_variance == 0.0
     assert bb.log_total == math.log(2) - beta_cap(2, 3, 4, 1.0) * 50.0
     assert bb.block_count == -(-2**1100 // 8)
+
+
+def test_summability_ratio_past_float_range():
+    # a zero pair sum stays exactly 0 at any depth
+    assert summability_ratio(MixingEnvelope.zero(), 2, 1100) == 0.0
+    # 0.5 * N(1022, 1) is a float, but 1022 * 2**1022 is not
+    with pytest.raises(CapacityError, match=r"P \* A\*\*P"):
+        summability_ratio(MixingEnvelope.table([0.5, 0.0]), 2, 1022)
+
+
+_GRID = GridSpec(p2_values=(4,), q2_values=(4,))
+_ZERO = MixingEnvelope.zero()
+
+
+def _concentration(**overrides):
+    base = dict(A=2, L=10, epsilon=0.5, C=1.0, sigma2=1 / 3, envelope=_ZERO)
+    base.update(overrides)
+    return concentration_bound(ConcentrationInput(**base))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: bernstein_bound(_zero_input(A=2.5)),
+    lambda: bernstein_bound(_zero_input(L=5.0)),
+    lambda: bernstein_bound(_zero_input(P=True)),
+    lambda: bernstein_bound(_zero_input(P2=4.0)),
+    lambda: bernstein_bound(_zero_input(Q2=4.0)),
+    lambda: optimize_params(2.0, 5, 3, 1.0, 1 / 3, _ZERO, 50.0, _GRID),
+    lambda: optimize_params(2, 5.0, 3, 1.0, 1 / 3, _ZERO, 50.0, _GRID),
+    lambda: optimize_params(2, 5, 3.5, 1.0, 1 / 3, _ZERO, 50.0, _GRID),
+    lambda: _concentration(A=2.0),
+    lambda: _concentration(L=10.5),
+    lambda: _concentration(L=True),
+    lambda: summability_ratio(_ZERO, 2.5, 3),
+    lambda: summability_ratio(_ZERO, 2, 3.0),
+    lambda: summability_ratio(_ZERO, True, 3),
+    lambda: beta_cap(2, 3, 4.0, 1.0),
+], ids=[
+    "bernstein-A", "bernstein-L", "bernstein-P-bool", "bernstein-P2", "bernstein-Q2",
+    "optimize-A", "optimize-L", "optimize-P", "concentration-A", "concentration-L",
+    "concentration-L-bool", "summability-A", "summability-P", "summability-A-bool",
+    "beta_cap-P2",
+])
+def test_integer_parameters_reject_floats_and_bools(call):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        call()

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from treebound import FieldSpec, Strip, Subtree, field_values, region_nodes
 from treebound.cli import main
 
 
@@ -164,6 +165,24 @@ def test_simulate_deterministic_csv(capsys):
     lines = out1.strip().splitlines()
     assert lines[0] == "j,k,value"
     assert len(lines) == 8  # header + 7 nodes
+
+
+@pytest.mark.parametrize("text,region", [
+    ("subtree(1,2,3)", Subtree(1, 2, 3)), ("strip(2,3)", Strip(2, 3)),
+])
+def test_simulate_matches_sorted_node_reference(capsys, text, region):
+    # the dump of a {NodeId: value} map in sorted node order
+    nodes = list(region_nodes(region, 3))
+    spec = FieldSpec.m_dependent(1, C=1.0, master_seed=5)
+    values = dict(zip(nodes, field_values(spec, nodes, 3, [4])[0].tolist()))
+    csv = "j,k,value\n" + "".join(f"{v.j},{v.k},{values[v]!r}\n" for v in sorted(values))
+    jsonl = "".join(
+        json.dumps({"j": v.j, "k": v.k, "value": values[v]}) + "\n" for v in sorted(values)
+    )
+    args = ["simulate", "--rate", "3", "--region", text, "--field", "m_dependent(1)",
+            "--C", "1", "--seed", "5", "--replicate", "4"]
+    assert run(capsys, *args) == (0, csv, "")
+    assert run(capsys, *args, "--format", "json") == (0, jsonl, "")
 
 
 def test_capacity_exit_code(capsys):

@@ -1,0 +1,18 @@
+"""Every narrative demo runs to completion and prints its story."""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+def test_demo_directory_found():
+    assert len(DEMOS) >= 7
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda path: path.name)
+def test_demo_runs(path, capsys):
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out.strip()

@@ -4,6 +4,7 @@ witnesses, and mixing transfer."""
 import math
 import random
 
+import numpy as np
 import pytest
 
 from treebound import (
@@ -20,13 +21,54 @@ from treebound import (
     packed_layout,
     parse_lattice_map,
     refutation_witness,
+    tree_distance,
 )
+
+
+def _reference_witness(A, m, C, k_max):
+    """The pigeonhole scan as a double loop over NodeId pairs."""
+    for k in range(1, k_max + 1):
+        size = A**k
+        if size <= (2 * math.ceil(C) * k + 1) ** m.dim:
+            continue
+        for kv in range(1, size + 1):
+            v = NodeId(k, kv)
+            for kw in range(kv + 1, size + 1):
+                w = NodeId(k, kw)
+                if chebyshev(m.entries[v], m.entries[w]) > C * tree_distance(v, w, A):
+                    return (k, v, w)
+    return None
+
+
+def _reference_distortion(g, m):
+    """Max image distance over every tree edge within depth and every extra edge."""
+    edges = [
+        (NodeId(j, k), NodeId(j + 1, g.A * (k - 1) + t))
+        for j in range(m.depth) for k in range(1, g.A**j + 1) for t in range(1, g.A + 1)
+    ]
+    worst = 0.0
+    for a, b in edges + list(g.extra_edges):
+        if a not in m.entries or b not in m.entries:
+            return math.inf
+        worst = max(worst, float(chebyshev(m.entries[a], m.entries[b])))
+    return worst
+
+
+def _center_out(m, A):
+    """The same points, each generation's nodes placed in a centre-out walk
+    over their block, so that the first witness is no longer at v = (k, 1)."""
+    points = m.points.copy()
+    for j in range(m.depth + 1):
+        first, n = (A**j - 1) // (A - 1), A**j
+        walk = np.argsort(np.abs(np.arange(n) - (n - 1) / 2), kind="stable")
+        points[first : first + n] = m.points[first + walk]
+    return LatticeMap(m.dim, m.js, m.ks, points)
 
 
 def test_distortion_consecutive_path():
     # depth-1 rate-2 tree with the root between its children: both edges
     # land on adjacent integers
-    m = LatticeMap(dim=1, entries={NodeId(0, 1): (1,), NodeId(1, 1): (0,), NodeId(1, 2): (2,)})
+    m = LatticeMap.from_entries(1, {NodeId(0, 1): (1,), NodeId(1, 1): (0,), NodeId(1, 2): (2,)})
     assert distortion_constant(GraphSpec(2), m) == 1.0
 
 
@@ -39,7 +81,7 @@ def test_distortion_row_layout_depth_two():
 def test_distortion_unmapped_endpoint_is_infinite():
     entries = {NodeId(0, 1): (0, 0), NodeId(1, 1): (1, 0), NodeId(1, 2): (0, 1),
                NodeId(2, 1): (2, 0)}
-    m = LatticeMap(dim=2, entries=entries)  # depth 2 but generation 2 is partial
+    m = LatticeMap.from_entries(2, entries)  # depth 2 but generation 2 is partial
     assert distortion_constant(GraphSpec(2), m) == math.inf
 
 
@@ -51,9 +93,9 @@ def test_distortion_includes_extra_edges():
 
 def test_lattice_map_validation():
     with pytest.raises(ValidationError):
-        LatticeMap(dim=1, entries={NodeId(0, 1): (0,), NodeId(1, 1): (0,)})
+        LatticeMap.from_entries(1, {NodeId(0, 1): (0,), NodeId(1, 1): (0,)})
     with pytest.raises(ValidationError):
-        LatticeMap(dim=2, entries={NodeId(0, 1): (0,)})
+        LatticeMap.from_entries(2, {NodeId(0, 1): (0,)})
 
 
 def test_lipschitz_with_own_distortion_holds():
@@ -181,3 +223,71 @@ def test_parse_lattice_map():
         parse_lattice_map("0 1 0\n1 1 1 0\n")  # mixed dimensions
     with pytest.raises(ValidationError):
         parse_lattice_map("")
+
+
+@pytest.mark.parametrize("layout,dim", [
+    ("row", 1), ("row", 2), ("packed", 1), ("packed", 2), ("packed", 3),
+])
+def test_refutation_matches_pair_loop(layout, dim):
+    make = breadth_first_row_layout if layout == "row" else packed_layout
+    for depth in (4, 9, 15):
+        m = make(2, depth, dim)
+        for C in (1, 1.5, 2, 4):
+            assert refutation_witness(2, m, C, depth) == _reference_witness(2, m, C, depth)
+
+
+def test_refutation_matches_pair_loop_on_reordered_maps():
+    witnesses = set()
+    for A, dim, depth in ((2, 1, 9), (2, 2, 12), (3, 1, 6), (3, 2, 7)):
+        for make in (breadth_first_row_layout, packed_layout):
+            m = _center_out(make(A, depth, dim), A)
+            for C in (1, 1.5, 2, 4):
+                witness = refutation_witness(A, m, C, depth)
+                assert witness == _reference_witness(A, m, C, depth)
+                witnesses.add(witness)
+    assert (6, NodeId(6, 9), NodeId(6, 10)) in witnesses
+    assert (2, NodeId(2, 2), NodeId(2, 9)) in witnesses
+
+
+def test_distortion_matches_edge_loop():
+    extra = [(NodeId(3, 1), NodeId(2, 4)), (NodeId(1, 1), NodeId(3, 8)), (NodeId(0, 1), NodeId(2, 3))]
+    for g in (GraphSpec(2), GraphSpec(2, extra)):
+        for m in (breadth_first_row_layout(2, 5, 1), packed_layout(2, 5, 3),
+                  _center_out(packed_layout(2, 6, 2), 2)):
+            assert distortion_constant(g, m) == _reference_distortion(g, m)
+    # an extra edge below the mapped depth has an unmapped endpoint
+    deep = GraphSpec(2, [(NodeId(0, 1), NodeId(7, 1))])
+    m = packed_layout(2, 6, 2)
+    assert distortion_constant(deep, m) == _reference_distortion(deep, m) == math.inf
+    # a partial map: one node of generation 2 is missing
+    entries = dict(breadth_first_row_layout(2, 3, 2).entries)
+    del entries[NodeId(2, 3)]
+    partial = LatticeMap.from_entries(2, entries)
+    assert distortion_constant(GraphSpec(2), partial) == math.inf
+    assert _reference_distortion(GraphSpec(2), partial) == math.inf
+
+
+def test_map_label_out_of_range_for_rate():
+    m = LatticeMap.from_entries(1, {NodeId(0, 1): (0,), NodeId(1, 1): (1,), NodeId(1, 3): (2,)})
+    with pytest.raises(ValidationError):
+        distortion_constant(GraphSpec(2), m)
+    with pytest.raises(ValidationError):
+        refutation_witness(2, m, 1.0, 1)
+    assert distortion_constant(GraphSpec(3), m) == math.inf  # in range at rate 3, but partial
+
+
+def test_lattice_map_arrays_and_entries():
+    m = breadth_first_row_layout(2, 2, 2)
+    assert m.js.tolist() == [0, 1, 1, 2, 2, 2, 2]
+    assert m.entries[NodeId(2, 3)] == (3, 2)
+    assert len(m.entries) == 7
+    with pytest.raises(TypeError):
+        m.entries[NodeId(0, 1)] = (9, 9)  # a read-only view
+    with pytest.raises(ValueError):
+        m.points[0, 0] = 9
+    with pytest.raises(ValidationError):  # labels out of order
+        LatticeMap(1, [1, 0], [1, 1], [[0], [1]])
+    with pytest.raises(ValidationError):  # a repeated label
+        LatticeMap(1, [1, 1], [1, 1], [[0], [1]])
+    with pytest.raises(ValidationError):  # index 0 is no label
+        LatticeMap(1, [0], [0], [[0]])

@@ -91,9 +91,9 @@ def test_determinism_same_inputs():
     spec = FieldSpec.m_dependent(1, C=1.0, master_seed=9)
     m1 = sample_field(spec, Generations(4), 2, 13)
     m2 = sample_field(spec, Generations(4), 2, 13)
-    assert m1 == m2
+    assert all(np.array_equal(a, b) for a, b in zip(m1, m2))
     m3 = sample_field(spec, Generations(4), 2, 14)
-    assert m1 != m3
+    assert not np.array_equal(m1[2], m3[2])
 
 
 def test_worker_exchangeability():
@@ -121,8 +121,8 @@ def test_region_sums_matches_per_node_values():
 
 def test_subtree_regions_supported():
     spec = FieldSpec.independent(C=1.0, master_seed=2)
-    values = sample_field(spec, Subtree(1, 2, 2), 2, 0)
-    assert set(values) == {NodeId(1, 2), NodeId(2, 3), NodeId(2, 4)}
+    js, ks, _ = sample_field(spec, Subtree(1, 2, 2), 2, 0)
+    assert set(zip(js, ks)) == {(1, 2), (2, 3), (2, 4)}
 
 
 def test_certificates():
