@@ -72,6 +72,7 @@ from .verify import (
     FiniteSpace,
     StripParams,
     TailEstimate,
+    binomial_lower_99,
     binomial_upper_99,
     davydov_check,
     empirical_alpha_lower,

@@ -67,8 +67,7 @@ class MixingEnvelope:
                 f"provenance must be one of {PROVENANCES}, got {self.provenance!r}"
             )
         if self.kind == "m_dependent":
-            if self.m is None or self.m < 1:
-                raise ValidationError(f"m_dependent envelope needs m >= 1, got {self.m!r}")
+            _reject(_scalar_violations((("m", self.m, 1),)))
         elif self.kind == "super_exponential":
             if not callable(self.g):
                 raise ValidationError("super_exponential envelope needs a callable rate g")
@@ -215,14 +214,16 @@ def _float_in_range(term: str, value) -> float:
     except OverflowError:  # an exact integer past about 1.8e308
         out = math.inf
     if not math.isfinite(out):
-        raise CapacityError(f"{term} leaves float range at this depth")
+        raise CapacityError(f"{term} leaves float range")
     return out
 
 
 def beta_cap(A: int, P: int, P2: int, C: float) -> float:
     """Largest admissible tilt: (A-1) / (4*e*C*P2*(A**P - 1))."""
     _reject(_scalar_violations((("A", A, 2), ("P", P, 1), ("P2", P2, 1)), C=C))
-    return (A - 1) / (4.0 * math.e * C * P2 * _float_in_range("A**P", A**P - 1))
+    return (A - 1) / (
+        4.0 * math.e * C * _float_in_range("P2", P2) * _float_in_range("A**P", A**P - 1)
+    )
 
 
 def _scalar_violations(lows: Sequence[tuple[str, int, int]], **reals: float) -> list[str]:
@@ -301,7 +302,8 @@ def _strip_terms(inp: BernsteinInput, proxy: float) -> BoundBreakdown:
     if proxy != 0.0:
         log_variance = _float_in_range(
             "log_factor_variance",
-            4.0 * inp.beta**2 * math.e * inp.P2**2 * proxy * (ratio + 1.0),
+            4.0 * inp.beta**2 * math.e * _float_in_range("P2**2", inp.P2**2) * proxy
+            * (ratio + 1.0),
         )
 
     log_markov = math.log(2.0) - inp.beta * inp.epsilon
@@ -496,6 +498,10 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not self.p2_values or not self.q2_values:
             raise ValidationError("grid must list at least one P2 and one Q2 value")
+        _reject(_scalar_violations(
+            [(f"p2_values[{i}]", v, 1) for i, v in enumerate(self.p2_values)]
+            + [(f"q2_values[{i}]", v, 1) for i, v in enumerate(self.q2_values)]
+        ))
 
 
 def optimize_params(
@@ -528,7 +534,8 @@ def optimize_params(
             beta = beta_cap(A, P, p2, C)
             if proxy != 0.0:
                 ratio = _block_ratio(n_roots, p2 + q2)
-                beta = min(beta, epsilon / (8.0 * math.e * p2**2 * proxy * (ratio + 1.0)))
+                square = _float_in_range("P2**2", p2**2)
+                beta = min(beta, epsilon / (8.0 * math.e * square * proxy * (ratio + 1.0)))
             candidates.append(BernsteinInput(
                 A=A, L=L, P=P, P2=p2, Q2=q2, beta=beta,
                 epsilon=epsilon, C=C, sigma2=sigma2, envelope=envelope,

@@ -194,10 +194,11 @@ def _cmd_mc_tail(args) -> int:
         D=float(opts.get("D", "1.0")),
     )
     if args.format == "csv":
-        header = "epsilon,n_replicates,n_exceed,p_hat,ci_upper_99,log_bound,violated,certified"
+        header = ("epsilon,n_replicates,n_exceed,p_hat,ci_upper_99,log_bound,violated,"
+                  "certified,ci_lower_99")
         rows = [
             f"{t.epsilon!r},{t.n_replicates},{t.n_exceed},{t.p_hat!r},"
-            f"{t.ci_upper_99!r},{t.log_bound!r},{t.violated},{t.certified}"
+            f"{t.ci_upper_99!r},{t.log_bound!r},{t.violated},{t.certified},{t.ci_lower_99!r}"
             for t in estimates
         ]
         _emit("\n".join([header] + rows) + "\n", args.out)

@@ -38,7 +38,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 from scipy.sparse import csr_array
 
-from .bounds import MixingEnvelope
+from .bounds import MixingEnvelope, _float_in_range
 from .errors import AmplitudeError, ValidationError
 from .tree import NodeId, Region, ball_arrays, region_arrays, validate_node
 
@@ -132,6 +132,7 @@ def field_certificate(spec: FieldSpec) -> FieldCertificate:
     a plausible shape, flagged heuristic, to be tightened or refuted with
     sampled lower bounds.
     """
+    _float_in_range("C**2", spec.C * spec.C)  # CapacityError, not OverflowError
     sigma2 = spec.C**2 / 3.0
     if spec.kind == "independent":
         return FieldCertificate(spec.C, sigma2, MixingEnvelope.zero())

@@ -8,11 +8,13 @@ arbitrary events is out of reach, so the module only ever reports sampled
 *lower* bounds there, clearly separated from the exact path.
 
 Monte Carlo tail estimates are paired with the corresponding bound and a
-violation is only flagged when the exact-binomial 99% upper confidence
-limit of the empirical tail beats a bound that is itself below 1; this
-keeps Monte Carlo noise from raising false alarms.  Estimates whose
-envelope is not provenance-exact are marked uncertified instead of
-violated.
+violation is only flagged when the exact-binomial (Clopper-Pearson) 99%
+*lower* confidence limit of the empirical tail exceeds a bound that is
+itself below 1: the true tail then lies above the bound with 99%
+confidence, so Monte Carlo noise alone (zero exceedances, say) cannot
+raise a false alarm.  The 99% upper limit is reported alongside.
+Estimates whose envelope is not provenance-exact are marked uncertified
+instead of violated.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.stats import beta as _beta_dist
 
 from .bounds import (
     BernsteinInput,
@@ -40,6 +41,7 @@ from .fields import FieldSpec, field_certificate, field_values, region_sums
 from .tree import Generations, NodeId, Region, Strip, region_node_count, tree_distance
 
 MAX_ATOMS = 12
+MAX_WORKERS = 64  # the most threads one mc_tail call starts
 
 
 @dataclass(frozen=True)
@@ -192,6 +194,7 @@ class TailEstimate:
     log_bound: float
     violated: Optional[bool]
     certified: bool
+    ci_lower_99: float
 
     def as_dict(self) -> dict:
         return {
@@ -203,16 +206,138 @@ class TailEstimate:
             "log_bound": float(self.log_bound),
             "violated": self.violated,
             "certified": bool(self.certified),
+            "ci_lower_99": float(self.ci_lower_99),
         }
 
 
+# log(k!) - log(sqrt(2*pi*k) * (k/e)**k) for k = 0..15 (Loader's table); a
+# five-term asymptotic series takes over above 15
+_STIRLING_ERRORS = (
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+)
+_Z_99 = 2.3263478740408408  # the standard normal 0.99 quantile
+
+
+def _stirling_error(k: int) -> float:
+    if k < len(_STIRLING_ERRORS):
+        return _STIRLING_ERRORS[k]
+    r = 1.0 / (k * k)
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - r / 1188) * r) * r) * r) / k
+
+
+def _deviance(x: int, mean: float) -> float:
+    """``x*log(x/mean) + mean - x``, by its series where x is near the mean."""
+    d = x - mean
+    if abs(d) >= 0.1 * (x + mean):
+        return x * math.log(x / mean) + mean - x
+    v = d / (x + mean)
+    total, term, odd = d * v, 2.0 * x * v, 1
+    while True:
+        term *= v * v
+        odd += 2
+        nxt = total + term / odd
+        if nxt == total:
+            return total
+        total = nxt
+
+
+def _log_pmf(x: int, n: int, p: float, q: float) -> float:
+    """log P(Bin(n, p) = x) for 0 < x < n and q = 1 - p, in the saddle point
+    form of C. Loader, "Fast and accurate computation of binomial
+    probabilities" (2000): no large logs cancel, and a rounding error in q
+    moves the result only to second order."""
+    return (
+        _stirling_error(n) - _stirling_error(x) - _stirling_error(n - x)
+        - _deviance(x, n * p) - _deviance(n - x, n * q)
+        + 0.5 * math.log(n / (2.0 * math.pi * (x * (n - x))))
+    )
+
+
+def _cdf_root(j: int, n: int, t: float) -> float:
+    """The p with P(Bin(n, p) <= j) = t, for 0 <= j < n and t in {0.01, 0.99}.
+
+    ``log P(Bin(n, p) <= j)`` is log pmf(j) plus the log of the tail's terms
+    relative to term j, whose logs are cumulative sums of
+    ``log((n-m)/(m+1)) + logit(p)``.  It is concave and decreasing in p (a
+    beta survival function), so Newton steps with derivative
+    ``-n*pmf_{n-1}(j; p) / P(Bin(n, p) <= j)`` close in on the root from
+    the right after at most one overshoot; a step leaving the bracket of
+    evaluated points bisects it instead.  Callers pass ``j < n/2``, so the
+    tail summed is the shorter one.
+    """
+    log_t = math.log(t)
+    if j == 0:  # (1 - p)**n = t
+        return -math.expm1(log_t / n)
+    m = np.arange(j)
+    # log(term_i / term_j) = -rise[i] - (j - i)*logit(p), for i = 0..j
+    rise = np.append(np.cumsum(np.log((n - m) / (m + 1.0))[::-1])[::-1], 0.0)
+    gaps = np.arange(j, -1, -1.0)
+    # start: the Poisson limit's mean (Wilson-Hilferty gamma(j+1) quantile),
+    # its offset from j+1 shrunk by the binomial's sqrt(1 - p)
+    a = j + 1
+    z = _Z_99 if t < 0.5 else -_Z_99
+    mean = a * (1.0 - 1.0 / (9 * a) + z / (3.0 * math.sqrt(a))) ** 3
+    p = (a + (mean - a) * math.sqrt(1.0 - a / n)) / n
+    lo, hi = 0.0, 1.0
+    if not lo < p < hi:
+        p = 0.5
+    while True:
+        q = 1.0 - p
+        e = -rise - gaps * (math.log(p) - math.log1p(-p))
+        top = float(e.max())
+        log_sum = top + math.log(float(np.exp(e - top).sum()))
+        g = _log_pmf(j, n, p, q) + log_sum - log_t
+        if g > 0.0:
+            lo = p
+        else:
+            hi = p
+        # Newton step -g / g' with g' = -(n - j) / (q * exp(log_sum))
+        step = g * q * math.exp(log_sum) / (n - j) if log_sum < 700.0 else math.inf
+        if abs(step) <= 1e-11 * p:  # the step after this one is below rounding
+            return p + step
+        p += step
+        if not lo < p < hi:
+            p = 0.5 * (lo + hi)
+
+
+def _upper_pair(k: int, n: int) -> tuple[float, float]:
+    """``(U, 1 - U)`` for the root U of P(Bin(n, U) <= k) = 0.01, 0 <= k < n.
+
+    The smaller of the two is solved for directly, the other is 1 minus it:
+    with q = 1 - p, P(Bin(n, p) <= k) = 0.01 is P(Bin(n, q) <= n-1-k) = 0.99.
+    """
+    if 2 * k < n:
+        u = _cdf_root(k, n, 0.01)
+        return u, 1.0 - u
+    w = _cdf_root(n - 1 - k, n, 0.99)
+    return 1.0 - w, w
+
+
+def _check_counts(n_exceed: int, n: int) -> None:
+    if n < 1 or not 0 <= n_exceed <= n:
+        raise ValidationError(
+            f"need 0 <= exceedances <= replicates and replicates >= 1, got {n_exceed}/{n}"
+        )
+
+
 def binomial_upper_99(n_exceed: int, n: int) -> float:
-    """Exact (Clopper-Pearson) one-sided 99% upper confidence limit."""
-    if not 0 <= n_exceed <= n:
-        raise ValidationError(f"need 0 <= exceedances <= replicates, got {n_exceed}/{n}")
-    if n_exceed == n:
-        return 1.0
-    return float(_beta_dist.ppf(0.99, n_exceed + 1, n - n_exceed))
+    """Exact (Clopper-Pearson) one-sided 99% upper confidence limit: the p
+    with P(Bin(n, p) <= n_exceed) = 0.01, and 1 when n_exceed = n."""
+    _check_counts(n_exceed, n)
+    return 1.0 if n_exceed == n else _upper_pair(n_exceed, n)[0]
+
+
+def binomial_lower_99(n_exceed: int, n: int) -> float:
+    """Exact (Clopper-Pearson) one-sided 99% lower confidence limit: the p
+    with P(Bin(n, p) >= n_exceed) = 0.01, and 0 when n_exceed = 0.
+
+    It is 1 minus the upper limit of the n - n_exceed non-exceedances."""
+    _check_counts(n_exceed, n)
+    return 0.0 if n_exceed == 0 else _upper_pair(n - n_exceed, n)[1]
 
 
 def _default_grid(A: int, L: int) -> GridSpec:
@@ -261,8 +386,8 @@ def mc_tail(
     bad = finite_violations(**{f"epsilon[{i}]": e for i, e in enumerate(eps_grid)})
     if bad:
         raise ValidationError("; ".join(bad))
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValidationError(f"workers must be in 1..{MAX_WORKERS}, got {workers}")
 
     cert = field_certificate(field)
     certified = cert.envelope.provenance == "exact"
@@ -318,9 +443,9 @@ def mc_tail(
     out = []
     for e, k, log_bound in zip(eps, counts, log_bounds):
         k = int(k)
-        ci = binomial_upper_99(k, n_replicates)
+        ci_lower = binomial_lower_99(k, n_replicates)
         if certified:
-            violated = bool(log_bound < 0.0 and ci > math.exp(log_bound))
+            violated = bool(log_bound < 0.0 and ci_lower > math.exp(log_bound))
         else:
             violated = None
         out.append(
@@ -329,10 +454,11 @@ def mc_tail(
                 n_replicates=n_replicates,
                 n_exceed=k,
                 p_hat=k / n_replicates,
-                ci_upper_99=ci,
+                ci_upper_99=binomial_upper_99(k, n_replicates),
                 log_bound=float(log_bound),
                 violated=violated,
                 certified=certified,
+                ci_lower_99=ci_lower,
             )
         )
     return out

@@ -8,6 +8,7 @@ that only shares the exact integer helpers with the implementation.
 
 import math
 import random
+import re
 from dataclasses import replace
 
 import mpmath
@@ -505,6 +506,16 @@ def test_summability_ratio_past_float_range():
         summability_ratio(MixingEnvelope.table([0.5, 0.0]), 2, 1022)
 
 
+@pytest.mark.parametrize("P2, L, term", [(10**160, 532, "P2**2"), (10**400, 1330, "P2")])
+def test_block_length_past_float_range(P2, L, term):
+    # the square of P2 = 1e160 is past float range; P2 = 1e400 is itself
+    with pytest.raises(CapacityError, match=rf"^{re.escape(term)} leaves"):
+        bernstein_bound(_zero_input(L=L, P2=P2, Q2=2, beta=1e-300))
+    with pytest.raises(CapacityError, match=rf"^{re.escape(term)} leaves"):
+        optimize_params(2, L, 3, 1.0, 1 / 3, MixingEnvelope.zero(), 50.0,
+                        GridSpec(p2_values=(P2,), q2_values=(2,)))
+
+
 _GRID = GridSpec(p2_values=(4,), q2_values=(4,))
 _ZERO = MixingEnvelope.zero()
 
@@ -531,11 +542,15 @@ def _concentration(**overrides):
     lambda: summability_ratio(_ZERO, 2, 3.0),
     lambda: summability_ratio(_ZERO, True, 3),
     lambda: beta_cap(2, 3, 4.0, 1.0),
+    lambda: MixingEnvelope.m_dependent(1.5),
+    lambda: MixingEnvelope.m_dependent(True),
+    lambda: GridSpec(p2_values=(4,), q2_values=(4.0,)),
+    lambda: GridSpec(p2_values=(4, True), q2_values=(4,)),
 ], ids=[
     "bernstein-A", "bernstein-L", "bernstein-P-bool", "bernstein-P2", "bernstein-Q2",
     "optimize-A", "optimize-L", "optimize-P", "concentration-A", "concentration-L",
     "concentration-L-bool", "summability-A", "summability-P", "summability-A-bool",
-    "beta_cap-P2",
+    "beta_cap-P2", "envelope-m", "envelope-m-bool", "grid-q2", "grid-p2-bool",
 ])
 def test_integer_parameters_reject_floats_and_bools(call):
     with pytest.raises(ValidationError, match="must be an integer"):

@@ -1,10 +1,18 @@
 """Command-line front end: dispatch, config handling, formats, exit codes."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import treebound
 from treebound import FieldSpec, Strip, Subtree, field_values, region_nodes
+from treebound import verify as verify_mod
 from treebound.cli import main
 
 
@@ -111,6 +119,48 @@ def test_mc_tail_exit_zero_and_worker_bytes(tmp_path, capsys):
     rows = [json.loads(line) for line in out1.read_text().splitlines()]
     assert [r["epsilon"] for r in rows] == [30.0, 40.0]
     assert all(r["certified"] for r in rows)
+
+
+@pytest.mark.parametrize("eps", ["800", "1600"])
+def test_mc_tail_zero_exceedances_is_no_violation(capsys, eps):
+    # 32 * 7 = 224 nodes with |Z| <= 1, so |sum| <= 224 < eps: the tail is 0,
+    # though the bound lies below the upper limit 1 - 0.01**(1/100)
+    code, out, _ = run(capsys, "mc-tail", "--rate", "2", "--region", "strip(5,3)",
+                       "--field", "independent", "--C", "1", "--epsilons", eps,
+                       "--replicates", "100", "--seed", "7")
+    row = json.loads(out)
+    assert code == 0
+    assert row["n_exceed"] == 0 and row["ci_lower_99"] == 0.0
+    assert math.exp(row["log_bound"]) < row["ci_upper_99"]
+    assert row["violated"] is False
+    assert list(row)[-1] == "ci_lower_99"
+
+
+def test_mc_tail_certified_violation_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(verify_mod, "bernstein_bound",
+                        lambda inp: SimpleNamespace(log_total=-50.0))
+    args = ["mc-tail", "--rate", "2", "--region", "strip(4,2)", "--field", "independent",
+            "--C", "1", "--epsilons", "1", "--replicates", "100", "--seed", "5"]
+    code, out, _ = run(capsys, *args)
+    row = json.loads(out)
+    assert code == 2
+    assert row["violated"] is True and row["ci_lower_99"] > math.exp(-50.0)
+    code, out, _ = run(capsys, *args, "--format", "csv")
+    header, line = out.splitlines()
+    assert code == 2
+    assert header.endswith(",certified,ci_lower_99")
+    assert line.split(",")[-1] == repr(row["ci_lower_99"])
+
+
+def test_cli_import_loads_no_scipy_stats():
+    probe = ("import sys, treebound.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'special'], "
+             "['scipy', 'optimize'])))")
+    src = str(Path(treebound.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_mc_tail_partial_strip_params_rejected(capsys):
@@ -220,3 +270,14 @@ def test_bounds_past_float_range_exit_three(capsys):
                        "--envelope", "zero")
     assert code == 3
     assert err.startswith("error:") and "float range" in err
+    # P2**2 leaves float range from L = 542 at A = 2, C**2 above C = 1.34e154
+    code, _, err = run(capsys, "concentration-bound", "--A", "2", "--L", "542",
+                       "--epsilon", "3", "--C", "1", "--sigma2", "0.3",
+                       "--envelope", "zero")
+    assert code == 3
+    assert err.startswith("error:") and "P2**2" in err
+    code, _, err = run(capsys, "mc-tail", "--rate", "2", "--region", "strip(3,2)",
+                       "--field", "independent", "--C", "1e308", "--epsilons", "1",
+                       "--replicates", "100")
+    assert code == 3
+    assert err.startswith("error:") and "C**2" in err

@@ -2,9 +2,10 @@
 inequality on finite spaces, Monte Carlo tails, and sampled mixing lower
 bounds."""
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.stats import binom
+from scipy.stats import beta, binom
 
 from treebound import (
     AlphaSamplePlan,
@@ -18,6 +19,7 @@ from treebound import (
     Strip,
     Subtree,
     ValidationError,
+    binomial_lower_99,
     binomial_upper_99,
     davydov_check,
     empirical_alpha_lower,
@@ -26,6 +28,7 @@ from treebound import (
     random_finite_space,
     tail_estimates_to_jsonl,
 )
+from treebound import verify as verify_mod
 
 
 def _brute_force_alpha(space):
@@ -163,6 +166,95 @@ def test_binomial_upper_99():
     for k in (1, 7, 42):
         p = binomial_upper_99(k, n)
         assert binom.cdf(k, n, p) == pytest.approx(0.01, rel=1e-6)
+
+
+def _mp_cdf(n, j, p):
+    """P(Bin(n, p) <= j) at the working precision, from the shorter tail
+    summed outward from its inner end.  The term ratio r falls outward, so
+    once r < 1 the terms left sum to at most term / (1 - r); summing stops
+    when that is below 10**-(dps + 10) of the total."""
+    q = 1 - p
+    lower = 2 * j < n
+    i = j if lower else j + 1
+    term = mpmath.binomial(n, i) * p**i * q ** (n - i)
+    total = mpmath.mpf(0)
+    cut = mpmath.mpf(10) ** -(mpmath.mp.dps + 10)
+    while True:
+        total += term
+        if i == (0 if lower else n):
+            break
+        r = i * q / ((n - i + 1) * p) if lower else (n - i) * p / ((i + 1) * q)
+        i += -1 if lower else 1
+        term *= r
+        if r < 1 and term < cut * total * (1 - r):
+            break
+    return total if lower else 1 - total
+
+
+def _mp_cdf_root(n, j, t, near):
+    """The p with P(Bin(n, p) <= j) = t: Newton's method from ``near`` with
+    the derivative -n * pmf_{n-1}(j; p); findroot verifies the residual."""
+    t = mpmath.mpf(t)
+
+    def slope(p):
+        return -n * mpmath.binomial(n - 1, j) * p**j * (1 - p) ** (n - 1 - j)
+
+    return mpmath.findroot(lambda p: _mp_cdf(n, j, p) - t, mpmath.mpf(near),
+                           solver="newton", df=slope)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n, k", [
+    (n, k) for n in (100, 2000, 4096, 10**5, 10**6) for k in (0, 1, 2, n // 2, n - 1, n)
+])
+def test_binomial_limits_match_the_tail_sum_root(n, k):
+    upper, lower = binomial_upper_99(k, n), binomial_lower_99(k, n)
+    with mpmath.workdps(45):
+        if k == n:
+            assert upper == 1.0
+        else:
+            root = _mp_cdf_root(n, k, "0.01", upper)
+            assert abs(upper - root) <= 1e-12 * root
+        if k == 0:
+            assert lower == 0.0
+        else:  # P(Bin(n, p) >= k) = 0.01
+            root = _mp_cdf_root(n, k - 1, "0.99", lower)
+            assert abs(lower - root) <= 1e-12 * root
+    # scipy's quantile drifts past 1e-12 at n = 10**6 (8e-12 at k = 2), so it
+    # is a second oracle only up to 10**5
+    if n <= 10**5:
+        assert upper == pytest.approx(1.0 if k == n else beta.ppf(0.99, k + 1, n - k),
+                                      rel=1e-12, abs=0.0)
+        assert lower == pytest.approx(0.0 if k == 0 else beta.ppf(0.01, k, n - k + 1),
+                                      rel=1e-12, abs=0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 4096])
+def test_binomial_limits_symmetry_order_and_scipy_sweep(n):
+    for k in range(0, n + 1, max(1, n // 64)):
+        upper, lower = binomial_upper_99(k, n), binomial_lower_99(k, n)
+        assert abs(upper - (1.0 - binomial_lower_99(n - k, n))) <= 2**-52
+        assert lower <= k / n <= upper
+        assert upper == pytest.approx(1.0 if k == n else beta.ppf(0.99, k + 1, n - k),
+                                      rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("k, n", [(-1, 10), (11, 10), (0, 0), (1, 0), (0, -3)])
+def test_binomial_limits_reject_bad_counts(k, n):
+    for limit in (binomial_upper_99, binomial_lower_99):
+        with pytest.raises(ValidationError):
+            limit(k, n)
+
+
+def test_mc_tail_workers_capped_before_any_thread(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(verify_mod, "ThreadPoolExecutor", no_pool)
+    spec = FieldSpec.independent(C=1.0, master_seed=0)
+    with pytest.raises(ValidationError, match="workers"):
+        mc_tail(spec, Strip(3, 2), 2, [1.0], 200, workers=verify_mod.MAX_WORKERS + 1)
 
 
 def test_mc_tail_impossible_threshold():
