@@ -221,9 +221,8 @@ def _float_in_range(term: str, value) -> float:
 def beta_cap(A: int, P: int, P2: int, C: float) -> float:
     """Largest admissible tilt: (A-1) / (4*e*C*P2*(A**P - 1))."""
     _reject(_scalar_violations((("A", A, 2), ("P", P, 1), ("P2", P2, 1)), C=C))
-    return (A - 1) / (
-        4.0 * math.e * C * _float_in_range("P2", P2) * _float_in_range("A**P", A**P - 1)
-    )
+    denominator = 4.0 * math.e * C * _float_in_range("P2", P2) * _float_in_range("A**P", A**P - 1)
+    return _float_in_range("beta cap (A - 1)/(4e*C*P2*(A**P - 1))", (A - 1) / denominator)
 
 
 def _scalar_violations(lows: Sequence[tuple[str, int, int]], **reals: float) -> list[str]:

@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -34,20 +35,38 @@ from .embed import (
 )
 from .errors import AmplitudeError, CapacityError, ValidationError
 from .fields import field_to_csv, sample_field
-from .paircount import count_pairs_closed
+from .paircount import _validate as _validate_pair_count, count_pairs_closed
 from .tree import GraphSpec, parse_edge_list
-from .verify import (
-    StripParams,
-    davydov_check,
-    mc_tail,
-    random_finite_space,
-    tail_estimates_to_jsonl,
-)
+from .verify import StripParams, TailEstimate, davydov_check, mc_tail, random_finite_space
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_VIOLATION = 2
 EXIT_CAPACITY = 3
+
+# The options of each config-driven subcommand: key -> (parser, required).
+# Each key is a --key flag and a config key; an absent optional key is not
+# passed on, so the library's default applies.
+_BERNSTEIN = {
+    "A": (int, True), "L": (int, True), "P": (int, True), "P2": (int, True),
+    "Q2": (int, True), "beta": (float, True), "epsilon": (float, True),
+    "C": (float, True), "sigma2": (float, True), "envelope": (parse_envelope, True),
+}
+_CONCENTRATION = {
+    "A": (int, True), "L": (int, True), "epsilon": (float, True), "C": (float, True),
+    "sigma2": (float, True), "envelope": (parse_envelope, True),
+    "eta": (float, False), "D": (float, False),
+}
+_MC_TAIL = {
+    "rate": (int, True), "region": (parse_region, True), "field": (str, True),
+    "C": (float, True), "epsilons": (parse_float_list, True), "replicates": (int, True),
+    "seed": (int, False), "workers": (int, False), "eta": (float, False),
+    "D": (float, False), "P2": (int, False), "Q2": (int, False), "beta": (float, False),
+}
+_SIMULATE = {
+    "rate": (int, True), "region": (parse_region, True), "field": (str, True),
+    "C": (float, True), "seed": (int, False), "replicate": (int, False),
+}
 
 
 class _CliError(Exception):
@@ -71,174 +90,95 @@ def _read(path: Optional[str]) -> Optional[str]:
     if path is None:
         return None
     with open(path) as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path} is not a text file: {exc}") from exc
+
+
+def _rows(names: Sequence[str], rows, fmt: str) -> str:
+    """JSON lines keyed by ``names``, or CSV with ``names`` as its header."""
+    if fmt == "json":
+        return "".join(json.dumps(dict(zip(names, row))) + "\n" for row in rows)
+    return "".join(",".join(map(str, row)) + "\n" for row in [names, *rows])
+
+
+def _options(args, table) -> dict:
+    overrides = {key: getattr(args, key) for key in table}
+    return merged_options(_read(args.config), overrides, table)
+
+
+def _field(opts: dict):
+    """The field spec of a keyed subcommand; consumes ``field``, ``C``, ``seed``."""
+    return parse_field(opts.pop("field"), C=opts.pop("C"), master_seed=opts.pop("seed", 0))
 
 
 def _cmd_count_pairs(args) -> int:
     A, P = args.rate, args.gens
-    if args.dist is not None:
-        dists = [args.dist]
-    else:
-        dists = list(range(1, 2 * (P - 1) + 1))
+    dists = range(1, 2 * P - 1) if args.dist is None else [args.dist]
+    L = dists[-1] if dists else 1  # the largest distance asked for
+    _validate_pair_count(A, P, L)
+    if L <= 2 * P - 2:  # farther apart there are no pairs
+        try:  # N <= P*(L + 2)*A**(P - 1 + L/2), term by term in count_pairs_sum
+            digits = math.log10(P * (L + 2)) + math.log10(A) * (2 * P - 2 + L) / 2
+        except OverflowError:  # an exponent past float range
+            digits = math.inf
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and digits >= limit:
+            raise CapacityError(f"pair counts at distance {L} may exceed {limit} digits")
     rows = [(A, P, L, count_pairs_closed(A, P, L)) for L in dists]
-    if args.format == "json":
-        text = "".join(
-            json.dumps({"A": a, "P": p, "L": l, "N": n}) + "\n" for a, p, l, n in rows
-        )
-    else:
-        lines = ["A,P,L,N"] + [f"{a},{p},{l},{n}" for a, p, l, n in rows]
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
+    _emit(_rows(("A", "P", "L", "N"), rows, args.format), args.out)
     return EXIT_OK
-
-
-_BERNSTEIN_KEYS = {
-    "A": True, "L": True, "P": True, "P2": True, "Q2": True,
-    "beta": True, "epsilon": True, "C": True, "sigma2": True, "envelope": True,
-}
 
 
 def _cmd_bernstein(args) -> int:
-    if args.format == "csv":
-        raise ValidationError("bernstein-bound emits JSON only")
-    opts = merged_options(
-        _read(args.config),
-        {
-            "A": args.A, "L": args.L, "P": args.P, "P2": args.P2, "Q2": args.Q2,
-            "beta": args.beta, "epsilon": args.epsilon, "C": args.C,
-            "sigma2": args.sigma2, "envelope": args.envelope,
-        },
-        _BERNSTEIN_KEYS,
-    )
-    inp = BernsteinInput(
-        A=int(opts["A"]), L=int(opts["L"]), P=int(opts["P"]),
-        P2=int(opts["P2"]), Q2=int(opts["Q2"]), beta=float(opts["beta"]),
-        epsilon=float(opts["epsilon"]), C=float(opts["C"]),
-        sigma2=float(opts["sigma2"]), envelope=parse_envelope(opts["envelope"]),
-    )
-    breakdown = _bounds.bernstein_bound(inp)
-    _emit(json.dumps(breakdown.as_dict()) + "\n", args.out)
+    inp = BernsteinInput(**_options(args, _BERNSTEIN))
+    _emit(json.dumps(_bounds.bernstein_bound(inp).as_dict()) + "\n", args.out)
     return EXIT_OK
-
-
-_CONCENTRATION_KEYS = {
-    "A": True, "L": True, "epsilon": True, "C": True, "sigma2": True,
-    "envelope": True, "eta": False, "D": False,
-}
 
 
 def _cmd_concentration(args) -> int:
-    if args.format == "csv":
-        raise ValidationError("concentration-bound emits JSON only")
-    opts = merged_options(
-        _read(args.config),
-        {
-            "A": args.A, "L": args.L, "epsilon": args.epsilon, "C": args.C,
-            "sigma2": args.sigma2, "envelope": args.envelope,
-            "eta": args.eta, "D": args.D,
-        },
-        _CONCENTRATION_KEYS,
-    )
-    inp = ConcentrationInput(
-        A=int(opts["A"]), L=int(opts["L"]), epsilon=float(opts["epsilon"]),
-        C=float(opts["C"]), sigma2=float(opts["sigma2"]),
-        envelope=parse_envelope(opts["envelope"]),
-        eta=float(opts.get("eta", "0.5")), D=float(opts.get("D", "1.0")),
-    )
-    breakdown = _bounds.concentration_bound(inp)
-    _emit(json.dumps(breakdown.as_dict()) + "\n", args.out)
+    inp = ConcentrationInput(**_options(args, _CONCENTRATION))
+    _emit(json.dumps(_bounds.concentration_bound(inp).as_dict()) + "\n", args.out)
     return EXIT_OK
-
-
-_MC_TAIL_KEYS = {
-    "rate": True, "region": True, "field": True, "C": True,
-    "epsilons": True, "replicates": True, "seed": False, "workers": False,
-    "eta": False, "D": False, "P2": False, "Q2": False, "beta": False,
-}
 
 
 def _cmd_mc_tail(args) -> int:
-    opts = merged_options(
-        _read(args.config),
-        {
-            "rate": args.rate, "region": args.region, "field": args.field,
-            "C": args.C, "epsilons": args.epsilons, "replicates": args.replicates,
-            "seed": args.seed, "workers": args.workers, "eta": args.eta,
-            "D": args.D, "P2": args.P2, "Q2": args.Q2, "beta": args.beta,
-        },
-        _MC_TAIL_KEYS,
-    )
-    A = int(opts["rate"])
-    region = parse_region(opts["region"])
-    field = parse_field(opts["field"], C=float(opts["C"]), master_seed=int(opts.get("seed", "0")))
-    param_keys = [k for k in ("P2", "Q2", "beta") if k in opts]
-    bound_params = None
-    if param_keys:
-        if len(param_keys) != 3:
-            raise ValidationError(
-                "strip parameters require all of P2, Q2, beta; got only "
-                + ", ".join(param_keys)
-            )
-        bound_params = StripParams(
-            P2=int(opts["P2"]), Q2=int(opts["Q2"]), beta=float(opts["beta"])
+    opts = _options(args, _MC_TAIL)
+    field = _field(opts)
+    keys = [f.name for f in fields(StripParams)]
+    params = {key: opts.pop(key) for key in keys if key in opts}
+    if params and len(params) != len(keys):
+        raise ValidationError(
+            f"strip parameters require all of {', '.join(keys)}; got only {', '.join(params)}"
         )
     estimates = mc_tail(
-        field,
-        region,
-        A,
-        parse_float_list(opts["epsilons"]),
-        int(opts["replicates"]),
-        workers=int(opts.get("workers", "1")),
-        bound_params=bound_params,
-        eta=float(opts.get("eta", "0.5")),
-        D=float(opts.get("D", "1.0")),
+        field, opts.pop("region"), opts.pop("rate"), opts.pop("epsilons"),
+        opts.pop("replicates"), bound_params=StripParams(**params) if params else None,
+        **opts,
     )
-    if args.format == "csv":
-        header = ("epsilon,n_replicates,n_exceed,p_hat,ci_upper_99,log_bound,violated,"
-                  "certified,ci_lower_99")
-        rows = [
-            f"{t.epsilon!r},{t.n_replicates},{t.n_exceed},{t.p_hat!r},"
-            f"{t.ci_upper_99!r},{t.log_bound!r},{t.violated},{t.certified},{t.ci_lower_99!r}"
-            for t in estimates
-        ]
-        _emit("\n".join([header] + rows) + "\n", args.out)
-    else:
-        _emit(tail_estimates_to_jsonl(estimates), args.out)
-    if any(t.violated for t in estimates if t.violated is not None):
-        return EXIT_VIOLATION
-    return EXIT_OK
+    names = [f.name for f in fields(TailEstimate)]
+    rows = [[getattr(t, name) for name in names] for t in estimates]
+    _emit(_rows(names, rows, args.format), args.out)
+    return EXIT_VIOLATION if any(t.violated for t in estimates) else EXIT_OK
 
 
 def _cmd_verify_davydov(args) -> int:
+    if args.seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
-    any_violation = False
-    lines = []
+    rows = []
     for index in range(args.spaces):
         space = random_finite_space(rng, args.max_outcomes, args.max_atoms)
         result = davydov_check(space, args.p, args.q, args.r)
-        any_violation |= not result.holds
-        lines.append(
-            json.dumps(
-                {
-                    "space_index": index,
-                    "n_outcomes": len(space.probs),
-                    "p": args.p,
-                    "q": args.q,
-                    "r": args.r,
-                    "alpha": result.alpha,
-                    "lhs": result.lhs,
-                    "rhs": result.rhs,
-                    "holds": result.holds,
-                }
-            )
-        )
-    _emit("".join(line + "\n" for line in lines), args.out)
-    return EXIT_VIOLATION if any_violation else EXIT_OK
+        rows.append((index, len(space.probs), args.p, args.q, args.r,
+                     result.alpha, result.lhs, result.rhs, result.holds))
+    names = ("space_index", "n_outcomes", "p", "q", "r", "alpha", "lhs", "rhs", "holds")
+    _emit(_rows(names, rows, args.format), args.out)
+    return EXIT_OK if all(row[-1] for row in rows) else EXIT_VIOLATION
 
 
 def _cmd_embedding_check(args) -> int:
-    if args.format == "csv":
-        raise ValidationError("embedding-check emits JSON only")
     if args.map is not None:
         lattice = parse_lattice_map(_read(args.map))
     elif args.layout is not None:
@@ -271,28 +211,11 @@ def _cmd_embedding_check(args) -> int:
     return EXIT_OK
 
 
-_SIMULATE_KEYS = {
-    "rate": True, "region": True, "field": True, "C": True,
-    "seed": False, "replicate": False,
-}
-
-
 def _cmd_simulate(args) -> int:
-    opts = merged_options(
-        _read(args.config),
-        {
-            "rate": args.rate, "region": args.region, "field": args.field,
-            "C": args.C, "seed": args.seed, "replicate": args.replicate,
-        },
-        _SIMULATE_KEYS,
-    )
-    A = int(opts["rate"])
-    region = parse_region(opts["region"])
-    field = parse_field(opts["field"], C=float(opts["C"]), master_seed=int(opts.get("seed", "0")))
-    sample = sample_field(field, region, A, int(opts.get("replicate", "0")))
+    opts = _options(args, _SIMULATE)
+    sample = sample_field(_field(opts), opts["region"], opts["rate"], opts.get("replicate", 0))
     if args.format == "json":
-        rows = zip(*(array.tolist() for array in sample))
-        text = "".join(json.dumps({"j": j, "k": k, "value": v}) + "\n" for j, k, v in rows)
+        text = _rows(("j", "k", "value"), zip(*(array.tolist() for array in sample)), "json")
     else:
         text = field_to_csv(sample)
     _emit(text, args.out)
@@ -303,42 +226,32 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="treebound", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt_default="json"):
+    def command(name, handler, help, formats, table=None):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--out", help="write output to this path instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"), default=fmt_default)
+        p.add_argument("--format", choices=formats, default=formats[0])
+        if table is not None:
+            p.add_argument("--config")
+            for key in table:
+                p.add_argument(f"--{key}")
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("count-pairs", help="pair counts at fixed distance in a subtree")
+    p = command("count-pairs", _cmd_count_pairs,
+                "pair counts at fixed distance in a subtree", ("csv", "json"))
     p.add_argument("--rate", type=int, required=True)
     p.add_argument("--gens", type=int, required=True)
     p.add_argument("--dist", type=int)
-    common(p, fmt_default="csv")
-    p.set_defaults(handler=_cmd_count_pairs)
 
-    p = sub.add_parser("bernstein-bound", help="evaluate the strip tail bound")
-    p.add_argument("--config")
-    for key in ("A", "L", "P", "P2", "Q2"):
-        p.add_argument(f"--{key}")
-    for key in ("beta", "epsilon", "C", "sigma2", "envelope"):
-        p.add_argument(f"--{key}")
-    common(p)
-    p.set_defaults(handler=_cmd_bernstein)
+    command("bernstein-bound", _cmd_bernstein, "evaluate the strip tail bound",
+            ("json",), _BERNSTEIN)
+    command("concentration-bound", _cmd_concentration, "evaluate the whole-tree tail bound",
+            ("json",), _CONCENTRATION)
+    command("mc-tail", _cmd_mc_tail, "Monte Carlo tail probabilities versus bounds",
+            ("json", "csv"), _MC_TAIL)
 
-    p = sub.add_parser("concentration-bound", help="evaluate the whole-tree tail bound")
-    p.add_argument("--config")
-    for key in ("A", "L", "epsilon", "C", "sigma2", "envelope", "eta", "D"):
-        p.add_argument(f"--{key}")
-    common(p)
-    p.set_defaults(handler=_cmd_concentration)
-
-    p = sub.add_parser("mc-tail", help="Monte Carlo tail probabilities versus bounds")
-    p.add_argument("--config")
-    for key in ("rate", "region", "field", "C", "epsilons", "replicates",
-                "seed", "workers", "eta", "D", "P2", "Q2", "beta"):
-        p.add_argument(f"--{key}")
-    common(p)
-    p.set_defaults(handler=_cmd_mc_tail)
-
-    p = sub.add_parser("verify-davydov", help="covariance inequality on random finite spaces")
+    p = command("verify-davydov", _cmd_verify_davydov,
+                "covariance inequality on random finite spaces", ("json", "csv"))
     p.add_argument("--spaces", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--p", type=float, default=4.0)
@@ -346,10 +259,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--r", type=float, default=2.0)
     p.add_argument("--max-outcomes", type=int, default=64)
     p.add_argument("--max-atoms", type=int, default=8)
-    common(p)
-    p.set_defaults(handler=_cmd_verify_davydov)
 
-    p = sub.add_parser("embedding-check", help="distortion and refutation for a lattice map")
+    p = command("embedding-check", _cmd_embedding_check,
+                "distortion and refutation for a lattice map", ("json",))
     p.add_argument("--rate", type=int, required=True)
     p.add_argument("--map", help="lattice map file with lines 'j k x1 ... xN'")
     p.add_argument("--layout", choices=("row", "packed"))
@@ -358,16 +270,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--edges", help="extra-edge file with lines 'j k j2 k2'")
     p.add_argument("--constant", type=float)
     p.add_argument("--kmax", type=int, required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_embedding_check)
 
-    p = sub.add_parser("simulate", help="sample a field on a region and dump it")
-    p.add_argument("--config")
-    for key in ("rate", "region", "field", "C", "seed", "replicate"):
-        p.add_argument(f"--{key}")
-    common(p, fmt_default="csv")
-    p.set_defaults(handler=_cmd_simulate)
-
+    command("simulate", _cmd_simulate, "sample a field on a region and dump it",
+            ("csv", "json"), _SIMULATE)
     return parser
 
 
@@ -376,18 +281,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except _CliError as exc:
+    except (_CliError, ValidationError, OSError, CapacityError, AmplitudeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (CapacityError, AmplitudeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        capacity = isinstance(exc, (CapacityError, AmplitudeError))
+        return EXIT_CAPACITY if capacity else EXIT_VALIDATION
 
 
 def app() -> None:

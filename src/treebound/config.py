@@ -14,12 +14,19 @@ Structured values use a small call-like grammar::
 where ``super_exponential(scale)`` means the rate function ``g(n) =
 scale * n`` (the config file cannot carry arbitrary callables; the library
 API can).
+
+Each subcommand declares its keys once, as a typed table ``{key: (parser,
+required)}``.  :func:`merged_options` merges the file with the command-line
+overrides, rejects unknown config keys by name, reports missing required
+keys together and runs each value through its parser, so a malformed value
+is a :class:`ValidationError` that names its key.  An optional key given
+nowhere is left out of the result, and the library's own default applies.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from .bounds import MixingEnvelope
 from .errors import ValidationError
@@ -62,20 +69,17 @@ def _split_call(text: str, what: str) -> tuple[str, list[str]]:
 
 def parse_envelope(text: str) -> MixingEnvelope:
     name, args = _split_call(text, "envelope")
-    try:
-        if name == "zero" and not args:
-            return MixingEnvelope.zero()
-        if name == "m_dependent" and len(args) == 1:
-            return MixingEnvelope.m_dependent(int(args[0]))
-        if name == "super_exponential" and len(args) == 1:
-            scale = float(args[0])
-            if not scale > 0:  # NaN fails too
-                raise ValidationError(f"super_exponential scale must be > 0, got {scale}")
-            return MixingEnvelope.super_exponential(lambda n, s=scale: s * n)
-        if name == "table" and args:
-            return MixingEnvelope.table([float(a) for a in args])
-    except ValueError as exc:
-        raise ValidationError(f"bad envelope arguments in {text!r}: {exc}") from exc
+    if name == "zero" and not args:
+        return MixingEnvelope.zero()
+    if name == "m_dependent" and len(args) == 1:
+        return MixingEnvelope.m_dependent(int(args[0]))
+    if name == "super_exponential" and len(args) == 1:
+        scale = float(args[0])
+        if not scale > 0:  # NaN fails too
+            raise ValidationError(f"super_exponential scale must be > 0, got {scale}")
+        return MixingEnvelope.super_exponential(lambda n, s=scale: s * n)
+    if name == "table" and args:
+        return MixingEnvelope.table([float(a) for a in args])
     raise ValidationError(f"unknown envelope specification {text!r}")
 
 
@@ -95,23 +99,17 @@ def parse_field(text: str, C: float, master_seed: int) -> FieldSpec:
 
 def parse_region(text: str) -> Region:
     name, args = _split_call(text, "region")
-    try:
-        if name == "strip" and len(args) == 2:
-            return Strip(level=int(args[0]), depth=int(args[1]))
-        if name == "generations" and len(args) == 1:
-            return Generations(count=int(args[0]))
-        if name == "subtree" and len(args) == 3:
-            return Subtree(j=int(args[0]), k=int(args[1]), depth=int(args[2]))
-    except ValueError as exc:
-        raise ValidationError(f"bad region arguments in {text!r}: {exc}") from exc
+    if name == "strip" and len(args) == 2:
+        return Strip(level=int(args[0]), depth=int(args[1]))
+    if name == "generations" and len(args) == 1:
+        return Generations(count=int(args[0]))
+    if name == "subtree" and len(args) == 3:
+        return Subtree(j=int(args[0]), k=int(args[1]), depth=int(args[2]))
     raise ValidationError(f"unknown region specification {text!r}")
 
 
 def parse_float_list(text: str) -> list[float]:
-    try:
-        values = [float(part.strip()) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise ValidationError(f"bad number list {text!r}: {exc}") from exc
+    values = [float(part.strip()) for part in text.split(",") if part.strip()]
     if not values:
         raise ValidationError(f"empty number list {text!r}")
     return values
@@ -120,27 +118,24 @@ def parse_float_list(text: str) -> list[float]:
 def merged_options(
     config_text: Optional[str],
     overrides: dict[str, Optional[str]],
-    allowed: dict[str, bool],
-) -> dict[str, str]:
-    """Merge a config file with command-line overrides.
-
-    ``allowed`` maps each permitted key to whether it is required; unknown
-    config keys are rejected by name, missing required keys are reported
-    together.
-    """
-    merged: dict[str, str] = {}
-    if config_text is not None:
-        for key, value in parse_kv_text(config_text).items():
-            if key not in allowed:
-                raise ValidationError(f"unknown config key {key!r}")
-            merged[key] = value
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if key not in allowed:
-            raise ValidationError(f"unknown option {key!r}")
-        merged[key] = value
-    missing = [key for key, required in allowed.items() if required and key not in merged]
+    table: dict[str, tuple[Callable[[str], Any], bool]],
+) -> dict[str, Any]:
+    """The parsed values of ``table``'s keys given in the config file or in
+    ``overrides`` (which win), in table order."""
+    merged = parse_kv_text(config_text) if config_text is not None else {}
+    for key in merged:
+        if key not in table:
+            raise ValidationError(f"unknown config key {key!r}")
+    merged.update((key, value) for key, value in overrides.items() if value is not None)
+    missing = [key for key, (_, required) in table.items() if required and key not in merged]
     if missing:
         raise ValidationError("missing required keys: " + ", ".join(sorted(missing)))
-    return merged
+    return {key: _parsed(key, parse, merged[key]) for key, (parse, _) in table.items()
+            if key in merged}
+
+
+def _parsed(key: str, parse: Callable[[str], Any], text: str) -> Any:
+    try:
+        return parse(text)
+    except ValueError as exc:  # a ValidationError too: every message names its key
+        raise ValidationError(f"bad value for {key}: {exc}") from exc

@@ -217,6 +217,16 @@ def _autoregression(js: np.ndarray, ks: np.ndarray, A: int, a: float, C: float):
     return support_j, np.concatenate(levels), apply
 
 
+def _replicate_ids(replicates: Sequence[int]) -> np.ndarray:
+    """Replicate ids as uint64; :class:`ValidationError` unless each is an
+    integer in ``[0, 2**64)``."""
+    ids = list(replicates)
+    for r in ids:
+        if not isinstance(r, (int, np.integer)) or isinstance(r, bool) or not 0 <= r < 1 << 64:
+            raise ValidationError(f"replicate ids must be integers in [0, 2**64), got {r!r}")
+    return np.array(ids, dtype=np.uint64)
+
+
 def field_values(
     spec: FieldSpec, nodes: Sequence[NodeId], A: int, replicates: Sequence[int]
 ) -> np.ndarray:
@@ -228,7 +238,7 @@ def field_values(
     for v in nodes:
         validate_node(v, A)
     js, ks = np.array([(v.j, v.k) for v in nodes], dtype=np.int64).reshape(-1, 2).T
-    return _compile(spec, js, ks, A)(np.asarray(list(replicates), dtype=np.uint64))
+    return _compile(spec, js, ks, A)(_replicate_ids(replicates))
 
 
 def sample_field(
@@ -237,7 +247,7 @@ def sample_field(
     """One realization of the field on ``region``: the int64 labels ``(js, ks)``
     in region order, which is label-sorted, and the values at them."""
     js, ks = region_arrays(region, A)
-    return js, ks, _compile(spec, js, ks, A)(np.array([replicate_index], dtype=np.uint64))[0]
+    return js, ks, _compile(spec, js, ks, A)(_replicate_ids([replicate_index]))[0]
 
 
 def region_sums(
@@ -253,7 +263,7 @@ def region_sums(
     row-wise reduction of values that depend only on (seed, replicate, node).
     """
     js, ks = region_arrays(region, A)
-    reps = np.asarray(list(replicates), dtype=np.uint64)
+    reps = _replicate_ids(replicates)
     out = np.empty(len(reps), dtype=np.float64)
     sample = _compile(spec, js, ks, A)
     for start in range(0, len(reps), chunk):

@@ -53,8 +53,9 @@ ROOT = NodeId(0, 1)
 
 
 def _check_rate(A: int) -> None:
-    if not isinstance(A, int) or isinstance(A, bool) or A < 2:
-        raise ValidationError(f"branching rate must be an integer >= 2, got {A!r}")
+    # generation 1 of a wider tree already holds indices past the 63-bit labels
+    if not isinstance(A, int) or isinstance(A, bool) or not 2 <= A < MAX_LABEL:
+        raise ValidationError(f"branching rate must be an integer in [2, 2**63), got {A!r}")
 
 
 def is_valid_node(v: NodeId, A: int) -> bool:
@@ -316,8 +317,8 @@ def _generation_runs(region: Region, A: int, cap: int) -> list[tuple[int, int, i
     """
     count = region_node_count(region, A)
     if count > cap:
-        raise CapacityError(
-            f"region holds {count} nodes, exceeding the cap of {cap}"
+        raise CapacityError(  # the count itself may have too many digits to print
+            f"region holds at least 2**{count.bit_length() - 1} nodes, exceeding the cap of {cap}"
         )
     if isinstance(region, Subtree):
         runs = [(region.j + d, A**d * (region.k - 1) + 1, A**d) for d in range(region.depth)]

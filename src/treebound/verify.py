@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -30,6 +30,9 @@ import numpy as np
 from .bounds import (
     BernsteinInput,
     GridSpec,
+    _float_in_range,
+    _reject,
+    _scalar_violations,
     bernstein_bound,
     concentration_bound,
     ConcentrationInput,
@@ -145,7 +148,7 @@ def davydov_check(space: FiniteSpace, p: float, q: float, r: float) -> DavydovRe
     (constant on atoms).  Everything on the left and right is computed
     exactly on the finite space; ``holds`` allows 1e-12 absolute slack.
     """
-    if min(p, q, r) < 1:
+    if not all(e >= 1 for e in (p, q, r)):  # NaN fails too
         raise ValidationError(f"exponents must be >= 1, got ({p}, {q}, {r})")
     if abs(1.0 / p + 1.0 / q + 1.0 / r - 1.0) > 1e-9:
         raise ValidationError(
@@ -197,17 +200,7 @@ class TailEstimate:
     ci_lower_99: float
 
     def as_dict(self) -> dict:
-        return {
-            "epsilon": float(self.epsilon),
-            "n_replicates": int(self.n_replicates),
-            "n_exceed": int(self.n_exceed),
-            "p_hat": float(self.p_hat),
-            "ci_upper_99": float(self.ci_upper_99),
-            "log_bound": float(self.log_bound),
-            "violated": self.violated,
-            "certified": bool(self.certified),
-            "ci_lower_99": float(self.ci_lower_99),
-        }
+        return asdict(self)
 
 
 # log(k!) - log(sqrt(2*pi*k) * (k/e)**k) for k = 0..15 (Loader's table); a
@@ -410,7 +403,7 @@ def mc_tail(
                 )
             log_bounds.append(bernstein_bound(inp).log_total)
     elif isinstance(region, Generations):
-        scale = float(region_node_count(region, A))
+        scale = _float_in_range("|region|", region_node_count(region, A))
         log_bounds = [
             concentration_bound(
                 ConcentrationInput(
@@ -440,10 +433,10 @@ def mc_tail(
             )
         counts = np.sum(parts, axis=0)
 
-    out = []
+    out, n = [], int(n_replicates)  # plain Python numbers in the records
     for e, k, log_bound in zip(eps, counts, log_bounds):
         k = int(k)
-        ci_lower = binomial_lower_99(k, n_replicates)
+        ci_lower = binomial_lower_99(k, n)
         if certified:
             violated = bool(log_bound < 0.0 and ci_lower > math.exp(log_bound))
         else:
@@ -451,10 +444,10 @@ def mc_tail(
         out.append(
             TailEstimate(
                 epsilon=e,
-                n_replicates=n_replicates,
+                n_replicates=n,
                 n_exceed=k,
-                p_hat=k / n_replicates,
-                ci_upper_99=binomial_upper_99(k, n_replicates),
+                p_hat=k / n,
+                ci_upper_99=binomial_upper_99(k, n),
                 log_bound=float(log_bound),
                 violated=violated,
                 certified=certified,
@@ -479,6 +472,7 @@ def random_finite_space(
     uniform on [-1, 1] per atom, broadcast to outcomes, hence exactly
     measurable by construction.
     """
+    _reject(_scalar_violations((("max_outcomes", max_outcomes, 2), ("max_atoms", max_atoms, 1))))
     n = int(rng.integers(2, max_outcomes + 1))
     probs = rng.random(n) + 1e-3
     probs /= probs.sum()

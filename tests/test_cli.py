@@ -9,6 +9,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import treebound
 from treebound import FieldSpec, Strip, Subtree, field_values, region_nodes
@@ -281,3 +283,178 @@ def test_bounds_past_float_range_exit_three(capsys):
                        "--replicates", "100")
     assert code == 3
     assert err.startswith("error:") and "C**2" in err
+    code, _, err = run(capsys, "mc-tail", "--rate", "2", "--region", "strip(3,2)",
+                       "--field", "independent", "--C", "1e-320", "--epsilons", "1",
+                       "--replicates", "100")
+    assert code == 3
+    assert err.startswith("error:") and "C*P2" in err
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["mc-tail", "--rate", "2.5"], "rate"),
+    (["mc-tail", "--C", "abc"], "C"),
+    (["mc-tail", "--replicates", "1e3"], "replicates"),
+    (["mc-tail", "--workers", ""], "workers"),
+    (["simulate", "--seed", "nan"], "seed"),
+    (["bernstein-bound", "--beta", "x"], "beta"),
+    (["concentration-bound", "--eta", "0.5.1"], "eta"),
+])
+def test_malformed_option_value_names_key(capsys, argv, key):
+    base = {
+        "mc-tail": ["--rate", "2", "--region", "strip(3,2)", "--field", "independent",
+                    "--C", "1", "--epsilons", "1", "--replicates", "100"],
+        "simulate": ["--rate", "2", "--region", "generations(2)", "--field", "independent",
+                     "--C", "1"],
+        "bernstein-bound": ["--A", "2", "--L", "5", "--P", "3", "--P2", "4", "--Q2", "4",
+                            "--beta", "0.003", "--epsilon", "50", "--C", "1",
+                            "--sigma2", "0.3", "--envelope", "zero"],
+        "concentration-bound": ["--A", "2", "--L", "12", "--epsilon", "0.5", "--C", "1",
+                                "--sigma2", "0.3", "--envelope", "zero"],
+    }[argv[0]]
+    code, out, err = run(capsys, argv[0], *base, *argv[1:])  # the later flag wins
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: bad value for {key}:")
+
+
+def test_malformed_config_value_names_key(tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("rate = 2\nregion = generations(2)\nfield = independent\nC = 1\n"
+                   "replicate = 0.5\n")
+    code, _, err = run(capsys, "simulate", "--config", str(cfg))
+    assert code == 1
+    assert err.startswith("error: bad value for replicate:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bernstein-bound", "--A", "2"],
+    ["concentration-bound", "--A", "2"],
+    ["embedding-check", "--rate", "2", "--layout", "row", "--depth", "3", "--kmax", "3"],
+])
+def test_json_only_subcommands_reject_csv(capsys, argv):
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert code == 1 and out == ""
+    assert "--format" in err and "csv" in err
+
+
+def test_verify_davydov_csv_matches_json(capsys):
+    args = ["verify-davydov", "--spaces", "4", "--seed", "3", "--max-atoms", "5"]
+    code, out, _ = run(capsys, *args)
+    rows = [json.loads(line) for line in out.splitlines()]
+    code_csv, csv, _ = run(capsys, *args, "--format", "csv")
+    assert code == code_csv == 0
+    header, *lines = csv.splitlines()
+    assert header.split(",") == list(rows[0])
+    assert lines == [",".join(str(v) for v in row.values()) for row in rows]
+
+
+@pytest.mark.parametrize("replicate", ["-1", str(2**64)])
+def test_simulate_replicate_outside_uint64_exits_one(capsys, replicate):
+    code, out, err = run(capsys, "simulate", "--rate", "2", "--region", "generations(3)",
+                         "--field", "independent", "--C", "1", "--replicate", replicate)
+    assert code == 1 and out == ""
+    assert "replicate" in err
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["count-pairs", "--rate", "1", "--gens", "-3"], 1),
+    (["count-pairs", "--rate", "2", "--gens", "0"], 1),
+    (["count-pairs", "--rate", "2", "--gens", "3", "--dist", "0"], 1),
+    (["count-pairs", "--rate", "2", "--gens", "15000", "--dist", "1"], 3),
+    (["count-pairs", "--rate", "3", "--gens", str(2**63)], 3),
+    (["embedding-check", "--rate", "3", "--layout", "row", "--dim", "1", "--depth", "9100",
+      "--kmax", "2"], 3),
+    (["embedding-check", "--rate", str(2**63), "--layout", "packed", "--dim", "1",
+      "--depth", "0", "--constant", "1", "--kmax", "2"], 1),
+    (["mc-tail", "--rate", "2", "--region", "generations(2000)", "--field", "independent",
+      "--C", "1", "--epsilons", "1", "--replicates", "100"], 3),
+    (["verify-davydov", "--spaces", "1", "--seed", "-1"], 1),
+    (["verify-davydov", "--spaces", "1", "--max-atoms", "0"], 1),
+    (["verify-davydov", "--spaces", "1", "--p", "nan", "--q", "0"], 1),
+])
+def test_unbounded_and_invalid_sizes_exit_cleanly(capsys, argv, code):
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert err.startswith("error:")
+
+
+def test_count_pairs_distance_past_the_subtree_prints_zero(capsys):
+    code, out, _ = run(capsys, "count-pairs", "--rate", "2", "--gens", "3", "--dist", str(2**63))
+    assert code == 0
+    assert out == f"A,P,L,N\n2,3,{2**63},0\n"
+
+
+# The README grammar with extreme values.  Sizes that set how much work a run
+# does (replicates, spaces, depths, workers) only take values that fail fast.
+_BIG = str(2**63)
+_EXTREMES = ("0", "-1", _BIG, "1e154", "1e308", "1e-320", "nan", "inf", "2.5", "abc", "")
+_SMALL = tuple(v for v in _EXTREMES if v != _BIG)
+_ENVELOPES = ("zero", "m_dependent(1)", "table(0.1,0.05)", "super_exponential(2)")
+_REGIONS = ("strip(3,2)", "generations(4)", "subtree(1,1,2)", "strip(70,1)", "generations(2000)")
+_FIELDS = ("independent", "m_dependent(1)", "branching_ar(0.8)")
+# subcommand -> [(flag, typical values (None: absent), size?)]
+_GRAMMAR = {
+    "count-pairs": [("rate", ("2", "3"), False), ("gens", ("1", "4", "40"), False),
+                    ("dist", (None, "1", "3"), False), ("format", (None, "csv", "json"), False)],
+    "bernstein-bound": [
+        ("A", ("2", "3"), False), ("L", ("5", "2000"), True), ("P", ("3",), True),
+        ("P2", ("4",), False), ("Q2", ("4",), False), ("beta", ("0.003",), False),
+        ("epsilon", ("50",), False), ("C", ("1",), False), ("sigma2", ("0.3",), False),
+        ("envelope", _ENVELOPES, False), ("format", (None, "json"), False)],
+    "concentration-bound": [
+        ("A", ("2", "3"), False), ("L", ("12", "2000"), True), ("epsilon", ("0.5",), False),
+        ("C", ("1",), False), ("sigma2", ("0.3",), False), ("envelope", _ENVELOPES, False),
+        ("eta", (None, "0.5"), False), ("D", (None, "1"), False)],
+    "mc-tail": [
+        ("rate", ("2",), False), ("region", _REGIONS, False), ("field", _FIELDS, False),
+        ("C", ("1",), False), ("epsilons", ("1,2", "0.05"), False),
+        ("replicates", ("100",), True), ("seed", (None, "5"), False),
+        ("workers", (None, "1", "2"), True), ("eta", (None, "0.5"), False),
+        ("D", (None, "1"), False), ("P2", (None, "2"), False), ("Q2", (None, "2"), False),
+        ("beta", (None, "0.002"), False), ("format", (None, "json", "csv"), False)],
+    "verify-davydov": [
+        ("spaces", ("1", "3"), True), ("seed", (None, "3"), False), ("p", (None, "4"), False),
+        ("q", (None, "4"), False), ("r", (None, "2"), False),
+        ("max-outcomes", (None, "8"), True), ("max-atoms", (None, "4"), True),
+        ("format", (None, "json", "csv"), False)],
+    "embedding-check": [
+        ("rate", ("2", "3"), False), ("layout", ("row", "packed"), False),
+        ("dim", ("1", "2"), True), ("depth", ("3", "9100"), True),
+        ("constant", (None, "1"), False), ("kmax", ("4",), False)],
+    "simulate": [
+        ("rate", ("2",), False), ("region", _REGIONS, False), ("field", _FIELDS, False),
+        ("C", ("1",), False), ("seed", (None, "3"), False), ("replicate", (None, "0"), False),
+        ("format", (None, "csv", "json"), False)],
+}
+
+
+@st.composite
+def _cli_argv(draw):
+    """A subcommand with typical values, one to three of them replaced by
+    an extreme value or dropped."""
+    command = draw(st.sampled_from(sorted(_GRAMMAR)))
+    flags = _GRAMMAR[command]
+    values = {name: draw(st.sampled_from(typical)) for name, typical, _ in flags}
+    for name, _, size in draw(st.lists(st.sampled_from(flags), min_size=1, max_size=3,
+                                       unique=True)):
+        values[name] = draw(st.sampled_from(_SMALL if size else (None, *_EXTREMES)))
+    argv = [command]
+    for name, value in values.items():
+        if value is not None:
+            argv += [f"--{name}", value]
+    return argv
+
+
+@settings(max_examples=500, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_cli_argv())
+def test_cli_fuzz_ends_in_an_exit_code(capsys, argv):
+    assert main(argv) in (0, 1, 2, 3)
+    capsys.readouterr()
+
+
+def test_binary_config_file_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "bound.cfg"
+    cfg.write_bytes(b"A = \xff\xfe\n")
+    code, _, err = run(capsys, "bernstein-bound", "--config", str(cfg))
+    assert code == 1
+    assert err.startswith("error:") and "not a text file" in err

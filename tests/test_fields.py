@@ -329,3 +329,24 @@ def test_amplitude_guard_raises_library_error(monkeypatch, capsys):
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith("error:") and "amplitude" in err
+
+
+@pytest.mark.parametrize("rep", [-1, 2**64, np.int64(-2), 1.5, True])
+def test_replicate_ids_outside_uint64_rejected(rep):
+    spec = FieldSpec.m_dependent(1, master_seed=1)
+    with pytest.raises(ValidationError, match="replicate"):
+        field_values(spec, [NodeId(1, 1)], 2, [0, rep])
+    with pytest.raises(ValidationError, match="replicate"):
+        sample_field(spec, Generations(3), 2, rep)
+    with pytest.raises(ValidationError, match="replicate"):
+        region_sums(spec, Generations(3), 2, [rep])
+
+
+def test_replicate_ids_at_the_uint64_ends():
+    spec = FieldSpec.independent(master_seed=3)
+    reps = [0, np.uint64(2**63), 2**64 - 1]
+    got = field_values(spec, [NodeId(1, 2)], 2, reps)[:, 0]
+    want = [_innovation_ref(3, int(r), 1, 2) for r in reps]
+    assert got.tolist() == want
+    assert sample_field(spec, Subtree(1, 2, 1), 2, 2**64 - 1)[2].tolist() == want[2:]
+    assert region_sums(spec, Subtree(1, 2, 1), 2, reps).tolist() == want

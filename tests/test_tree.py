@@ -249,3 +249,17 @@ def test_region_arrays_match_region_nodes():
     for enumerate_region in (region_arrays, lambda r, A: list(region_nodes(r, A))):
         with pytest.raises(ValidationError):
             enumerate_region(Subtree(61, 2**61, 3), 2)
+
+
+def test_rate_past_the_63_bit_labels_rejected():
+    for call in (lambda: GraphSpec(2**63), lambda: region_node_count(Generations(1), 2**63),
+                 lambda: region_arrays(Strip(0, 1), 2**63)):
+        with pytest.raises(ValidationError, match="2\\*\\*63"):
+            call()
+    assert region_node_count(Generations(1), 2**63 - 1) == 1
+
+
+def test_capacity_message_of_a_huge_region_prints():
+    # the exact count of 9101 generations at rate 3 has more than 4300 digits
+    with pytest.raises(CapacityError, match=r"at least 2\*\*14423 nodes"):
+        region_arrays(Generations(9101), 3)

@@ -347,3 +347,18 @@ def test_empirical_alpha_plan_validation():
     with pytest.raises(ValidationError) as err:
         empirical_alpha_lower(spec, 2, 5, close)
     assert "distance" in str(err.value)
+
+
+@pytest.mark.parametrize("p,q,r", [(float("nan"), 0.0, 2.0), (4.0, float("nan"), 2.0),
+                                   (4.0, 4.0, 0.5)])
+def test_davydov_exponents_below_one_or_nan_rejected(p, q, r):
+    space = FiniteSpace.build([0.5, 0.5], [[0], [1]], [[0], [1]], [1, -1], [1, -1])
+    with pytest.raises(ValidationError, match="exponents must be >= 1"):
+        davydov_check(space, p, q, r)
+
+
+@pytest.mark.parametrize("kwargs", [{"max_outcomes": 1}, {"max_outcomes": -1},
+                                    {"max_atoms": 0}, {"max_atoms": 2.5}])
+def test_random_finite_space_sizes_validated(kwargs):
+    with pytest.raises(ValidationError):
+        random_finite_space(np.random.default_rng(0), **kwargs)
