@@ -166,6 +166,8 @@ def _cmd_mc_tail(args) -> int:
 def _cmd_verify_davydov(args) -> int:
     if args.seed < 0:
         raise ValidationError(f"seed must be >= 0, got {args.seed}")
+    if args.spaces < 1:
+        raise ValidationError(f"--spaces must be >= 1, got {args.spaces}")
     rng = np.random.default_rng(args.seed)
     rows = []
     for index in range(args.spaces):
@@ -179,6 +181,8 @@ def _cmd_verify_davydov(args) -> int:
 
 
 def _cmd_embedding_check(args) -> int:
+    if args.constant is not None and not math.isfinite(args.constant):
+        raise ValidationError(f"--constant must be finite, got {args.constant}")
     if args.map is not None:
         lattice = parse_lattice_map(_read(args.map))
     elif args.layout is not None:

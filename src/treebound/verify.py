@@ -3,7 +3,12 @@ coefficients on finite probability spaces, and sampled mixing lower bounds.
 
 The mixing coefficient between two finite partitions is computed exactly
 (the sup over all unions of atoms), which makes the covariance inequality
-testable without any estimation error.  For simulated fields the sup over
+testable without any estimation error.  A :class:`FiniteSpace` holds its
+outcomes as arrays, each partition as one atom label per outcome, so the
+exact path works on whole arrays: one ``bincount`` gives the joint atom
+table and a cached matrix lists the unions of H-atoms.  Lists of atoms
+appear only at the API edge, in ``FiniteSpace.build`` and the
+``atoms_g``/``atoms_h`` views.  For simulated fields the sup over
 arbitrary events is out of reach, so the module only ever reports sampled
 *lower* bounds there, clearly separated from the exact path.
 
@@ -22,7 +27,8 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -47,53 +53,116 @@ MAX_ATOMS = 12
 MAX_WORKERS = 64  # the most threads one mc_tail call starts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteSpace:
     """A finite probability space with two partitions and two variables.
 
-    ``atoms_g``/``atoms_h`` partition the outcome indices; ``xi``/``eta``
-    assign a real value to every outcome.  Exact computations on this space
-    (mixing coefficient, covariance inequality) need at most 12 atoms per
-    partition so that the sup over all 2**12 x 2**12 event pairs stays
+    Outcome ``i`` has probability ``probs[i]``, lies in atom ``g[i]`` of the
+    partition G and atom ``h[i]`` of the partition H, and carries the values
+    ``xi[i]`` and ``eta[i]``.  The fields are read-only arrays: float64
+    ``probs``, ``xi``, ``eta`` and int64 labels ``g``, ``h`` that number the
+    atoms ``0..n_g-1`` and ``0..n_h-1``, every atom non-empty.  Every value
+    must be finite.
+
+    :meth:`build` takes each partition as a list of atoms (lists of outcome
+    indices), and ``atoms_g``/``atoms_h`` give the atoms back in that form;
+    the computations work on the label arrays.  Exact computations on this
+    space (mixing coefficient, covariance inequality) need at most 12 atoms
+    per partition so that the sup over all 2**12 x 2**12 event pairs stays
     feasible.
     """
 
-    probs: tuple[float, ...]
-    atoms_g: tuple[tuple[int, ...], ...]
-    atoms_h: tuple[tuple[int, ...], ...]
-    xi: tuple[float, ...]
-    eta: tuple[float, ...]
+    probs: np.ndarray
+    g: np.ndarray
+    h: np.ndarray
+    xi: np.ndarray
+    eta: np.ndarray
+    n_g: int = field(init=False)  # the number of atoms of G
+    n_h: int = field(init=False)  # the number of atoms of H
 
     def __post_init__(self) -> None:
-        n = len(self.probs)
-        if n == 0:
-            raise ValidationError("finite space needs at least one outcome")
-        if any(p < 0 for p in self.probs):
+        arrays = {
+            "probs": np.array(self.probs, dtype=np.float64),
+            "xi": np.array(self.xi, dtype=np.float64),
+            "eta": np.array(self.eta, dtype=np.float64),
+            "g": np.array(self.g),
+            "h": np.array(self.h),
+        }
+        probs = arrays["probs"]
+        n = probs.size
+        if probs.ndim != 1 or n == 0:
+            raise ValidationError("finite space needs a non-empty 1-d array of probabilities")
+        for name, array in arrays.items():
+            if array.shape != probs.shape:
+                raise ValidationError(f"{name} must give a value for each of {n} outcomes")
+        finite = np.isfinite(np.concatenate((probs, arrays["xi"], arrays["eta"])))
+        if not finite.all():
+            name = ("probs", "xi", "eta")[np.flatnonzero(~finite)[0] // n]
+            raise ValidationError(f"{name} must be finite (no NaN or infinity)")
+        if probs.min() < 0:
             raise ValidationError("outcome probabilities must be non-negative")
-        if abs(sum(self.probs) - 1.0) > 1e-12:
-            raise ValidationError(
-                f"outcome probabilities sum to {sum(self.probs)!r}, not 1 within 1e-12"
-            )
-        for name, atoms in (("G", self.atoms_g), ("H", self.atoms_h)):
-            flat = [i for atom in atoms for i in atom]
-            if sorted(flat) != list(range(n)):
-                raise ValidationError(
-                    f"partition {name} must cover the {n} outcomes disjointly"
-                )
-            if any(len(atom) == 0 for atom in atoms):
-                raise ValidationError(f"partition {name} contains an empty atom")
-        if len(self.xi) != n or len(self.eta) != n:
-            raise ValidationError("xi and eta must assign a value to every outcome")
+        total = float(probs.sum())
+        if abs(total - 1.0) > 1e-12:
+            raise ValidationError(f"outcome probabilities sum to {total!r}, not 1 within 1e-12")
+        for name, partition in (("g", "G"), ("h", "H")):
+            labels = arrays[name]
+            if labels.dtype.kind not in "iu" or not 0 <= labels.min() <= labels.max() < n:
+                raise ValidationError(f"partition {partition} needs integer labels in 0..{n - 1}")
+            labels = arrays[name] = labels.astype(np.int64, copy=False)
+            sizes = np.bincount(labels)
+            if not sizes.all():
+                raise ValidationError(f"partition {partition} contains an empty atom")
+            object.__setattr__(self, f"n_{name}", sizes.size)
+        for name, array in arrays.items():
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @classmethod
     def build(cls, probs, atoms_g, atoms_h, xi, eta) -> "FiniteSpace":
-        return cls(
-            probs=tuple(float(p) for p in probs),
-            atoms_g=tuple(tuple(int(i) for i in atom) for atom in atoms_g),
-            atoms_h=tuple(tuple(int(i) for i in atom) for atom in atoms_h),
-            xi=tuple(float(x) for x in xi),
-            eta=tuple(float(x) for x in eta),
-        )
+        """A space from its partitions given as atoms: lists of outcome indices
+        that together cover ``range(len(probs))`` once each."""
+        n = len(probs)
+        labels = []
+        for partition, atoms in (("G", atoms_g), ("H", atoms_h)):
+            atoms = [np.asarray(atom).ravel() for atom in atoms]
+            if any(atom.size == 0 for atom in atoms):
+                raise ValidationError(f"partition {partition} contains an empty atom")
+            if any(atom.dtype.kind not in "iu" for atom in atoms):
+                raise ValidationError(f"partition {partition} needs integer outcome indices")
+            flat = np.concatenate(atoms).astype(np.int64) if atoms else np.empty(0, np.int64)
+            if flat.size != n or (np.sort(flat) != np.arange(n)).any():
+                raise ValidationError(
+                    f"partition {partition} must cover the {n} outcomes disjointly"
+                )
+            label = np.empty(n, np.int64)
+            label[flat] = np.repeat(np.arange(len(atoms)), [atom.size for atom in atoms])
+            labels.append(label)
+        return cls(probs, labels[0], labels[1], xi, eta)
+
+    @cached_property
+    def atoms_g(self) -> tuple[np.ndarray, ...]:
+        """The atoms of G as read-only arrays of ascending outcome indices."""
+        return _atoms(self.g, self.n_g)
+
+    @cached_property
+    def atoms_h(self) -> tuple[np.ndarray, ...]:
+        """The atoms of H as read-only arrays of ascending outcome indices."""
+        return _atoms(self.h, self.n_h)
+
+
+def _atoms(labels: np.ndarray, count: int) -> tuple[np.ndarray, ...]:
+    order = np.argsort(labels, kind="stable")
+    order.flags.writeable = False
+    return tuple(np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1]))
+
+
+@lru_cache(maxsize=MAX_ATOMS + 1)
+def _union_bits(h: int) -> np.ndarray:
+    """Row ``m`` holds the bits of ``m``: the H-atoms in the ``m``-th union."""
+    masks = np.arange(1 << h, dtype=np.uint32)
+    bits = ((masks[:, None] >> np.arange(h, dtype=np.uint32)) & 1).astype(np.float64)
+    bits.flags.writeable = False
+    return bits
 
 
 def exact_alpha(space: FiniteSpace) -> float:
@@ -104,30 +173,19 @@ def exact_alpha(space: FiniteSpace) -> float:
     positive and negative parts; this evaluates the full 2**|G| x 2**|H|
     sup exactly.  The result always lies in [0, 1/4].
     """
-    g, h = len(space.atoms_g), len(space.atoms_h)
+    g, h = space.n_g, space.n_h
     if g > MAX_ATOMS or h > MAX_ATOMS:
         raise CapacityError(
             f"exact mixing coefficient capped at {MAX_ATOMS} atoms per partition, "
             f"got {g} and {h}"
         )
-    probs = np.asarray(space.probs)
-    joint = np.zeros((g, h))
-    g_of = {}
-    for gi, atom in enumerate(space.atoms_g):
-        for i in atom:
-            g_of[i] = gi
-    for hj, atom in enumerate(space.atoms_h):
-        for i in atom:
-            joint[g_of[i], hj] += probs[i]
-    p_g = joint.sum(axis=1)
-    p_h = joint.sum(axis=0)
-    dev = joint - np.outer(p_g, p_h)
-
-    masks = np.arange(1 << h, dtype=np.uint32)
-    bits = ((masks[:, None] >> np.arange(h, dtype=np.uint32)) & 1).astype(np.float64)
-    w = dev @ bits.T  # (g, 2**h): signed contribution of each G-atom per union B
-    pos = np.clip(w, 0.0, None).sum(axis=0)
-    neg = -np.clip(w, None, 0.0).sum(axis=0)
+    # each cell sums its outcomes in ascending order
+    joint = np.bincount(space.g * h + space.h, weights=space.probs, minlength=g * h)
+    joint = joint.reshape(g, h)
+    dev = joint - joint.sum(axis=1)[:, None] * joint.sum(axis=0)  # P(a&b) - P(a)P(b)
+    w = dev @ _union_bits(h).T  # (g, 2**h): signed contribution of each G-atom per union B
+    pos = np.maximum(w, 0.0).sum(axis=0)
+    neg = -np.minimum(w, 0.0).sum(axis=0)
     return float(max(pos.max(), neg.max()))
 
 
@@ -138,6 +196,17 @@ class DavydovResult(NamedTuple):
     rhs: float
     holds: bool
     alpha: float
+
+
+def _norm(probs: np.ndarray, x: np.ndarray, p: float) -> float:
+    """``(E|x|**p)**(1/p)``, scaled by ``m = max|x|`` so that no power under-
+    or overflows: a huge ``p`` gives ``m`` instead of 0, and ``p = inf``
+    gives exactly ``m``."""
+    size = np.abs(x)
+    m = float(size.max())
+    if m == 0.0:
+        return 0.0
+    return m * float(probs @ (size / m) ** p) ** (1.0 / p)
 
 
 def davydov_check(space: FiniteSpace, p: float, q: float, r: float) -> DavydovResult:
@@ -155,24 +224,23 @@ def davydov_check(space: FiniteSpace, p: float, q: float, r: float) -> DavydovRe
             f"exponents ({p}, {q}, {r}) are not Hoelder conjugate: "
             f"1/p + 1/q + 1/r = {1.0/p + 1.0/q + 1.0/r}"
         )
-    xi = np.asarray(space.xi)
-    eta = np.asarray(space.eta)
-    for name, values, atoms in (("xi", xi, space.atoms_g), ("eta", eta, space.atoms_h)):
-        partition = "G" if name == "xi" else "H"
-        for idx, atom in enumerate(atoms):
-            vals = values[list(atom)]
-            if vals.size and (vals != vals[0]).any():
-                raise ValidationError(
-                    f"{name} is not measurable: not constant on atom {idx} of {partition}"
-                )
-    probs = np.asarray(space.probs)
+    for name, values, labels, count, partition in (
+        ("xi", space.xi, space.g, space.n_g, "G"), ("eta", space.eta, space.h, space.n_h, "H")
+    ):
+        # one value per atom; an atom is constant iff all its values equal it
+        sample = np.empty(count)
+        sample[labels] = values
+        bad = labels[values != sample[labels]]
+        if bad.size:
+            raise ValidationError(
+                f"{name} is not measurable: not constant on atom {bad.min()} of {partition}"
+            )
+    probs, xi, eta = space.probs, space.xi, space.eta
     mean_xi = float(probs @ xi)
     mean_eta = float(probs @ eta)
     lhs = abs(float(probs @ (xi * eta)) - mean_xi * mean_eta)
     alpha = exact_alpha(space)
-    norm_xi = float(probs @ np.abs(xi) ** p) ** (1.0 / p)
-    norm_eta = float(probs @ np.abs(eta) ** q) ** (1.0 / q)
-    rhs = 10.0 * alpha ** (1.0 / r) * norm_xi * norm_eta
+    rhs = 10.0 * alpha ** (1.0 / r) * _norm(probs, xi, p) * _norm(probs, eta, q)
     return DavydovResult(lhs=lhs, rhs=rhs, holds=lhs <= rhs + 1e-12, alpha=alpha)
 
 
@@ -477,20 +545,17 @@ def random_finite_space(
     probs = rng.random(n) + 1e-3
     probs /= probs.sum()
 
-    def partition_and_values() -> tuple[list[list[int]], np.ndarray]:
+    def labels_and_values() -> tuple[np.ndarray, np.ndarray]:
         n_atoms = int(rng.integers(1, max_atoms + 1))
         labels = rng.integers(0, n_atoms, size=n)
-        atoms = [list(np.flatnonzero(labels == a)) for a in range(n_atoms)]
-        atoms = [atom for atom in atoms if atom]
-        atom_values = rng.uniform(-1.0, 1.0, size=len(atoms))
-        values = np.empty(n)
-        for idx, atom in enumerate(atoms):
-            values[atom] = atom_values[idx]
-        return atoms, values
+        used = np.bincount(labels, minlength=n_atoms) > 0
+        labels = (used.cumsum() - 1)[labels]  # drop the empty atoms
+        atom_values = rng.uniform(-1.0, 1.0, size=np.count_nonzero(used))
+        return labels, atom_values[labels]
 
-    atoms_g, xi = partition_and_values()
-    atoms_h, eta = partition_and_values()
-    return FiniteSpace.build(probs, atoms_g, atoms_h, xi, eta)
+    g, xi = labels_and_values()
+    h, eta = labels_and_values()
+    return FiniteSpace(probs, g, h, xi, eta)
 
 
 @dataclass(frozen=True)

@@ -377,6 +377,22 @@ def test_unbounded_and_invalid_sizes_exit_cleanly(capsys, argv, code):
     assert err.startswith("error:")
 
 
+_EMBED = ["embedding-check", "--rate", "2", "--layout", "row", "--depth", "3", "--kmax", "3"]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["verify-davydov", "--spaces", "0"], "--spaces"),
+    (["verify-davydov", "--spaces", "-1"], "--spaces"),
+    (_EMBED + ["--constant", "nan"], "--constant"),
+    (_EMBED + ["--constant", "inf"], "--constant"),
+    (_EMBED + ["--constant=-inf"], "--constant"),
+])
+def test_bad_count_or_constant_exits_one_naming_the_flag(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and flag in err and "unmapped" not in err
+
+
 def test_count_pairs_distance_past_the_subtree_prints_zero(capsys):
     code, out, _ = run(capsys, "count-pairs", "--rate", "2", "--gens", "3", "--dist", str(2**63))
     assert code == 0

@@ -120,6 +120,79 @@ def test_finite_space_validation():
         FiniteSpace.build([0.5, 0.5], [[0], [1]], [[0, 1]], [0], [0, 0])
 
 
+def _renumbered(space, rng):
+    """The same space with its outcomes renumbered and its atoms listed in a
+    random order, each atom's indices shuffled."""
+    new_index = rng.permutation(len(space.probs))
+    old_index = np.argsort(new_index)
+
+    def atoms(old_atoms):
+        return [rng.permutation(new_index[old_atoms[k]]).tolist()
+                for k in rng.permutation(len(old_atoms))]
+
+    return FiniteSpace.build(space.probs[old_index], atoms(space.atoms_g), atoms(space.atoms_h),
+                             space.xi[old_index], space.eta[old_index])
+
+
+def test_exact_alpha_matches_brute_force_on_renumbered_spaces():
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        space = random_finite_space(rng, max_outcomes=12, max_atoms=4)
+        renumbered = _renumbered(space, rng)
+        alpha = exact_alpha(renumbered)
+        assert alpha == pytest.approx(_brute_force_alpha(renumbered), abs=1e-13)
+        assert alpha == pytest.approx(exact_alpha(space), abs=1e-15)
+
+
+def test_finite_space_build_round_trip():
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        space = _renumbered(random_finite_space(rng, max_outcomes=30, max_atoms=6), rng)
+        again = FiniteSpace.build(space.probs, space.atoms_g, space.atoms_h, space.xi, space.eta)
+        for name in ("probs", "g", "h", "xi", "eta"):
+            assert np.array_equal(getattr(again, name), getattr(space, name))
+        assert (again.n_g, again.n_h) == (space.n_g, space.n_h)
+        for atom in space.atoms_g + space.atoms_h:
+            assert (np.diff(atom) > 0).all()
+    with pytest.raises(ValueError):
+        space.probs[0] = 1.0
+    probs = np.array([0.5, 0.5])  # the caller's array stays writeable
+    FiniteSpace.build(probs, [[0], [1]], [[0, 1]], [1, -1], [0, 0])
+    assert probs.flags.writeable
+
+
+@pytest.mark.parametrize("args,match", [
+    (([0.5, 0.5], [[0, 1], []], [[0, 1]], [0, 0], [0, 0]), "empty atom"),
+    (([0.5, 0.5], [[0, 1], [1]], [[0, 1]], [0, 0], [0, 0]), "disjointly"),
+    (([0.5, 0.5], [[0]], [[0, 1]], [0, 0], [0, 0]), "disjointly"),
+    (([0.5, 0.5], [[0], [1]], [[0, 2]], [0, 0], [0, 0]), "disjointly"),
+    (([0.5, 0.5], [[0.5], [1]], [[0, 1]], [0, 0], [0, 0]), "integer outcome indices"),
+    (([0.5, 0.5], [[0], [1]], [[0, 1]], [0, 0], [0, 0, 0]), "eta"),
+    (([], [], [], [], []), "non-empty"),
+    (([float("nan"), 0.5], [[0], [1]], [[0], [1]], [1, -1], [1, -1]), "probs must be finite"),
+    (([float("inf"), 0.5], [[0], [1]], [[0], [1]], [1, -1], [1, -1]), "probs must be finite"),
+    (([0.5, 0.5], [[0], [1]], [[0], [1]], [float("inf"), -1], [1, -1]), "xi must be finite"),
+    (([0.5, 0.5], [[0], [1]], [[0], [1]], [float("nan"), -1], [1, -1]), "xi must be finite"),
+    (([0.5, 0.5], [[0], [1]], [[0], [1]], [1, -1], [1, float("-inf")]), "eta must be finite"),
+])
+def test_finite_space_build_rejects(args, match):
+    with pytest.raises(ValidationError, match=match):
+        FiniteSpace.build(*args)
+
+
+@pytest.mark.parametrize("g,match", [
+    ([0, 2, 2], "empty atom"),  # label 1 has no outcome
+    ([0, 3, 1], r"integer labels in 0\.\.2"),
+    ([0, -1, 1], r"integer labels in 0\.\.2"),
+    ([0.0, 1.0, 1.0], "integer labels"),
+    ([True, False, False], "integer labels"),
+    ([0, 0], "g must give a value"),
+])
+def test_finite_space_label_arrays_validated(g, match):
+    with pytest.raises(ValidationError, match=match):
+        FiniteSpace([0.25, 0.25, 0.5], g, [0, 0, 0], [1, -1, -1], [0, 0, 0])
+
+
 def test_davydov_independent_partitions():
     rng = np.random.default_rng(4)
     space = _product_space([0.4, 0.6], [0.2, 0.3, 0.5], rng)
@@ -155,6 +228,83 @@ def test_davydov_input_errors():
     with pytest.raises(ValidationError) as err:
         davydov_check(bad, 4, 4, 2)
     assert "xi" in str(err.value) and "atom 0" in str(err.value)
+
+
+def test_davydov_names_lowest_non_measurable_atom():
+    space = FiniteSpace.build([0.2] * 5, [[0], [3, 4], [1, 2]], [list(range(5))],
+                              [1, 2, 3, 4, 5], [0] * 5)
+    with pytest.raises(ValidationError, match="xi is not measurable: not constant on atom 1 of G"):
+        davydov_check(space, 4, 4, 2)
+
+
+@pytest.mark.parametrize("p", [1e308, float("inf")])
+def test_davydov_norm_of_huge_exponent_is_the_max(p):
+    # alpha = 1/4, ||xi||_p -> max|xi| = 0.5 and ||eta||_2 = 1: the rhs is
+    # 10 * 0.5 * 0.5 * 1, where an unscaled norm underflows to a false violation
+    space = FiniteSpace.build([0.5, 0.5], [[0], [1]], [[0], [1]], [0.5, -0.25], [1, -1])
+    result = davydov_check(space, p, 2.0, 2.0)
+    assert result.rhs == 2.5
+    assert result.holds
+
+
+def test_davydov_norm_of_huge_values_is_finite():
+    space = FiniteSpace.build([0.5, 0.5], [[0], [1]], [[0], [1]], [1e300, -1e300], [1, -1])
+    assert davydov_check(space, 4, 4, 2).rhs == pytest.approx(5e300, rel=1e-15)
+
+
+# alpha and lhs (float.hex) of `verify-davydov --spaces 40 --seed 3 --max-atoms 12
+# --max-outcomes 128` (p = q = 4, r = 2), pinned bit for bit
+_PINNED_ALPHA_LHS = [
+    ("0x1.98f16fbc23b9ep-6", "0x1.1c307f5ddf1b4p-5"),
+    ("0x1.0be9711a6c1f5p-4", "0x1.8546ad1012720p-8"),
+    ("0x1.1707390399b44p-3", "0x1.455019bc1ce87p-7"),
+    ("0x0.0p+0", "0x1.0000000000000p-60"),
+    ("0x1.579952c4e52b3p-3", "0x1.d261926dc79cfp-5"),
+    ("0x1.412c73085ce32p-3", "0x1.48245d5385c77p-5"),
+    ("0x1.47942bddcb524p-5", "0x1.e7c7022d7de00p-9"),
+    ("0x1.0000000000000p-52", "0x1.0000000000000p-54"),
+    ("0x1.922ac8dd56884p-4", "0x1.05c2504ff8880p-11"),
+    ("0x1.f8e1720ed8a63p-4", "0x1.6b18ae7cef400p-7"),
+    ("0x1.8000000000000p-53", "0x1.0000000000000p-55"),
+    ("0x0.0p+0", "0x1.0000000000000p-56"),
+    ("0x1.a993373de4c13p-4", "0x1.a51da3f9dec80p-8"),
+    ("0x1.1557089df56f5p-4", "0x1.2002d554dbba8p-7"),
+    ("0x1.18da0ec7300aep-3", "0x1.a8ab2cdfe7270p-6"),
+    ("0x0.0p+0", "0x1.0000000000000p-55"),
+    ("0x1.205872034fa87p-3", "0x1.774e3d5e8626fp-4"),
+    ("0x1.3885b67b4fd0ep-3", "0x1.0794d5fd35a99p-5"),
+    ("0x1.50fa8bf39f322p-4", "0x1.72b8807ca819bp-6"),
+    ("0x1.25a8235fdef6ep-3", "0x1.f56a838e22fe3p-6"),
+    ("0x1.ff17331e145cep-4", "0x1.0a04671c04258p-5"),
+    ("0x1.bbe0d738003bep-4", "0x1.374c48ff6bbebp-5"),
+    ("0x1.9ab1f9dd6d05ep-4", "0x1.c341dfa52978ep-5"),
+    ("0x1.b19ecba9c6516p-4", "0x1.cf3b84e3b7800p-13"),
+    ("0x1.2dc78d2505b82p-3", "0x1.9718e140dff88p-4"),
+    ("0x1.fbc3a659f6406p-3", "0x1.2c8f16038b1c0p-4"),
+    ("0x1.debdd5aacdd51p-4", "0x1.bf69673407610p-5"),
+    ("0x1.71a2c464ede31p-4", "0x1.51bd7b10b53d0p-8"),
+    ("0x1.930f75ba848e2p-3", "0x1.284e88d8fff03p-6"),
+    ("0x1.66054af545a6dp-3", "0x1.aa4aab87d63f4p-5"),
+    ("0x0.0p+0", "0x1.0000000000000p-54"),
+    ("0x1.f1d49cadf4a14p-3", "0x1.14f1f1ed5f905p-7"),
+    ("0x1.144aef94f6015p-3", "0x1.c471dfdcc83e8p-5"),
+    ("0x1.4cb0f7855e2f0p-4", "0x1.c2c047a7ecae0p-8"),
+    ("0x1.ff3aebc8a2f1ap-4", "0x1.05d8ed7914e5dp-4"),
+    ("0x1.4b05c610801f5p-3", "0x1.b0dc531fc638dp-5"),
+    ("0x1.0000000000000p-52", "0x1.8000000000000p-54"),
+    ("0x1.5a646017bcba2p-4", "0x1.e3edd2ddf6ce8p-7"),
+    ("0x0.0p+0", "0x0.0p+0"),
+    ("0x1.ec24763684e18p-3", "0x1.d931924d787fcp-4"),
+]
+
+
+def test_davydov_outputs_pinned():
+    rng = np.random.default_rng(3)
+    got = []
+    for _ in _PINNED_ALPHA_LHS:
+        result = davydov_check(random_finite_space(rng, 128, 12), 4.0, 4.0, 2.0)
+        got.append((result.alpha.hex(), result.lhs.hex()))
+    assert got == _PINNED_ALPHA_LHS
 
 
 def test_binomial_upper_99():
