@@ -20,11 +20,10 @@ assumed or merely heuristic.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional, Sequence
 
-from .errors import CapacityError, InfeasibleGridError, ValidationError
+from .errors import InfeasibleGridError, ValidationError, float_in_range, is_real, reject, require
 from .paircount import count_pairs_closed
 
 _SQRT_E = math.sqrt(math.e)
@@ -67,7 +66,7 @@ class MixingEnvelope:
                 f"provenance must be one of {PROVENANCES}, got {self.provenance!r}"
             )
         if self.kind == "m_dependent":
-            _reject(_scalar_violations((("m", self.m, 1),)))
+            require((("m", self.m, 1),))
         elif self.kind == "super_exponential":
             if not callable(self.g):
                 raise ValidationError("super_exponential envelope needs a callable rate g")
@@ -76,14 +75,15 @@ class MixingEnvelope:
                 raise ValidationError("table envelope needs at least one value")
             prev = 1.0
             for i, val in enumerate(self.values, start=1):
-                if not 0.0 <= val <= 1.0:
+                if not (is_real(val, ">=", 0) and val <= 1.0):
                     raise ValidationError(f"table value alpha({i}) = {val} is outside [0, 1]")
                 if val > prev + 1e-15:
                     raise ValidationError("table envelope must be non-increasing")
                 prev = val
         elif self.kind == "transferred":
-            if self.inner is None or self.scale is None or self.scale < 1:
-                raise ValidationError("transferred envelope needs an inner envelope and scale >= 1")
+            if not isinstance(self.inner, MixingEnvelope):
+                raise ValidationError("transferred envelope needs an inner envelope")
+            require(reals=(("scale", self.scale, ">=", 1),))
         elif self.kind != "zero":
             raise ValidationError(f"unknown envelope kind {self.kind!r}")
 
@@ -107,14 +107,7 @@ class MixingEnvelope:
 
     def __call__(self, n: int) -> float:
         """alpha(n) for integer separation n >= 1."""
-        try:
-            n = operator.index(n)
-        except TypeError:
-            raise ValidationError(
-                f"mixing envelopes are defined for integer n >= 1, got {n!r}"
-            ) from None
-        if n < 1:
-            raise ValidationError(f"mixing envelopes are defined for integer n >= 1, got {n!r}")
+        require((("n", n, 1),))
         if self.kind == "zero":
             return 0.0
         if self.kind == "m_dependent":
@@ -192,56 +185,20 @@ def _ceil_log(A: int, x: int) -> int:
     return t
 
 
-def finite_violations(zero_ok: Sequence[str] = (), **values: float) -> list[str]:
-    """One message per value that is NaN, infinite or not > 0 (not >= 0 for
-    the names in ``zero_ok``)."""
-    return [
-        f"{name} = {value!r} must be finite and {'>=' if name in zero_ok else '>'} 0"
-        for name, value in values.items()
-        if not (math.isfinite(value) and (value > 0 or (value == 0 and name in zero_ok)))
-    ]
-
-
-def _reject(msgs: list[str]) -> None:
-    if msgs:
-        raise ValidationError("inadmissible input: " + "; ".join(msgs))
-
-
-def _float_in_range(term: str, value) -> float:
-    """``float(value)``; :class:`CapacityError` naming ``term`` if it is not finite."""
-    try:
-        out = float(value)
-    except OverflowError:  # an exact integer past about 1.8e308
-        out = math.inf
-    if not math.isfinite(out):
-        raise CapacityError(f"{term} leaves float range")
-    return out
-
-
 def beta_cap(A: int, P: int, P2: int, C: float) -> float:
     """Largest admissible tilt: (A-1) / (4*e*C*P2*(A**P - 1))."""
-    _reject(_scalar_violations((("A", A, 2), ("P", P, 1), ("P2", P2, 1)), C=C))
-    denominator = 4.0 * math.e * C * _float_in_range("P2", P2) * _float_in_range("A**P", A**P - 1)
-    return _float_in_range("beta cap (A - 1)/(4e*C*P2*(A**P - 1))", (A - 1) / denominator)
+    require((("A", A, 2), ("P", P, 1), ("P2", P2, 1)), (("C", C, ">", 0),))
+    denominator = 4.0 * math.e * C * float_in_range("P2", P2) * float_in_range("A**P", A**P - 1)
+    return float_in_range("beta cap (A - 1)/(4e*C*P2*(A**P - 1))", (A - 1) / denominator)
 
 
-def _scalar_violations(lows: Sequence[tuple[str, int, int]], **reals: float) -> list[str]:
-    """Messages for each ``(name, value, low)`` that is not an integer ``>= low``
-    (a bool is not) and each real value not finite and > 0 (``sigma2`` may be 0)."""
-    msgs = [
-        f"{name} = {v!r} must be an integer >= {lo}" for name, v, lo in lows
-        if not isinstance(v, int) or isinstance(v, bool) or v < lo
-    ]
-    return msgs + finite_violations(("sigma2",), **reals)
-
-
-def _admissibility_violations(inp: BernsteinInput) -> list[str]:
-    msgs = _scalar_violations(
+def _check_admissible(inp: BernsteinInput) -> None:
+    require(
         (("A", inp.A, 2), ("L", inp.L, 0), ("P", inp.P, 1), ("P2", inp.P2, 1), ("Q2", inp.Q2, 1)),
-        C=inp.C, sigma2=inp.sigma2, epsilon=inp.epsilon, beta=inp.beta,
+        (("C", inp.C, ">", 0), ("sigma2", inp.sigma2, ">=", 0), ("epsilon", inp.epsilon, ">", 0),
+         ("beta", inp.beta, ">", 0)),
     )
-    if msgs:
-        return msgs
+    msgs = []
     if inp.Q2 < 2:
         msgs.append(f"Q2 = {inp.Q2} is below the minimum block length 2")
     if inp.Q2 > inp.P2:
@@ -253,7 +210,7 @@ def _admissibility_violations(inp: BernsteinInput) -> list[str]:
     cap = beta_cap(inp.A, inp.P, inp.P2, inp.C)
     if inp.beta > cap * (1.0 + 1e-12):
         msgs.append(f"beta = {inp.beta} exceeds its cap {cap}")
-    return msgs
+    reject(msgs)
 
 
 def _mixing_pair_sum(envelope: MixingEnvelope, A: int, P: int) -> float:
@@ -262,7 +219,7 @@ def _mixing_pair_sum(envelope: MixingEnvelope, A: int, P: int) -> float:
     for k in range(1, 2 * (P - 1) + 1):
         a_k = envelope(k)
         if a_k != 0.0:
-            total += a_k * _float_in_range(f"N(P, {k})", count_pairs_closed(A, P, k))
+            total += a_k * float_in_range(f"N(P, {k})", count_pairs_closed(A, P, k))
     return total
 
 
@@ -271,7 +228,7 @@ def variance_proxy(
 ) -> float:
     """Per-block variance proxy: subtree size times sigma2 plus the mixing
     covariance tail 4*C**2 * sum_k alpha(k) * N(P, k)."""
-    size = _float_in_range("subtree size (A**P - 1)/(A - 1)", (A**P - 1) // (A - 1))
+    size = float_in_range("subtree size (A**P - 1)/(A - 1)", (A**P - 1) // (A - 1))
     return size * sigma2 + 4.0 * C * C * _mixing_pair_sum(envelope, A, P)
 
 
@@ -295,13 +252,13 @@ def _strip_terms(inp: BernsteinInput, proxy: float) -> BoundBreakdown:
     log_mixing = log_variance = 0.0
     if alpha_f != 0.0:
         exponent = block_sum / (2 * block_sum + n_roots)
-        log_mixing = _float_in_range(
+        log_mixing = float_in_range(
             "log_factor_mixing", 10.0 * _SQRT_E * alpha_f**exponent * ratio
         )
     if proxy != 0.0:
-        log_variance = _float_in_range(
+        log_variance = float_in_range(
             "log_factor_variance",
-            4.0 * inp.beta**2 * math.e * _float_in_range("P2**2", inp.P2**2) * proxy
+            4.0 * inp.beta**2 * math.e * float_in_range("P2**2", inp.P2**2) * proxy
             * (ratio + 1.0),
         )
 
@@ -322,7 +279,7 @@ def bernstein_bound(inp: BernsteinInput) -> BoundBreakdown:
     identically-zero envelope contributes a factor of exactly 1.  A log
     factor that leaves float range raises :class:`CapacityError` naming it.
     """
-    _reject(_admissibility_violations(inp))
+    _check_admissible(inp)
     proxy = variance_proxy(inp.A, inp.P, inp.sigma2, inp.C, inp.envelope)
     return _strip_terms(inp, proxy)
 
@@ -333,9 +290,9 @@ def summability_ratio(envelope: MixingEnvelope, A: int, P: int) -> float:
     Bounded over P exactly when the mixing series is summable against the
     pair counts; identically zero envelopes give 0.
     """
-    _reject(_scalar_violations((("A", A, 2), ("P", P, 1))))
+    require((("A", A, 2), ("P", P, 1)))
     total = _mixing_pair_sum(envelope, A, P)
-    return 0.0 if total == 0.0 else total / _float_in_range("P * A**P", P * A**P)
+    return 0.0 if total == 0.0 else total / float_in_range("P * A**P", P * A**P)
 
 
 @dataclass(frozen=True)
@@ -382,9 +339,10 @@ def _floor_pow(L: int, eta: float) -> int:
 
 def concentration_schedule(inp: ConcentrationInput) -> ConcentrationSchedule:
     """Derive (P1, P2, Q2, beta, f) and the strip threshold, with validation."""
-    _reject(_scalar_violations((("A", inp.A, 2), ("L", inp.L, 2)), D=inp.D, C=inp.C,
-                               sigma2=inp.sigma2, epsilon=inp.epsilon))
-    if not 0.0 < inp.eta < 1.0:
+    require((("A", inp.A, 2), ("L", inp.L, 2)),
+            (("D", inp.D, ">", 0), ("C", inp.C, ">", 0), ("sigma2", inp.sigma2, ">=", 0),
+             ("epsilon", inp.epsilon, ">", 0)))
+    if not (is_real(inp.eta, ">", 0) and inp.eta < 1.0):
         raise ValidationError(f"eta = {inp.eta} must lie in (0, 1)")
 
     A, L = inp.A, inp.L
@@ -396,8 +354,8 @@ def concentration_schedule(inp: ConcentrationInput) -> ConcentrationSchedule:
         raise ValidationError(
             f"derived strip level L - P1 = {strip_level} must be >= 1"
         )
-    strip_roots = _float_in_range("A**(L - P1)", A**strip_level)
-    P2 = int(math.floor(_float_in_range(
+    strip_roots = float_in_range("A**(L - P1)", A**strip_level)
+    P2 = int(math.floor(float_in_range(
         "derived P2", inp.D * strip_roots * math.log(L) / strip_level
     )))
     if P2 < 2:
@@ -407,11 +365,11 @@ def concentration_schedule(inp: ConcentrationInput) -> ConcentrationSchedule:
             f"derived P2 + Q2 = {2 * P2} must be < A**(L - P1) = {A**strip_level}"
         )
     n_region = (A**L - 1) // (A - 1)
-    threshold = 0.5 * inp.epsilon * _float_in_range("|region|", n_region)
+    threshold = 0.5 * inp.epsilon * float_in_range("|region|", n_region)
     return ConcentrationSchedule(
         P1=P1, P2=P2, Q2=P2, beta=beta_cap(A, P1, P2, inp.C),
         f=2 * _ceil_log(A, P2), strip_level=strip_level,
-        strip_threshold=_float_in_range("strip threshold", threshold),
+        strip_threshold=float_in_range("strip threshold", threshold),
         n_region=n_region,
     )
 
@@ -426,8 +384,8 @@ def concentration_bound(inp: ConcentrationInput) -> BoundBreakdown:
     """
     sched = concentration_schedule(inp)
     A, L = inp.A, inp.L
-    wedge_max = 4.0 * inp.C * _float_in_range("A**(L - P1)", A**sched.strip_level - 1)
-    indicator = 1 if wedge_max > inp.epsilon * _float_in_range("A**L", A**L - 1) else 0
+    wedge_max = 4.0 * inp.C * float_in_range("A**(L - P1)", A**sched.strip_level - 1)
+    indicator = 1 if wedge_max > inp.epsilon * float_in_range("A**L", A**L - 1) else 0
     strip = bernstein_bound(BernsteinInput(
         A=A, L=sched.strip_level, P=sched.P1, P2=sched.P2, Q2=sched.Q2,
         beta=sched.beta, epsilon=sched.strip_threshold, C=inp.C,
@@ -456,13 +414,13 @@ def asymptotic_fit(
     """
     if len(series) < 4:
         raise ValidationError(f"fit needs at least 4 points, got {len(series)}")
-    _reject(finite_violations(epsilon=epsilon))
+    require(
+        [(f"series[{i}] L", L, 2) for i, (L, _) in enumerate(series)],
+        [("epsilon", epsilon, ">", 0)]
+        + [(f"series[{i}] log bound", y, ">", -math.inf) for i, (_, y) in enumerate(series)],
+    )
     xs, ys = [], []
     for L, log_bound in series:
-        if L < 2:
-            raise ValidationError(f"fit points need L >= 2, got L = {L}")
-        if not math.isfinite(log_bound):
-            raise ValidationError(f"non-finite bound at L = {L}")
         xs.append(-epsilon * L / math.log(L))
         ys.append(float(log_bound))
     if max(xs) == min(xs):
@@ -497,10 +455,10 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not self.p2_values or not self.q2_values:
             raise ValidationError("grid must list at least one P2 and one Q2 value")
-        _reject(_scalar_violations(
+        require(
             [(f"p2_values[{i}]", v, 1) for i, v in enumerate(self.p2_values)]
             + [(f"q2_values[{i}]", v, 1) for i, v in enumerate(self.q2_values)]
-        ))
+        )
 
 
 def optimize_params(
@@ -521,8 +479,8 @@ def optimize_params(
     when the proxy is 0.  The variance proxy is computed once per call.
     Deterministic tie-break: smallest P2, then smallest Q2.
     """
-    _reject(_scalar_violations((("A", A, 2), ("L", L, 0), ("P", P, 1)),
-                               C=C, sigma2=sigma2, epsilon=epsilon))
+    require((("A", A, 2), ("L", L, 0), ("P", P, 1)),
+            (("C", C, ">", 0), ("sigma2", sigma2, ">=", 0), ("epsilon", epsilon, ">", 0)))
     proxy = variance_proxy(A, P, sigma2, C, envelope)
     n_roots = A**L
     candidates = []
@@ -533,7 +491,7 @@ def optimize_params(
             beta = beta_cap(A, P, p2, C)
             if proxy != 0.0:
                 ratio = _block_ratio(n_roots, p2 + q2)
-                square = _float_in_range("P2**2", p2**2)
+                square = float_in_range("P2**2", p2**2)
                 beta = min(beta, epsilon / (8.0 * math.e * square * proxy * (ratio + 1.0)))
             candidates.append(BernsteinInput(
                 A=A, L=L, P=P, P2=p2, Q2=q2, beta=beta,

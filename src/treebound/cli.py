@@ -33,9 +33,9 @@ from .embed import (
     parse_lattice_map,
     refutation_witness,
 )
-from .errors import AmplitudeError, CapacityError, ValidationError
+from .errors import AmplitudeError, CapacityError, ValidationError, require
 from .fields import field_to_csv, sample_field
-from .paircount import _validate as _validate_pair_count, count_pairs_closed
+from .paircount import count_pairs_closed
 from .tree import GraphSpec, parse_edge_list
 from .verify import StripParams, TailEstimate, davydov_check, mc_tail, random_finite_space
 
@@ -117,7 +117,7 @@ def _cmd_count_pairs(args) -> int:
     A, P = args.rate, args.gens
     dists = range(1, 2 * P - 1) if args.dist is None else [args.dist]
     L = dists[-1] if dists else 1  # the largest distance asked for
-    _validate_pair_count(A, P, L)
+    require((("--rate", A, 2), ("--gens", P, 1), ("--dist", L, 1)))
     if L <= 2 * P - 2:  # farther apart there are no pairs
         try:  # N <= P*(L + 2)*A**(P - 1 + L/2), term by term in count_pairs_sum
             digits = math.log10(P * (L + 2)) + math.log10(A) * (2 * P - 2 + L) / 2
@@ -164,10 +164,7 @@ def _cmd_mc_tail(args) -> int:
 
 
 def _cmd_verify_davydov(args) -> int:
-    if args.seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {args.seed}")
-    if args.spaces < 1:
-        raise ValidationError(f"--spaces must be >= 1, got {args.spaces}")
+    require((("--seed", args.seed, 0), ("--spaces", args.spaces, 1)))
     rng = np.random.default_rng(args.seed)
     rows = []
     for index in range(args.spaces):
@@ -181,8 +178,8 @@ def _cmd_verify_davydov(args) -> int:
 
 
 def _cmd_embedding_check(args) -> int:
-    if args.constant is not None and not math.isfinite(args.constant):
-        raise ValidationError(f"--constant must be finite, got {args.constant}")
+    if args.constant is not None:
+        require(reals=(("--constant", args.constant, ">", 0),))
     if args.map is not None:
         lattice = parse_lattice_map(_read(args.map))
     elif args.layout is not None:
@@ -196,7 +193,7 @@ def _cmd_embedding_check(args) -> int:
     g = GraphSpec(args.rate, edges)
     distortion = distortion_constant(g, lattice)
     constant = args.constant if args.constant is not None else distortion
-    if not math.isfinite(constant):
+    if constant == math.inf:
         raise ValidationError(
             "distortion constant is infinite (unmapped edge endpoint); pass --constant"
         )

@@ -29,7 +29,7 @@ import re
 from typing import Any, Callable, Optional
 
 from .bounds import MixingEnvelope
-from .errors import ValidationError
+from .errors import ValidationError, require
 from .fields import FieldSpec
 from .tree import Generations, Region, Strip, Subtree
 
@@ -75,8 +75,7 @@ def parse_envelope(text: str) -> MixingEnvelope:
         return MixingEnvelope.m_dependent(int(args[0]))
     if name == "super_exponential" and len(args) == 1:
         scale = float(args[0])
-        if not scale > 0:  # NaN fails too
-            raise ValidationError(f"super_exponential scale must be > 0, got {scale}")
+        require(reals=(("scale", scale, ">", 0),))
         return MixingEnvelope.super_exponential(lambda n, s=scale: s * n)
     if name == "table" and args:
         return MixingEnvelope.table([float(a) for a in args])

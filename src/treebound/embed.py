@@ -27,14 +27,14 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .bounds import MixingEnvelope
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, ValidationError, require
 from .tree import (
     DEFAULT_NODE_CAP,
     MAX_LABEL,
     Generations,
     GraphSpec,
     NodeId,
-    _check_rate,
+    check_rate,
     graph_distance,
     region_arrays,
 )
@@ -54,8 +54,7 @@ class LatticeMap:
     depth: int = field(init=False)  # the deepest mapped generation
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValidationError(f"lattice dimension must be >= 1, got {self.dim}")
+        require((("dim", self.dim, 1),))
         js, ks = np.asarray(self.js), np.asarray(self.ks)
         if not len(js):
             raise ValidationError("lattice map must cover at least one node")
@@ -97,7 +96,7 @@ class LatticeMap:
 def _closed_depth(A: int, m: LatticeMap) -> int:
     """Check the labels of ``m`` against the rate-``A`` tree; return the largest
     ``d`` such that every node of generations ``0..d`` is mapped, or -1."""
-    _check_rate(A)
+    check_rate(A)
     gens, at, counts = np.unique(m.js, return_inverse=True, return_counts=True)
     sizes = np.array([min(A ** min(j, 63), MAX_LABEL - 1) for j in gens.tolist()])
     bad = np.flatnonzero(m.ks > sizes[at])
@@ -137,6 +136,7 @@ def lipschitz_check(
     Returns None if the inequality holds everywhere, otherwise the first
     violating pair in lexicographic scan order.
     """
+    require(reals=(("C", C, ">=", 0),))
     for v, w in sorted(pairs):
         pv, pw = m.entries.get(v), m.entries.get(w)
         if pv is None or pw is None:
@@ -166,10 +166,7 @@ def refutation_witness(
     distance strictly above ``C * d_T(v, w)``, or None; a witness proves the
     map is not a mixing embedding with constant ``C``.
     """
-    if C <= 0:
-        raise ValidationError(f"constant must be positive, got {C}")
-    if k_max < 0:
-        raise ValidationError(f"k_max must be >= 0, got {k_max}")
+    require((("k_max", k_max, 0), ("cap", cap, 0)), (("C", C, ">", 0),))
     closed = _closed_depth(A, m)
     ceil_c = math.ceil(C)
     for k in range(1, k_max + 1):
@@ -204,8 +201,7 @@ def mixing_transfer(envelope: MixingEnvelope, C: float) -> MixingEnvelope:
     there).  Exact provenance downgrades to assumed: the transfer is an
     upper bound, not an identity.
     """
-    if C < 1:
-        raise ValidationError(f"transfer constant must be >= 1, got {C}")
+    require(reals=(("C", C, ">=", 1),))
     provenance = "assumed" if envelope.provenance == "exact" else envelope.provenance
     return MixingEnvelope(
         kind="transferred",
@@ -222,8 +218,7 @@ def breadth_first_row_layout(A: int, depth: int, dim: int) -> LatticeMap:
     at column ``k``; in dimension 1 the nodes are placed at their
     breadth-first enumeration index.
     """
-    if dim not in (1, 2):
-        raise ValidationError(f"row layout is defined for dimensions 1 and 2, got {dim}")
+    require((("depth", depth, 0), ("dim", dim, 1, 3)))  # the row layout has 1 or 2 axes
     js, ks = region_arrays(Generations(depth + 1), A)
     points = np.stack([ks, js], axis=1) if dim == 2 else np.arange(len(js))[:, None]
     return LatticeMap(dim, js, ks, points)
@@ -237,8 +232,7 @@ def packed_layout(A: int, depth: int, dim: int) -> LatticeMap:
     as an injective image can be, so the pigeonhole forces large pair
     distortion as soon as a generation outgrows its box.
     """
-    if dim < 1:
-        raise ValidationError(f"dimension must be >= 1, got {dim}")
+    require((("depth", depth, 0), ("dim", dim, 1)))
     js, ks = region_arrays(Generations(depth + 1), A)
     blocks = [np.empty((0, dim), dtype=np.int64)]
     z_offset = 0

@@ -31,15 +31,14 @@ Regions enter as the int64 labels of ``tree.region_arrays``, and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.sparse import csr_array
 
-from .bounds import MixingEnvelope, _float_in_range
-from .errors import AmplitudeError, ValidationError
+from .bounds import MixingEnvelope
+from .errors import AmplitudeError, ValidationError, float_in_range, is_real, require
 from .tree import NodeId, Region, ball_arrays, region_arrays, validate_node
 
 AR_TABLE_HORIZON = 64
@@ -88,20 +87,12 @@ class FieldSpec:
     a: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.C <= 0 or not math.isfinite(self.C):
-            raise ValidationError(f"amplitude bound C must be positive, got {self.C!r}")
-        if not isinstance(self.master_seed, int) or isinstance(self.master_seed, bool):
-            raise ValidationError(f"master_seed must be an int, got {self.master_seed!r}")
-        if self.kind == "independent":
-            pass
-        elif self.kind == "m_dependent":
-            if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 1:
-                raise ValidationError(f"m_dependent field needs integer m >= 1, got {self.m!r}")
-        elif self.kind == "branching_ar":
-            if self.a is None or not abs(self.a) < 1:
-                raise ValidationError(f"branching_ar field needs |a| < 1, got {self.a!r}")
-        else:
+        if self.kind not in ("independent", "m_dependent", "branching_ar"):
             raise ValidationError(f"unknown field kind {self.kind!r}")
+        m = (("m", self.m, 1),) if self.kind == "m_dependent" else ()
+        require((("master_seed", self.master_seed, None),) + m, (("C", self.C, ">", 0),))
+        if self.kind == "branching_ar" and not (is_real(self.a, ">", -1) and self.a < 1):
+            raise ValidationError(f"branching_ar field needs |a| < 1, got {self.a!r}")
 
     @classmethod
     def independent(cls, C: float = 1.0, master_seed: int = 0) -> "FieldSpec":
@@ -132,7 +123,7 @@ def field_certificate(spec: FieldSpec) -> FieldCertificate:
     a plausible shape, flagged heuristic, to be tightened or refuted with
     sampled lower bounds.
     """
-    _float_in_range("C**2", spec.C * spec.C)  # CapacityError, not OverflowError
+    float_in_range("C**2", spec.C * spec.C)  # CapacityError, not OverflowError
     sigma2 = spec.C**2 / 3.0
     if spec.kind == "independent":
         return FieldCertificate(spec.C, sigma2, MixingEnvelope.zero())
@@ -262,6 +253,7 @@ def region_sums(
     Chunk boundaries do not affect the result: each replicate's sum is a
     row-wise reduction of values that depend only on (seed, replicate, node).
     """
+    require((("chunk", chunk, 1),))
     js, ks = region_arrays(region, A)
     reps = _replicate_ids(replicates)
     out = np.empty(len(reps), dtype=np.float64)

@@ -23,19 +23,14 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, ValidationError, require
 from .tree import Subtree, region_nodes, tree_distance
 
 ENUM_NODE_CAP = 10**4
 
 
 def _validate(A: int, P: int, L: int) -> None:
-    if not isinstance(A, int) or isinstance(A, bool) or A < 2:
-        raise ValidationError(f"rate must be an integer >= 2, got {A!r}")
-    if not isinstance(P, int) or isinstance(P, bool) or P < 1:
-        raise ValidationError(f"generation count must be an integer >= 1, got {P!r}")
-    if not isinstance(L, int) or isinstance(L, bool) or L < 1:
-        raise ValidationError(f"distance must be an integer >= 1, got {L!r}")
+    require((("A", A, 2), ("P", P, 1), ("L", L, 1)))
 
 
 @lru_cache(maxsize=128)
@@ -124,8 +119,7 @@ def growth_ratio(A: int, P: int, L: int) -> float:
     The count is bounded by a constant multiple of ``P * A**(P + L/2)``, so
     this ratio stays bounded on any grid; zero when there are no pairs.
     """
-    _validate(A, P, L)
-    n = count_pairs_closed(A, P, L)
+    n = count_pairs_closed(A, P, L)  # validates the inputs
     if n == 0:
         return 0.0
     log_ratio = math.log(n) - math.log(P) - (P + L / 2.0) * math.log(A)
@@ -134,7 +128,6 @@ def growth_ratio(A: int, P: int, L: int) -> float:
 
 def total_ordered_pairs(A: int, P: int) -> int:
     """n*(n-1) for the depth-``P`` subtree; the distance counts sum to this."""
-    if not isinstance(A, int) or A < 2 or not isinstance(P, int) or P < 1:
-        raise ValidationError(f"invalid (A, P) = ({A!r}, {P!r})")
+    require((("A", A, 2), ("P", P, 1)))
     n = (A**P - 1) // (A - 1)
     return n * (n - 1)

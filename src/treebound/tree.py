@@ -21,46 +21,40 @@ from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, ValidationError, is_integer, require
 
 MAX_LABEL = 1 << 63          # generation and index must stay below 63 usable bits
 DEFAULT_NODE_CAP = 1 << 26   # hard stop for materialized regions
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True, init=False)
 class NodeId:
     """Address of a tree node: generation ``j`` and 1-based index ``k``."""
 
     j: int
     k: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.j, int) or isinstance(self.j, bool):
-            raise ValidationError(f"generation must be an int, got {self.j!r}")
-        if not isinstance(self.k, int) or isinstance(self.k, bool):
-            raise ValidationError(f"index must be an int, got {self.k!r}")
-        if self.j < 0:
-            raise ValidationError(f"generation must be >= 0, got {self.j}")
-        if self.k < 1:
-            raise ValidationError(f"index must be >= 1, got {self.k}")
-        if self.j >= MAX_LABEL or self.k >= MAX_LABEL:
-            raise ValidationError(
-                f"node ({self.j}, {self.k}) overflows the 63-bit label range"
-            )
+    def __init__(self, j: int, k: int) -> None:
+        # nodes are built by the million: one combined test, messages only on failure
+        if not (is_integer(j, 0, MAX_LABEL) and is_integer(k, 1, MAX_LABEL)):
+            require((("generation", j, 0, MAX_LABEL), ("index", k, 1, MAX_LABEL)))
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "k", k)
 
 
 ROOT = NodeId(0, 1)
 
 
-def _check_rate(A: int) -> None:
+def check_rate(A: int) -> None:
+    """:class:`ValidationError` unless ``A`` is an integer in ``[2, 2**63)``."""
     # generation 1 of a wider tree already holds indices past the 63-bit labels
-    if not isinstance(A, int) or isinstance(A, bool) or not 2 <= A < MAX_LABEL:
-        raise ValidationError(f"branching rate must be an integer in [2, 2**63), got {A!r}")
+    if not is_integer(A, 2, MAX_LABEL):
+        require((("A", A, 2, MAX_LABEL),))
 
 
 def is_valid_node(v: NodeId, A: int) -> bool:
     """True if ``v`` addresses a node of the rate-``A`` tree (k <= A**j)."""
-    _check_rate(A)
+    check_rate(A)
     if v.j >= 63:
         # A**j >= 2**63 > any admissible index, so every label is in range.
         return True
@@ -98,8 +92,7 @@ def children(v: NodeId, A: int) -> list[NodeId]:
 def ancestor(v: NodeId, A: int, steps: int) -> NodeId:
     """Ancestor of ``v`` exactly ``steps`` generations up (0 = v itself)."""
     validate_node(v, A)
-    if steps < 0 or steps > v.j:
-        raise ValidationError(f"cannot lift ({v.j}, {v.k}) by {steps} generations")
+    require((("steps", steps, 0, v.j + 1),))
     j, k = v.j, v.k
     for _ in range(steps):
         k = (k + A - 1) // A
@@ -185,7 +178,7 @@ class GraphSpec:
     span: int
 
     def __init__(self, A: int, extra_edges: Iterable[tuple[NodeId, NodeId]] = ()):
-        _check_rate(A)
+        check_rate(A)
         seen = {}
         for a, b in extra_edges:
             validate_node(a, A)
@@ -260,6 +253,7 @@ class Subtree:
     j: int
     k: int
     depth: int
+    _LOWS = {"j": 0, "k": 1, "depth": 1}  # each field is an integer at or above its low
 
 
 @dataclass(frozen=True)
@@ -270,6 +264,7 @@ class Strip:
 
     level: int
     depth: int
+    _LOWS = {"level": 0, "depth": 1}
 
 
 @dataclass(frozen=True)
@@ -277,27 +272,20 @@ class Generations:
     """The first ``count`` generations of the tree (generations 0..count-1)."""
 
     count: int
+    _LOWS = {"count": 0}
 
 
 Region = Union[Subtree, Strip, Generations]
 
 
 def _validate_region(region: Region, A: int) -> None:
-    _check_rate(A)
+    if not isinstance(region, (Subtree, Strip, Generations)):
+        raise ValidationError(f"unknown region type: {region!r}")
+    check_rate(A)
+    kind = type(region).__name__
+    require([(f"{kind}.{name}", getattr(region, name), low) for name, low in region._LOWS.items()])
     if isinstance(region, Subtree):
         validate_node(NodeId(region.j, region.k), A)
-        if region.depth < 1:
-            raise ValidationError(f"subtree depth must be >= 1, got {region.depth}")
-    elif isinstance(region, Strip):
-        if region.level < 0:
-            raise ValidationError(f"strip level must be >= 0, got {region.level}")
-        if region.depth < 1:
-            raise ValidationError(f"strip depth must be >= 1, got {region.depth}")
-    elif isinstance(region, Generations):
-        if region.count < 0:
-            raise ValidationError(f"generation count must be >= 0, got {region.count}")
-    else:
-        raise ValidationError(f"unknown region type: {region!r}")
 
 
 def region_node_count(region: Region, A: int) -> int:
@@ -315,6 +303,7 @@ def _generation_runs(region: Region, A: int, cap: int) -> list[tuple[int, int, i
 
     Checks the cap and the 63-bit label range before anything is built.
     """
+    require((("cap", cap, 0),))
     count = region_node_count(region, A)
     if count > cap:
         raise CapacityError(  # the count itself may have too many digits to print

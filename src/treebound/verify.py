@@ -36,16 +36,12 @@ import numpy as np
 from .bounds import (
     BernsteinInput,
     GridSpec,
-    _float_in_range,
-    _reject,
-    _scalar_violations,
     bernstein_bound,
     concentration_bound,
     ConcentrationInput,
-    finite_violations,
     optimize_params,
 )
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, ValidationError, float_in_range, is_real, require
 from .fields import FieldSpec, field_certificate, field_values, region_sums
 from .tree import Generations, NodeId, Region, Strip, region_node_count, tree_distance
 
@@ -82,9 +78,9 @@ class FiniteSpace:
 
     def __post_init__(self) -> None:
         arrays = {
-            "probs": np.array(self.probs, dtype=np.float64),
-            "xi": np.array(self.xi, dtype=np.float64),
-            "eta": np.array(self.eta, dtype=np.float64),
+            "probs": _real_array("probs", self.probs),
+            "xi": _real_array("xi", self.xi),
+            "eta": _real_array("eta", self.eta),
             "g": np.array(self.g),
             "h": np.array(self.h),
         }
@@ -150,6 +146,18 @@ class FiniteSpace:
         return _atoms(self.h, self.n_h)
 
 
+def _real_array(name: str, values) -> np.ndarray:
+    """``values`` as a new float64 array; :class:`ValidationError` naming ``name``
+    unless they are numbers (a ``bool``, ``str`` or complex array is not)."""
+    try:
+        raw = np.asarray(values)
+        if raw.dtype.kind in "iufO":
+            return raw.astype(np.float64)
+    except (TypeError, ValueError):  # ragged, or an object that is no real number
+        pass
+    raise ValidationError(f"{name} must hold real numbers, not bool, str or complex")
+
+
 def _atoms(labels: np.ndarray, count: int) -> tuple[np.ndarray, ...]:
     order = np.argsort(labels, kind="stable")
     order.flags.writeable = False
@@ -198,15 +206,19 @@ class DavydovResult(NamedTuple):
     alpha: float
 
 
-def _norm(probs: np.ndarray, x: np.ndarray, p: float) -> float:
-    """``(E|x|**p)**(1/p)``, scaled by ``m = max|x|`` so that no power under-
+def _scaled(probs: np.ndarray, x: np.ndarray, p: float) -> tuple[np.ndarray, int, float]:
+    """``(x / 2**e, e, ||x||_p)`` with ``e`` the binary exponent of ``m = max|x|``.
+
+    Every scaled value lies in (-1, 1) and a power-of-two scale is exact, so
+    a covariance of scaled values cannot overflow and scales back exactly.
+    The norm ``(E|x|**p)**(1/p)`` is scaled by ``m`` so that no power under-
     or overflows: a huge ``p`` gives ``m`` instead of 0, and ``p = inf``
     gives exactly ``m``."""
     size = np.abs(x)
     m = float(size.max())
-    if m == 0.0:
-        return 0.0
-    return m * float(probs @ (size / m) ** p) ** (1.0 / p)
+    norm = 0.0 if m == 0.0 else m * float(probs @ (size / m) ** p) ** (1.0 / p)
+    e = math.frexp(m)[1]
+    return (x if e == 0 else np.ldexp(x, -e)), e, norm
 
 
 def davydov_check(space: FiniteSpace, p: float, q: float, r: float) -> DavydovResult:
@@ -217,7 +229,7 @@ def davydov_check(space: FiniteSpace, p: float, q: float, r: float) -> DavydovRe
     (constant on atoms).  Everything on the left and right is computed
     exactly on the finite space; ``holds`` allows 1e-12 absolute slack.
     """
-    if not all(e >= 1 for e in (p, q, r)):  # NaN fails too
+    if not all(e == math.inf or is_real(e, ">=", 1) for e in (p, q, r)):
         raise ValidationError(f"exponents must be >= 1, got ({p}, {q}, {r})")
     if abs(1.0 / p + 1.0 / q + 1.0 / r - 1.0) > 1e-9:
         raise ValidationError(
@@ -235,12 +247,16 @@ def davydov_check(space: FiniteSpace, p: float, q: float, r: float) -> DavydovRe
             raise ValidationError(
                 f"{name} is not measurable: not constant on atom {bad.min()} of {partition}"
             )
-    probs, xi, eta = space.probs, space.xi, space.eta
-    mean_xi = float(probs @ xi)
-    mean_eta = float(probs @ eta)
-    lhs = abs(float(probs @ (xi * eta)) - mean_xi * mean_eta)
+    probs = space.probs
+    xi, e_xi, norm_xi = _scaled(probs, space.xi, p)
+    eta, e_eta, norm_eta = _scaled(probs, space.eta, q)
+    cov = abs(float(probs @ (xi * eta)) - float(probs @ xi) * float(probs @ eta))
+    try:
+        lhs = math.ldexp(cov, e_xi + e_eta)
+    except OverflowError:  # |Cov| itself lies past float range
+        lhs = math.inf
     alpha = exact_alpha(space)
-    rhs = 10.0 * alpha ** (1.0 / r) * _norm(probs, xi, p) * _norm(probs, eta, q)
+    rhs = 10.0 * alpha ** (1.0 / r) * norm_xi * norm_eta
     return DavydovResult(lhs=lhs, rhs=rhs, holds=lhs <= rhs + 1e-12, alpha=alpha)
 
 
@@ -379,10 +395,8 @@ def _upper_pair(k: int, n: int) -> tuple[float, float]:
 
 
 def _check_counts(n_exceed: int, n: int) -> None:
-    if n < 1 or not 0 <= n_exceed <= n:
-        raise ValidationError(
-            f"need 0 <= exceedances <= replicates and replicates >= 1, got {n_exceed}/{n}"
-        )
+    require((("n", n, 1),))
+    require((("n_exceed", n_exceed, 0, n + 1),))
 
 
 def binomial_upper_99(n_exceed: int, n: int) -> float:
@@ -440,15 +454,10 @@ def mc_tail(
     exceedance counts merge by addition; the counter-based field generator
     makes the outcome identical for every worker count.
     """
-    if n_replicates < 100:
-        raise ValidationError(f"need at least 100 replicates, got {n_replicates}")
     if not eps_grid:
         raise ValidationError("epsilon grid must be non-empty")
-    bad = finite_violations(**{f"epsilon[{i}]": e for i, e in enumerate(eps_grid)})
-    if bad:
-        raise ValidationError("; ".join(bad))
-    if not 1 <= workers <= MAX_WORKERS:
-        raise ValidationError(f"workers must be in 1..{MAX_WORKERS}, got {workers}")
+    require((("n_replicates", n_replicates, 100), ("workers", workers, 1, MAX_WORKERS + 1)),
+            [(f"epsilon[{i}]", e, ">", 0) for i, e in enumerate(eps_grid)])
 
     cert = field_certificate(field)
     certified = cert.envelope.provenance == "exact"
@@ -471,7 +480,7 @@ def mc_tail(
                 )
             log_bounds.append(bernstein_bound(inp).log_total)
     elif isinstance(region, Generations):
-        scale = _float_in_range("|region|", region_node_count(region, A))
+        scale = float_in_range("|region|", region_node_count(region, A))
         log_bounds = [
             concentration_bound(
                 ConcentrationInput(
@@ -540,7 +549,7 @@ def random_finite_space(
     uniform on [-1, 1] per atom, broadcast to outcomes, hence exactly
     measurable by construction.
     """
-    _reject(_scalar_violations((("max_outcomes", max_outcomes, 2), ("max_atoms", max_atoms, 1))))
+    require((("max_outcomes", max_outcomes, 2), ("max_atoms", max_atoms, 1)))
     n = int(rng.integers(2, max_outcomes + 1))
     probs = rng.random(n) + 1e-3
     probs /= probs.sum()
@@ -597,10 +606,7 @@ def empirical_alpha_lower(
     """
     if not plan.pairs:
         raise ValidationError("sample plan must contain at least one event pair")
-    if plan.n_replicates < 100:
-        raise ValidationError("sample plan needs at least 100 replicates")
-    if n < 1:
-        raise ValidationError(f"separation must be >= 1, got {n}")
+    require((("n", n, 1), ("plan.n_replicates", plan.n_replicates, 100)))
     for idx, pair in enumerate(plan.pairs):
         if not pair.nodes_a or not pair.nodes_b:
             raise ValidationError(f"event pair {idx} has an empty node set")
