@@ -24,7 +24,10 @@ Each call to :func:`field_values`, :func:`sample_field` or
 :func:`region_sums` compiles the field once into a linear operator on a
 replicate's innovations (a scale by ``C``, a CSR matrix of ball means, or the
 autoregression over parent indices), then hashes, maps and bound-checks
-chunks of replicates.  No innovation bit changes, so the guarantee holds.
+replicates through it.  :func:`region_sums` takes them in blocks of at most
+``BLOCK_VALUES`` hashed values, so its peak memory is about that many float64
+values per calling thread plus the support arrays, whatever the replicate
+count.  No innovation bit changes, so the guarantee holds.
 Regions enter as the int64 labels of ``tree.region_arrays``, and
 :func:`sample_field` returns ``(js, ks, values)`` in that label-sorted order.
 """
@@ -42,6 +45,7 @@ from .errors import AmplitudeError, ValidationError, float_in_range, is_real, re
 from .tree import NodeId, Region, ball_arrays, region_arrays, validate_node
 
 AR_TABLE_HORIZON = 64
+BLOCK_VALUES = 1 << 19  # hashed values per region_sums block: 4 MiB of float64
 
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
@@ -137,11 +141,11 @@ def field_certificate(spec: FieldSpec) -> FieldCertificate:
 
 
 def _compile(spec: FieldSpec, js: np.ndarray, ks: np.ndarray, A: int):
-    """Sampler of the field at targets ``(js, ks)``: replicate ids to C-contiguous
-    values (replicates, targets).  The support whose innovations are hashed and
-    the operator from innovations to values are built here, once."""
+    """Sampler of the field at targets ``(js, ks)``, replicate ids to C-contiguous
+    values (replicates, targets), and the width of the support whose
+    innovations it hashes.  Support and operator are built here, once."""
     if not len(js):
-        return lambda reps: np.zeros((len(reps), 0))
+        return (lambda reps: np.zeros((len(reps), 0))), 0
     if spec.kind == "independent":
         support_j, support_k, apply = js, ks, lambda u: np.multiply(u, spec.C, out=u)
     elif spec.kind == "m_dependent":
@@ -156,7 +160,7 @@ def _compile(spec: FieldSpec, js: np.ndarray, ks: np.ndarray, A: int):
             raise AmplitudeError(f"a sampled value lies outside the amplitude bound C = {spec.C!r}")
         return values
 
-    return sample
+    return sample, len(support_j)
 
 
 def _ball_means(js: np.ndarray, ks: np.ndarray, A: int, m: int, C: float):
@@ -229,7 +233,7 @@ def field_values(
     for v in nodes:
         validate_node(v, A)
     js, ks = np.array([(v.j, v.k) for v in nodes], dtype=np.int64).reshape(-1, 2).T
-    return _compile(spec, js, ks, A)(_replicate_ids(replicates))
+    return _compile(spec, js, ks, A)[0](_replicate_ids(replicates))
 
 
 def sample_field(
@@ -238,7 +242,7 @@ def sample_field(
     """One realization of the field on ``region``: the int64 labels ``(js, ks)``
     in region order, which is label-sorted, and the values at them."""
     js, ks = region_arrays(region, A)
-    return js, ks, _compile(spec, js, ks, A)(_replicate_ids([replicate_index]))[0]
+    return js, ks, _compile(spec, js, ks, A)[0](_replicate_ids([replicate_index]))[0]
 
 
 def region_sums(
@@ -248,18 +252,23 @@ def region_sums(
     replicates: Sequence[int],
     chunk: int = 512,
 ) -> np.ndarray:
-    """``sum_v Z_v`` over ``region`` for each replicate, chunked for memory.
+    """``sum_v Z_v`` over ``region`` for each replicate, in blocks of bounded memory.
 
-    Chunk boundaries do not affect the result: each replicate's sum is a
-    row-wise reduction of values that depend only on (seed, replicate, node).
+    A block holds at most ``chunk`` replicates and at most ``BLOCK_VALUES``
+    hashed values (one row of the support if that alone is wider), so peak
+    memory is about ``BLOCK_VALUES`` float64 values plus the support arrays,
+    whatever the replicate count.  Block boundaries do not affect the result:
+    each replicate's sum is a row-wise reduction of values that depend only on
+    (seed, replicate, node).
     """
     require((("chunk", chunk, 1),))
     js, ks = region_arrays(region, A)
     reps = _replicate_ids(replicates)
     out = np.empty(len(reps), dtype=np.float64)
-    sample = _compile(spec, js, ks, A)
-    for start in range(0, len(reps), chunk):
-        out[start : start + chunk] = sample(reps[start : start + chunk]).sum(axis=1)
+    sample, width = _compile(spec, js, ks, A)
+    rows = max(1, min(chunk, BLOCK_VALUES // max(width, 1)))
+    for start in range(0, len(reps), rows):
+        out[start : start + rows] = sample(reps[start : start + rows]).sum(axis=1)
     return out
 
 

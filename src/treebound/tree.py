@@ -16,6 +16,7 @@ segment of a shortest path can be replaced by a direct tree geodesic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
@@ -301,14 +302,23 @@ def region_node_count(region: Region, A: int) -> int:
 def _generation_runs(region: Region, A: int, cap: int) -> list[tuple[int, int, int]]:
     """``(j, first_k, count)`` for each generation of ``region``, in order.
 
-    Checks the cap and the 63-bit label range before anything is built.
+    Checks the cap and the 63-bit label range before anything is built.  A
+    region deeper than the cap's bits allow is refused before its exact count
+    is computed, which takes super-linear time in the depth.
     """
     require((("cap", cap, 0),))
-    count = region_node_count(region, A)
-    if count > cap:
-        raise CapacityError(  # the count itself may have too many digits to print
-            f"region holds at least 2**{count.bit_length() - 1} nodes, exceeding the cap of {cap}"
-        )
+    _validate_region(region, A)
+    if isinstance(region, Generations):
+        deepest = region.count - 1
+    else:
+        deepest = (region.level if isinstance(region, Strip) else 0) + region.depth - 1
+    # the deepest generation alone has A**deepest >= 2**low_bits nodes: the integer
+    # term is exact for a power-of-two A, the float one (its factor kept finite) is
+    # 2**-40 below its value, and neither needs the exact count
+    low_bits = max(deepest * (A.bit_length() - 1),
+                   math.floor(math.log2(A) * min(deepest, 1 << 62) * (1 - 2**-40)))
+    if low_bits >= cap.bit_length() or region_node_count(region, A) > cap:
+        raise CapacityError(f"region holds at least 2**{low_bits} nodes, exceeding the cap of {cap}")
     if isinstance(region, Subtree):
         runs = [(region.j + d, A**d * (region.k - 1) + 1, A**d) for d in range(region.depth)]
     elif isinstance(region, Strip):

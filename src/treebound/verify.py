@@ -576,6 +576,10 @@ class EventPair:
     threshold_a: float = 0.0
     threshold_b: float = 0.0
 
+    def __post_init__(self) -> None:
+        require((), [(name, getattr(self, name), ">", -math.inf)
+                     for name in ("threshold_a", "threshold_b")])
+
 
 @dataclass(frozen=True)
 class AlphaSamplePlan:

@@ -1,6 +1,7 @@
 """Field generation: moments, dependence structure, determinism, certificates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -273,6 +274,48 @@ def test_region_sums_do_not_depend_on_chunk_size():
         for region in (Generations(6), Strip(2, 3), Subtree(2, 3, 3)):
             sums = [region_sums(spec, region, 3, range(40), chunk=c) for c in (1, 7, 512)]
             assert np.array_equal(sums[0], sums[1]) and np.array_equal(sums[0], sums[2])
+
+
+_KINDS = (
+    FieldSpec.independent(C=1.0, master_seed=32),
+    FieldSpec.m_dependent(1, C=1.0, master_seed=32),
+    FieldSpec.branching_ar(0.8, C=1.0, master_seed=32),
+)
+
+
+@pytest.mark.parametrize("spec", _KINDS, ids=lambda spec: spec.kind)
+def test_region_sums_memory_is_bounded_by_block_values(spec):
+    # 512 replicates of 16383 nodes: one block of them all would hash up to 128 MiB
+    tracemalloc.start()
+    try:
+        region_sums(spec, Generations(14), 2, range(512))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("spec", _KINDS, ids=lambda spec: spec.kind)
+def test_region_sums_blocks_narrower_than_the_support(spec, monkeypatch):
+    hash_rows, innovations = [], _fields._innovations
+
+    def counted(seed, reps, js, ks):
+        hash_rows.append(len(reps))
+        return innovations(seed, reps, js, ks)
+
+    monkeypatch.setattr(_fields, "_innovations", counted)
+    reps, default = range(41), _fields.BLOCK_VALUES
+    for region in (Generations(6), Strip(2, 3), Subtree(2, 3, 3)):
+        monkeypatch.setattr(_fields, "BLOCK_VALUES", default)
+        whole = region_sums(spec, region, 3, reps)
+        per_node = field_values(spec, list(region_nodes(region, 3)), 3, reps).sum(axis=1)
+        width = _fields._compile(spec, *region_arrays(region, 3), 3)[1]
+        for budget, rows in ((1, 1), (width + width // 2, 1), (2 * width + width // 2, 2)):
+            monkeypatch.setattr(_fields, "BLOCK_VALUES", budget)
+            hash_rows.clear()
+            sums = region_sums(spec, region, 3, reps)
+            assert hash_rows == [rows] * (41 // rows) + [41 % rows] * (41 % rows > 0)
+            assert np.array_equal(sums, whole) and np.array_equal(sums, per_node)
 
 
 def _brute_ball_deep(v, A):

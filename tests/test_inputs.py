@@ -84,6 +84,11 @@ _CALLS = {
     "node-k-past-labels": lambda: NodeId(1, 2**63),
     "total_pairs-P-bool": lambda: total_ordered_pairs(2, True),
     "alpha_lower-n": lambda: empirical_alpha_lower(_SPEC, 2, 1.5, _PLAN),
+    **{f"alpha_lower-threshold_{side}-{value!r}": (
+        lambda side=side, value=value: empirical_alpha_lower(_SPEC, 2, 1, AlphaSamplePlan(
+            pairs=(EventPair((NodeId(2, 1),), (NodeId(2, 4),), **{f"threshold_{side}": value}),),
+            n_replicates=200)))
+       for side in "ab" for value in (math.nan, math.inf, "0.5", True)},
     "fit-L": lambda: asymptotic_fit([(2.5, -0.5)] + _FIT, 1.0),
     "fit-log-bound": lambda: asymptotic_fit(_FIT + [(64, math.nan)], 1.0),
     "region_sums-chunk-zero": lambda: region_sums(_SPEC, Strip(2, 2), 2, range(10), chunk=0),

@@ -263,3 +263,16 @@ def test_capacity_message_of_a_huge_region_prints():
     # the exact count of 9101 generations at rate 3 has more than 4300 digits
     with pytest.raises(CapacityError, match=r"at least 2\*\*14423 nodes"):
         region_arrays(Generations(9101), 3)
+
+
+def test_deep_region_is_refused_before_its_exact_count():
+    # the exact count of 10**9 generations has about 1.6e9 bits: hours to compute
+    with pytest.raises(CapacityError, match=r"at least 2\*\*1584962499 nodes"):
+        region_arrays(Generations(10**9), 3)
+    # the quick refusal still names a true lower bound
+    for A in (2, 3, 5, 6):
+        for region in (Generations(40), Strip(7, 30), Subtree(3, 2, 45)):
+            with pytest.raises(CapacityError) as info:
+                region_arrays(region, A)
+            low_bits = int(str(info.value).split("2**")[1].split()[0])
+            assert 2**low_bits <= region_node_count(region, A) < 2 ** (low_bits + 2)
