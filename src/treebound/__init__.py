@@ -35,6 +35,7 @@ from .fields import (
     field_certificate,
     field_to_csv,
     field_values,
+    node_sums,
     region_sums,
     sample_field,
 )

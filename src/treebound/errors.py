@@ -21,7 +21,8 @@ class InfeasibleGridError(ValidationError):
 
 
 class AmplitudeError(RuntimeError):
-    """A sampled field value fell outside its amplitude bound ``[-C, C]``."""
+    """A field value could leave its amplitude bound ``[-C, C]``: its linear map
+    allows it, or a sampled value or innovation fell outside its range."""
 
 
 def is_integer(value, low=None, high=None) -> bool:

@@ -20,14 +20,19 @@ to the three values.  Results therefore never depend on iteration order,
 chunking or worker count, which is what makes Monte Carlo runs reproducible
 and mergeable.
 
-Each call to :func:`field_values`, :func:`sample_field` or
-:func:`region_sums` compiles the field once into a linear operator on a
-replicate's innovations (a scale by ``C``, a CSR matrix of ball means, or the
-autoregression over parent indices), then hashes, maps and bound-checks
-replicates through it.  :func:`region_sums` takes them in blocks of at most
-``BLOCK_VALUES`` hashed values, so its peak memory is about that many float64
-values per calling thread plus the support arrays, whatever the replicate
-count.  No innovation bit changes, so the guarantee holds.
+Every kind is linear in the innovations ``U`` of a support of nodes:
+``Z = M U``.  Each call compiles the field once at its targets into that map
+(a scale by ``C``, ball means applied by one ``bincount`` per replicate, or
+the autoregression over parent indices) and into the support's weights
+``w = M^T 1``, one per support node.  Compiling checks that every row of ``M``
+has an l1 norm of at most ``C (1 + 1e-12)``, which bounds every value for
+innovations in [-1, 1].  :func:`field_values` and :func:`sample_field` map
+replicates through ``M`` and check every value against ``C``;
+:func:`region_sums` and :func:`node_sums` build no value: a sum is ``w . U``,
+taken in blocks of at most ``BLOCK_VALUES`` hashed innovations, each checked
+to lie in [-1, 1).  Their peak memory is about that many float64 values per
+calling thread plus the support arrays, whatever the replicate count.  No
+innovation bit changes, so the guarantee holds.
 Regions enter as the int64 labels of ``tree.region_arrays``, and
 :func:`sample_field` returns ``(js, ks, values)`` in that label-sorted order.
 """
@@ -35,10 +40,9 @@ Regions enter as the int64 labels of ``tree.region_arrays``, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .bounds import MixingEnvelope
 from .errors import AmplitudeError, ValidationError, float_in_range, is_real, require
@@ -140,57 +144,97 @@ def field_certificate(spec: FieldSpec) -> FieldCertificate:
     )
 
 
-def _compile(spec: FieldSpec, js: np.ndarray, ks: np.ndarray, A: int):
-    """Sampler of the field at targets ``(js, ks)``, replicate ids to C-contiguous
-    values (replicates, targets), and the width of the support whose
-    innovations it hashes.  Support and operator are built here, once."""
+class _Compiled(NamedTuple):
+    """A field at fixed targets as a linear map ``Z = M U`` of the innovations
+    ``U`` of its support nodes."""
+
+    sample: Callable[[np.ndarray], np.ndarray]  # replicate ids -> values (replicates, targets)
+    width: int  # support nodes, whose innovations are hashed
+    weights: np.ndarray  # w = M^T 1, one per support node: sum_v Z_v = w . U
+    support: tuple[np.ndarray, np.ndarray]  # support labels (js, ks)
+
+
+def _compile(spec: FieldSpec, js: np.ndarray, ks: np.ndarray, A: int) -> _Compiled:
+    """The field at targets ``(js, ks)``, built once: support, map and weights.
+
+    Raises :class:`AmplitudeError` unless every row of ``M`` has an l1 norm of
+    at most ``C (1 + 1e-12)``, which bounds every value for any innovations in
+    [-1, 1]; the sampler still checks each value it returns.
+    """
+    C = spec.C
     if not len(js):
-        return (lambda reps: np.zeros((len(reps), 0))), 0
+        return _Compiled(lambda reps: np.zeros((len(reps), 0)), 0, np.zeros(0), (js, ks))
     if spec.kind == "independent":
-        support_j, support_k, apply = js, ks, lambda u: np.multiply(u, spec.C, out=u)
+        support, apply = (js, ks), lambda u: np.multiply(u, C, out=u)
+        norms = weights = np.full(len(js), C, dtype=np.float64)
     elif spec.kind == "m_dependent":
-        support_j, support_k, apply = _ball_means(js, ks, A, spec.m, spec.C)
+        support, apply, norms, weights = _ball_means(js, ks, A, spec.m, C)
     else:
-        support_j, support_k, apply = _autoregression(js, ks, A, spec.a, spec.C)
-    limit = spec.C * (1.0 + 1e-12)
+        support, apply, norms, weights = _autoregression(js, ks, A, spec.a, C)
+    limit = C * (1.0 + 1e-12)
+    if norms.max() > limit:
+        raise AmplitudeError(
+            f"a row of the field's map has l1 norm {norms.max()!r}, above the amplitude bound "
+            f"C = {C!r}"
+        )
 
     def sample(reps: np.ndarray) -> np.ndarray:
-        values = apply(_innovations(spec.master_seed, reps, support_j, support_k))
+        values = apply(_innovations(spec.master_seed, reps, *support))
         if values.size and not (-limit <= values.min() and values.max() <= limit):
-            raise AmplitudeError(f"a sampled value lies outside the amplitude bound C = {spec.C!r}")
+            raise AmplitudeError(f"a sampled value lies outside the amplitude bound C = {C!r}")
         return values
 
-    return sample, len(support_j)
+    return _Compiled(sample, len(support[0]), weights, support)
 
 
 def _ball_means(js: np.ndarray, ks: np.ndarray, A: int, m: int, C: float):
-    """CSR map with entry ``C/|ball(v)|`` at each node of the radius-``m`` ball of target ``v``."""
+    """Entry ``C/|ball(v)|`` at each node of the radius-``m`` ball of target ``v``.
+
+    The entries are kept in (row, column) order, the order in which a CSR
+    mat-vec adds them, so one ``bincount`` per replicate gives its bits."""
     rows, member_j, member_k = ball_arrays(js, ks, A, m)
     order = np.lexsort((member_k, member_j))
     first = np.ones(len(order), dtype=bool)
     first[1:] = (np.diff(member_j[order]) != 0) | (np.diff(member_k[order]) != 0)
     cols = np.empty(len(order), dtype=np.intp)
     cols[order] = np.cumsum(first) - 1
-    sizes = np.bincount(rows)
-    matrix = csr_array(((C / sizes)[rows], (rows, cols)), shape=(len(js), int(first.sum())))
+    entries = np.lexsort((cols, rows))
+    rows, cols = rows[entries], cols[entries]
+    data = (C / np.bincount(rows))[rows]
+    n, width = len(js), int(first.sum())
 
     def apply(u: np.ndarray) -> np.ndarray:
-        out = np.empty((len(u), len(js)))
+        out = np.empty((len(u), n))
         for row, innovations in zip(out, u):  # contiguous rows: no transposed copies
-            row[:] = matrix @ innovations
+            row[:] = np.bincount(rows, weights=data * innovations[cols], minlength=n)
         return out
 
-    return member_j[order][first], member_k[order][first], apply
+    support = member_j[order][first], member_k[order][first]
+    norms = np.bincount(rows, weights=data, minlength=n)
+    return support, apply, norms, np.bincount(cols, weights=data, minlength=width)
+
+
+def _sorted_distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct values of ``x``, ascending: ``np.unique`` without the
+    ``numpy.ma`` import it makes on first use (about 14 ms per process)."""
+    x = np.sort(x)
+    keep = np.ones(len(x), dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
 
 
 def _autoregression(js: np.ndarray, ks: np.ndarray, A: int, a: float, C: float):
     """``Z_root = C U`` and ``Z_v = a Z_parent + (1 - |a|) C U_v`` over the
-    ancestor closure of the targets, one generation slice at a time."""
+    ancestor closure of the targets, one generation slice at a time.
+
+    A target's weight reaches each ancestor through ``a`` per generation, so
+    the weights come from one pass up the slices: ``d_v`` is the number of
+    times ``v`` is a target plus ``a`` times the sum of its children's ``d``."""
     levels, local = [None] * (int(js.max()) + 1), np.empty(len(js), dtype=np.intp)
     level = np.empty(0, dtype=np.int64)
     for j in range(len(levels) - 1, -1, -1):
         at = js == j
-        levels[j] = level = np.union1d(ks[at], (level - 1) // A + 1)
+        levels[j] = level = _sorted_distinct(np.concatenate((ks[at], (level - 1) // A + 1)))
         local[at] = np.searchsorted(level, ks[at])
     starts = np.cumsum([0] + [len(level) for level in levels])
     parents = [
@@ -199,17 +243,29 @@ def _autoregression(js: np.ndarray, ks: np.ndarray, A: int, a: float, C: float):
     ]
     rows = starts[js] + local
     identity = np.array_equal(rows, np.arange(starts[-1]))
+    step = (1.0 - abs(a)) * C
 
     def apply(u: np.ndarray) -> np.ndarray:
         u[:, 0] *= C
         for j, parent_cols in enumerate(parents, start=1):
             z = u[:, starts[j] : starts[j + 1]]
-            z *= (1.0 - abs(a)) * C
+            z *= step
             z += a * np.take(u, parent_cols, axis=1)
         return u if identity else np.take(u, rows, axis=1)
 
+    norms, d = np.empty(starts[-1]), np.bincount(rows, minlength=starts[-1]).astype(np.float64)
+    norms[0] = C
+    for j, parent_cols in enumerate(parents, start=1):
+        norms[starts[j] : starts[j + 1]] = abs(a) * norms[parent_cols] + abs(step)
+    for j in range(len(parents), 0, -1):
+        d[starts[j - 1] : starts[j]] += a * np.bincount(
+            parents[j - 1] - starts[j - 1], weights=d[starts[j] : starts[j + 1]],
+            minlength=starts[j] - starts[j - 1],
+        )
+    weights = step * d
+    weights[0] = C * d[0]
     support_j = np.repeat(np.arange(len(levels), dtype=np.int64), np.diff(starts))
-    return support_j, np.concatenate(levels), apply
+    return (support_j, np.concatenate(levels)), apply, norms, weights
 
 
 def _replicate_ids(replicates: Sequence[int]) -> np.ndarray:
@@ -222,6 +278,13 @@ def _replicate_ids(replicates: Sequence[int]) -> np.ndarray:
     return np.array(ids, dtype=np.uint64)
 
 
+def _node_labels(nodes: Sequence[NodeId], A: int) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 labels ``(js, ks)`` of ``nodes``, each checked against rate ``A``."""
+    for v in nodes:
+        validate_node(v, A)
+    return np.array([(v.j, v.k) for v in nodes], dtype=np.int64).reshape(-1, 2).T
+
+
 def field_values(
     spec: FieldSpec, nodes: Sequence[NodeId], A: int, replicates: Sequence[int]
 ) -> np.ndarray:
@@ -230,10 +293,7 @@ def field_values(
     Deterministic given (master_seed, replicate, node); independent of the
     order in which replicates are batched.
     """
-    for v in nodes:
-        validate_node(v, A)
-    js, ks = np.array([(v.j, v.k) for v in nodes], dtype=np.int64).reshape(-1, 2).T
-    return _compile(spec, js, ks, A)[0](_replicate_ids(replicates))
+    return _compile(spec, *_node_labels(nodes, A), A).sample(_replicate_ids(replicates))
 
 
 def sample_field(
@@ -242,7 +302,27 @@ def sample_field(
     """One realization of the field on ``region``: the int64 labels ``(js, ks)``
     in region order, which is label-sorted, and the values at them."""
     js, ks = region_arrays(region, A)
-    return js, ks, _compile(spec, js, ks, A)[0](_replicate_ids([replicate_index]))[0]
+    return js, ks, _compile(spec, js, ks, A).sample(_replicate_ids([replicate_index]))[0]
+
+
+def _sums(spec: FieldSpec, js: np.ndarray, ks: np.ndarray, A: int,
+          replicates: Sequence[int], chunk: int = 512) -> np.ndarray:
+    """``w . U`` per replicate at targets ``(js, ks)``, in blocks of at most
+    ``chunk`` replicates and ``BLOCK_VALUES`` hashed values."""
+    reps = _replicate_ids(replicates)
+    field = _compile(spec, js, ks, A)
+    out = np.empty(len(reps), dtype=np.float64)
+    rows = max(1, min(chunk, BLOCK_VALUES // max(field.width, 1)))
+    for start in range(0, len(reps), rows):
+        u = _innovations(spec.master_seed, reps[start : start + rows], *field.support)
+        if u.size and not (-1.0 <= u.min() and u.max() < 1.0):
+            raise AmplitudeError(
+                f"an innovation lies outside [-1, 1), so the amplitude bound C = {spec.C!r} fails"
+            )
+        u *= field.weights  # not u @ w: BLAS bits would depend on the block's size
+        out[start : start + rows] = u.sum(axis=1)
+        del u  # else the next block is hashed while this one is still held
+    return out
 
 
 def region_sums(
@@ -254,22 +334,26 @@ def region_sums(
 ) -> np.ndarray:
     """``sum_v Z_v`` over ``region`` for each replicate, in blocks of bounded memory.
 
-    A block holds at most ``chunk`` replicates and at most ``BLOCK_VALUES``
-    hashed values (one row of the support if that alone is wider), so peak
-    memory is about ``BLOCK_VALUES`` float64 values plus the support arrays,
-    whatever the replicate count.  Block boundaries do not affect the result:
-    each replicate's sum is a row-wise reduction of values that depend only on
-    (seed, replicate, node).
+    The sum is ``w . U``: one weight per support node, ``w = M^T 1``, so no
+    value is built.  A block holds at most ``chunk`` replicates and at most
+    ``BLOCK_VALUES`` hashed values (one row of the support if that alone is
+    wider), so peak memory is about ``BLOCK_VALUES`` float64 values plus the
+    support arrays, whatever the replicate count.  Block boundaries do not
+    affect the result: each replicate's sum is a row-wise reduction of
+    innovations that depend only on (seed, replicate, node).  It agrees with
+    the sum of :func:`field_values` to rounding (bit for bit for the
+    independent field).
     """
     require((("chunk", chunk, 1),))
-    js, ks = region_arrays(region, A)
-    reps = _replicate_ids(replicates)
-    out = np.empty(len(reps), dtype=np.float64)
-    sample, width = _compile(spec, js, ks, A)
-    rows = max(1, min(chunk, BLOCK_VALUES // max(width, 1)))
-    for start in range(0, len(reps), rows):
-        out[start : start + rows] = sample(reps[start : start + rows]).sum(axis=1)
-    return out
+    return _sums(spec, *region_arrays(region, A), A, replicates, chunk)
+
+
+def node_sums(
+    spec: FieldSpec, nodes: Sequence[NodeId], A: int, replicates: Sequence[int]
+) -> np.ndarray:
+    """``sum_v Z_v`` over ``nodes`` (a repeated node counts each time) for each
+    replicate, computed as :func:`region_sums` computes a region's."""
+    return _sums(spec, *_node_labels(nodes, A), A, replicates)
 
 
 def field_to_csv(sample: tuple[np.ndarray, np.ndarray, np.ndarray]) -> str:

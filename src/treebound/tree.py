@@ -299,12 +299,11 @@ def region_node_count(region: Region, A: int) -> int:
     return (A**region.count - 1) // (A - 1)
 
 
-def _generation_runs(region: Region, A: int, cap: int) -> list[tuple[int, int, int]]:
-    """``(j, first_k, count)`` for each generation of ``region``, in order.
+def check_node_cap(region: Region, A: int, cap: int = DEFAULT_NODE_CAP) -> None:
+    """Raise :class:`CapacityError` if ``region`` holds more than ``cap`` nodes.
 
-    Checks the cap and the 63-bit label range before anything is built.  A
-    region deeper than the cap's bits allow is refused before its exact count
-    is computed, which takes super-linear time in the depth.
+    A region deeper than the cap's bits allow is refused before its exact
+    count is computed, which takes super-linear time in the depth.
     """
     require((("cap", cap, 0),))
     _validate_region(region, A)
@@ -319,6 +318,14 @@ def _generation_runs(region: Region, A: int, cap: int) -> list[tuple[int, int, i
                    math.floor(math.log2(A) * min(deepest, 1 << 62) * (1 - 2**-40)))
     if low_bits >= cap.bit_length() or region_node_count(region, A) > cap:
         raise CapacityError(f"region holds at least 2**{low_bits} nodes, exceeding the cap of {cap}")
+
+
+def _generation_runs(region: Region, A: int, cap: int) -> list[tuple[int, int, int]]:
+    """``(j, first_k, count)`` for each generation of ``region``, in order.
+
+    Checks the cap and the 63-bit label range before anything is built.
+    """
+    check_node_cap(region, A, cap)
     if isinstance(region, Subtree):
         runs = [(region.j + d, A**d * (region.k - 1) + 1, A**d) for d in range(region.depth)]
     elif isinstance(region, Strip):

@@ -42,8 +42,10 @@ from .bounds import (
     optimize_params,
 )
 from .errors import CapacityError, ValidationError, float_in_range, is_real, require
-from .fields import FieldSpec, field_certificate, field_values, region_sums
-from .tree import Generations, NodeId, Region, Strip, region_node_count, tree_distance
+from .fields import FieldSpec, field_certificate, node_sums, region_sums
+from .tree import (
+    Generations, NodeId, Region, Strip, check_node_cap, region_node_count, tree_distance,
+)
 
 MAX_ATOMS = 12
 MAX_WORKERS = 64  # the most threads one mc_tail call starts
@@ -480,6 +482,7 @@ def mc_tail(
                 )
             log_bounds.append(bernstein_bound(inp).log_total)
     elif isinstance(region, Generations):
+        check_node_cap(region, A)  # a deep region is refused before its exact count
         scale = float_in_range("|region|", region_node_count(region, A))
         log_bounds = [
             concentration_bound(
@@ -622,14 +625,11 @@ def empirical_alpha_lower(
                 f"event pair {idx} has node sets at distance {d} < required {n}"
             )
 
-    reps = list(range(plan.n_replicates))
+    reps = range(plan.n_replicates)
     best = AlphaLowerBound(value=-1.0, std_error=0.0, pair_index=-1)
     for idx, pair in enumerate(plan.pairs):
-        nodes = list(pair.nodes_a) + list(pair.nodes_b)
-        values = field_values(field, nodes, A, reps)
-        na = len(pair.nodes_a)
-        sums_a = values[:, :na].sum(axis=1)
-        sums_b = values[:, na:].sum(axis=1)
+        sums_a = node_sums(field, pair.nodes_a, A, reps)
+        sums_b = node_sums(field, pair.nodes_b, A, reps)
         x = (sums_a > pair.threshold_a).astype(np.float64)
         y = (sums_b > pair.threshold_b).astype(np.float64)
         p_a, p_b = x.mean(), y.mean()

@@ -17,6 +17,7 @@ from treebound import (
     field_certificate,
     field_to_csv,
     field_values,
+    node_sums,
     region_nodes,
     region_sums,
     sample_field,
@@ -112,12 +113,22 @@ def test_worker_exchangeability():
         assert np.array_equal(whole, parts)
 
 
+def _assert_sums_of(spec, sums, values):
+    """``region_sums`` is ``w . U``: bit for bit the values' sum for the independent
+    field, and otherwise within 1e-12 of the sum of ``|values|`` (a scale that does
+    not vanish when the sum itself cancels)."""
+    direct = values.sum(axis=1)
+    if spec.kind == "independent":
+        assert np.array_equal(sums, direct)
+    else:
+        assert np.all(np.abs(sums - direct) <= 1e-12 * np.abs(values).sum(axis=1))
+
+
 def test_region_sums_matches_per_node_values():
     spec = FieldSpec.branching_ar(0.3, C=1.0, master_seed=12)
     region = Strip(2, 2)
     sums = region_sums(spec, region, 2, range(50), chunk=7)
-    direct = field_values(spec, list(region_nodes(region, 2)), 2, range(50)).sum(axis=1)
-    assert np.array_equal(sums, direct)
+    _assert_sums_of(spec, sums, field_values(spec, list(region_nodes(region, 2)), 2, range(50)))
 
 
 def test_subtree_regions_supported():
@@ -308,14 +319,91 @@ def test_region_sums_blocks_narrower_than_the_support(spec, monkeypatch):
     for region in (Generations(6), Strip(2, 3), Subtree(2, 3, 3)):
         monkeypatch.setattr(_fields, "BLOCK_VALUES", default)
         whole = region_sums(spec, region, 3, reps)
-        per_node = field_values(spec, list(region_nodes(region, 3)), 3, reps).sum(axis=1)
+        _assert_sums_of(spec, whole, field_values(spec, list(region_nodes(region, 3)), 3, reps))
         width = _fields._compile(spec, *region_arrays(region, 3), 3)[1]
         for budget, rows in ((1, 1), (width + width // 2, 1), (2 * width + width // 2, 2)):
             monkeypatch.setattr(_fields, "BLOCK_VALUES", budget)
             hash_rows.clear()
             sums = region_sums(spec, region, 3, reps)
             assert hash_rows == [rows] * (41 // rows) + [41 % rows] * (41 % rows > 0)
-            assert np.array_equal(sums, whole) and np.array_equal(sums, per_node)
+            assert np.array_equal(sums, whole)
+
+
+def _csr_ball_means(js, ks, A, m, C):
+    """The m-dependent map as a scipy CSR matrix over its label-sorted support."""
+    from scipy.sparse import csr_array
+
+    rows, member_j, member_k = ball_arrays(js, ks, A, m)
+    labels, cols = np.unique(np.stack([member_j, member_k], axis=1), axis=0, return_inverse=True)
+    data = (C / np.bincount(rows))[rows]
+    matrix = csr_array((data, (rows, cols.ravel())), shape=(len(js), len(labels)))
+    return labels[:, 0], labels[:, 1], matrix
+
+
+@pytest.mark.parametrize(
+    "region, A, m",
+    [(Generations(12), 2, 1), (Generations(16), 2, 1), (Generations(9), 2, 2)]
+    + [(region, 3, m) for region in _REGIONS for m in (1, 2, 3)],
+)
+def test_ball_means_match_a_csr_oracle_bit_for_bit(region, A, m):
+    js, ks = region_arrays(region, A)
+    reps = np.arange(4, dtype=np.uint64)
+    support_j, support_k, matrix = _csr_ball_means(js, ks, A, m, 0.8)
+    field = _fields._compile(FieldSpec.m_dependent(m, C=0.8, master_seed=40), js, ks, A)
+    assert np.array_equal(field.support[0], support_j)
+    assert np.array_equal(field.support[1], support_k)
+    want = np.stack([matrix @ u for u in _fields._innovations(40, reps, support_j, support_k)])
+    assert np.array_equal(field.sample(reps), want)
+
+
+_SUM_SPECS = _KINDS + (
+    FieldSpec.m_dependent(2, C=0.7, master_seed=33),
+    FieldSpec.branching_ar(-0.6, C=0.9, master_seed=33),
+)
+
+
+@pytest.mark.parametrize("spec", _SUM_SPECS, ids=lambda spec: f"{spec.kind}-{spec.m}-{spec.a}")
+def test_region_sums_agree_with_summed_values(spec):
+    for A in (2, 3):
+        for region in _REGIONS + (Generations(6), Strip(2, 2), Strip(2, 3), Subtree(2, 3, 3)):
+            nodes = list(region_nodes(region, A))
+            sums = region_sums(spec, region, A, range(100))
+            _assert_sums_of(spec, sums, field_values(spec, nodes, A, range(100)))
+            assert np.array_equal(node_sums(spec, nodes, A, range(100)), sums)
+    repeated = [NodeId(3, 5), NodeId(0, 1), NodeId(3, 5), NodeId(2, 1), NodeId(4, 16)]
+    values = field_values(spec, repeated, 2, range(100))
+    _assert_sums_of(spec, node_sums(spec, repeated, 2, range(100)), values)
+
+
+def test_a_map_row_with_l1_norm_above_C_raises_before_hashing(monkeypatch):
+    ball_means, nodes = _fields._ball_means, list(region_nodes(Generations(4), 2))
+
+    def inflated(factor):
+        def build(*args):
+            support, apply, norms, weights = ball_means(*args)
+            return support, apply, norms * factor, weights
+        return build
+
+    spec = FieldSpec.m_dependent(1, C=1.0, master_seed=41)
+    monkeypatch.setattr(_fields, "_ball_means", inflated(1 + 0.5e-12))
+    field_values(spec, nodes, 2, range(2))  # within the rounding allowance
+    monkeypatch.setattr(_fields, "_ball_means", inflated(1 + 2e-12))
+
+    def no_hash(seed, reps, js, ks):
+        raise AssertionError("innovations hashed before the map was checked")
+
+    monkeypatch.setattr(_fields, "_innovations", no_hash)
+    tampered = FieldSpec.branching_ar(0.5, C=1.0, master_seed=41)
+    object.__setattr__(tampered, "a", 1.25)  # |a| > 1: row norms grow with depth
+    for bad in (spec, tampered):
+        calls = (
+            lambda: field_values(bad, nodes, 2, range(2)),
+            lambda: sample_field(bad, Generations(4), 2, 0),
+            lambda: region_sums(bad, Generations(4), 2, range(2)),
+        )
+        for call in calls:
+            with pytest.raises(AmplitudeError, match="amplitude"):
+                call()
 
 
 def _brute_ball_deep(v, A):

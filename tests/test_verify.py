@@ -2,6 +2,8 @@
 inequality on finite spaces, Monte Carlo tails, and sampled mixing lower
 bounds."""
 
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -452,6 +454,13 @@ def test_mc_tail_region_support():
         mc_tail(spec, Strip(3, 2), 2, [], 200)
 
 
+def test_mc_tail_refuses_a_deep_generations_region_before_its_count():
+    # the exact node count of 10**9 generations at rate 3 would take hours
+    spec = FieldSpec.independent(C=1.0, master_seed=0)
+    with pytest.raises(CapacityError, match=r"at least 2\*\*1584962499 nodes"):
+        mc_tail(spec, Generations(10**9), 3, [0.5], 100)
+
+
 def test_empirical_alpha_independent_near_zero():
     spec = FieldSpec.independent(C=1.0, master_seed=8)
     plan = AlphaSamplePlan(
@@ -485,6 +494,20 @@ def test_empirical_alpha_branching_ar_positive():
     )
     result = empirical_alpha_lower(spec, 2, 1, plan)
     assert result.value >= 5 * result.std_error
+
+
+def test_empirical_alpha_memory_is_bounded():
+    # all values of both sets at once would peak at about 176 MiB
+    spec = FieldSpec.m_dependent(1, C=1.0, master_seed=12)
+    pair = EventPair(tuple(NodeId(9, k) for k in range(1, 257)),
+                     tuple(NodeId(9, k) for k in range(257, 513)))
+    tracemalloc.start()
+    try:
+        empirical_alpha_lower(spec, 2, 1, AlphaSamplePlan(pairs=(pair,), n_replicates=10_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_empirical_alpha_plan_validation():
