@@ -76,6 +76,7 @@ from .verify import (
     binomial_lower_99,
     binomial_upper_99,
     davydov_check,
+    davydov_checks,
     empirical_alpha_lower,
     exact_alpha,
     mc_tail,

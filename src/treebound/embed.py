@@ -70,9 +70,10 @@ class LatticeMap:
             raise ValidationError("node labels need generation >= 0 and index >= 1")
         if not ((np.diff(js) > 0) | ((np.diff(js) == 0) & (np.diff(ks) > 0))).all():
             raise ValidationError("node labels must be sorted (generation, index) and distinct")
-        images, counts = np.unique(points, axis=0, return_counts=True)
-        if counts.max() > 1:
-            point = tuple(images[counts > 1][0].tolist())
+        ranked = points[np.lexsort(points.T[::-1])]  # rows in lexicographic order
+        reused = (ranked[1:] == ranked[:-1]).all(axis=1)
+        if reused.any():
+            point = tuple(ranked[1:][reused][0].tolist())
             raise ValidationError(f"map is not injective: point {point} is reused")
         for name, array in (("js", js), ("ks", ks), ("points", points)):
             array.flags.writeable = False

@@ -5,12 +5,18 @@ The mixing coefficient between two finite partitions is computed exactly
 (the sup over all unions of atoms), which makes the covariance inequality
 testable without any estimation error.  A :class:`FiniteSpace` holds its
 outcomes as arrays, each partition as one atom label per outcome, so the
-exact path works on whole arrays: one ``bincount`` gives the joint atom
-table and a cached matrix lists the unions of H-atoms.  Lists of atoms
-appear only at the API edge, in ``FiniteSpace.build`` and the
-``atoms_g``/``atoms_h`` views.  For simulated fields the sup over
-arbitrary events is out of reach, so the module only ever reports sampled
-*lower* bounds there, clearly separated from the exact path.
+exact path works on whole arrays.  It checks a block of spaces at once
+(:func:`davydov_checks`; :func:`davydov_check` and :func:`exact_alpha` are
+blocks of one): the outcomes of the block are laid end to end, one
+``bincount`` gives every joint atom table, and the spaces of one shape
+``(n_g, n_h)`` take their unions of H-atoms in one stacked product with a
+cached matrix.  The means ``E[x]`` stay one BLAS dot per space, because
+no batched numpy form adds in the same order, so a block gives each space
+the bits it gets alone.  Lists of atoms appear only at the API edge, in
+``FiniteSpace.build`` and the ``atoms_g``/``atoms_h`` views.  For
+simulated fields the sup over arbitrary events is out of reach, so the
+module only ever reports sampled *lower* bounds there, clearly separated
+from the exact path.
 
 Monte Carlo tail estimates are paired with the corresponding bound and a
 violation is only flagged when the exact-binomial (Clopper-Pearson) 99%
@@ -44,10 +50,13 @@ from .bounds import (
 from .errors import CapacityError, ValidationError, float_in_range, is_real, require
 from .fields import FieldSpec, field_certificate, node_sums, region_sums
 from .tree import (
-    Generations, NodeId, Region, Strip, check_node_cap, region_node_count, tree_distance,
+    MAX_LABEL, Generations, NodeId, Region, Strip, check_node_cap, region_node_count,
+    validate_node,
 )
 
 MAX_ATOMS = 12
+ALPHA_VALUES = 1 << 15  # the most union contributions one stacked product holds
+PAIR_BLOCK = 1 << 16  # the most node pairs one separation step holds
 MAX_WORKERS = 64  # the most threads one mc_tail call starts
 
 
@@ -175,6 +184,61 @@ def _union_bits(h: int) -> np.ndarray:
     return bits
 
 
+def _check_caps(spaces: Sequence[FiniteSpace]) -> None:
+    """:class:`CapacityError` naming the first space with too many atoms."""
+    for space in spaces:
+        if space.n_g > MAX_ATOMS or space.n_h > MAX_ATOMS:
+            raise CapacityError(
+                f"exact mixing coefficient capped at {MAX_ATOMS} atoms per partition, "
+                f"got {space.n_g} and {space.n_h}"
+            )
+
+
+def _layout(spaces: Sequence[FiniteSpace]) -> tuple[np.ndarray, np.ndarray]:
+    """``(start, owner)`` of the spaces' outcomes laid end to end: space ``s``
+    begins at outcome ``start[s]`` and outcome ``i`` belongs to ``owner[i]``."""
+    sizes = np.array([space.probs.size for space in spaces])
+    return np.cumsum(sizes) - sizes, np.repeat(np.arange(len(spaces)), sizes)
+
+
+def _joined(spaces: Sequence[FiniteSpace], name: str) -> np.ndarray:
+    return np.concatenate([getattr(space, name) for space in spaces])
+
+
+def _alphas(spaces: Sequence[FiniteSpace]) -> np.ndarray:
+    """:func:`exact_alpha` of each space, computed per shape ``(n_g, n_h)``.
+
+    One ``bincount`` over the block's offset cell keys gives every joint
+    table, each cell summing its outcomes in ascending order.  The spaces of
+    one shape are stacked, at most ``ALPHA_VALUES`` union contributions at a
+    time, and one ``matmul`` (a BLAS product per space) takes them to the
+    unions, so every value is the one a single space gets.
+    """
+    _check_caps(spaces)
+    _, owner = _layout(spaces)
+    n_g = np.array([space.n_g for space in spaces])
+    n_h = np.array([space.n_h for space in spaces])
+    cells = n_g * n_h
+    first = np.cumsum(cells) - cells
+    keys = first[owner] + _joined(spaces, "g") * n_h[owner] + _joined(spaces, "h")
+    joint = np.bincount(keys, weights=_joined(spaces, "probs"), minlength=int(cells.sum()))
+    shape = n_g * (MAX_ATOMS + 1) + n_h
+    order = np.argsort(shape, kind="stable")
+    alpha = np.empty(len(spaces))
+    for members in np.split(order, np.flatnonzero(np.diff(shape[order])) + 1):
+        g, h = spaces[members[0]].n_g, spaces[members[0]].n_h
+        step = max(1, ALPHA_VALUES // (g << h))
+        for part in (members[i:i + step] for i in range(0, members.size, step)):
+            tables = joint[first[part, None] + np.arange(g * h)].reshape(-1, g, h)
+            # P(a&b) - P(a)P(b)
+            dev = tables - tables.sum(axis=2)[:, :, None] * tables.sum(axis=1)[:, None, :]
+            w = dev @ _union_bits(h).T  # signed contribution of each G-atom per union B
+            pos = np.maximum(w, 0.0).sum(axis=1).max(axis=1)
+            neg = (-np.minimum(w, 0.0, out=w).sum(axis=1)).max(axis=1)
+            alpha[part] = np.where(neg > pos, neg, pos)  # never -0.0 where both are 0
+    return alpha
+
+
 def exact_alpha(space: FiniteSpace) -> float:
     """Exact sup of |P(A&B) - P(A)P(B)| over unions A of G-atoms, B of H-atoms.
 
@@ -183,20 +247,7 @@ def exact_alpha(space: FiniteSpace) -> float:
     positive and negative parts; this evaluates the full 2**|G| x 2**|H|
     sup exactly.  The result always lies in [0, 1/4].
     """
-    g, h = space.n_g, space.n_h
-    if g > MAX_ATOMS or h > MAX_ATOMS:
-        raise CapacityError(
-            f"exact mixing coefficient capped at {MAX_ATOMS} atoms per partition, "
-            f"got {g} and {h}"
-        )
-    # each cell sums its outcomes in ascending order
-    joint = np.bincount(space.g * h + space.h, weights=space.probs, minlength=g * h)
-    joint = joint.reshape(g, h)
-    dev = joint - joint.sum(axis=1)[:, None] * joint.sum(axis=0)  # P(a&b) - P(a)P(b)
-    w = dev @ _union_bits(h).T  # (g, 2**h): signed contribution of each G-atom per union B
-    pos = np.maximum(w, 0.0).sum(axis=0)
-    neg = -np.minimum(w, 0.0).sum(axis=0)
-    return float(max(pos.max(), neg.max()))
+    return float(_alphas([space])[0])
 
 
 class DavydovResult(NamedTuple):
@@ -208,19 +259,93 @@ class DavydovResult(NamedTuple):
     alpha: float
 
 
-def _scaled(probs: np.ndarray, x: np.ndarray, p: float) -> tuple[np.ndarray, int, float]:
-    """``(x / 2**e, e, ||x||_p)`` with ``e`` the binary exponent of ``m = max|x|``.
+def _scaled(
+    start: np.ndarray, owner: np.ndarray, x: np.ndarray, p: float
+) -> tuple[np.ndarray, list, list, np.ndarray]:
+    """``(x / 2**e, e, m, (|x| / m)**p)`` with ``m = max|x|`` of each space
+    and ``e`` its binary exponent.
 
     Every scaled value lies in (-1, 1) and a power-of-two scale is exact, so
     a covariance of scaled values cannot overflow and scales back exactly.
-    The norm ``(E|x|**p)**(1/p)`` is scaled by ``m`` so that no power under-
-    or overflows: a huge ``p`` gives ``m`` instead of 0, and ``p = inf``
-    gives exactly ``m``."""
+    The norm ``(E|x|**p)**(1/p)`` is ``m * (E(|x|/m)**p)**(1/p)``, see
+    :func:`_norm`, so that no power under- or overflows."""
     size = np.abs(x)
-    m = float(size.max())
-    norm = 0.0 if m == 0.0 else m * float(probs @ (size / m) ** p) ** (1.0 / p)
-    e = math.frexp(m)[1]
-    return (x if e == 0 else np.ldexp(x, -e)), e, norm
+    m = np.maximum.reduceat(size, start)
+    e = np.frexp(m)[1]
+    powers = (size / np.where(m == 0.0, 1.0, m)[owner]) ** p
+    return np.ldexp(x, -e[owner]), e.tolist(), m.tolist(), powers
+
+
+def _norm(m: float, mean_power: float, p: float) -> float:
+    """``||x||_p`` from ``m = max|x|`` and ``E(|x|/m)**p``: a huge ``p`` gives
+    ``m`` instead of 0, and ``p = inf`` gives exactly ``m``."""
+    return 0.0 if m == 0.0 else m * float(mean_power) ** (1.0 / p)
+
+
+def davydov_checks(
+    spaces: Sequence[FiniteSpace], p: float, q: float, r: float
+) -> list[DavydovResult]:
+    """:func:`davydov_check` of each space, in one pass over the block.
+
+    The exponents are checked once and measurability once, on the block's
+    atoms numbered end to end; the spaces fail in order, the first space
+    that is not measurable or exceeds the atom cap naming the error.  The
+    mixing coefficients come from :func:`_alphas`, per shape, and the
+    elementwise parts (scales, powers, products) from the concatenated
+    outcomes.  The means stay one BLAS dot per space: no batched numpy
+    form adds in the same order, and the results are bit for bit those of
+    one space at a time.
+    """
+    if not all(e == math.inf or is_real(e, ">=", 1) for e in (p, q, r)):
+        raise ValidationError(f"exponents must be >= 1, got ({p}, {q}, {r})")
+    if abs(1.0 / p + 1.0 / q + 1.0 / r - 1.0) > 1e-9:
+        raise ValidationError(
+            f"exponents ({p}, {q}, {r}) are not Hoelder conjugate: "
+            f"1/p + 1/q + 1/r = {1.0/p + 1.0/q + 1.0/r}"
+        )
+    spaces = list(spaces)
+    if not spaces:
+        return []
+    start, owner = _layout(spaces)
+    xi, eta = _joined(spaces, "xi"), _joined(spaces, "eta")
+    failures = []  # (space, rank, message): xi before eta within a space
+    for rank, (name, values, labels, partition) in enumerate(
+        (("xi", xi, "g", "G"), ("eta", eta, "h", "H"))
+    ):
+        # one value per atom; an atom is constant iff all its values equal it
+        counts = np.array([getattr(space, f"n_{labels}") for space in spaces])
+        first = np.cumsum(counts) - counts
+        atoms = first[owner] + _joined(spaces, labels)
+        sample = np.empty(int(counts.sum()))
+        sample[atoms] = values
+        bad = atoms[values != sample[atoms]]
+        if bad.size:
+            lowest = bad.min()
+            s = int(np.searchsorted(first, lowest, "right")) - 1
+            failures.append((s, rank, f"{name} is not measurable: "
+                                      f"not constant on atom {lowest - first[s]} of {partition}"))
+    if failures:
+        s, _, message = min(failures)
+        _check_caps(spaces[:s])
+        raise ValidationError(message)
+    alpha = _alphas(spaces).tolist()
+    xi, e_xi, m_xi, powers_xi = _scaled(start, owner, xi, p)
+    eta, e_eta, m_eta, powers_eta = _scaled(start, owner, eta, q)
+    xi_eta = xi * eta
+    results = []
+    for s, (space, lo) in enumerate(zip(spaces, start.tolist())):
+        probs, part = space.probs, slice(lo, lo + space.probs.size)
+        cov = abs(float(probs @ xi_eta[part])
+                  - float(probs @ xi[part]) * float(probs @ eta[part]))
+        try:
+            lhs = math.ldexp(cov, e_xi[s] + e_eta[s])
+        except OverflowError:  # |Cov| itself lies past float range
+            lhs = math.inf
+        norm_xi = _norm(m_xi[s], probs @ powers_xi[part], p)
+        norm_eta = _norm(m_eta[s], probs @ powers_eta[part], q)
+        rhs = 10.0 * alpha[s] ** (1.0 / r) * norm_xi * norm_eta
+        results.append(DavydovResult(lhs=lhs, rhs=rhs, holds=lhs <= rhs + 1e-12, alpha=alpha[s]))
+    return results
 
 
 def davydov_check(space: FiniteSpace, p: float, q: float, r: float) -> DavydovResult:
@@ -231,35 +356,7 @@ def davydov_check(space: FiniteSpace, p: float, q: float, r: float) -> DavydovRe
     (constant on atoms).  Everything on the left and right is computed
     exactly on the finite space; ``holds`` allows 1e-12 absolute slack.
     """
-    if not all(e == math.inf or is_real(e, ">=", 1) for e in (p, q, r)):
-        raise ValidationError(f"exponents must be >= 1, got ({p}, {q}, {r})")
-    if abs(1.0 / p + 1.0 / q + 1.0 / r - 1.0) > 1e-9:
-        raise ValidationError(
-            f"exponents ({p}, {q}, {r}) are not Hoelder conjugate: "
-            f"1/p + 1/q + 1/r = {1.0/p + 1.0/q + 1.0/r}"
-        )
-    for name, values, labels, count, partition in (
-        ("xi", space.xi, space.g, space.n_g, "G"), ("eta", space.eta, space.h, space.n_h, "H")
-    ):
-        # one value per atom; an atom is constant iff all its values equal it
-        sample = np.empty(count)
-        sample[labels] = values
-        bad = labels[values != sample[labels]]
-        if bad.size:
-            raise ValidationError(
-                f"{name} is not measurable: not constant on atom {bad.min()} of {partition}"
-            )
-    probs = space.probs
-    xi, e_xi, norm_xi = _scaled(probs, space.xi, p)
-    eta, e_eta, norm_eta = _scaled(probs, space.eta, q)
-    cov = abs(float(probs @ (xi * eta)) - float(probs @ xi) * float(probs @ eta))
-    try:
-        lhs = math.ldexp(cov, e_xi + e_eta)
-    except OverflowError:  # |Cov| itself lies past float range
-        lhs = math.inf
-    alpha = exact_alpha(space)
-    rhs = 10.0 * alpha ** (1.0 / r) * norm_xi * norm_eta
-    return DavydovResult(lhs=lhs, rhs=rhs, holds=lhs <= rhs + 1e-12, alpha=alpha)
+    return davydov_checks([space], p, q, r)[0]
 
 
 @dataclass(frozen=True)
@@ -601,6 +698,47 @@ class AlphaLowerBound:
     pair_index: int
 
 
+def _labels(nodes: Sequence[NodeId]) -> tuple[np.ndarray, np.ndarray]:
+    return tuple(np.array([[v.j, v.k] for v in nodes], dtype=np.int64).T)
+
+
+def _separation(nodes_a: Sequence[NodeId], nodes_b: Sequence[NodeId], A: int) -> int:
+    """The least :func:`tree_distance` between a node of ``nodes_a`` and one of
+    ``nodes_b``, over all pairs at once, ``PAIR_BLOCK`` pairs at a time.
+
+    The deeper node of a pair is lifted to the other's generation in one step
+    (its ancestor ``s`` generations up has index ``(k - 1) // A**s + 1``, and
+    index 1 once ``A**s`` passes the 63-bit labels), then both sides climb
+    together until their indices meet.  The nodes are validated in the order
+    a loop over the pairs meets them, ``nodes_a[0]`` with each of
+    ``nodes_b`` first."""
+    for v in (nodes_a[0], *nodes_b, *nodes_a[1:]):
+        validate_node(v, A)
+    ja, ka = _labels(nodes_a)
+    jb, kb = _labels(nodes_b)
+    powers = [A**s for s in range(64) if A**s < MAX_LABEL]  # A**s as int64
+    top = len(powers) - 1
+    powers = np.array(powers, dtype=np.int64)
+    least = []
+    step = max(1, PAIR_BLOCK // len(jb))
+    for lo in range(0, len(ja), step):
+        gap = ja[lo:lo + step, None] - jb  # generations the first node lies below the second
+        # each side's ancestor in the shallower generation, as its index - 1
+        a, b = (np.where(s > top, 0, (k - 1) // powers[np.clip(s, 0, top)])
+                for k, s in ((ka[lo:lo + step, None], gap), (kb, -gap)))
+        climbs = np.zeros(gap.shape, dtype=np.uint64)
+        while True:
+            apart = a != b
+            if not apart.any():
+                break
+            climbs += apart
+            a //= A
+            b //= A
+        # at most 2**63 - 1 generations apart plus 2 * 63 climbs: no uint64 overflow
+        least.append(int((np.abs(gap).astype(np.uint64) + 2 * climbs).min()))
+    return min(least)
+
+
 def empirical_alpha_lower(
     field: FieldSpec, A: int, n: int, plan: AlphaSamplePlan
 ) -> AlphaLowerBound:
@@ -617,9 +755,7 @@ def empirical_alpha_lower(
     for idx, pair in enumerate(plan.pairs):
         if not pair.nodes_a or not pair.nodes_b:
             raise ValidationError(f"event pair {idx} has an empty node set")
-        d = min(
-            tree_distance(v, w, A) for v in pair.nodes_a for w in pair.nodes_b
-        )
+        d = _separation(pair.nodes_a, pair.nodes_b, A)
         if d < n:
             raise ValidationError(
                 f"event pair {idx} has node sets at distance {d} < required {n}"

@@ -1,5 +1,6 @@
 """Command-line front end: dispatch, config handling, formats, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import treebound
 from treebound import FieldSpec, Strip, Subtree, field_values, region_nodes
 from treebound import verify as verify_mod
+from treebound import cli as cli_mod
 from treebound.cli import main
 
 
@@ -181,6 +183,46 @@ def test_verify_davydov_cli(capsys):
     rows = [json.loads(line) for line in out.strip().splitlines()]
     assert len(rows) == 5
     assert all(r["holds"] for r in rows)
+
+
+# sha256 of `verify-davydov --spaces 300 --seed 5` stdout as it read before the
+# spaces were checked in blocks: 8 atoms and 64 outcomes (the defaults), and
+# 12 atoms and 128 outcomes; alpha, lhs and rhs of every space, bit for bit
+_DAVYDOV_SHA256 = {
+    (): "4b9e2cf8d2b623c1a66779322d42ae42e045a569d77b8773541fe018d6cacf05",
+    ("--max-atoms", "12", "--max-outcomes", "128"):
+        "8d79aa766320bd8632e44616022a02efbce530653cdcbdf6f2a540f82078e222",
+}
+_DAVYDOV = ["verify-davydov", "--spaces", "300", "--seed", "5"]
+
+
+@pytest.mark.parametrize("block", [1, 7, 256])
+def test_verify_davydov_stdout_pinned_for_every_block_size(capsys, monkeypatch, block):
+    monkeypatch.setattr(cli_mod, "DAVYDOV_BLOCK", block)
+    for shape, digest in _DAVYDOV_SHA256.items():
+        code, out, err = run(capsys, *_DAVYDOV, *shape)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("block", [1, 7, 256])
+def test_verify_davydov_names_the_first_space_over_the_atom_cap(capsys, monkeypatch, block):
+    # the first space over the cap is space 4 at 64 outcomes and space 10 at 128,
+    # where space 13, in the same block of 7, is over it too
+    monkeypatch.setattr(cli_mod, "DAVYDOV_BLOCK", block)
+    for outcomes, counts in (("64", "12 and 13"), ("128", "5 and 13")):
+        code, out, err = run(capsys, *_DAVYDOV, "--max-atoms", "13", "--max-outcomes", outcomes)
+        assert (code, out) == (3, "")
+        assert err == f"error: exact mixing coefficient capped at 12 atoms per partition, got {counts}\n"
+
+
+def test_verify_davydov_prints_alpha_zero_as_positive_zero(capsys):
+    # space 3 of this draw has alpha exactly 0 with a negative part of -0.0
+    code, out, _ = run(capsys, "verify-davydov", "--spaces", "12", "--seed", "3",
+                       "--max-atoms", "12", "--max-outcomes", "128")
+    assert code == 0
+    assert '"alpha": 0.0,' in out.splitlines()[3]
+    assert "-0.0" not in out
 
 
 def test_embedding_check_cli(tmp_path, capsys):

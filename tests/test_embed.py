@@ -2,6 +2,7 @@
 witnesses, and mixing transfer."""
 
 import math
+import re
 import random
 
 import numpy as np
@@ -291,3 +292,19 @@ def test_lattice_map_arrays_and_entries():
         LatticeMap(1, [1, 1], [1, 1], [[0], [1]])
     with pytest.raises(ValidationError):  # index 0 is no label
         LatticeMap(1, [0], [0], [[0]])
+
+
+@pytest.mark.parametrize("dim,points,reused", [
+    (1, [[3], [-2], [3], [-2]], (-2,)),
+    (2, [[0, 5], [-1, 7], [4, 4], [-1, 7], [0, 5], [9, 9]], (-1, 7)),
+    (2, [[2, -3], [1, 1], [0, 0], [7, 7], [2, -3]], (2, -3)),
+    (3, [[0, 0, 1], [-5, 2, 2], [1, -1, 0], [-5, 2, 1], [1, -1, 0], [-5, 2, 1], [0, 0, 1]],
+     (-5, 2, 1)),
+])
+def test_lattice_map_names_smallest_reused_point(dim, points, reused):
+    # every map reuses a point at labels that are not neighbours in label order;
+    # the message names the lexicographically smallest reused point
+    js = np.repeat(np.arange(3), [1, 2, 4])[:len(points)]
+    ks = np.array([1, 1, 2, 1, 2, 3, 4])[:len(points)]
+    with pytest.raises(ValidationError, match=f"^map is not injective: point {re.escape(str(reused))} is reused$"):
+        LatticeMap(dim, js, ks, points)

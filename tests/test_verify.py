@@ -2,6 +2,9 @@
 inequality on finite spaces, Monte Carlo tails, and sampled mixing lower
 bounds."""
 
+import math
+import random
+import re
 import tracemalloc
 
 import mpmath
@@ -24,11 +27,13 @@ from treebound import (
     binomial_lower_99,
     binomial_upper_99,
     davydov_check,
+    davydov_checks,
     empirical_alpha_lower,
     exact_alpha,
     mc_tail,
     random_finite_space,
     tail_estimates_to_jsonl,
+    tree_distance,
 )
 from treebound import verify as verify_mod
 
@@ -535,3 +540,137 @@ def test_davydov_exponents_below_one_or_nan_rejected(p, q, r):
 def test_random_finite_space_sizes_validated(kwargs):
     with pytest.raises(ValidationError):
         random_finite_space(np.random.default_rng(0), **kwargs)
+
+
+def _one_space_alpha(space):
+    """The exact coefficient of one space, in the per-space form: its own
+    joint table, deviations and union product."""
+    g, h = space.n_g, space.n_h
+    joint = np.bincount(space.g * h + space.h, weights=space.probs, minlength=g * h)
+    joint = joint.reshape(g, h)
+    dev = joint - joint.sum(axis=1)[:, None] * joint.sum(axis=0)
+    w = dev @ verify_mod._union_bits(h).T
+    pos = np.maximum(w, 0.0).sum(axis=0)
+    neg = -np.minimum(w, 0.0).sum(axis=0)
+    return float(max(pos.max(), neg.max()))
+
+
+def _full_space(rng, n_g, n_h, n):
+    """A random measurable space with exactly ``n_g`` x ``n_h`` atoms."""
+    g, h = rng.permutation(n) % n_g, rng.permutation(n) % n_h
+    probs = rng.random(n) + 1e-3
+    return FiniteSpace(probs / probs.sum(), g, h, rng.uniform(-1, 1, n_g)[g],
+                       rng.uniform(-3, 3, n_h)[h])
+
+
+def _mixed_block():
+    """Spaces of many shapes (n_g, n_h) in one shuffled block: 1 x 1 up to
+    12 x 12, six 12 x 12 spaces (more than one stacked product holds)."""
+    rng = np.random.default_rng(21)
+    spaces = [random_finite_space(rng, outcomes, atoms)
+              for atoms in (1, 2, 3, 5, 8, 12) for outcomes in (2, 9, 64, 128)
+              for _ in range(6)]
+    spaces += [_full_space(rng, 12, 12, 128) for _ in range(6)]
+    spaces += [_full_space(rng, a, b, 40) for a, b in ((1, 12), (12, 1), (7, 3), (3, 7))]
+    return [spaces[i] for i in rng.permutation(len(spaces))]
+
+
+def test_block_alphas_match_the_per_space_form(monkeypatch):
+    block = _mixed_block()
+    assert len({(s.n_g, s.n_h) for s in block}) > 40
+    want = [_one_space_alpha(space).hex() for space in block]
+    for budget in (verify_mod.ALPHA_VALUES, 1):  # stacked, and one space per product
+        monkeypatch.setattr(verify_mod, "ALPHA_VALUES", budget)
+        assert [a.hex() for a in verify_mod._alphas(block)] == want
+        assert [exact_alpha(space).hex() for space in block] == want
+
+
+@pytest.mark.parametrize("p,q,r", [(4.0, 4.0, 2.0), (3, 3, 3), (math.inf, 2.0, 2.0),
+                                   (1e308, 2.0, 2.0), (2.0, math.inf, 2.0)])
+def test_davydov_checks_block_matches_one_space_calls(p, q, r):
+    block = _mixed_block()
+    got = davydov_checks(block, p, q, r)
+    assert len(got) == len(block)
+    for space, result in zip(block, got):
+        one = davydov_check(space, p, q, r)
+        assert [x.hex() for x in result[:2] + result[3:]] == [x.hex() for x in one[:2] + one[3:]]
+        assert result.holds is one.holds is True
+
+
+def test_davydov_checks_of_no_spaces():
+    assert davydov_checks([], 4, 4, 2) == []
+    with pytest.raises(ValidationError, match="conjugate"):
+        davydov_checks([], 2, 2, 2)
+
+
+def _unmeasurable(variable):
+    """Three equal outcomes, one atom per partition on 0 and 1 joined,
+    with ``variable`` taking two values on atom 1."""
+    values = {"xi": ([1, 2, 2], [0, 0, 0]), "eta": ([0, 0, 0], [1, 2, 3])}[variable]
+    return FiniteSpace([0.25, 0.25, 0.5], [0, 1, 1], [0, 1, 1], *values)
+
+
+def test_davydov_checks_fail_at_the_first_bad_space():
+    rng = np.random.default_rng(22)
+    good = [random_finite_space(rng) for _ in range(5)]
+    wide = FiniteSpace([1 / 13] * 13, np.arange(13), [0] * 13, [0] * 13, [0] * 13)
+    both = FiniteSpace([0.25, 0.25, 0.5], [0, 1, 1], [0, 1, 1], [1, 2, 3], [0, 1, 2])
+    cases = [
+        (good + [wide] + good + [_unmeasurable("xi")], CapacityError, "got 13 and 1"),
+        (good + [_unmeasurable("eta"), wide], ValidationError,
+         "eta is not measurable: not constant on atom 1 of H"),
+        (good + [_unmeasurable("eta"), _unmeasurable("xi")], ValidationError,
+         "eta is not measurable"),
+        (good + [both], ValidationError, "xi is not measurable: not constant on atom 1 of G"),
+    ]
+    for spaces, error, message in cases:
+        with pytest.raises(error, match=message):
+            davydov_checks(spaces, 4, 4, 2)
+
+
+def test_davydov_alpha_zero_is_positive_zero():
+    # space 3 of the pinned draw: 2 x 1 atoms, every union contribution 0,
+    # the negative part -0.0
+    rng = np.random.default_rng(3)
+    spaces = [random_finite_space(rng, 128, 12) for _ in range(4)]
+    assert (spaces[3].n_g, spaces[3].n_h) == (2, 1)
+    for result in (davydov_check(spaces[3], 4, 4, 2), davydov_checks(spaces, 4, 4, 2)[3]):
+        assert result.alpha == 0.0 and math.copysign(1.0, result.alpha) == 1.0
+    assert exact_alpha(spaces[3]).hex() == "0x0.0p+0"
+
+
+def _random_nodes(rnd, A, count, low, high):
+    nodes = []
+    for _ in range(count):
+        j = rnd.randint(low, high)
+        nodes.append(NodeId(j, rnd.randint(1, min(A**j, 2**63 - 1))))
+    return nodes
+
+
+@pytest.mark.parametrize("A", [2, 3])
+@pytest.mark.parametrize("pair_block", [verify_mod.PAIR_BLOCK, 5])
+def test_alpha_lower_separation_is_the_least_tree_distance(A, pair_block, monkeypatch):
+    # generations up to 140 hold indices near the 63-bit limit, and lifts past
+    # A**s > 2**63, where the ancestor index is 1; a block of 5 pairs takes
+    # the first set a few nodes at a time
+    monkeypatch.setattr(verify_mod, "PAIR_BLOCK", pair_block)
+    rnd = random.Random(A)
+    spec = FieldSpec.independent(C=1.0, master_seed=0)
+    for low, high in ((0, 5), (0, 12), (30, 45), (55, 70), (60, 140), (0, 140)):
+        for _ in range(12):
+            nodes_a = _random_nodes(rnd, A, rnd.randint(1, 9), low, high)
+            nodes_b = _random_nodes(rnd, A, rnd.randint(1, 9), low, high)
+            if rnd.random() < 0.25:  # a shared node: distance 0
+                nodes_b.append(rnd.choice(nodes_a))
+            d = min(tree_distance(v, w, A) for v in nodes_a for w in nodes_b)
+            plan = AlphaSamplePlan(pairs=(EventPair(tuple(nodes_a), tuple(nodes_b)),))
+            message = f"event pair 0 has node sets at distance {d} < required {d + 1}"
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                empirical_alpha_lower(spec, A, d + 1, plan)
+
+
+def test_alpha_lower_names_the_first_bad_node_in_pair_order():
+    spec = FieldSpec.independent(C=1.0, master_seed=0)
+    pair = EventPair((NodeId(1, 1), NodeId(1, 7)), (NodeId(2, 1), NodeId(2, 9)))
+    with pytest.raises(ValidationError, match=r"node \(2, 9\) is out of range for rate 2"):
+        empirical_alpha_lower(spec, 2, 1, AlphaSamplePlan(pairs=(pair,)))
