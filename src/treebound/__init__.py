@@ -71,6 +71,7 @@ from .verify import (
     DavydovResult,
     EventPair,
     FiniteSpace,
+    SpaceBlock,
     StripParams,
     TailEstimate,
     binomial_lower_99,
@@ -81,6 +82,7 @@ from .verify import (
     exact_alpha,
     mc_tail,
     random_finite_space,
+    random_finite_spaces,
     tail_estimates_to_jsonl,
 )
 

@@ -40,11 +40,11 @@ from .tree import GraphSpec, parse_edge_list
 from .verify import (
     StripParams,
     TailEstimate,
-    davydov_check,  # not called here: bench/spans.py times it by this name
     davydov_checks,
     mc_tail,
-    random_finite_space,
+    random_finite_spaces,
 )
+from .verify import davydov_check, random_finite_space  # noqa: F401 (bench/spans.py times these)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -177,11 +177,11 @@ def _cmd_verify_davydov(args) -> int:
     rng = np.random.default_rng(args.seed)
     rows = []
     for start in range(0, args.spaces, DAVYDOV_BLOCK):
-        block = [random_finite_space(rng, args.max_outcomes, args.max_atoms)
-                 for _ in range(min(DAVYDOV_BLOCK, args.spaces - start))]
+        block = random_finite_spaces(rng, min(DAVYDOV_BLOCK, args.spaces - start),
+                                     args.max_outcomes, args.max_atoms)
         results = davydov_checks(block, args.p, args.q, args.r)
-        for index, (space, result) in enumerate(zip(block, results), start):
-            rows.append((index, len(space.probs), args.p, args.q, args.r,
+        for index, (size, result) in enumerate(zip(block.sizes.tolist(), results), start):
+            rows.append((index, size, args.p, args.q, args.r,
                          result.alpha, result.lhs, result.rhs, result.holds))
     names = ("space_index", "n_outcomes", "p", "q", "r", "alpha", "lhs", "rhs", "holds")
     _emit(_rows(names, rows, args.format), args.out)

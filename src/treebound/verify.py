@@ -3,11 +3,15 @@ coefficients on finite probability spaces, and sampled mixing lower bounds.
 
 The mixing coefficient between two finite partitions is computed exactly
 (the sup over all unions of atoms), which makes the covariance inequality
-testable without any estimation error.  A :class:`FiniteSpace` holds its
-outcomes as arrays, each partition as one atom label per outcome, so the
-exact path works on whole arrays.  It checks a block of spaces at once
-(:func:`davydov_checks`; :func:`davydov_check` and :func:`exact_alpha` are
-blocks of one): the outcomes of the block are laid end to end, one
+testable without any estimation error.  A :class:`SpaceBlock` holds
+spaces packed end to end, one array per field over all their outcomes, each
+partition as one atom label per outcome; a :class:`FiniteSpace` is a block
+of one.  The block checks the rules of a space once, in vector form, so
+there is one validation path.  :func:`random_finite_spaces` draws a block
+with the generator calls of one space at a time, and renumbers its atoms
+and broadcasts their values once per block; :func:`random_finite_space` is
+its block of one.  :func:`davydov_checks` checks a block at once
+(:func:`davydov_check` and :func:`exact_alpha` are blocks of one): one
 ``bincount`` gives every joint atom table, and the spaces of one shape
 ``(n_g, n_h)`` take their unions of H-atoms in one stacked product with a
 cached matrix.  The means ``E[x]`` stay one BLAS dot per space, because
@@ -55,28 +59,25 @@ from .tree import (
 )
 
 MAX_ATOMS = 12
+MAX_OUTCOMES = 1 << 12  # the most outcomes, and atoms per partition, a random space draws
 ALPHA_VALUES = 1 << 15  # the most union contributions one stacked product holds
 PAIR_BLOCK = 1 << 16  # the most node pairs one separation step holds
 MAX_WORKERS = 64  # the most threads one mc_tail call starts
 
 
 @dataclass(frozen=True, eq=False)
-class FiniteSpace:
-    """A finite probability space with two partitions and two variables.
+class SpaceBlock:
+    """Finite spaces packed end to end, one array per field over all their outcomes.
 
-    Outcome ``i`` has probability ``probs[i]``, lies in atom ``g[i]`` of the
-    partition G and atom ``h[i]`` of the partition H, and carries the values
-    ``xi[i]`` and ``eta[i]``.  The fields are read-only arrays: float64
-    ``probs``, ``xi``, ``eta`` and int64 labels ``g``, ``h`` that number the
-    atoms ``0..n_g-1`` and ``0..n_h-1``, every atom non-empty.  Every value
-    must be finite.
+    Space ``s`` holds the ``sizes[s]`` outcomes from ``start[s]`` on, and
+    ``owner[i]`` is the space of outcome ``i``.  The labels ``g`` and ``h``
+    number each space's own atoms ``0..n_g[s]-1`` and ``0..n_h[s]-1``.
+    ``sizes=None`` makes the block one space of all the outcomes.
 
-    :meth:`build` takes each partition as a list of atoms (lists of outcome
-    indices), and ``atoms_g``/``atoms_h`` give the atoms back in that form;
-    the computations work on the label arrays.  Exact computations on this
-    space (mixing coefficient, covariance inequality) need at most 12 atoms
-    per partition so that the sup over all 2**12 x 2**12 event pairs stays
-    feasible.
+    Every space must obey the rules of a :class:`FiniteSpace`, and the block
+    checks them once, in vector form: the first bad space names the error,
+    with the message a :class:`FiniteSpace` of it gives.  The fields are
+    read-only arrays.
     """
 
     probs: np.ndarray
@@ -84,8 +85,11 @@ class FiniteSpace:
     h: np.ndarray
     xi: np.ndarray
     eta: np.ndarray
-    n_g: int = field(init=False)  # the number of atoms of G
-    n_h: int = field(init=False)  # the number of atoms of H
+    sizes: Optional[np.ndarray] = None
+    n_g: np.ndarray = field(init=False)  # the number of atoms of G, per space
+    n_h: np.ndarray = field(init=False)  # the number of atoms of H, per space
+    start: np.ndarray = field(init=False, repr=False)
+    owner: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         arrays = {
@@ -102,27 +106,117 @@ class FiniteSpace:
         for name, array in arrays.items():
             if array.shape != probs.shape:
                 raise ValidationError(f"{name} must give a value for each of {n} outcomes")
-        finite = np.isfinite(np.concatenate((probs, arrays["xi"], arrays["eta"])))
-        if not finite.all():
-            name = ("probs", "xi", "eta")[np.flatnonzero(~finite)[0] // n]
-            raise ValidationError(f"{name} must be finite (no NaN or infinity)")
-        if probs.min() < 0:
-            raise ValidationError("outcome probabilities must be non-negative")
-        total = float(probs.sum())
-        if abs(total - 1.0) > 1e-12:
-            raise ValidationError(f"outcome probabilities sum to {total!r}, not 1 within 1e-12")
-        for name, partition in (("g", "G"), ("h", "H")):
+        if self.sizes is None:
+            sizes = np.array([n])
+        else:
+            sizes = np.array(self.sizes)
+            if not (sizes.ndim == 1 and sizes.size and sizes.dtype.kind in "iu"
+                    and sizes.min() >= 1 and sizes.max() <= n and sizes.sum() == n):
+                raise ValidationError(f"space sizes must be positive integers summing to {n}")
+        arrays["sizes"] = sizes = sizes.astype(np.int64, copy=False)
+        arrays["start"] = start = sizes.cumsum() - sizes
+        arrays["owner"] = owner = np.repeat(np.arange(sizes.size), sizes)
+        failures = []  # (space, rank, message): a space's rules in the order listed
+        if not np.isfinite(np.concatenate((probs, arrays["xi"], arrays["eta"]))).all():
+            for rank, name in enumerate(("probs", "xi", "eta")):
+                bad = ~np.isfinite(arrays[name])
+                if bad.any():
+                    failures.append((owner[bad.argmax()], rank,
+                                     f"{name} must be finite (no NaN or infinity)"))
+        negative = probs < 0
+        if negative.any():
+            failures.append((owner[negative.argmax()], 3,
+                             "outcome probabilities must be non-negative"))
+        # reduceat adds in another order than sum, at most 2 * size * eps of the
+        # total apart: a space it cannot clear is summed again on its own.  A
+        # space with a value that is not finite, or negative, failed above.
+        with np.errstate(over="ignore", invalid="ignore"):
+            totals = np.add.reduceat(probs, start)
+            near = abs(totals - 1.0) + sizes * totals * 2.0**-51 > 1e-12
+            for s in near.nonzero()[0].tolist():
+                total = float(probs[start[s]:start[s] + sizes[s]].sum())
+                if abs(total - 1.0) > 1e-12:
+                    failures.append((s, 4, f"outcome probabilities sum to {total!r}, "
+                                           "not 1 within 1e-12"))
+                    break
+        for rank, name, partition in ((5, "g", "G"), (7, "h", "H")):
             labels = arrays[name]
-            if labels.dtype.kind not in "iu" or not 0 <= labels.min() <= labels.max() < n:
-                raise ValidationError(f"partition {partition} needs integer labels in 0..{n - 1}")
+            if labels.dtype.kind not in "iu":
+                failures.append((0, rank, f"partition {partition} needs integer labels "
+                                          f"in 0..{sizes[0] - 1}"))
+                continue
+            high = np.maximum.reduceat(labels, start)
+            outside = high >= sizes
+            if labels.min() < 0:
+                outside |= np.minimum.reduceat(labels, start) < 0
+            if outside.any():
+                s = outside.argmax()
+                failures.append((s, rank, f"partition {partition} needs integer labels "
+                                          f"in 0..{sizes[s] - 1}"))
+                labels = np.where(outside[owner], 0, labels)  # the others stay checkable
+                high = np.where(outside, 0, high)
             labels = arrays[name] = labels.astype(np.int64, copy=False)
-            sizes = np.bincount(labels)
-            if not sizes.all():
-                raise ValidationError(f"partition {partition} contains an empty atom")
-            object.__setattr__(self, f"n_{name}", sizes.size)
+            counts = arrays[f"n_{name}"] = high.astype(np.int64) + 1
+            first = counts.cumsum() - counts
+            occupied = np.bincount(first[owner] + labels, minlength=int(first[-1] + counts[-1]))
+            if not occupied.all():
+                s = np.searchsorted(first, occupied.argmin(), "right") - 1
+                failures.append((s, rank + 1, f"partition {partition} contains an empty atom"))
+        if failures:
+            raise ValidationError(min(failures)[2])
         for name, array in arrays.items():
-            array.flags.writeable = False
+            array.setflags(write=False)
             object.__setattr__(self, name, array)
+
+    def __len__(self) -> int:
+        return self.sizes.size
+
+
+@dataclass(frozen=True, eq=False)
+class FiniteSpace:
+    """A finite probability space with two partitions and two variables.
+
+    Outcome ``i`` has probability ``probs[i]``, lies in atom ``g[i]`` of the
+    partition G and atom ``h[i]`` of the partition H, and carries the values
+    ``xi[i]`` and ``eta[i]``.  The fields are read-only arrays: float64
+    ``probs``, ``xi``, ``eta`` and int64 labels ``g``, ``h`` that number the
+    atoms ``0..n_g-1`` and ``0..n_h-1``, every atom non-empty.  Every value
+    must be finite.  The space is a :class:`SpaceBlock` of one, which checks
+    these rules and holds the arrays.
+
+    :meth:`build` takes each partition as a list of atoms (lists of outcome
+    indices), and ``atoms_g``/``atoms_h`` give the atoms back in that form;
+    the computations work on the label arrays.  Exact computations on this
+    space (mixing coefficient, covariance inequality) need at most 12 atoms
+    per partition so that the sup over all 2**12 x 2**12 event pairs stays
+    feasible.
+    """
+
+    probs: np.ndarray
+    g: np.ndarray
+    h: np.ndarray
+    xi: np.ndarray
+    eta: np.ndarray
+    n_g: int = field(init=False)  # the number of atoms of G
+    n_h: int = field(init=False)  # the number of atoms of H
+    block: SpaceBlock = field(init=False, repr=False)  # this space as a block of one
+
+    def __post_init__(self) -> None:
+        self._adopt(SpaceBlock(self.probs, self.g, self.h, self.xi, self.eta))
+
+    def _adopt(self, block: SpaceBlock) -> None:
+        for name in ("probs", "g", "h", "xi", "eta"):
+            object.__setattr__(self, name, getattr(block, name))
+        object.__setattr__(self, "n_g", int(block.n_g[0]))
+        object.__setattr__(self, "n_h", int(block.n_h[0]))
+        object.__setattr__(self, "block", block)
+
+    @classmethod
+    def _of(cls, block: SpaceBlock) -> "FiniteSpace":
+        """The space of a checked block of one, not checked again."""
+        space = object.__new__(cls)
+        space._adopt(block)
+        return space
 
     @classmethod
     def build(cls, probs, atoms_g, atoms_h, xi, eta) -> "FiniteSpace":
@@ -184,29 +278,34 @@ def _union_bits(h: int) -> np.ndarray:
     return bits
 
 
-def _check_caps(spaces: Sequence[FiniteSpace]) -> None:
-    """:class:`CapacityError` naming the first space with too many atoms."""
-    for space in spaces:
-        if space.n_g > MAX_ATOMS or space.n_h > MAX_ATOMS:
-            raise CapacityError(
-                f"exact mixing coefficient capped at {MAX_ATOMS} atoms per partition, "
-                f"got {space.n_g} and {space.n_h}"
-            )
+def _as_block(spaces: SpaceBlock | Sequence[FiniteSpace]) -> Optional[SpaceBlock]:
+    """``spaces`` as one block: a :class:`SpaceBlock` as it is, and a
+    sequence of :class:`FiniteSpace` packed end to end (``None`` if empty)."""
+    if isinstance(spaces, SpaceBlock):
+        return spaces
+    spaces = list(spaces)
+    if len(spaces) <= 1:
+        return spaces[0].block if spaces else None
+    return SpaceBlock(*(np.concatenate([getattr(space, name) for space in spaces])
+                        for name in ("probs", "g", "h", "xi", "eta")),
+                      [space.probs.size for space in spaces])
 
 
-def _layout(spaces: Sequence[FiniteSpace]) -> tuple[np.ndarray, np.ndarray]:
-    """``(start, owner)`` of the spaces' outcomes laid end to end: space ``s``
-    begins at outcome ``start[s]`` and outcome ``i`` belongs to ``owner[i]``."""
-    sizes = np.array([space.probs.size for space in spaces])
-    return np.cumsum(sizes) - sizes, np.repeat(np.arange(len(spaces)), sizes)
+def _check_caps(block: SpaceBlock, stop: Optional[int] = None) -> None:
+    """:class:`CapacityError` naming the first space (before ``stop``) with
+    too many atoms."""
+    over = np.flatnonzero((block.n_g[:stop] > MAX_ATOMS) | (block.n_h[:stop] > MAX_ATOMS))
+    if over.size:
+        s = over[0]
+        raise CapacityError(
+            f"exact mixing coefficient capped at {MAX_ATOMS} atoms per partition, "
+            f"got {block.n_g[s]} and {block.n_h[s]}"
+        )
 
 
-def _joined(spaces: Sequence[FiniteSpace], name: str) -> np.ndarray:
-    return np.concatenate([getattr(space, name) for space in spaces])
-
-
-def _alphas(spaces: Sequence[FiniteSpace]) -> np.ndarray:
-    """:func:`exact_alpha` of each space, computed per shape ``(n_g, n_h)``.
+def _alphas(spaces: SpaceBlock | Sequence[FiniteSpace]) -> np.ndarray:
+    """:func:`exact_alpha` of each space of a block (or of a list of spaces,
+    packed), computed per shape ``(n_g, n_h)``.
 
     One ``bincount`` over the block's offset cell keys gives every joint
     table, each cell summing its outcomes in ascending order.  The spaces of
@@ -214,19 +313,18 @@ def _alphas(spaces: Sequence[FiniteSpace]) -> np.ndarray:
     time, and one ``matmul`` (a BLAS product per space) takes them to the
     unions, so every value is the one a single space gets.
     """
-    _check_caps(spaces)
-    _, owner = _layout(spaces)
-    n_g = np.array([space.n_g for space in spaces])
-    n_h = np.array([space.n_h for space in spaces])
+    block = _as_block(spaces)
+    _check_caps(block)
+    owner, n_g, n_h = block.owner, block.n_g, block.n_h
     cells = n_g * n_h
     first = np.cumsum(cells) - cells
-    keys = first[owner] + _joined(spaces, "g") * n_h[owner] + _joined(spaces, "h")
-    joint = np.bincount(keys, weights=_joined(spaces, "probs"), minlength=int(cells.sum()))
+    keys = first[owner] + block.g * n_h[owner] + block.h
+    joint = np.bincount(keys, weights=block.probs, minlength=int(cells.sum()))
     shape = n_g * (MAX_ATOMS + 1) + n_h
     order = np.argsort(shape, kind="stable")
-    alpha = np.empty(len(spaces))
+    alpha = np.empty(len(block))
     for members in np.split(order, np.flatnonzero(np.diff(shape[order])) + 1):
-        g, h = spaces[members[0]].n_g, spaces[members[0]].n_h
+        g, h = int(n_g[members[0]]), int(n_h[members[0]])
         step = max(1, ALPHA_VALUES // (g << h))
         for part in (members[i:i + step] for i in range(0, members.size, step)):
             tables = joint[first[part, None] + np.arange(g * h)].reshape(-1, g, h)
@@ -247,7 +345,7 @@ def exact_alpha(space: FiniteSpace) -> float:
     positive and negative parts; this evaluates the full 2**|G| x 2**|H|
     sup exactly.  The result always lies in [0, 1/4].
     """
-    return float(_alphas([space])[0])
+    return float(_alphas(space.block)[0])
 
 
 class DavydovResult(NamedTuple):
@@ -283,18 +381,19 @@ def _norm(m: float, mean_power: float, p: float) -> float:
 
 
 def davydov_checks(
-    spaces: Sequence[FiniteSpace], p: float, q: float, r: float
+    spaces: SpaceBlock | Sequence[FiniteSpace], p: float, q: float, r: float
 ) -> list[DavydovResult]:
-    """:func:`davydov_check` of each space, in one pass over the block.
+    """:func:`davydov_check` of each space of a :class:`SpaceBlock`, or of a
+    sequence of :class:`FiniteSpace`, packed once, in one pass.
 
     The exponents are checked once and measurability once, on the block's
     atoms numbered end to end; the spaces fail in order, the first space
     that is not measurable or exceeds the atom cap naming the error.  The
     mixing coefficients come from :func:`_alphas`, per shape, and the
-    elementwise parts (scales, powers, products) from the concatenated
-    outcomes.  The means stay one BLAS dot per space: no batched numpy
-    form adds in the same order, and the results are bit for bit those of
-    one space at a time.
+    elementwise parts (scales, powers, products) from the packed outcomes.
+    The means stay one BLAS dot per space: no batched numpy form adds in the
+    same order, and the results are bit for bit those of one space at a
+    time.
     """
     if not all(e == math.inf or is_real(e, ">=", 1) for e in (p, q, r)):
         raise ValidationError(f"exponents must be >= 1, got ({p}, {q}, {r})")
@@ -303,19 +402,17 @@ def davydov_checks(
             f"exponents ({p}, {q}, {r}) are not Hoelder conjugate: "
             f"1/p + 1/q + 1/r = {1.0/p + 1.0/q + 1.0/r}"
         )
-    spaces = list(spaces)
-    if not spaces:
+    block = _as_block(spaces)
+    if block is None:
         return []
-    start, owner = _layout(spaces)
-    xi, eta = _joined(spaces, "xi"), _joined(spaces, "eta")
+    start, owner = block.start, block.owner
     failures = []  # (space, rank, message): xi before eta within a space
-    for rank, (name, values, labels, partition) in enumerate(
-        (("xi", xi, "g", "G"), ("eta", eta, "h", "H"))
+    for rank, (name, values, labels, counts, partition) in enumerate(
+        (("xi", block.xi, block.g, block.n_g, "G"), ("eta", block.eta, block.h, block.n_h, "H"))
     ):
         # one value per atom; an atom is constant iff all its values equal it
-        counts = np.array([getattr(space, f"n_{labels}") for space in spaces])
         first = np.cumsum(counts) - counts
-        atoms = first[owner] + _joined(spaces, labels)
+        atoms = first[owner] + labels
         sample = np.empty(int(counts.sum()))
         sample[atoms] = values
         bad = atoms[values != sample[atoms]]
@@ -326,15 +423,15 @@ def davydov_checks(
                                       f"not constant on atom {lowest - first[s]} of {partition}"))
     if failures:
         s, _, message = min(failures)
-        _check_caps(spaces[:s])
+        _check_caps(block, s)
         raise ValidationError(message)
-    alpha = _alphas(spaces).tolist()
-    xi, e_xi, m_xi, powers_xi = _scaled(start, owner, xi, p)
-    eta, e_eta, m_eta, powers_eta = _scaled(start, owner, eta, q)
+    alpha = _alphas(block).tolist()
+    xi, e_xi, m_xi, powers_xi = _scaled(start, owner, block.xi, p)
+    eta, e_eta, m_eta, powers_eta = _scaled(start, owner, block.eta, q)
     xi_eta = xi * eta
     results = []
-    for s, (space, lo) in enumerate(zip(spaces, start.tolist())):
-        probs, part = space.probs, slice(lo, lo + space.probs.size)
+    for s, (lo, hi) in enumerate(zip(start.tolist(), (start + block.sizes).tolist())):
+        probs, part = block.probs[lo:hi], slice(lo, hi)
         cov = abs(float(probs @ xi_eta[part])
                   - float(probs @ xi[part]) * float(probs @ eta[part]))
         try:
@@ -356,7 +453,7 @@ def davydov_check(space: FiniteSpace, p: float, q: float, r: float) -> DavydovRe
     (constant on atoms).  Everything on the left and right is computed
     exactly on the finite space; ``holds`` allows 1e-12 absolute slack.
     """
-    return davydov_checks([space], p, q, r)[0]
+    return davydov_checks(space.block, p, q, r)[0]
 
 
 @dataclass(frozen=True)
@@ -639,32 +736,77 @@ def tail_estimates_to_jsonl(estimates: Sequence[TailEstimate]) -> str:
     return "".join(json.dumps(t.as_dict(), sort_keys=False) + "\n" for t in estimates)
 
 
+def random_finite_spaces(
+    rng: np.random.Generator, count: int, max_outcomes: int = 64, max_atoms: int = 8
+) -> SpaceBlock:
+    """``count`` random spaces with measurable variables, as one block.
+
+    Each space has 2 to ``max_outcomes`` outcomes, whose probabilities are
+    normalized uniforms; each partition assigns outcomes to at most
+    ``max_atoms`` non-empty atoms; the two variables are uniform on [-1, 1)
+    per atom, broadcast to outcomes, hence exactly measurable by
+    construction.  Both sizes are capped at ``MAX_OUTCOMES``.
+
+    The spaces make the generator calls of ``count`` calls of
+    :func:`random_finite_space`, in the same order: the outcome count and
+    its uniforms, then per partition the atom count, the labels and one
+    value per atom in use.  So the block holds the same values and leaves
+    the generator in the same state.  Per space only the count of atoms in
+    use is taken, because it sets how many values are drawn; dropping the
+    empty atoms, broadcasting the values and validating happen once for the
+    block.
+    """
+    require((("count", count, 1), ("max_outcomes", max_outcomes, 2), ("max_atoms", max_atoms, 1)))
+    over = [f"{name} = {value}" for name, value in
+            (("max_outcomes", max_outcomes), ("max_atoms", max_atoms)) if value > MAX_OUTCOMES]
+    if over:
+        raise CapacityError(f"random finite spaces capped at {MAX_OUTCOMES} outcomes "
+                            f"and atoms per partition, got {' and '.join(over)}")
+    integers, random, uniform, add = rng.integers, rng.random, rng.uniform, np.add.reduce
+    sizes, totals, weights = [], [], []
+    # per partition: the atoms drawn and in use per space, the labels, the values
+    drawn, used, labels, values = ([], []), ([], []), ([], []), ([], [])
+    for _ in range(count):
+        n = int(integers(2, max_outcomes + 1))
+        x = random(n)
+        x += 1e-3
+        sizes.append(n)
+        totals.append(add(x))
+        weights.append(x)
+        for part in (0, 1):
+            n_atoms = int(integers(1, max_atoms + 1))
+            atoms = integers(0, n_atoms, size=n)
+            k = len(set(atoms.tolist()))
+            drawn[part].append(n_atoms)
+            used[part].append(k)
+            labels[part].append(atoms)
+            values[part].append(uniform(-1.0, 1.0, size=k))
+    sizes = np.array(sizes)
+    probs = np.concatenate(weights)
+    probs /= np.repeat(totals, sizes)  # each space's own sum: reduceat adds in another order
+    packed = []
+    for part in (0, 1):
+        # atom a of space s is atom first[s] + a of the block; ranking the atoms
+        # in use drops the empty ones and indexes the values drawn for them
+        n_drawn, n_used = np.array(drawn[part]), np.array(used[part])
+        atom = np.repeat(n_drawn.cumsum() - n_drawn, sizes) + np.concatenate(labels[part])
+        in_use = np.zeros(int(n_drawn.sum()), bool)
+        in_use[atom] = True
+        rank = (in_use.cumsum() - 1)[atom]
+        packed.append(rank - np.repeat(n_used.cumsum() - n_used, sizes))  # each space's labels
+        packed.append(np.concatenate(values[part])[rank])
+    g, xi, h, eta = packed
+    return SpaceBlock(probs, g, h, xi, eta, sizes)
+
+
 def random_finite_space(
     rng: np.random.Generator, max_outcomes: int = 64, max_atoms: int = 8
 ) -> FiniteSpace:
-    """A random finite space with measurable variables, for randomized checks.
-
-    Outcome probabilities are normalized uniforms; each partition assigns
-    outcomes to at most ``max_atoms`` non-empty atoms; the two variables are
-    uniform on [-1, 1] per atom, broadcast to outcomes, hence exactly
-    measurable by construction.
-    """
-    require((("max_outcomes", max_outcomes, 2), ("max_atoms", max_atoms, 1)))
-    n = int(rng.integers(2, max_outcomes + 1))
-    probs = rng.random(n) + 1e-3
-    probs /= probs.sum()
-
-    def labels_and_values() -> tuple[np.ndarray, np.ndarray]:
-        n_atoms = int(rng.integers(1, max_atoms + 1))
-        labels = rng.integers(0, n_atoms, size=n)
-        used = np.bincount(labels, minlength=n_atoms) > 0
-        labels = (used.cumsum() - 1)[labels]  # drop the empty atoms
-        atom_values = rng.uniform(-1.0, 1.0, size=np.count_nonzero(used))
-        return labels, atom_values[labels]
-
-    g, xi = labels_and_values()
-    h, eta = labels_and_values()
-    return FiniteSpace(probs, g, h, xi, eta)
+    """A random finite space with measurable variables, for randomized checks:
+    the block of one of :func:`random_finite_spaces`, which draws it (2 to
+    ``max_outcomes`` outcomes, at most ``max_atoms`` atoms per partition, the
+    variables uniform on [-1, 1) per atom)."""
+    return FiniteSpace._of(random_finite_spaces(rng, 1, max_outcomes, max_atoms))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -419,6 +420,26 @@ def test_unbounded_and_invalid_sizes_exit_cleanly(capsys, argv, code):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("flag", ["--max-outcomes", "--max-atoms"])
+@pytest.mark.parametrize("value", [10**15, 2**63, verify_mod.MAX_OUTCOMES + 1])
+def test_verify_davydov_space_sizes_past_the_cap_exit_three_at_once(capsys, flag, value):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify-davydov", "--spaces", "1", flag, str(value))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == (f"error: random finite spaces capped at {verify_mod.MAX_OUTCOMES} outcomes "
+                   f"and atoms per partition, got {flag[2:].replace('-', '_')} = {value}\n")
+
+
+def test_verify_davydov_space_sizes_at_the_cap_run(capsys):
+    cap = str(verify_mod.MAX_OUTCOMES)
+    code, out, _ = run(capsys, "verify-davydov", "--spaces", "2", "--seed", "1",
+                       "--max-outcomes", cap, "--max-atoms", "12")
+    assert code == 0 and len(out.splitlines()) == 2
+    code, _, err = run(capsys, "verify-davydov", "--spaces", "1", "--max-atoms", cap)
+    assert code == 3 and "capped at 12 atoms" in err
+
+
 _EMBED = ["embedding-check", "--rate", "2", "--layout", "row", "--depth", "3", "--kmax", "3"]
 
 
@@ -442,7 +463,8 @@ def test_count_pairs_distance_past_the_subtree_prints_zero(capsys):
 
 
 # The README grammar with extreme values.  Sizes that set how much work a run
-# does (replicates, spaces, depths, workers) only take values that fail fast.
+# does (replicates, spaces, depths, workers) only take values that fail fast;
+# the sizes of verify-davydov's spaces are capped, so they take every value.
 _BIG = str(2**63)
 _EXTREMES = ("0", "-1", _BIG, "1e154", "1e308", "1e-320", "nan", "inf", "2.5", "abc", "")
 _SMALL = tuple(v for v in _EXTREMES if v != _BIG)
@@ -472,7 +494,7 @@ _GRAMMAR = {
     "verify-davydov": [
         ("spaces", ("1", "3"), True), ("seed", (None, "3"), False), ("p", (None, "4"), False),
         ("q", (None, "4"), False), ("r", (None, "2"), False),
-        ("max-outcomes", (None, "8"), True), ("max-atoms", (None, "4"), True),
+        ("max-outcomes", (None, "8"), False), ("max-atoms", (None, "4"), False),
         ("format", (None, "json", "csv"), False)],
     "embedding-check": [
         ("rate", ("2", "3"), False), ("layout", ("row", "packed"), False),

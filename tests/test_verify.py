@@ -20,6 +20,7 @@ from treebound import (
     FiniteSpace,
     Generations,
     NodeId,
+    SpaceBlock,
     StripParams,
     Strip,
     Subtree,
@@ -32,6 +33,7 @@ from treebound import (
     exact_alpha,
     mc_tail,
     random_finite_space,
+    random_finite_spaces,
     tail_estimates_to_jsonl,
     tree_distance,
 )
@@ -637,6 +639,184 @@ def test_davydov_alpha_zero_is_positive_zero():
     for result in (davydov_check(spaces[3], 4, 4, 2), davydov_checks(spaces, 4, 4, 2)[3]):
         assert result.alpha == 0.0 and math.copysign(1.0, result.alpha) == 1.0
     assert exact_alpha(spaces[3]).hex() == "0x0.0p+0"
+
+
+def _drawn_one_at_a_time(rng, max_outcomes, max_atoms):
+    """The arrays of one random space, drawn and renumbered on their own:
+    the oracle for the block's draws."""
+    n = int(rng.integers(2, max_outcomes + 1))
+    probs = rng.random(n) + 1e-3
+    probs /= probs.sum()
+    arrays = [probs]
+    for _ in range(2):
+        n_atoms = int(rng.integers(1, max_atoms + 1))
+        labels = rng.integers(0, n_atoms, size=n)
+        used = np.bincount(labels, minlength=n_atoms) > 0
+        labels = (used.cumsum() - 1)[labels]
+        arrays += [labels, rng.uniform(-1.0, 1.0, size=np.count_nonzero(used))[labels]]
+    probs, g, xi, h, eta = arrays
+    return {"probs": probs, "g": g, "h": h, "xi": xi, "eta": eta}
+
+
+def _spaces_of(block):
+    """The arrays of each space of a block."""
+    return [{name: getattr(block, name)[lo:lo + size] for name in ("probs", "g", "h", "xi", "eta")}
+            for lo, size in zip(block.start.tolist(), block.sizes.tolist())]
+
+
+def _same_arrays(got, want):
+    return all(got[k].dtype == want[k].dtype and got[k].tobytes() == want[k].tobytes()
+               for k in want)
+
+
+@pytest.mark.parametrize("count", [1, 7, 256])
+@pytest.mark.parametrize("outcomes,atoms", [(2, 1), (64, 8), (128, 12), (40, 13)])
+def test_block_draws_what_single_draws_give(count, outcomes, atoms):
+    rng_block, rng_single, rng_oracle = (np.random.default_rng(count + outcomes) for _ in range(3))
+    block = random_finite_spaces(rng_block, count, outcomes, atoms)
+    singles = [random_finite_space(rng_single, outcomes, atoms) for _ in range(count)]
+    assert len(block) == count
+    for got, single in zip(_spaces_of(block), singles):
+        want = _drawn_one_at_a_time(rng_oracle, outcomes, atoms)
+        assert _same_arrays(got, want)
+        assert _same_arrays(vars(single), want)
+    assert block.n_g.tolist() == [space.n_g for space in singles]
+    assert block.n_h.tolist() == [space.n_h for space in singles]
+    state = rng_block.bit_generator.state
+    assert state == rng_single.bit_generator.state == rng_oracle.bit_generator.state
+
+
+@pytest.mark.parametrize("outcomes,atoms", [(verify_mod.MAX_OUTCOMES + 1, 8), (64, 2**63),
+                                            (10**15, 10**15)])
+def test_random_spaces_past_the_cap_refused_before_any_draw(outcomes, atoms):
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    for draw in (lambda: random_finite_spaces(rng, 3, outcomes, atoms),
+                 lambda: random_finite_space(rng, outcomes, atoms)):
+        with pytest.raises(CapacityError, match=f"capped at {verify_mod.MAX_OUTCOMES} outcomes"):
+            draw()
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("count", [0, -1, 2.0, True])
+def test_random_spaces_count_validated(count):
+    with pytest.raises(ValidationError, match="count"):
+        random_finite_spaces(np.random.default_rng(0), count)
+
+
+def _space(**change):
+    arrays = {"probs": [0.25, 0.25, 0.5], "g": [0, 1, 1], "h": [0, 0, 1],
+              "xi": [1.0, -1.0, -1.0], "eta": [2.0, 2.0, 0.0]}
+    return {**arrays, **change}
+
+
+# one bad space per rule, with its message; _LATER breaks rules listed earlier
+_SUM = float(np.sum([0.25, 0.25, 0.5 + 1e-9]))
+_BAD_SPACES = {
+    "nan probability": (_space(probs=[0.25, float("nan"), 0.5]),
+                        "probs must be finite (no NaN or infinity)"),
+    "opposite infinite probabilities": (_space(probs=[float("inf"), float("-inf"), 0.5]),
+                                        "probs must be finite (no NaN or infinity)"),
+    "huge probabilities": (_space(probs=[1e308, 1e308, 0.5]),
+                           "outcome probabilities sum to inf, not 1 within 1e-12"),
+    "infinite xi": (_space(xi=[1.0, -1.0, float("inf")]), "xi must be finite (no NaN or infinity)"),
+    "negative probability": (_space(probs=[0.75, -0.25, 0.5]),
+                             "outcome probabilities must be non-negative"),
+    "sum off by 1e-9": (_space(probs=[0.25, 0.25, 0.5 + 1e-9]),
+                        f"outcome probabilities sum to {_SUM!r}, not 1 within 1e-12"),
+    "label out of range": (_space(g=[0, 3, 1]), "partition G needs integer labels in 0..2"),
+    "negative label": (_space(h=[0, -1, 1]), "partition H needs integer labels in 0..2"),
+    "uint64 label past int64": (_space(g=np.array([0, 2**63, 1], np.uint64)),
+                                "partition G needs integer labels in 0..2"),
+    "empty atom": (_space(h=[0, 0, 2]), "partition H contains an empty atom"),
+    "empty atom and bad H label": (_space(g=[2, 2, 0], h=[0, 5, 0]),
+                                   "partition G contains an empty atom"),
+}
+_LATER = _space(probs=[float("nan"), 0.5, 0.5], g=[0, 0, 2], h=[9, 0, 0])
+
+
+def _packed(spaces):
+    """The spaces as one block; non-negative labels keep a uint64 space's dtype."""
+    arrays = {name: [np.asarray(space[name]) for space in spaces]
+              for name in ("probs", "g", "h", "xi", "eta")}
+    for name in ("g", "h"):
+        if any(array.dtype == np.uint64 for array in arrays[name]):
+            arrays[name] = [array.astype(np.uint64) for array in arrays[name]]
+    return SpaceBlock(**{name: np.concatenate(parts) for name, parts in arrays.items()},
+                      sizes=[len(space["probs"]) for space in spaces])
+
+
+@pytest.mark.parametrize("bad,message", _BAD_SPACES.values(), ids=_BAD_SPACES)
+@pytest.mark.parametrize("k", [0, 1, 5])
+def test_a_space_and_a_block_share_one_validation_rule(bad, message, k):
+    # the bad space alone, and as space k of a block where later spaces are bad too
+    good = _spaces_of(random_finite_spaces(np.random.default_rng(k), k, 9, 3)) if k else []
+    for make in (lambda: FiniteSpace(**bad), lambda: SpaceBlock(**bad),
+                 lambda: _packed(good + [bad, _LATER, bad])):
+        with pytest.raises(ValidationError) as error:
+            make()
+        assert str(error.value) == message
+
+
+def test_block_sums_follow_the_rule_of_one_sum_per_space():
+    # totals within a few ulps of 1 +- 1e-12, where the order of the additions
+    # decides, and spaces long enough that the block's own sums cannot clear
+    # them; the rule: the space's probs.sum() lies within 1e-12 of 1
+    rng = np.random.default_rng(5)
+    verdicts = set()
+    for n in (2, 3, 7, 16, 33, 3000, 9000):
+        for offset in [0.0] + [edge + j * 2.0**-52 for edge in (-1e-12, 1e-12)
+                               for j in range(-4, 5) for _ in range(4)]:
+            probs = rng.random(n)
+            probs *= (1.0 + offset) / probs.sum()
+            total = float(probs.sum())
+            verdict = (f"outcome probabilities sum to {total!r}, not 1 within 1e-12"
+                       if abs(total - 1.0) > 1e-12 else "probs must be finite")
+            verdicts.add(verdict)
+            space = _space(probs=probs, g=np.zeros(n, int), h=np.zeros(n, int),
+                           xi=np.zeros(n), eta=np.zeros(n))
+            for k in (0, 3):  # the space first, and after three good ones
+                with pytest.raises(ValidationError, match=re.escape(verdict)):
+                    _packed([_space()] * k + [space, _LATER])
+    assert len(verdicts) > 10
+
+
+@pytest.mark.parametrize("sizes", [[2], [3, 2], [3, 0, 3], [7, -1], [2.0, 4.0], [[2, 4]], []])
+def test_block_sizes_validated(sizes):
+    arrays = {name: np.tile(value, 2) for name, value in _space().items()}
+    SpaceBlock(**arrays, sizes=[3, 3])
+    with pytest.raises(ValidationError, match="space sizes must be positive integers summing to 6"):
+        SpaceBlock(**arrays, sizes=sizes)
+
+
+@pytest.mark.parametrize("dtype,n", [(np.int8, 128), (np.uint8, 256), (np.uint64, 5)])
+def test_narrow_label_dtypes_count_every_atom(dtype, n):
+    space = FiniteSpace(np.full(n, 1.0 / n), np.arange(n, dtype=dtype), np.zeros(n, dtype),
+                        np.arange(n), np.zeros(n))
+    assert (space.n_g, space.n_h) == (n, 1)
+    assert space.g.dtype == np.int64 and space.g.tolist() == list(range(n))
+
+
+def test_block_is_read_only_and_keeps_the_callers_arrays():
+    space = _space()
+    arrays = {name: np.array(value) for name, value in space.items()}
+    block = SpaceBlock(**arrays, sizes=[3])
+    for name in ("probs", "g", "h", "xi", "eta", "sizes", "start", "owner", "n_g", "n_h"):
+        assert not getattr(block, name).flags.writeable
+    assert all(array.flags.writeable for array in arrays.values())
+    assert (block.n_g.tolist(), block.n_h.tolist()) == ([2], [2])
+
+
+@pytest.mark.parametrize("p,q,r", [(4.0, 4.0, 2.0), (3, 3, 3), (math.inf, 2.0, 2.0)])
+def test_davydov_checks_of_a_drawn_block_and_of_its_spaces_agree(p, q, r):
+    rng_block, rng_single = np.random.default_rng(31), np.random.default_rng(31)
+    block = random_finite_spaces(rng_block, 60, 128, 12)
+    spaces = [random_finite_space(rng_single, 128, 12) for _ in range(60)]
+    got, want = davydov_checks(block, p, q, r), davydov_checks(spaces, p, q, r)
+    assert [(x.lhs.hex(), x.rhs.hex(), x.holds, x.alpha.hex()) for x in got] == \
+        [(x.lhs.hex(), x.rhs.hex(), x.holds, x.alpha.hex()) for x in want]
+    assert [a.hex() for a in verify_mod._alphas(block)] == \
+        [exact_alpha(space).hex() for space in spaces]
 
 
 def _random_nodes(rnd, A, count, low, high):
