@@ -28,11 +28,15 @@ the autoregression over parent indices) and into the support's weights
 has an l1 norm of at most ``C (1 + 1e-12)``, which bounds every value for
 innovations in [-1, 1].  :func:`field_values` and :func:`sample_field` map
 replicates through ``M`` and check every value against ``C``;
-:func:`region_sums` and :func:`node_sums` build no value: a sum is ``w . U``,
-taken in blocks of at most ``BLOCK_VALUES`` hashed innovations, each checked
-to lie in [-1, 1).  Their peak memory is about that many float64 values per
-calling thread plus the support arrays, whatever the replicate count.  No
-innovation bit changes, so the guarantee holds.
+:func:`region_sums` and :func:`node_sums` build no value: a sum is ``w . U``.
+They hash the node keys once per call.  Then, one tile of whole rows (at most
+``BLOCK_VALUES`` = 2**16 innovations) at a time, they hash, check to lie in
+[-1, 1), weight and sum in place in a uint64 tile buffer, with a second as the
+hash's scratch, both allocated once per call.  Their peak memory is those two
+buffers (512 KiB each) per calling thread plus the support arrays, whatever
+the replicate count.  The tile stays in cache through those passes, and is
+large enough that handing over the GIL on every numpy call does not serialize
+worker threads.  No innovation bit changes, so the guarantee holds.
 Regions enter as the int64 labels of ``tree.region_arrays``, and
 :func:`sample_field` returns ``(js, ks, values)`` in that label-sorted order.
 """
@@ -49,7 +53,7 @@ from .errors import AmplitudeError, ValidationError, float_in_range, is_real, re
 from .tree import NodeId, Region, ball_arrays, region_arrays, validate_node
 
 AR_TABLE_HORIZON = 64
-BLOCK_VALUES = 1 << 19  # hashed values per region_sums block: 4 MiB of float64
+BLOCK_VALUES = 1 << 16  # hashed values per tile: 512 KiB of uint64, cache resident
 
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
@@ -60,27 +64,46 @@ _C_IDX = np.uint64(0x8EBC6AF09C88C6E3)
 _INV_2_52 = 1.0 / (1 << 52)  # 2 * 2**-53: maps the top 53 bits onto [0, 2) exactly
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """The SplitMix64 finalizer, applied to ``x`` in place."""
-    tmp = np.empty_like(x)
+def _mix64(x: np.ndarray, tmp: Optional[np.ndarray] = None) -> np.ndarray:
+    """The SplitMix64 finalizer, applied to ``x`` in place; ``tmp`` is scratch
+    of ``x``'s shape, allocated if not given."""
+    tmp = np.empty_like(x) if tmp is None else tmp
     for shift, mult in ((30, _M1), (27, _M2)):
         np.bitwise_xor(x, np.right_shift(x, shift, out=tmp), out=x)
         np.multiply(x, mult, out=x)
     return np.bitwise_xor(x, np.right_shift(x, 31, out=tmp), out=x)
 
 
+def _keys(
+    seed: int, reps: np.ndarray, js: np.ndarray, ks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The replicate keys (seed folded in) and the node keys whose xor, mixed
+    once more, is the hash of (seed, replicate, node)."""
+    s = _mix64(np.array([seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64) ^ _C_SEED)
+    r = _mix64(s ^ _mix64(reps.astype(np.uint64) ^ _C_REP))
+    return r, _mix64(_mix64(js.astype(np.uint64) ^ _C_GEN) ^ _mix64(ks.astype(np.uint64) ^ _C_IDX))
+
+
+def _hash_tile(r: np.ndarray, n: np.ndarray, h: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Fill the uint64 buffer ``h`` of shape (len(r), len(n)) with the
+    innovations of replicate keys ``r`` and node keys ``n``, in place, and
+    return its float64 view; ``tmp`` is scratch of the same shape."""
+    h = _mix64(np.bitwise_xor(r[:, None], n, out=h), tmp)
+    u = np.multiply(np.right_shift(h, 11, out=h), _INV_2_52, out=h.view(np.float64))
+    u -= 1.0
+    return u
+
+
 def _innovations(seed: int, reps: np.ndarray, js: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """Uniform [-1, 1) innovations keyed on (seed, replicate, node), shape
     (len(reps), len(js)), C-contiguous; a pure function of its inputs."""
-    s = _mix64(np.array([seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64) ^ _C_SEED)
-    r = _mix64(s ^ _mix64(reps.astype(np.uint64) ^ _C_REP))
-    n = _mix64(_mix64(js.astype(np.uint64) ^ _C_GEN) ^ _mix64(ks.astype(np.uint64) ^ _C_IDX))
+    r, n = _keys(seed, reps, js, ks)
     out = np.empty((len(r), len(n)), dtype=np.uint64)
-    step = max(1, (1 << 15) // max(len(n), 1))  # blocks of about 32k values stay in cache
-    for start in range(0, len(r), step):
-        h = _mix64(np.bitwise_xor(r[start : start + step, None], n, out=out[start : start + step]))
-        u = np.multiply(np.right_shift(h, 11, out=h), _INV_2_52, out=h.view(np.float64))
-        u -= 1.0
+    rows = max(1, BLOCK_VALUES // max(len(n), 1))
+    tmp = np.empty((min(rows, len(r)), len(n)), dtype=np.uint64)
+    for start in range(0, len(r), rows):  # whole-row tiles stay in cache through the mix
+        h = out[start : start + rows]
+        _hash_tile(r[start : start + rows], n, h, tmp[: len(h)])
     return out.view(np.float64)
 
 
@@ -307,21 +330,25 @@ def sample_field(
 
 def _sums(spec: FieldSpec, js: np.ndarray, ks: np.ndarray, A: int,
           replicates: Sequence[int], chunk: int = 512) -> np.ndarray:
-    """``w . U`` per replicate at targets ``(js, ks)``, in blocks of at most
-    ``chunk`` replicates and ``BLOCK_VALUES`` hashed values."""
+    """``w . U`` per replicate at targets ``(js, ks)``, in tiles of at most
+    ``chunk`` replicates and ``BLOCK_VALUES`` hashed values, each reduced in
+    a buffer allocated once per call."""
     reps = _replicate_ids(replicates)
     field = _compile(spec, js, ks, A)
+    r, n = _keys(spec.master_seed, reps, *field.support)
     out = np.empty(len(reps), dtype=np.float64)
     rows = max(1, min(chunk, BLOCK_VALUES // max(field.width, 1)))
-    for start in range(0, len(reps), rows):
-        u = _innovations(spec.master_seed, reps[start : start + rows], *field.support)
+    h = np.empty((min(rows, len(reps)), field.width), dtype=np.uint64)
+    tmp = np.empty_like(h)
+    for start in range(0, len(reps), rows):  # hash, check, weight and sum one cached tile
+        stop = min(start + rows, len(reps))
+        u = _hash_tile(r[start:stop], n, h[: stop - start], tmp[: stop - start])
         if u.size and not (-1.0 <= u.min() and u.max() < 1.0):
             raise AmplitudeError(
                 f"an innovation lies outside [-1, 1), so the amplitude bound C = {spec.C!r} fails"
             )
-        u *= field.weights  # not u @ w: BLAS bits would depend on the block's size
-        out[start : start + rows] = u.sum(axis=1)
-        del u  # else the next block is hashed while this one is still held
+        u *= field.weights  # not u @ w: BLAS bits would depend on the tile's size
+        u.sum(axis=1, out=out[start:stop])
     return out
 
 
@@ -335,14 +362,15 @@ def region_sums(
     """``sum_v Z_v`` over ``region`` for each replicate, in blocks of bounded memory.
 
     The sum is ``w . U``: one weight per support node, ``w = M^T 1``, so no
-    value is built.  A block holds at most ``chunk`` replicates and at most
+    value is built.  A tile holds at most ``chunk`` replicates and at most
     ``BLOCK_VALUES`` hashed values (one row of the support if that alone is
-    wider), so peak memory is about ``BLOCK_VALUES`` float64 values plus the
-    support arrays, whatever the replicate count.  Block boundaries do not
-    affect the result: each replicate's sum is a row-wise reduction of
-    innovations that depend only on (seed, replicate, node).  It agrees with
-    the sum of :func:`field_values` to rounding (bit for bit for the
-    independent field).
+    wider).  It is hashed, checked, weighted and summed in place in a uint64
+    tile buffer, with a second as the hash's scratch, both allocated once per
+    call, so peak memory is those two buffers plus the support arrays,
+    whatever the replicate count.  Tile boundaries do not affect the result:
+    each replicate's sum is a row-wise reduction of innovations that depend
+    only on (seed, replicate, node).  It agrees with the sum of
+    :func:`field_values` to rounding (bit for bit for the independent field).
     """
     require((("chunk", chunk, 1),))
     return _sums(spec, *region_arrays(region, A), A, replicates, chunk)

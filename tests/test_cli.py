@@ -126,6 +126,17 @@ def test_mc_tail_exit_zero_and_worker_bytes(tmp_path, capsys):
     assert all(r["certified"] for r in rows)
 
 
+@pytest.mark.parametrize("field", ["independent", "m_dependent(1)", "branching_ar(0.5)"])
+def test_mc_tail_stdout_is_the_same_at_every_worker_count(capsys, field):
+    # 1001 replicates fill no whole number of tiles (64 rows of 1023 nodes, 32 of
+    # the m-dependent field's 2047 support nodes), whole or split 2 or 3 ways
+    base = ["mc-tail", "--rate", "2", "--region", "generations(10)", "--field", field,
+            "--C", "1", "--epsilons", "0.01,0.02,0.05", "--replicates", "1001", "--seed", "9"]
+    runs = [run(capsys, *base, "--workers", str(w)) for w in (1, 2, 3)]
+    assert [code for code, _, _ in runs] == [0, 0, 0]
+    assert runs[0][1] and runs[1][1] == runs[0][1] and runs[2][1] == runs[0][1]
+
+
 @pytest.mark.parametrize("eps", ["800", "1600"])
 def test_mc_tail_zero_exceedances_is_no_violation(capsys, eps):
     # 32 * 7 = 224 nodes with |Z| <= 1, so |sum| <= 224 < eps: the tail is 0,

@@ -306,15 +306,56 @@ def test_region_sums_memory_is_bounded_by_block_values(spec):
     assert peak < 16 * 2**20
 
 
+def test_independent_region_sums_memory_is_two_tiles():
+    # two 512 KiB tile buffers plus the 16383-node support arrays: about 2.1 MiB
+    tracemalloc.start()
+    try:
+        region_sums(_KINDS[0], Generations(14), 2, range(512))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
+
+
+def _reference_sums(spec, js, ks, A, reps):
+    """``w . U`` from the whole innovation matrix, summed row by row."""
+    field = _fields._compile(spec, js, ks, A)
+    ids = np.array(reps, dtype=np.uint64)
+    u = _fields._innovations(spec.master_seed, ids, *field.support)
+    return (u * field.weights).sum(axis=1)
+
+
+@pytest.mark.parametrize("spec", _KINDS, ids=lambda spec: spec.kind)
+def test_fused_sums_match_the_whole_matrix_reference_bit_for_bit(spec, monkeypatch):
+    reps, default = range(3, 44), _fields.BLOCK_VALUES
+    for region, A in ((Generations(6), 3), (Strip(2, 3), 2), (Subtree(2, 3, 3), 3)):
+        js, ks = region_arrays(region, A)
+        nodes = list(region_nodes(region, A))
+        want = _reference_sums(spec, js, ks, A, reps)
+        width = _fields._compile(spec, js, ks, A).width
+        for budget in (1, width - 1, width, 2 * width + 1, default):
+            monkeypatch.setattr(_fields, "BLOCK_VALUES", budget)
+            for chunk in (1, 7, 512):
+                assert np.array_equal(region_sums(spec, region, A, reps, chunk=chunk), want)
+            assert np.array_equal(node_sums(spec, nodes, A, reps), want)
+    monkeypatch.setattr(_fields, "BLOCK_VALUES", default)
+    # a support wider than a tile: one replicate per tile
+    spec = FieldSpec.m_dependent(1, C=0.9, master_seed=34)
+    js, ks = region_arrays(Generations(16), 2)
+    assert _fields._compile(spec, js, ks, 2).width > default
+    want = _reference_sums(spec, js, ks, 2, range(5))
+    assert np.array_equal(region_sums(spec, Generations(16), 2, range(5)), want)
+
+
 @pytest.mark.parametrize("spec", _KINDS, ids=lambda spec: spec.kind)
 def test_region_sums_blocks_narrower_than_the_support(spec, monkeypatch):
-    hash_rows, innovations = [], _fields._innovations
+    hash_rows, hash_tile = [], _fields._hash_tile
 
-    def counted(seed, reps, js, ks):
-        hash_rows.append(len(reps))
-        return innovations(seed, reps, js, ks)
+    def counted(r, n, h, tmp):
+        hash_rows.append(len(r))
+        return hash_tile(r, n, h, tmp)
 
-    monkeypatch.setattr(_fields, "_innovations", counted)
+    monkeypatch.setattr(_fields, "_hash_tile", counted)
     reps, default = range(41), _fields.BLOCK_VALUES
     for region in (Generations(6), Strip(2, 3), Subtree(2, 3, 3)):
         monkeypatch.setattr(_fields, "BLOCK_VALUES", default)
@@ -389,10 +430,10 @@ def test_a_map_row_with_l1_norm_above_C_raises_before_hashing(monkeypatch):
     field_values(spec, nodes, 2, range(2))  # within the rounding allowance
     monkeypatch.setattr(_fields, "_ball_means", inflated(1 + 2e-12))
 
-    def no_hash(seed, reps, js, ks):
+    def no_hash(r, n, h, tmp):
         raise AssertionError("innovations hashed before the map was checked")
 
-    monkeypatch.setattr(_fields, "_innovations", no_hash)
+    monkeypatch.setattr(_fields, "_hash_tile", no_hash)
     tampered = FieldSpec.branching_ar(0.5, C=1.0, master_seed=41)
     object.__setattr__(tampered, "a", 1.25)  # |a| > 1: row norms grow with depth
     for bad in (spec, tampered):
@@ -438,9 +479,12 @@ def test_out_of_range_labels_raise_validation_error():
 
 
 def test_amplitude_guard_raises_library_error(monkeypatch, capsys):
-    monkeypatch.setattr(
-        _fields, "_innovations", lambda seed, reps, js, ks: np.full((len(reps), len(js)), 1.5)
-    )
+    def out_of_range(r, n, h, tmp):
+        u = h.view(np.float64)
+        u.fill(1.5)
+        return u
+
+    monkeypatch.setattr(_fields, "_hash_tile", out_of_range)
     for spec in (
         FieldSpec.independent(C=1.0),
         FieldSpec.m_dependent(1, C=1.0),
