@@ -44,7 +44,6 @@ from .verify import (
     mc_tail,
     random_finite_spaces,
 )
-from .verify import davydov_check, random_finite_space  # noqa: F401 (bench/spans.py times these)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1

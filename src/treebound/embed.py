@@ -37,6 +37,7 @@ from .tree import (
     check_rate,
     graph_distance,
     region_arrays,
+    tree_distances,
 )
 
 Point = tuple[int, ...]
@@ -182,13 +183,9 @@ def refutation_witness(
             raise ValidationError(f"map is not generation-closed up to {k}")
         first = (size - 1) // (A - 1)
         block = m.points[first : first + size]
-        scales = A ** np.arange(1, k, dtype=np.int64)
         for a in range(size - 1):
-            # 0-based indices a < b differ s levels up iff b >= (a // A**s + 1) * A**s,
-            # and d_T = 2 * (1 + the number of levels s in 1..k-1 where they differ)
-            b = np.arange(a + 1, size)
-            apart = np.searchsorted((a // scales + 1) * scales, b, side="right")
-            far = np.abs(block[a + 1 :] - block[a]).max(axis=1) > C * (2 * (apart + 1))
+            d_t = tree_distances(k, a + 1, k, np.arange(a + 2, size + 1), A)
+            far = np.abs(block[a + 1 :] - block[a]).max(axis=1) > C * d_t
             if far.any():
                 return (k, NodeId(k, a + 1), NodeId(k, a + 2 + int(np.argmax(far))))
     return None

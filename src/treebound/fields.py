@@ -50,7 +50,7 @@ import numpy as np
 
 from .bounds import MixingEnvelope
 from .errors import AmplitudeError, ValidationError, float_in_range, is_real, require
-from .tree import NodeId, Region, ball_arrays, region_arrays, validate_node
+from .tree import NodeId, Region, ball_arrays, node_labels, region_arrays
 
 AR_TABLE_HORIZON = 64
 BLOCK_VALUES = 1 << 16  # hashed values per tile: 512 KiB of uint64, cache resident
@@ -301,13 +301,6 @@ def _replicate_ids(replicates: Sequence[int]) -> np.ndarray:
     return np.array(ids, dtype=np.uint64)
 
 
-def _node_labels(nodes: Sequence[NodeId], A: int) -> tuple[np.ndarray, np.ndarray]:
-    """The int64 labels ``(js, ks)`` of ``nodes``, each checked against rate ``A``."""
-    for v in nodes:
-        validate_node(v, A)
-    return np.array([(v.j, v.k) for v in nodes], dtype=np.int64).reshape(-1, 2).T
-
-
 def field_values(
     spec: FieldSpec, nodes: Sequence[NodeId], A: int, replicates: Sequence[int]
 ) -> np.ndarray:
@@ -316,7 +309,7 @@ def field_values(
     Deterministic given (master_seed, replicate, node); independent of the
     order in which replicates are batched.
     """
-    return _compile(spec, *_node_labels(nodes, A), A).sample(_replicate_ids(replicates))
+    return _compile(spec, *node_labels(nodes, A), A).sample(_replicate_ids(replicates))
 
 
 def sample_field(
@@ -329,15 +322,15 @@ def sample_field(
 
 
 def _sums(spec: FieldSpec, js: np.ndarray, ks: np.ndarray, A: int,
-          replicates: Sequence[int], chunk: int = 512) -> np.ndarray:
+          replicates: Sequence[int]) -> np.ndarray:
     """``w . U`` per replicate at targets ``(js, ks)``, in tiles of at most
-    ``chunk`` replicates and ``BLOCK_VALUES`` hashed values, each reduced in
-    a buffer allocated once per call."""
+    ``BLOCK_VALUES`` hashed values (one row if that alone is wider), each
+    reduced in a buffer allocated once per call."""
     reps = _replicate_ids(replicates)
     field = _compile(spec, js, ks, A)
     r, n = _keys(spec.master_seed, reps, *field.support)
     out = np.empty(len(reps), dtype=np.float64)
-    rows = max(1, min(chunk, BLOCK_VALUES // max(field.width, 1)))
+    rows = max(1, BLOCK_VALUES // max(field.width, 1))
     h = np.empty((min(rows, len(reps)), field.width), dtype=np.uint64)
     tmp = np.empty_like(h)
     for start in range(0, len(reps), rows):  # hash, check, weight and sum one cached tile
@@ -357,23 +350,21 @@ def region_sums(
     region: Region,
     A: int,
     replicates: Sequence[int],
-    chunk: int = 512,
 ) -> np.ndarray:
     """``sum_v Z_v`` over ``region`` for each replicate, in blocks of bounded memory.
 
     The sum is ``w . U``: one weight per support node, ``w = M^T 1``, so no
-    value is built.  A tile holds at most ``chunk`` replicates and at most
-    ``BLOCK_VALUES`` hashed values (one row of the support if that alone is
-    wider).  It is hashed, checked, weighted and summed in place in a uint64
-    tile buffer, with a second as the hash's scratch, both allocated once per
-    call, so peak memory is those two buffers plus the support arrays,
+    value is built.  A tile holds whole rows, at most ``BLOCK_VALUES``
+    hashed values (one row of the support if that alone is wider).  It is
+    hashed, checked, weighted and summed in place in a uint64 tile buffer,
+    with a second as the hash's scratch, both allocated once per call, so
+    peak memory is those two buffers plus the support arrays,
     whatever the replicate count.  Tile boundaries do not affect the result:
     each replicate's sum is a row-wise reduction of innovations that depend
     only on (seed, replicate, node).  It agrees with the sum of
     :func:`field_values` to rounding (bit for bit for the independent field).
     """
-    require((("chunk", chunk, 1),))
-    return _sums(spec, *region_arrays(region, A), A, replicates, chunk)
+    return _sums(spec, *region_arrays(region, A), A, replicates)
 
 
 def node_sums(
@@ -381,7 +372,7 @@ def node_sums(
 ) -> np.ndarray:
     """``sum_v Z_v`` over ``nodes`` (a repeated node counts each time) for each
     replicate, computed as :func:`region_sums` computes a region's."""
-    return _sums(spec, *_node_labels(nodes, A), A, replicates)
+    return _sums(spec, *node_labels(nodes, A), A, replicates)
 
 
 def field_to_csv(sample: tuple[np.ndarray, np.ndarray, np.ndarray]) -> str:

@@ -4,9 +4,14 @@ A rate-A tree is the infinite rooted tree in which every node has exactly
 ``A`` children.  Nodes are addressed by (generation, index) labels:
 generation ``j`` holds the indices ``1 .. A**j``, the root is ``(0, 1)``
 and the children of ``(j, k)`` are ``(j+1, A*(k-1)+1) .. (j+1, A*k)``.
-Everything works on labels directly (ancestors are reached by index
-arithmetic), so a node at generation 60 is as cheap to handle as the root;
-only region iterators materialize node sets, and those are capped.
+Everything works on labels directly (an ancestor any number of generations
+up is one index division), so a node at generation 2**62 is as cheap to
+handle as the root; only region iterators materialize node sets, and those
+are capped.
+
+Tree distance has one array implementation, :func:`tree_distances`, which
+the separation checks, refutation scans and graph distances share;
+:func:`tree_distance` is its pure-int scalar reference.
 
 A :class:`GraphSpec` is a rate-A tree plus a finite set of extra edges
 whose tree-span is bounded.  Graph distances route shortest paths through
@@ -18,7 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from functools import lru_cache
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -90,41 +96,80 @@ def children(v: NodeId, A: int) -> list[NodeId]:
     return [NodeId(v.j + 1, base + t) for t in range(1, A + 1)]
 
 
+def _lift(k: int, A: int, steps: int) -> int:
+    """Index of the ancestor ``steps`` generations above index ``k``: 1 once
+    ``A**steps`` passes every 63-bit index."""
+    return (k - 1) // A**steps + 1 if steps < 63 else 1
+
+
 def ancestor(v: NodeId, A: int, steps: int) -> NodeId:
     """Ancestor of ``v`` exactly ``steps`` generations up (0 = v itself)."""
     validate_node(v, A)
     require((("steps", steps, 0, v.j + 1),))
-    j, k = v.j, v.k
-    for _ in range(steps):
-        k = (k + A - 1) // A
-        j -= 1
-    return NodeId(j, k)
+    return NodeId(v.j - steps, _lift(v.k, A, steps))
 
 
 def tree_distance(v: NodeId, w: NodeId, A: int) -> int:
     """Number of edges on the unique tree path between ``v`` and ``w``.
 
-    Computed as depth(v) + depth(w) - 2*depth(lca) where the lowest common
-    ancestor is found by lifting the deeper node, one parent step at a time.
+    Computed as depth(v) + depth(w) - 2*depth(lca): the deeper node is lifted
+    to the other's generation in one step, then both climb together, at most
+    63 times, until their indices meet.
     """
     validate_node(v, A)
     validate_node(w, A)
-    jv, kv = v.j, v.k
-    jw, kw = w.j, w.k
-    dist = 0
-    while jv > jw:
-        kv = (kv + A - 1) // A
-        jv -= 1
-        dist += 1
-    while jw > jv:
-        kw = (kw + A - 1) // A
-        jw -= 1
-        dist += 1
+    (jv, kv), (jw, kw) = sorted(((v.j, v.k), (w.j, w.k)), reverse=True)
+    kv = _lift(kv, A, jv - jw)
+    dist = jv - jw
     while kv != kw:
         kv = (kv + A - 1) // A
         kw = (kw + A - 1) // A
         dist += 2
     return dist
+
+
+@lru_cache(maxsize=None)
+def _powers(A: int) -> np.ndarray:
+    """``A**s`` as int64 for every ``s`` with ``A**s`` below ``2**63``."""
+    powers = np.array([A**s for s in range(63) if A**s < MAX_LABEL], dtype=np.int64)
+    powers.flags.writeable = False
+    return powers
+
+
+def tree_distances(ja, ka, jb, kb, A: int) -> np.ndarray:
+    """Tree distances (uint64) between nodes ``(ja, ka)`` and ``(jb, kb)``,
+    given as int64 label arrays that broadcast together; labels are not
+    validated.
+
+    The deeper node of a pair is lifted to the other's generation in one
+    step, as :func:`tree_distance` lifts it, then both sides climb together
+    until their indices meet.  At most ``2**63 - 1`` generations apart plus
+    ``2 * 63`` climbs: no uint64 overflow.
+    """
+    ja, ka, jb, kb = np.broadcast_arrays(*(np.asarray(x, dtype=np.int64) for x in (ja, ka, jb, kb)))
+    gap = ja - jb  # generations the first node lies below the second
+    powers = _powers(A)
+    top = len(powers) - 1
+    # each side's ancestor in the shallower generation, as its index - 1, in an array of its own
+    a, b = (np.where(s > top, 0, (k - 1) // powers[np.clip(s, 0, top)])
+            for k, s in ((ka, gap), (kb, -gap)))
+    climbs = np.zeros(gap.shape, dtype=np.uint64)
+    while True:
+        apart = a != b
+        if not apart.any():
+            break
+        climbs += apart
+        a //= A
+        b //= A
+    return np.abs(gap).astype(np.uint64) + 2 * climbs
+
+
+def node_labels(nodes: Sequence[NodeId], A: int) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 labels ``(js, ks)`` of ``nodes``, each checked against rate ``A``
+    in order."""
+    for v in nodes:
+        validate_node(v, A)
+    return tuple(np.array([(v.j, v.k) for v in nodes], dtype=np.int64).reshape(-1, 2).T)
 
 
 def ball_arrays(
@@ -213,28 +258,16 @@ def graph_distance(g: GraphSpec, v: NodeId, w: NodeId) -> int:
         return 0
     if not g.extra_edges:
         return tree_distance(v, w, g.A)
-
-    terminals: list[NodeId] = [v, w]
-    index = {v: 0}
-    if w not in index:
-        index[w] = 1
-    else:
-        terminals = [v]
+    # each terminal once: repeats would grow the cubic Floyd-Warshall loop below
+    index: dict[NodeId, int] = {}
+    for t in (v, w, *(t for edge in g.extra_edges for t in edge)):
+        index.setdefault(t, len(index))
+    js, ks = np.array([(t.j, t.k) for t in index], dtype=np.int64).T
+    # exact ints: a sum of two distances can pass 2**64
+    dist = tree_distances(js[:, None], ks[:, None], js, ks, g.A).tolist()
+    n = len(dist)
     for a, b in g.extra_edges:
-        for t in (a, b):
-            if t not in index:
-                index[t] = len(terminals)
-                terminals.append(t)
-    n = len(terminals)
-    dist = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = tree_distance(terminals[i], terminals[j], g.A)
-            dist[i][j] = dist[j][i] = d
-    for a, b in g.extra_edges:
-        ia, ib = index[a], index[b]
-        if dist[ia][ib] > 1:
-            dist[ia][ib] = dist[ib][ia] = 1
+        dist[index[a]][index[b]] = dist[index[b]][index[a]] = 1
     for mid in range(n):
         via = dist[mid]
         for i in range(n):

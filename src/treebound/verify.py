@@ -54,8 +54,8 @@ from .bounds import (
 from .errors import CapacityError, ValidationError, float_in_range, is_real, require
 from .fields import FieldSpec, field_certificate, node_sums, region_sums
 from .tree import (
-    MAX_LABEL, Generations, NodeId, Region, Strip, check_node_cap, region_node_count,
-    validate_node,
+    Generations, NodeId, Region, Strip, check_node_cap, node_labels, region_node_count,
+    tree_distances, validate_node,
 )
 
 MAX_ATOMS = 12
@@ -840,45 +840,18 @@ class AlphaLowerBound:
     pair_index: int
 
 
-def _labels(nodes: Sequence[NodeId]) -> tuple[np.ndarray, np.ndarray]:
-    return tuple(np.array([[v.j, v.k] for v in nodes], dtype=np.int64).T)
-
-
 def _separation(nodes_a: Sequence[NodeId], nodes_b: Sequence[NodeId], A: int) -> int:
     """The least :func:`tree_distance` between a node of ``nodes_a`` and one of
     ``nodes_b``, over all pairs at once, ``PAIR_BLOCK`` pairs at a time.
 
-    The deeper node of a pair is lifted to the other's generation in one step
-    (its ancestor ``s`` generations up has index ``(k - 1) // A**s + 1``, and
-    index 1 once ``A**s`` passes the 63-bit labels), then both sides climb
-    together until their indices meet.  The nodes are validated in the order
-    a loop over the pairs meets them, ``nodes_a[0]`` with each of
-    ``nodes_b`` first."""
-    for v in (nodes_a[0], *nodes_b, *nodes_a[1:]):
-        validate_node(v, A)
-    ja, ka = _labels(nodes_a)
-    jb, kb = _labels(nodes_b)
-    powers = [A**s for s in range(64) if A**s < MAX_LABEL]  # A**s as int64
-    top = len(powers) - 1
-    powers = np.array(powers, dtype=np.int64)
-    least = []
+    The nodes are validated in the order a loop over the pairs meets them,
+    ``nodes_a[0]`` with each of ``nodes_b`` first."""
+    validate_node(nodes_a[0], A)
+    jb, kb = node_labels(nodes_b, A)
+    ja, ka = node_labels(nodes_a, A)
     step = max(1, PAIR_BLOCK // len(jb))
-    for lo in range(0, len(ja), step):
-        gap = ja[lo:lo + step, None] - jb  # generations the first node lies below the second
-        # each side's ancestor in the shallower generation, as its index - 1
-        a, b = (np.where(s > top, 0, (k - 1) // powers[np.clip(s, 0, top)])
-                for k, s in ((ka[lo:lo + step, None], gap), (kb, -gap)))
-        climbs = np.zeros(gap.shape, dtype=np.uint64)
-        while True:
-            apart = a != b
-            if not apart.any():
-                break
-            climbs += apart
-            a //= A
-            b //= A
-        # at most 2**63 - 1 generations apart plus 2 * 63 climbs: no uint64 overflow
-        least.append(int((np.abs(gap).astype(np.uint64) + 2 * climbs).min()))
-    return min(least)
+    return min(int(tree_distances(ja[lo:lo + step, None], ka[lo:lo + step, None], jb, kb, A).min())
+               for lo in range(0, len(ja), step))
 
 
 def empirical_alpha_lower(

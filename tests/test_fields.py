@@ -127,7 +127,7 @@ def _assert_sums_of(spec, sums, values):
 def test_region_sums_matches_per_node_values():
     spec = FieldSpec.branching_ar(0.3, C=1.0, master_seed=12)
     region = Strip(2, 2)
-    sums = region_sums(spec, region, 2, range(50), chunk=7)
+    sums = region_sums(spec, region, 2, range(50))
     _assert_sums_of(spec, sums, field_values(spec, list(region_nodes(region, 2)), 2, range(50)))
 
 
@@ -276,17 +276,6 @@ def test_unsorted_duplicate_nodes_match_single_node_calls():
             assert np.array_equal(together[:, i], field_values(spec, [v], 2, range(6))[:, 0])
 
 
-def test_region_sums_do_not_depend_on_chunk_size():
-    for spec in (
-        FieldSpec.independent(C=1.0, master_seed=31),
-        FieldSpec.m_dependent(1, C=1.0, master_seed=31),
-        FieldSpec.branching_ar(0.8, C=1.0, master_seed=31),
-    ):
-        for region in (Generations(6), Strip(2, 3), Subtree(2, 3, 3)):
-            sums = [region_sums(spec, region, 3, range(40), chunk=c) for c in (1, 7, 512)]
-            assert np.array_equal(sums[0], sums[1]) and np.array_equal(sums[0], sums[2])
-
-
 _KINDS = (
     FieldSpec.independent(C=1.0, master_seed=32),
     FieldSpec.m_dependent(1, C=1.0, master_seed=32),
@@ -335,8 +324,7 @@ def test_fused_sums_match_the_whole_matrix_reference_bit_for_bit(spec, monkeypat
         width = _fields._compile(spec, js, ks, A).width
         for budget in (1, width - 1, width, 2 * width + 1, default):
             monkeypatch.setattr(_fields, "BLOCK_VALUES", budget)
-            for chunk in (1, 7, 512):
-                assert np.array_equal(region_sums(spec, region, A, reps, chunk=chunk), want)
+            assert np.array_equal(region_sums(spec, region, A, reps), want)
             assert np.array_equal(node_sums(spec, nodes, A, reps), want)
     monkeypatch.setattr(_fields, "BLOCK_VALUES", default)
     # a support wider than a tile: one replicate per tile

@@ -36,7 +36,6 @@ from treebound import (
     region_arrays,
     region_node_count,
     region_nodes,
-    region_sums,
     sample_field,
     total_ordered_pairs,
 )
@@ -91,8 +90,6 @@ _CALLS = {
        for side in "ab" for value in (math.nan, math.inf, "0.5", True)},
     "fit-L": lambda: asymptotic_fit([(2.5, -0.5)] + _FIT, 1.0),
     "fit-log-bound": lambda: asymptotic_fit(_FIT + [(64, math.nan)], 1.0),
-    "region_sums-chunk-zero": lambda: region_sums(_SPEC, Strip(2, 2), 2, range(10), chunk=0),
-    "region_sums-chunk-float": lambda: region_sums(_SPEC, Strip(2, 2), 2, range(10), chunk=2.0),
     "finite_space-probs-str": lambda: FiniteSpace.build(
         ["a", 0.5], [[0], [1]], [[0], [1]], [1, -1], [1, -1]),
     "finite_space-xi-str": lambda: FiniteSpace(

@@ -1,10 +1,16 @@
 """Tree geometry: labeling, navigation, distances, regions."""
 
+import os
 import random
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import treebound
 from treebound import (
     CapacityError,
     Generations,
@@ -13,6 +19,7 @@ from treebound import (
     Strip,
     Subtree,
     ValidationError,
+    ancestor,
     children,
     graph_distance,
     parent,
@@ -22,6 +29,7 @@ from treebound import (
     region_nodes,
     tree_distance,
 )
+from treebound.tree import tree_distances
 
 
 def _random_node(rnd, A, max_gen=20):
@@ -120,6 +128,82 @@ def test_tree_distance_metric_axioms():
         assert duv == tree_distance(v, u, A)
         assert (duv == 0) == (u == v)
         assert duv <= tree_distance(u, w, A) + tree_distance(w, v, A)
+
+
+def _label_pairs(rnd, A, count):
+    """Random node pairs over generations 0..140, a quarter of the nodes at the
+    top of their generation's indices (near 2**63 from generation 63 on for
+    A = 2), plus some pairs of a node with itself."""
+    nodes = []
+    for _ in range(2 * count):
+        j = rnd.randint(0, 140)
+        top = min(A**j, 2**63 - 1)
+        k = rnd.randint(max(1, top - 1000), top) if rnd.random() < 0.25 else rnd.randint(1, top)
+        nodes.append(NodeId(j, k))
+    pairs = list(zip(nodes[::2], nodes[1::2]))
+    pairs += [(v, v) for v in nodes[:count // 8]]
+    return pairs
+
+
+@pytest.mark.parametrize("A", [2, 3])
+def test_tree_distances_match_the_scalar_reference(A):
+    rnd = random.Random(10 + A)
+    pairs = _label_pairs(rnd, A, 400)
+    ja, ka, jb, kb = (np.array(x, dtype=np.int64)
+                      for x in zip(*((v.j, v.k, w.j, w.k) for v, w in pairs)))
+    want = [tree_distance(v, w, A) for v, w in pairs]
+    got = tree_distances(ja, ka, jb, kb, A)  # elementwise
+    assert got.dtype == np.uint64 and got.tolist() == want
+    # pairwise by broadcasting a column against a row
+    head = slice(0, 40)
+    grid = tree_distances(ja[head, None], ka[head, None], jb[head], kb[head], A)
+    nodes_a, nodes_b = [v for v, _ in pairs[head]], [w for _, w in pairs[head]]
+    assert grid.tolist() == [[tree_distance(v, w, A) for w in nodes_b] for v in nodes_a]
+    # 0-d labels, alone and against an array
+    v, w = pairs[0]
+    zero = tree_distances(v.j, v.k, w.j, w.k, A)
+    assert zero.shape == () and int(zero) == tree_distance(v, w, A)
+    assert tree_distances(v.j, v.k, jb, kb, A).tolist() == [tree_distance(v, x, A) for _, x in pairs]
+    # no pairs: an empty result, not an error
+    empty = np.empty(0, dtype=np.int64)
+    assert tree_distances(empty, empty, jb[:, None], kb[:, None], A).shape == (len(pairs), 0)
+    assert tree_distances(empty, empty, empty, empty, A).shape == (0,)
+
+
+@pytest.mark.parametrize("A", [2, 3])
+def test_ancestor_is_repeated_parent(A):
+    rnd = random.Random(20 + A)
+    for v, _ in _label_pairs(rnd, A, 100):
+        steps = rnd.randint(0, min(v.j, 70))
+        up = v
+        for _ in range(steps):
+            up = parent(up, A)
+        assert ancestor(v, A, steps) == up
+
+
+def test_deep_labels_lift_in_one_step(tmp_path):
+    # a climb of one generation at a time never ends at these depths: the child
+    # interpreter's timeout fails the test instead of stalling the suite
+    edges = tmp_path / "edges.txt"
+    edges.write_text(f"0 1 {2**62} 1\n")
+    probe = f"""
+from treebound import GraphSpec, NodeId, ROOT, ancestor, graph_distance, tree_distance
+from treebound.cli import main
+assert tree_distance(NodeId(40_000_000, 1), ROOT, 2) == 40_000_000
+assert ancestor(NodeId(30_000_000, 1), 2, 30_000_000) == ROOT
+assert ancestor(NodeId(2**63 - 1, 2), 3, 2**63 - 2) == NodeId(1, 1)
+assert GraphSpec(2, [(ROOT, NodeId(2**62, 1))]).span == 2**62
+deep, near = NodeId(2**63 - 1, 1), NodeId(1, 2)
+assert tree_distance(deep, near, 2) == 2**63
+assert graph_distance(GraphSpec(2, [(NodeId(2, 1), NodeId(2, 4))]), deep, near) == 2**63 - 1
+assert main(["embedding-check", "--rate", "2", "--layout", "row", "--depth", "3",
+             "--kmax", "3", "--constant", "8", "--edges", {str(edges)!r}]) == 0
+"""
+    src = str(Path(treebound.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_graph_distance_without_extra_edges():
