@@ -1,5 +1,6 @@
 """Field generation: moments, dependence structure, determinism, certificates."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -513,3 +514,116 @@ def test_replicate_ids_at_the_uint64_ends():
     assert got.tolist() == want
     assert sample_field(spec, Subtree(1, 2, 1), 2, 2**64 - 1)[2].tolist() == want[2:]
     assert region_sums(spec, Subtree(1, 2, 1), 2, reps).tolist() == want
+
+
+# --- the hash tile against a pure-Python inverse of the finalizer -----------
+
+
+def _unshift_ref(y, shift):
+    """The x with ``x ^ (x >> shift) == y``."""
+    x = y
+    for _ in range(64 // shift):
+        x = y ^ (x >> shift)
+    return x
+
+
+def _unmix64_ref(h):
+    """The x with ``_mix64_ref(x) == h``."""
+    x = _unshift_ref(h, 31)
+    x = _unshift_ref((x * pow(0x94D049BB133111EB, -1, 1 << 64)) & _MASK, 27)
+    return _unshift_ref((x * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & _MASK, 30)
+
+
+def _fold_ref(x):
+    return x ^ (x >> 30)
+
+
+# tile hashes at the ends of the float map and at the sign bit of an int64 view
+_HASH_ENDS = (0, 2**11 - 1, 2**63 - 1, 2**63, 2**64 - 2**11, 2**64 - 1)
+
+
+def test_hash_tile_maps_the_hash_ends_exactly():
+    r0 = [_mix64_ref(3), _mix64_ref(2**64 - 9)]
+    n0 = [_unmix64_ref(h) ^ r0[0] for h in _HASH_ENDS]
+    r = np.array([_fold_ref(x) for x in r0], dtype=np.uint64)
+    n = np.array([_fold_ref(x) for x in n0], dtype=np.uint64)
+    h = np.empty((2, len(n)), dtype=np.uint64)
+    got = _fields._hash_tile(r, n, h, np.empty_like(h)).tolist()
+    assert got[0] == [2.0 * ((x >> 11) * 2.0**-53) - 1.0 for x in _HASH_ENDS]
+    assert got[0] == [-1.0, -1.0, -(2.0**-52), 0.0, 1 - 2.0**-52, 1 - 2.0**-52]
+    # the second replicate key checks the folding against the unfolded hash
+    assert got[1] == [2.0 * ((_mix64_ref(r0[1] ^ x) >> 11) * 2.0**-53) - 1.0 for x in n0]
+
+
+def test_a_full_tile_of_random_keys_matches_the_reference():
+    rng = np.random.default_rng(17)
+    js = rng.integers(0, 63, 4095)
+    ks = np.array([int(rng.integers(1, 2**j, endpoint=True)) for j in js.tolist()])
+    reps = rng.integers(0, 2**64 - 1, 4, dtype=np.uint64, endpoint=True)
+    r, n = _fields._keys(2**64 - 3, reps, js, ks)
+    h = np.empty((len(r), len(n)), dtype=np.uint64)
+    got = _fields._hash_tile(r, n, h, np.empty_like(h))
+    want = [
+        [_innovation_ref(2**64 - 3, rep, j, k) for j, k in zip(js.tolist(), ks.tolist())]
+        for rep in reps.tolist()
+    ]
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("spec", _KINDS, ids=lambda spec: spec.kind)
+def test_region_sums_match_the_pure_python_oracle_bit_for_bit(spec):
+    reps = [0, 1, 2**40, 2**64 - 1]
+    js, ks = region_arrays(Generations(6), 3)
+    field = _fields._compile(spec, js, ks, 3)
+    support = list(zip(*(array.tolist() for array in field.support)))
+    oracle = np.array(
+        [[_innovation_ref(spec.master_seed, rep, j, k) for j, k in support] for rep in reps]
+    )
+    want = (oracle * field.weights).sum(axis=1)
+    assert np.array_equal(region_sums(spec, Generations(6), 3, reps), want)
+
+
+def test_hash_tile_allocates_no_tile_sized_buffer():
+    # 577 KiB with a uint64 -> float64 multiply, 512 KiB with a cast onto h's own memory
+    r, n = _fields._keys(1, np.arange(16, dtype=np.uint64), np.full(4096, 12), np.arange(1, 4097))
+    h = np.empty((16, 4096), dtype=np.uint64)
+    assert h.size == _fields.BLOCK_VALUES
+    tmp = np.empty_like(h)
+    _fields._hash_tile(r, n, h, tmp)
+    tracemalloc.start()
+    try:
+        _fields._hash_tile(r, n, h, tmp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**10
+
+
+def _csv_ref(sample):
+    rows = zip(*(array.tolist() for array in sample))
+    return "j,k,value\n" + "".join(f"{j},{k},{value!r}\n" for j, k, value in rows)
+
+
+def test_field_csv_matches_the_row_by_row_format():
+    for spec in _KINDS:
+        sample = sample_field(spec, Strip(3, 4), 3, 5)
+        assert field_to_csv(sample) == _csv_ref(sample)
+    empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
+    assert field_to_csv(empty) == _csv_ref(empty) == "j,k,value\n"
+
+
+# sha256 of ``simulate`` stdout, generations(16), seed 17
+_SIMULATE_PINS = {
+    "independent": "c3aafceb51d8e57bce826c44a3ff0b491038583b3d8d15827a2487111e2da9f5",
+    "m_dependent(1)": "416115da40d909d7f1b74866a5b0506efa68c91c358e540eed70b81657ace212",
+    "branching_ar(0.8)": "462e1c0ec5a6fa99b579629f93b4e606b93ea73bdd7f6653cc33ce21e8b523e8",
+}
+
+
+@pytest.mark.parametrize("field", sorted(_SIMULATE_PINS))
+def test_simulate_csv_bytes_are_pinned(field, capsys):
+    argv = ["simulate", "--rate", "2", "--C", "1", "--region", "generations(16)",
+            "--field", field, "--seed", "17", "--format", "csv"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _SIMULATE_PINS[field]
