@@ -48,6 +48,14 @@ allocates no tile-sized temporary.  No innovation bit changes, so the
 guarantee holds.  Regions enter as the int64 labels of
 ``tree.region_arrays``, and :func:`sample_field` returns ``(js, ks, values)``
 in that label-sorted order.
+
+The m-dependent map comes from ``tree.ball_arrays``, which builds each ball
+from contiguous index ranges, one per generation, and emits the balls row by
+row with their members ascending: already the (row, column) order of a CSR
+mat-vec.  So :func:`_ball_means` sorts once, over member labels, to rank the
+support, and frees each entry-sized temporary after its last use.
+:func:`field_to_csv` formats ``CSV_ROWS`` rows per ``%`` format, so only one
+chunk's Python objects are alive beside the text.
 """
 
 from __future__ import annotations
@@ -63,6 +71,7 @@ from .tree import NodeId, Region, ball_arrays, node_labels, region_arrays
 
 AR_TABLE_HORIZON = 64
 BLOCK_VALUES = 1 << 16  # hashed values per tile: 512 KiB of uint64, cache resident
+CSV_ROWS = 4096  # rows per % format in field_to_csv
 
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
@@ -244,18 +253,32 @@ def _compile(spec: FieldSpec, js: np.ndarray, ks: np.ndarray, A: int) -> _Compil
 def _ball_means(js: np.ndarray, ks: np.ndarray, A: int, m: int, C: float):
     """Entry ``C/|ball(v)|`` at each node of the radius-``m`` ball of target ``v``.
 
-    The entries are kept in (row, column) order, the order in which a CSR
-    mat-vec adds them, so one ``bincount`` per replicate gives its bits."""
+    The entries are in (row, column) order, the order in which a CSR mat-vec
+    adds them, so one ``bincount`` per replicate gives its bits.
+    :func:`ball_arrays` emits them in that order already: its rows ascend and
+    each ball's members ascend in ``(j, k)``, as do their support columns.  So
+    the one sort is the one over member labels that ranks the support, and
+    each entry-sized temporary is dropped as soon as it has been used."""
     rows, member_j, member_k = ball_arrays(js, ks, A, m)
     order = np.lexsort((member_k, member_j))
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (np.diff(member_j[order]) != 0) | (np.diff(member_k[order]) != 0)
+    first = np.empty(len(order), dtype=bool)
+    first[0] = True
+    sorted_j = member_j[order]
+    del member_j
+    np.not_equal(sorted_j[1:], sorted_j[:-1], out=first[1:])
+    sorted_k = member_k[order]
+    del member_k
+    first[1:] |= sorted_k[1:] != sorted_k[:-1]
+    support = sorted_j[first], sorted_k[first]
+    del sorted_j, sorted_k
+    ranks = np.cumsum(first)
+    ranks -= 1
+    del first
     cols = np.empty(len(order), dtype=np.intp)
-    cols[order] = np.cumsum(first) - 1
-    entries = np.lexsort((cols, rows))
-    rows, cols = rows[entries], cols[entries]
+    cols[order] = ranks
+    del order, ranks
     data = (C / np.bincount(rows))[rows]
-    n, width = len(js), int(first.sum())
+    n, width = len(js), len(support[0])
 
     def apply(u: np.ndarray) -> np.ndarray:
         out = np.empty((len(u), n))
@@ -263,7 +286,6 @@ def _ball_means(js: np.ndarray, ks: np.ndarray, A: int, m: int, C: float):
             row[:] = np.bincount(rows, weights=data * innovations[cols], minlength=n)
         return out
 
-    support = member_j[order][first], member_k[order][first]
     norms = np.bincount(rows, weights=data, minlength=n)
     return support, apply, norms, np.bincount(cols, weights=data, minlength=width)
 
@@ -407,8 +429,14 @@ def node_sums(
 
 
 def field_to_csv(sample: tuple[np.ndarray, np.ndarray, np.ndarray]) -> str:
-    """Debug dump of a :func:`sample_field` result as CSV lines ``j,k,value``."""
-    rows = len(sample[2])
-    flat = [None] * (3 * rows)  # j, k, value interleaved: one % format for all rows
-    flat[0::3], flat[1::3], flat[2::3] = (array.tolist() for array in sample)
-    return "j,k,value\n" + ("%d,%d,%r\n" * rows) % tuple(flat)
+    """Debug dump of a :func:`sample_field` result as CSV lines ``j,k,value``.
+
+    Rows are formatted ``CSV_ROWS`` at a time, so the Python objects of one
+    chunk, not of the whole sample, are alive beside the text."""
+    chunks = ["j,k,value\n"]
+    for start in range(0, len(sample[2]), CSV_ROWS):
+        part = [array[start : start + CSV_ROWS].tolist() for array in sample]
+        flat = [None] * (3 * len(part[2]))  # j, k, value interleaved: one % format per chunk
+        flat[0::3], flat[1::3], flat[2::3] = part
+        chunks.append(("%d,%d,%r\n" * len(part[2])) % tuple(flat))
+    return "".join(chunks)

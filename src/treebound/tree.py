@@ -32,6 +32,7 @@ from .errors import CapacityError, ValidationError, is_integer, require
 
 MAX_LABEL = 1 << 63          # generation and index must stay below 63 usable bits
 DEFAULT_NODE_CAP = 1 << 26   # hard stop for materialized regions
+BALL_ENTRY_CAP = 1 << 28     # ball members in all: the radius-1 balls of that many nodes at A = 2
 
 
 @dataclass(frozen=True, order=True, slots=True, init=False)
@@ -172,35 +173,77 @@ def node_labels(nodes: Sequence[NodeId], A: int) -> tuple[np.ndarray, np.ndarray
     return tuple(np.array([(v.j, v.k) for v in nodes], dtype=np.int64).reshape(-1, 2).T)
 
 
+def _ball_size(j: int, A: int, m: int) -> int:
+    """Exact node count of a radius-``m`` ball around a generation-``j`` node
+    (the same for every ``j >= m``)."""
+    return sum(A ** (min((m - d) // 2, j) + d) for d in range(-min(j, m), m + 1))
+
+
 def ball_arrays(
     js: np.ndarray, ks: np.ndarray, A: int, m: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every node within tree distance ``m`` of each node ``(js[i], ks[i])``,
-    as ``(i, j, k)`` arrays with no repeats within a ball.
+    as ``(i, j, k)`` arrays with no repeats within a ball, row-major: ``i``
+    ascends, and each ball's members ascend in ``(j, k)``.
 
-    A ball member lies ``up`` steps above its center and then ``down`` steps
-    into that ancestor's subtree, outside the branch the walk came up
-    through.  Raises :class:`ValidationError` when a ball would need labels
-    past the 63-bit range, as :func:`children` does.
+    A ball's members in generation ``j + d`` (``-m <= d <= m``) are one
+    contiguous index range: with ``up = min((m - d) // 2, j)``, they are the
+    descendants, ``up + d`` generations down, of the center's ancestor ``up``
+    generations up.  For a center ``(j, k)`` that ancestor's index is
+    ``K = (k - 1) // A**up + 1`` and the range is the ``A**(up + d)`` indices
+    from ``(K - 1) * A**(up + d) + 1``.  Emitting each ball's ranges with ``d``
+    ascending gives the order above.
+
+    Raises :class:`ValidationError` when a ball would need labels past the
+    63-bit range, as :func:`children` does, and :class:`CapacityError`,
+    before any array of members is built, when the balls hold more than
+    ``BALL_ENTRY_CAP`` members in all.
     """
-    if len(js) and (int(js.max()) + m >= MAX_LABEL or int(ks.max()) * A**m >= MAX_LABEL):
+    if not len(js):
+        return tuple(np.empty(0, dtype=np.int64) for _ in range(3))
+    # m >= 63 puts A**m past every label without computing it
+    if m >= 63 or int(js.max()) + m >= MAX_LABEL or int(ks.max()) * A**m >= MAX_LABEL:
         raise ValidationError(f"radius-{m} balls of these nodes overflow the 63-bit label range")
-    members = []
-    center, anc_j, anc_k, skip = np.arange(len(js)), js, ks, None
-    for up in range(m + 1):
-        for down in range(m - up + 1):
-            offsets = np.arange(A**down)
-            k = (anc_k[:, None] - 1) * A**down + 1 + offsets
-            if up and down:
-                keep = offsets // A ** (down - 1) != skip[:, None]
-            else:
-                keep = np.ones(k.shape, dtype=bool)
-            grid = np.broadcast_arrays(center[:, None], anc_j[:, None] + down, k)
-            members.append(np.stack(grid)[:, keep])
-        lift = anc_j > 0
-        center, anc_j = center[lift], anc_j[lift] - 1
-        skip, anc_k = (anc_k[lift] - 1) % A, (anc_k[lift] - 1) // A + 1
-    return tuple(np.concatenate(members, axis=1))
+    clipped = np.minimum(js, m)  # every generation from m on has balls of one size
+    centers = np.bincount(clipped, minlength=m + 1).tolist()
+    sizes = [_ball_size(j, A, m) if count else 0 for j, count in enumerate(centers)]
+    total = sum(count * size for count, size in zip(centers, sizes))
+    if total > BALL_ENTRY_CAP:
+        raise CapacityError(
+            f"radius-{m} balls of {len(js)} nodes hold {total} members, "
+            f"exceeding the cap of {BALL_ENTRY_CAP}"
+        )
+    powers = _powers(A)  # A**m < 2**63 by the label check, so every exponent below is in it
+    # one range per (center, d) in generation j + d >= 0, row-major: d ascends in a row
+    row, d = np.nonzero(js[:, None] + np.arange(-m, m + 1) >= 0)
+    d -= m
+    j = js[row]
+    up = np.minimum((m - d) // 2, j)
+    j += d  # the range's generation
+    d += up  # its depth below the ancestor
+    lo = ks[row]
+    del row
+    lo -= 1
+    lo //= powers[up]
+    del up
+    count = powers[d]
+    del d
+    lo *= count
+    lo += 1  # the range's first index
+    # each index is one more than the last, except at a range's first member
+    member_k = np.ones(total, dtype=np.int64)
+    member_k[0] = lo[0]
+    step = np.diff(lo)
+    del lo
+    step -= count[:-1]
+    step += 1
+    member_k[np.cumsum(count[:-1])] = step
+    del step
+    np.cumsum(member_k, out=member_k)
+    member_j = np.repeat(j, count)
+    del j, count
+    rows = np.repeat(np.arange(len(js)), np.array(sizes, dtype=np.int64)[clipped])
+    return rows, member_j, member_k
 
 
 def _is_tree_edge(a: NodeId, b: NodeId, A: int) -> bool:

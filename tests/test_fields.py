@@ -2,11 +2,16 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import treebound
 from treebound import (
     AmplitudeError,
     FieldSpec,
@@ -627,3 +632,124 @@ def test_simulate_csv_bytes_are_pinned(field, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == _SIMULATE_PINS[field]
+
+
+# --- ball ranges, one sort, bounded memory -------------------------------
+
+
+def _unsorted_repeats(A, rnd):
+    """Node labels in random order, with repeats, generations 0..7."""
+    js = rnd.integers(0, 8, 40)
+    ks = np.array([rnd.integers(1, A**j + 1) for j in js.tolist()], dtype=np.int64)
+    pick = rnd.integers(0, len(js), 70)
+    return js[pick].astype(np.int64), ks[pick]
+
+
+@pytest.mark.parametrize("A", [2, 3])
+def test_ball_arrays_are_row_major(A):
+    for m in (1, 2, 3):
+        repeats = _unsorted_repeats(A, np.random.default_rng(50 + m))
+        for js, ks in [region_arrays(region, A) for region in _REGIONS] + [repeats]:
+            rows, mj, mk = ball_arrays(js, ks, A, m)
+            assert np.array_equal(np.unique(rows), np.arange(len(js)))
+            assert np.all(np.diff(rows) >= 0)
+            same = rows[1:] == rows[:-1]
+            later = (mj[1:] > mj[:-1]) | ((mj[1:] == mj[:-1]) & (mk[1:] > mk[:-1]))
+            assert np.all(later[same])  # strictly ascending (j, k) within each ball
+
+
+@pytest.mark.parametrize("A", [2, 3])
+def test_m_dependent_compile_on_unsorted_repeats_matches_the_csr_oracle(A):
+    reps = np.arange(4, dtype=np.uint64)
+    for m in (1, 2, 3):
+        js, ks = _unsorted_repeats(A, np.random.default_rng(60 + m))
+        support_j, support_k, matrix = _csr_ball_means(js, ks, A, m, 0.8)
+        field = _fields._compile(FieldSpec.m_dependent(m, C=0.8, master_seed=44), js, ks, A)
+        assert np.array_equal(field.support[0], support_j)
+        assert np.array_equal(field.support[1], support_k)
+        assert np.array_equal(field.weights, matrix.T @ np.ones(len(js)))
+        norms = _fields._ball_means(js, ks, A, m, 0.8)[2]
+        assert np.array_equal(norms, matrix @ np.ones(len(support_j)))
+        u = _fields._innovations(44, reps, support_j, support_k)
+        assert np.array_equal(field.sample(reps), np.stack([matrix @ row for row in u]))
+
+
+def _peak_bytes(call):
+    call()  # warm caches first: only the call's own buffers count
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_m_dependent_compile_memory_is_bounded():
+    # 262139 ball entries, 6 MiB of them kept: room for the one label sort's
+    # temporaries, not for a second sort or stacked copies of the balls
+    js, ks = region_arrays(Generations(16), 2)
+    spec = FieldSpec.m_dependent(1, C=1.0, master_seed=45)
+    assert _peak_bytes(lambda: _fields._compile(spec, js, ks, 2)) < 15 * 2**20
+
+
+def test_field_csv_memory_is_bounded_by_its_text():
+    # the chunks and their join hold about twice the text; the Python objects
+    # of every row at once would hold five times
+    sample = sample_field(FieldSpec.m_dependent(1, C=1.0, master_seed=45), Generations(16), 2, 0)
+    text = field_to_csv(sample)
+    assert _peak_bytes(lambda: field_to_csv(sample)) < 2.5 * len(text)
+
+
+def test_field_csv_chunk_boundaries(monkeypatch):
+    sample = sample_field(_KINDS[1], Strip(2, 3), 3, 7)
+    n, want = len(sample[2]), _csv_ref(sample)
+    empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
+    for rows in (1, 7, n - 1, n, n + 1):
+        monkeypatch.setattr(_fields, "CSV_ROWS", rows)
+        assert field_to_csv(sample) == want
+        assert field_to_csv(empty) == "j,k,value\n"
+
+
+def test_oversized_balls_raise_capacity_error_not_memory_error():
+    # about 2**42 ball entries: under a 3 GiB address-space limit the allocation
+    # fails, so only a count made before any allocation can refuse them cleanly;
+    # the child's timeout fails the test if a huge radius is ever raised to a power
+    probe = """
+import contextlib, io, resource
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from treebound import (CapacityError, FieldSpec, Generations, ValidationError, field_values,
+                       region_nodes, region_sums)
+from treebound.cli import main
+common = ["--rate", "2", "--C", "1", "--field", "m_dependent(40)"]
+for argv in (["simulate", "--region", "generations(2)"] + common,
+             ["mc-tail", "--region", "generations(6)", "--replicates", "100",
+              "--epsilons", "0.5"] + common):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 3, (argv, code, err.getvalue())
+    assert err.getvalue().startswith("error:") and "members" in err.getvalue(), err.getvalue()
+spec = FieldSpec.m_dependent(40)
+for call in (lambda: field_values(spec, list(region_nodes(Generations(2), 2)), 2, range(2)),
+             lambda: region_sums(spec, Generations(2), 2, range(2))):
+    try:
+        call()
+    except CapacityError as exc:
+        assert "cap" in str(exc)
+    else:
+        raise AssertionError("no CapacityError")
+# a radius past the 63-bit labels is refused without computing A**m
+try:
+    field_values(FieldSpec.m_dependent(10**11), list(region_nodes(Generations(2), 2)), 2, range(2))
+except ValidationError as exc:
+    assert "63-bit" in str(exc)
+else:
+    raise AssertionError("no ValidationError")
+"""
+    src = str(Path(treebound.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
