@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from dataclasses import fields
+from functools import cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -233,6 +234,7 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+@cache  # built by the first main() call, then reused: a parse reads it, never changes it
 def _build_parser() -> _Parser:
     parser = _Parser(prog="treebound", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -22,9 +22,9 @@ and mergeable.
 
 Every kind is linear in the innovations ``U`` of a support of nodes:
 ``Z = M U``.  Each call compiles the field once at its targets into that map
-(a scale by ``C``, ball means applied by one ``bincount`` per replicate, or
-the autoregression over parent indices) and into the support's weights
-``w = M^T 1``, one per support node.  Compiling checks that every row of ``M``
+(a scale by ``C``, ball means applied by one ``bincount`` per tile of rows
+and replicate, or the autoregression over parent indices) and into the
+support's weights ``w = M^T 1``, one per support node.  Compiling checks that every row of ``M``
 has an l1 norm of at most ``C (1 + 1e-12)``, which bounds every value for
 innovations in [-1, 1].  :func:`field_values` and :func:`sample_field` map
 replicates through ``M`` and check every value against ``C``;
@@ -49,11 +49,14 @@ guarantee holds.  Regions enter as the int64 labels of
 ``tree.region_arrays``, and :func:`sample_field` returns ``(js, ks, values)``
 in that label-sorted order.
 
-The m-dependent map comes from ``tree.ball_arrays``, which builds each ball
-from contiguous index ranges, one per generation, and emits the balls row by
-row with their members ascending: already the (row, column) order of a CSR
-mat-vec.  So :func:`_ball_means` sorts once, over member labels, to rank the
-support, and frees each entry-sized temporary after its last use.
+The m-dependent map is kept as label ranges, never as entries.  A ball's
+members in one generation are one index range (``tree.ball_layer``), and the
+balls of a run of consecutive targets in one generation cover one interval
+there, so :func:`_ball_means` builds the support as a union of run intervals,
+with no sort over entries.  It keeps one support shift per run and layer and
+each target's run, and forms entries (support positions, row ids,
+``C/|ball|``) one tile of whole rows at a time, at most ``BLOCK_VALUES`` of
+them, in the (row, column) order of a CSR mat-vec.
 :func:`field_to_csv` formats ``CSV_ROWS`` rows per ``%`` format, so only one
 chunk's Python objects are alive beside the text.
 """
@@ -67,7 +70,7 @@ import numpy as np
 
 from .bounds import MixingEnvelope
 from .errors import AmplitudeError, ValidationError, float_in_range, is_real, require
-from .tree import NodeId, Region, ball_arrays, node_labels, region_arrays
+from .tree import NodeId, Region, ball_layer, ball_sizes, node_labels, region_arrays
 
 AR_TABLE_HORIZON = 64
 BLOCK_VALUES = 1 << 16  # hashed values per tile: 512 KiB of uint64, cache resident
@@ -251,43 +254,129 @@ def _compile(spec: FieldSpec, js: np.ndarray, ks: np.ndarray, A: int) -> _Compil
 
 
 def _ball_means(js: np.ndarray, ks: np.ndarray, A: int, m: int, C: float):
-    """Entry ``C/|ball(v)|`` at each node of the radius-``m`` ball of target ``v``.
+    """Entry ``C/|ball(v)|`` at each node of the radius-``m`` ball of target
+    ``v``, kept as label ranges rather than as entries.
 
-    The entries are in (row, column) order, the order in which a CSR mat-vec
-    adds them, so one ``bincount`` per replicate gives its bits.
-    :func:`ball_arrays` emits them in that order already: its rows ascend and
-    each ball's members ascend in ``(j, k)``, as do their support columns.  So
-    the one sort is the one over member labels that ranks the support, and
-    each entry-sized temporary is dropped as soon as it has been used."""
-    rows, member_j, member_k = ball_arrays(js, ks, A, m)
-    order = np.lexsort((member_k, member_j))
-    first = np.empty(len(order), dtype=bool)
-    first[0] = True
-    sorted_j = member_j[order]
-    del member_j
-    np.not_equal(sorted_j[1:], sorted_j[:-1], out=first[1:])
-    sorted_k = member_k[order]
-    del member_k
-    first[1:] |= sorted_k[1:] != sorted_k[:-1]
-    support = sorted_j[first], sorted_k[first]
-    del sorted_j, sorted_k
-    ranks = np.cumsum(first)
-    ranks -= 1
-    del first
-    cols = np.empty(len(order), dtype=np.intp)
-    cols[order] = ranks
-    del order, ranks
-    data = (C / np.bincount(rows))[rows]
-    n, width = len(js), len(support[0])
+    Sorted, the targets fall into runs of consecutive indices in one
+    generation: at most one per generation for a region, at most one per
+    target for a scattered list.  By :func:`ball_layer`, a run's balls cover
+    one interval of each generation they reach, so the support is the union,
+    per generation, of the run intervals, with no sort over entries, and a
+    label of an interval sits in the support at the label plus the shift of
+    its merged interval.  What stays alive is one shift per run and layer,
+    and the run of each target.
+
+    Entries (support positions, row ids, ``C/|ball|`` products) are formed one
+    tile of whole rows at a time, at most ``BLOCK_VALUES`` of them (one ball if
+    that alone is wider).  A row's entries come in the (row, column) order in
+    which a CSR mat-vec adds them, so one ``bincount`` per tile and replicate
+    gives each value's bits, and ``np.add.at`` in row order across tiles gives
+    the weights'."""
+    sizes, n, layers = ball_sizes(js, ks, A, m), len(js), range(-m, m + 1)
+    order = np.lexsort((ks, js))
+    sj, sk = js[order], ks[order]
+    new = np.empty(n + 1, dtype=bool)  # a run starts at each True; the last closes them
+    new[0] = new[n] = True
+    np.not_equal(sj[1:], sj[:-1], out=new[1:n])
+    new[1:n] |= sk[1:] - sk[:-1] > 1
+    run_j, run_lo, run_hi = sj[new[:n]], sk[new[:n]], sk[new[1:]]
+    run = np.empty(n, dtype=np.min_scalar_type(len(run_j)))  # each target's run
+    run[order] = np.cumsum(new[:n]) - 1
+    del order, sj, sk, new
+    # the interval each run's balls cover in each generation j + d they reach
+    parts = []
+    for d in layers:
+        at = np.flatnonzero(run_j >= -d)
+        lo, count = ball_layer(run_j[at], run_lo[at], A, m, d)
+        end = ball_layer(run_j[at], run_hi[at], A, m, d)[0] + count  # one past the last
+        parts.append((np.full(len(at), d + m), at, run_j[at] + d, lo, end))
+    layer, at, gens, lo, end = (np.concatenate(part) for part in zip(*parts))
+    group_j, group_lo, group_end, group = _interval_union(gens, lo, end)
+    lengths = group_end - group_lo
+    offsets = np.cumsum(lengths)
+    width = int(offsets[-1])
+    offsets -= lengths
+    shift = np.zeros((len(layers), len(run_j)), dtype=np.int64)  # support position - label
+    shift[layer, at] = (offsets - group_lo)[group]
+    support_k = np.ones(width + 1, dtype=np.int64)
+    _mark_ranges(support_k, offsets, group_lo, lengths)
+    support = np.repeat(group_j, lengths), np.cumsum(support_k, out=support_k)[:width]
+    # tiles of whole rows, at most BLOCK_VALUES entries or one ball
+    ends, bounds = np.cumsum(sizes[np.minimum(js, m)]), [0]
+    while bounds[-1] < n:
+        start = bounds[-1]
+        stop = np.searchsorted(ends, (ends[start - 1] if start else 0) + BLOCK_VALUES, "right")
+        bounds.append(max(int(stop), start + 1))
+    tiles = list(zip(bounds[:-1], bounds[1:]))
+    del ends, bounds
+
+    def entries(r0: int, r1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Support positions, row ids from 0 and ``C/|ball|`` products of the
+        entries of targets ``r0 .. r1 - 1``, in CSR order."""
+        j, k, runs = js[r0:r1], ks[r0:r1], run[r0:r1]
+        row_sizes = sizes[np.minimum(j, m)]
+        at = np.cumsum(row_sizes)
+        total = int(at[-1])
+        at -= row_sizes  # each row's next entry
+        pos, lowest = np.ones(total + 1, dtype=np.intp), int(j.min())
+        for d in layers:
+            rows = slice(None) if lowest + d >= 0 else np.flatnonzero(j >= -d)
+            first, count = ball_layer(j[rows], k[rows], A, m, d)
+            first += shift[d + m][runs[rows]]  # the range's first support position
+            _mark_ranges(pos, at[rows], first, count)
+            at[rows] += count
+        del at, first, count
+        return (np.cumsum(pos, out=pos)[:total], np.repeat(np.arange(r1 - r0), row_sizes),
+                np.repeat(C / row_sizes, row_sizes))
+
+    norms, weights = np.empty(n), np.zeros(width)
+    for r0, r1 in tiles:
+        pos, row_ids, data = entries(r0, r1)
+        np.add.at(weights, pos, data)
+        norms[r0:r1] = np.bincount(row_ids, weights=data, minlength=r1 - r0)
+        del pos, row_ids, data  # before the next tile's are formed
 
     def apply(u: np.ndarray) -> np.ndarray:
         out = np.empty((len(u), n))
-        for row, innovations in zip(out, u):  # contiguous rows: no transposed copies
-            row[:] = np.bincount(rows, weights=data * innovations[cols], minlength=n)
+        for r0, r1 in tiles:
+            pos, row_ids, data = entries(r0, r1)
+            x = np.empty(len(pos))
+            for row, innovations in zip(out, u):  # contiguous rows: no transposed copies
+                np.multiply(np.take(innovations, pos, out=x), data, out=x)
+                row[r0:r1] = np.bincount(row_ids, weights=x, minlength=r1 - r0)
+            del pos, row_ids, data, x  # before the next tile's are formed
         return out
 
-    norms = np.bincount(rows, weights=data, minlength=n)
-    return support, apply, norms, np.bincount(cols, weights=data, minlength=width)
+    return support, apply, norms, weights
+
+
+def _interval_union(gens: np.ndarray, lo: np.ndarray, end: np.ndarray):
+    """The union, per generation, of the label intervals ``[lo, end)`` in
+    ``gens``: the merged intervals' generations, starts and ends, ascending,
+    and the merged interval of each input interval.
+
+    Sorted by (generation, label), a merged interval opens where the count of
+    open intervals rises from 0.  At one label openings sort first, so
+    intervals that touch merge."""
+    q = len(lo)
+    events = np.lexsort((np.arange(2 * q) >= q, np.concatenate((lo, end)), np.tile(gens, 2)))
+    opening = events < q
+    cover = np.cumsum(np.where(opening, 1, -1))
+    starts = opening & (cover == 1)
+    group = np.empty(q, dtype=np.intp)
+    group[events[opening]] = (np.cumsum(starts) - 1)[opening]
+    first = events[starts]
+    return gens[first], lo[first], end[events[cover == 0] - q], group
+
+
+def _mark_ranges(steps: np.ndarray, at: np.ndarray, firsts: np.ndarray, counts: np.ndarray):
+    """Mark the ranges ``firsts[i] .. firsts[i] + counts[i] - 1``, laid out
+    from slot ``at[i]`` on, in ``steps``, which starts as ones and has a spare
+    last slot: once every range is marked, the running sum of ``steps`` holds
+    them.  Each range adds its first value less 1 at its first slot and takes
+    its last value off one slot past it."""
+    steps[at] += firsts - 1
+    steps[at + counts] -= firsts + counts - 1
 
 
 def _sorted_distinct(x: np.ndarray) -> np.ndarray:

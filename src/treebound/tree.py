@@ -179,33 +179,21 @@ def _ball_size(j: int, A: int, m: int) -> int:
     return sum(A ** (min((m - d) // 2, j) + d) for d in range(-min(j, m), m + 1))
 
 
-def ball_arrays(
-    js: np.ndarray, ks: np.ndarray, A: int, m: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every node within tree distance ``m`` of each node ``(js[i], ks[i])``,
-    as ``(i, j, k)`` arrays with no repeats within a ball, row-major: ``i``
-    ascends, and each ball's members ascend in ``(j, k)``.
-
-    A ball's members in generation ``j + d`` (``-m <= d <= m``) are one
-    contiguous index range: with ``up = min((m - d) // 2, j)``, they are the
-    descendants, ``up + d`` generations down, of the center's ancestor ``up``
-    generations up.  For a center ``(j, k)`` that ancestor's index is
-    ``K = (k - 1) // A**up + 1`` and the range is the ``A**(up + d)`` indices
-    from ``(K - 1) * A**(up + d) + 1``.  Emitting each ball's ranges with ``d``
-    ascending gives the order above.
+def ball_sizes(js: np.ndarray, ks: np.ndarray, A: int, m: int) -> np.ndarray:
+    """Member counts of the radius-``m`` balls around the nodes ``(js, ks)``,
+    indexed by the center's generation clipped at ``m``: the ball of
+    ``(j, k)`` holds ``sizes[min(j, m)]`` nodes (every generation from ``m``
+    on has balls of one size).  An entry no center uses reads 0.
 
     Raises :class:`ValidationError` when a ball would need labels past the
-    63-bit range, as :func:`children` does, and :class:`CapacityError`,
-    before any array of members is built, when the balls hold more than
+    63-bit range, as :func:`children` does, and :class:`CapacityError`, before
+    any array of members is built, when the balls hold more than
     ``BALL_ENTRY_CAP`` members in all.
     """
-    if not len(js):
-        return tuple(np.empty(0, dtype=np.int64) for _ in range(3))
     # m >= 63 puts A**m past every label without computing it
     if m >= 63 or int(js.max()) + m >= MAX_LABEL or int(ks.max()) * A**m >= MAX_LABEL:
         raise ValidationError(f"radius-{m} balls of these nodes overflow the 63-bit label range")
-    clipped = np.minimum(js, m)  # every generation from m on has balls of one size
-    centers = np.bincount(clipped, minlength=m + 1).tolist()
+    centers = np.bincount(np.minimum(js, m), minlength=m + 1).tolist()
     sizes = [_ball_size(j, A, m) if count else 0 for j, count in enumerate(centers)]
     total = sum(count * size for count, size in zip(centers, sizes))
     if total > BALL_ENTRY_CAP:
@@ -213,37 +201,36 @@ def ball_arrays(
             f"radius-{m} balls of {len(js)} nodes hold {total} members, "
             f"exceeding the cap of {BALL_ENTRY_CAP}"
         )
+    return np.array(sizes, dtype=np.int64)
+
+
+def ball_layer(
+    js: np.ndarray, ks: np.ndarray, A: int, m: int, d: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The members, in generation ``j + d``, of the radius-``m`` ball around
+    each node ``(js[i], ks[i])``: the ``counts[i]`` indices from
+    ``firsts[i]``.  Every node needs ``js[i] + d >= 0`` and ``-m <= d <= m``.
+
+    A ball's members in generation ``j + d`` are one contiguous index range:
+    with ``up = min((m - d) // 2, j)``, they are the descendants, ``up + d``
+    generations down, of the center's ancestor ``up`` generations up.  For a
+    center ``(j, k)`` that ancestor's index is ``K = (k - 1) // A**up + 1``
+    and the range is the ``A**(up + d)`` indices from
+    ``(K - 1) * A**(up + d) + 1``.  The block ``(k - 1) // A**up`` is monotone
+    in ``k``, so the layers of consecutive centers of one generation tile one
+    interval.
+
+    The labels must pass :func:`ball_sizes` first, which keeps every index
+    below ``2**63``.
+    """
     powers = _powers(A)  # A**m < 2**63 by the label check, so every exponent below is in it
-    # one range per (center, d) in generation j + d >= 0, row-major: d ascends in a row
-    row, d = np.nonzero(js[:, None] + np.arange(-m, m + 1) >= 0)
-    d -= m
-    j = js[row]
-    up = np.minimum((m - d) // 2, j)
-    j += d  # the range's generation
-    d += up  # its depth below the ancestor
-    lo = ks[row]
-    del row
-    lo -= 1
-    lo //= powers[up]
-    del up
-    count = powers[d]
-    del d
-    lo *= count
-    lo += 1  # the range's first index
-    # each index is one more than the last, except at a range's first member
-    member_k = np.ones(total, dtype=np.int64)
-    member_k[0] = lo[0]
-    step = np.diff(lo)
-    del lo
-    step -= count[:-1]
-    step += 1
-    member_k[np.cumsum(count[:-1])] = step
-    del step
-    np.cumsum(member_k, out=member_k)
-    member_j = np.repeat(j, count)
-    del j, count
-    rows = np.repeat(np.arange(len(js)), np.array(sizes, dtype=np.int64)[clipped])
-    return rows, member_j, member_k
+    up = np.minimum((m - d) // 2, js)
+    counts = powers[up + d]
+    firsts = ks - 1
+    firsts //= powers[up]
+    firsts *= counts
+    firsts += 1
+    return firsts, counts
 
 
 def _is_tree_edge(a: NodeId, b: NodeId, A: int) -> bool:

@@ -179,6 +179,26 @@ def test_cli_import_loads_no_scipy_stats():
     assert done.stdout.strip() == "[]"
 
 
+def test_cached_parser_gives_each_call_what_a_fresh_interpreter_gives(capsys):
+    # one parser serves every main() call of a process, a rejected flag included
+    calls = [
+        ["count-pairs", "--rate", "3", "--gens", "3", "--format", "json"],
+        ["count-pairs", "--rate", "2", "--gens", "3", "--bogus", "1"],
+        ["simulate", "--rate", "2", "--C", "1", "--region", "generations(3)",
+         "--field", "m_dependent(1)", "--seed", "5"],
+    ]
+    here = [run(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in here] == [0, 1, 0]
+    assert cli_mod._build_parser() is cli_mod._build_parser()
+    src = str(Path(treebound.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for argv, (code, out, err) in zip(calls, here):
+        probe = f"import sys; from treebound.cli import main; sys.exit(main({argv!r}))"
+        fresh = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                               text=True, timeout=120)
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == (code, out, err)
+
+
 def test_mc_tail_partial_strip_params_rejected(capsys):
     code, _, err = run(
         capsys, "mc-tail", "--rate", "2", "--region", "strip(4,2)",

@@ -31,7 +31,8 @@ from treebound import (
 )
 from treebound import fields as _fields
 from treebound.cli import main
-from treebound.tree import ball_arrays, region_arrays
+from treebound.errors import CapacityError
+from treebound.tree import BALL_ENTRY_CAP, MAX_LABEL, _ball_size, _powers, region_arrays
 
 
 def test_independent_moments():
@@ -218,6 +219,74 @@ def test_m_dependent_radius_must_be_int():
 
 
 _REGIONS = (Generations(3), Strip(1, 2), Subtree(1, 2, 2))
+
+
+# The entry form of the m-dependent balls, the reference behind _csr_ball_means.
+def ball_arrays(
+    js: np.ndarray, ks: np.ndarray, A: int, m: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every node within tree distance ``m`` of each node ``(js[i], ks[i])``,
+    as ``(i, j, k)`` arrays with no repeats within a ball, row-major: ``i``
+    ascends, and each ball's members ascend in ``(j, k)``.
+
+    A ball's members in generation ``j + d`` (``-m <= d <= m``) are one
+    contiguous index range: with ``up = min((m - d) // 2, j)``, they are the
+    descendants, ``up + d`` generations down, of the center's ancestor ``up``
+    generations up.  For a center ``(j, k)`` that ancestor's index is
+    ``K = (k - 1) // A**up + 1`` and the range is the ``A**(up + d)`` indices
+    from ``(K - 1) * A**(up + d) + 1``.  Emitting each ball's ranges with ``d``
+    ascending gives the order above.
+
+    Raises :class:`ValidationError` when a ball would need labels past the
+    63-bit range, as :func:`children` does, and :class:`CapacityError`,
+    before any array of members is built, when the balls hold more than
+    ``BALL_ENTRY_CAP`` members in all.
+    """
+    if not len(js):
+        return tuple(np.empty(0, dtype=np.int64) for _ in range(3))
+    # m >= 63 puts A**m past every label without computing it
+    if m >= 63 or int(js.max()) + m >= MAX_LABEL or int(ks.max()) * A**m >= MAX_LABEL:
+        raise ValidationError(f"radius-{m} balls of these nodes overflow the 63-bit label range")
+    clipped = np.minimum(js, m)  # every generation from m on has balls of one size
+    centers = np.bincount(clipped, minlength=m + 1).tolist()
+    sizes = [_ball_size(j, A, m) if count else 0 for j, count in enumerate(centers)]
+    total = sum(count * size for count, size in zip(centers, sizes))
+    if total > BALL_ENTRY_CAP:
+        raise CapacityError(
+            f"radius-{m} balls of {len(js)} nodes hold {total} members, "
+            f"exceeding the cap of {BALL_ENTRY_CAP}"
+        )
+    powers = _powers(A)  # A**m < 2**63 by the label check, so every exponent below is in it
+    # one range per (center, d) in generation j + d >= 0, row-major: d ascends in a row
+    row, d = np.nonzero(js[:, None] + np.arange(-m, m + 1) >= 0)
+    d -= m
+    j = js[row]
+    up = np.minimum((m - d) // 2, j)
+    j += d  # the range's generation
+    d += up  # its depth below the ancestor
+    lo = ks[row]
+    del row
+    lo -= 1
+    lo //= powers[up]
+    del up
+    count = powers[d]
+    del d
+    lo *= count
+    lo += 1  # the range's first index
+    # each index is one more than the last, except at a range's first member
+    member_k = np.ones(total, dtype=np.int64)
+    member_k[0] = lo[0]
+    step = np.diff(lo)
+    del lo
+    step -= count[:-1]
+    step += 1
+    member_k[np.cumsum(count[:-1])] = step
+    del step
+    np.cumsum(member_k, out=member_k)
+    member_j = np.repeat(j, count)
+    del j, count
+    rows = np.repeat(np.arange(len(js)), np.array(sizes, dtype=np.int64)[clipped])
+    return rows, member_j, member_k
 
 
 def _brute_ball(v, A, m):
@@ -674,6 +743,79 @@ def test_m_dependent_compile_on_unsorted_repeats_matches_the_csr_oracle(A):
         assert np.array_equal(field.sample(reps), np.stack([matrix @ row for row in u]))
 
 
+def _assert_ball_means_match_the_csr_oracle(js, ks, A, m):
+    """Support, weights, norms and 4 replicates' values, bit for bit."""
+    reps = np.arange(4, dtype=np.uint64)
+    support_j, support_k, matrix = _csr_ball_means(js, ks, A, m, 0.8)
+    field = _fields._compile(FieldSpec.m_dependent(m, C=0.8, master_seed=46), js, ks, A)
+    assert np.array_equal(field.support[0], support_j)
+    assert np.array_equal(field.support[1], support_k)
+    assert np.array_equal(field.weights, matrix.T @ np.ones(len(js)))
+    if len(js):
+        norms = _fields._ball_means(js, ks, A, m, 0.8)[2]
+        assert np.array_equal(norms, matrix @ np.ones(len(support_j)))
+    u = _fields._innovations(46, reps, support_j, support_k)
+    want = np.stack([matrix @ row for row in u]).reshape(len(reps), len(js))
+    assert np.array_equal(field.sample(reps), want)
+
+
+def _labels(pairs):
+    return tuple(np.array(column, dtype=np.int64).reshape(-1) for column in zip(*pairs))
+
+
+# runs of one generation that touch or overlap through their balls, a repeat
+# inside a run (9, 9, 10), and targets in generations 0..m-1, whose balls the root cuts
+_TOUCHING = [(3, 4), (4, 10), (3, 1), (3, 8), (2, 2), (4, 9), (3, 2), (0, 1), (3, 5), (4, 9),
+             (1, 1), (2, 4), (1, 2)]
+
+
+@pytest.mark.parametrize("A", [2, 3, 4])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_ball_means_edge_cases_match_the_csr_oracle(A, m):
+    for region in (Subtree(1, 2, 3), Subtree(3, A**3 - 1, 2), Strip(2, 2), Strip(0, 3)):
+        _assert_ball_means_match_the_csr_oracle(*region_arrays(region, A), A, m)
+    _assert_ball_means_match_the_csr_oracle(*_labels(_TOUCHING), A, m)
+    for j in range(m):  # every target above generation m, alone and with a neighbour
+        _assert_ball_means_match_the_csr_oracle(*_labels([(j, 1)]), A, m)
+        _assert_ball_means_match_the_csr_oracle(*_labels([(j, A**j), (j + 1, 1)]), A, m)
+    empty = np.zeros(0, dtype=np.int64)
+    _assert_ball_means_match_the_csr_oracle(empty, empty, A, m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_ball_means_deep_generations_match_the_csr_oracle(m):
+    # A = 2 at generations 58-61: indices up to the last whose balls stay in 63 bits
+    pairs = []
+    for j in range(58, 62):
+        top = min(2**j, (2**63 - 1) // 2**m)
+        pairs += [(j, 1), (j, 2), (j, top - 1), (j, top), (j, top // 2)]
+    _assert_ball_means_match_the_csr_oracle(*_labels(pairs), 2, m)
+    js, ks = _labels([(62, 2**62)])  # its children pass 63 bits: both forms refuse it alike
+    with pytest.raises(ValidationError, match="63-bit") as want:
+        ball_arrays(js, ks, 2, m)
+    with pytest.raises(ValidationError) as got:
+        _fields._ball_means(js, ks, 2, m, 0.8)
+    assert str(got.value) == str(want.value)
+
+
+def test_ball_means_do_not_depend_on_tile_boundaries(monkeypatch):
+    reps, default = np.arange(4, dtype=np.uint64), _fields.BLOCK_VALUES
+    cases = [(region_arrays(Generations(7), 3), 3, 1), (region_arrays(Strip(1, 3), 2), 2, 3),
+             (_labels(_TOUCHING), 3, 2), (_labels(_TOUCHING), 2, 4)]
+    for (js, ks), A, m in cases:
+        support, apply, norms, weights = _fields._ball_means(js, ks, A, m, 0.8)
+        u = _fields._innovations(47, reps, *support)
+        values = apply(u.copy())
+        ball = _ball_size(m, A, m)
+        for budget in (1, ball - 1, ball, 2 * ball + 1, default):
+            monkeypatch.setattr(_fields, "BLOCK_VALUES", budget)
+            tiled = _fields._ball_means(js, ks, A, m, 0.8)
+            assert all(np.array_equal(a, b) for a, b in zip(tiled[0], support))
+            assert np.array_equal(tiled[2], norms)
+            assert np.array_equal(tiled[3], weights)
+            assert np.array_equal(tiled[1](u.copy()), values)
+
+
 def _peak_bytes(call):
     call()  # warm caches first: only the call's own buffers count
     tracemalloc.start()
@@ -685,11 +827,18 @@ def _peak_bytes(call):
 
 
 def test_m_dependent_compile_memory_is_bounded():
-    # 262139 ball entries, 6 MiB of them kept: room for the one label sort's
-    # temporaries, not for a second sort or stacked copies of the balls
+    # 262139 ball entries, 6 MiB as entry arrays: the support, weights and norms
+    # take 3.5 MiB, one tile of entries 1.5 MiB, so no entry-sized array fits
     js, ks = region_arrays(Generations(16), 2)
     spec = FieldSpec.m_dependent(1, C=1.0, master_seed=45)
-    assert _peak_bytes(lambda: _fields._compile(spec, js, ks, 2)) < 15 * 2**20
+    assert _peak_bytes(lambda: _fields._compile(spec, js, ks, 2)) < 6 * 2**20
+
+
+def test_m_dependent_sample_field_memory_is_bounded():
+    # the compiled map, one replicate of the 131071 support innovations and the
+    # values, with one tile of entries at a time
+    spec = FieldSpec.m_dependent(1, C=1.0, master_seed=45)
+    assert _peak_bytes(lambda: sample_field(spec, Generations(16), 2, 0)) < 8 * 2**20
 
 
 def test_field_csv_memory_is_bounded_by_its_text():
