@@ -30,22 +30,37 @@ innovations in [-1, 1].  :func:`field_values` and :func:`sample_field` map
 replicates through ``M`` and check every value against ``C``;
 :func:`region_sums` and :func:`node_sums` build no value: a sum is ``w . U``.
 They hash the node keys once per call.  Then, one tile of whole rows (at most
-``BLOCK_VALUES`` = 2**16 innovations) at a time, they hash, check to lie in
-[-1, 1), weight and sum in place in a uint64 tile buffer, with a second as the
-hash's scratch, both allocated once per call.  Their peak memory is those two
-buffers (512 KiB each) per calling thread plus the support arrays, whatever
-the replicate count.  The tile stays in cache through those passes, and is
-large enough that handing over the GIL on every numpy call does not serialize
-worker threads.
+``BLOCK_VALUES`` = 2**16 innovations) at a time, they hash, check and sum in
+place in a uint64 tile buffer, with a second as the hash's scratch, both
+allocated once per call.  Their peak memory is those two buffers (512 KiB
+each) per calling thread plus the support arrays, whatever the replicate
+count.  The tile stays in cache through those passes, and is large enough
+that handing over the GIL on every numpy call does not serialize worker
+threads.
 
-The hash makes eleven numpy passes over a tile.  The finalizer's first step,
-``x ^ (x >> 30)``, distributes over the xor of a replicate key and a node key,
-so :func:`_keys` applies it to the keys once per call and each tile starts at
-the first multiply.  The top 53 bits are shifted into the scratch buffer and
-cast to float64 from an int64 view of it: below 2**53 that cast is exact and
-about twice as fast as numpy's uint64 cast, and casting between two buffers
-allocates no tile-sized temporary.  No innovation bit changes, so the
-guarantee holds.  Regions enter as the int64 labels of
+The finalizer's first step, ``x ^ (x >> 30)``, distributes over the xor of a
+replicate key and a node key, so :func:`_keys` applies it to the keys once per
+call and each tile starts at the first multiply: seven numpy passes mix it
+(:func:`_mix_tile`), and one shifts the top 53 bits into the scratch buffer
+(:func:`_bits_tile`), the integer ``x`` of the innovation ``x * 2**-52 - 1``.
+The values' path casts ``x`` to float64 from an int64 view, exact below
+2**53, about twice as fast as numpy's uint64 cast, and with no tile-sized
+temporary: eleven passes.  No innovation bit changes, so the guarantee holds.
+
+The sums take two more passes and no float pass over a tile.  The weights are
+constant within each generation, so the support is hashed in the stable order
+of its weights, and each run of equal weight is cut into pieces of at most
+``GROUP_COLUMNS`` = 2048 columns.  Per tile, ``x.max() < 2**53`` checks every
+innovation to lie in [-1, 1), and ``np.add.reduceat`` sums each piece's
+integers in uint64: 2048 values below 2**53 stay below 2048 * 2**53 = 2**64,
+so the sum is exact, and less ``count * 2**52`` it is ``2**52 * sum(u)``,
+exact in int64 since 2048 * 2**52 = 2**63.  Only that integer is rounded, once
+per piece, to float64; it is scaled by 2**-52 (exact) and by the piece's
+weight and the G pieces are added.  So a sum is within ``(G + 1) * 2**-53 *
+sum |w u|`` of the exact ``w . U``, and it is the correctly rounded exact sum
+when there is one piece of weight 1 (the independent field at ``C = 1`` on at
+most 2048 nodes).  Integer sums do not depend on order, so the permutation
+changes nothing.  Regions enter as the int64 labels of
 ``tree.region_arrays``, and :func:`sample_field` returns ``(js, ks, values)``
 in that label-sorted order.
 
@@ -75,6 +90,8 @@ from .tree import NodeId, Region, ball_layer, ball_sizes, node_labels, region_ar
 AR_TABLE_HORIZON = 64
 BLOCK_VALUES = 1 << 16  # hashed values per tile: 512 KiB of uint64, cache resident
 CSV_ROWS = 4096  # rows per % format in field_to_csv
+KEY_VALUES = 1 << 13  # node keys mixed per step of _keys: 64 KiB per scratch row
+GROUP_COLUMNS = 2048  # columns per exact integer sum: 2048 * 2**53 = 2**64
 
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
@@ -83,6 +100,7 @@ _C_REP = np.uint64(0xA0761D6478BD642F)
 _C_GEN = np.uint64(0xE7037ED1A0B428DB)
 _C_IDX = np.uint64(0x8EBC6AF09C88C6E3)
 _INV_2_52 = 1.0 / (1 << 52)  # 2 * 2**-53: maps the top 53 bits onto [0, 2) exactly
+_TWO_53 = np.uint64(1 << 53)  # the innovation integers lie below it
 
 
 def _xorshift(x: np.ndarray, shift: int, tmp: np.ndarray) -> np.ndarray:
@@ -96,11 +114,17 @@ def _mix64_rest(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return _xorshift(np.multiply(x, _M2, out=x), 31, tmp)
 
 
-def _mix64(x: np.ndarray, tmp: Optional[np.ndarray] = None) -> np.ndarray:
+def _mix64(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """The SplitMix64 finalizer, applied to ``x`` in place; ``tmp`` is scratch
-    of ``x``'s shape, allocated if not given."""
-    tmp = np.empty_like(x) if tmp is None else tmp
+    of ``x``'s shape."""
     return _mix64_rest(_xorshift(x, 30, tmp), tmp)
+
+
+def _mix_into(out: np.ndarray, x: np.ndarray, key: np.uint64, tmp: np.ndarray) -> np.ndarray:
+    """``out = mix64(x ^ key)`` for the integers ``x`` taken modulo 2**64, in
+    place in the uint64 array ``out``; ``tmp`` is scratch of its shape."""
+    np.copyto(out, x, casting="unsafe")  # int64 -> uint64 keeps the bits
+    return _mix64(np.bitwise_xor(out, key, out=out), tmp)
 
 
 def _keys(
@@ -113,11 +137,37 @@ def _keys(
     keys.  A logical right shift distributes over xor, so the finalizer's first
     step on ``x = r0 ^ n0``, ``x ^ (x >> 30)``, equals
     ``(r0 ^ r0 >> 30) ^ (n0 ^ n0 >> 30)``.  Folding it into the keys here, once
-    per call, spares every tile two passes."""
-    s = _mix64(np.array([seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64) ^ _C_SEED)
-    r = _mix64(s ^ _mix64(reps.astype(np.uint64) ^ _C_REP))
-    n = _mix64(_mix64(js.astype(np.uint64) ^ _C_GEN) ^ _mix64(ks.astype(np.uint64) ^ _C_IDX))
-    return _xorshift(r, 30, np.empty_like(r)), _xorshift(n, 30, np.empty_like(n))
+    per call, spares every tile two passes.
+
+    The node keys are mixed in place, ``KEY_VALUES`` at a time, through one
+    reused two-row scratch array, so the only support-sized array made is ``n``."""
+    s = np.array([seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64) ^ _C_SEED
+    s = _mix64(s, np.empty_like(s))
+    tmp = np.empty(len(reps), dtype=np.uint64)
+    r = _mix_into(np.empty_like(tmp), reps, _C_REP, tmp)
+    r = _xorshift(_mix64(np.bitwise_xor(r, s, out=r), tmp), 30, tmp)
+    n = np.empty(len(js), dtype=np.uint64)
+    scratch = np.empty((2, min(len(js), KEY_VALUES)), dtype=np.uint64)
+    for start in range(0, len(js), KEY_VALUES):
+        stop = min(start + KEY_VALUES, len(js))
+        part, (gen, spare) = n[start:stop], scratch[:, : stop - start]
+        _mix_into(part, ks[start:stop], _C_IDX, spare)
+        part ^= _mix_into(gen, js[start:stop], _C_GEN, spare)
+        _xorshift(_mix64(part, spare), 30, spare)
+    return r, n
+
+
+def _mix_tile(r: np.ndarray, n: np.ndarray, h: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Fill the uint64 buffer ``h`` of shape (len(r), len(n)) with the 64-bit
+    hashes of the folded keys ``r`` and ``n`` of :func:`_keys`, in place, in
+    seven numpy passes; ``tmp`` is scratch of the same shape."""
+    return _mix64_rest(np.bitwise_xor(r[:, None], n, out=h), tmp)
+
+
+def _bits_tile(r: np.ndarray, n: np.ndarray, h: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The top 53 bits of each hash of :func:`_mix_tile`, shifted into ``tmp``
+    and returned: the integers ``x`` of the innovations ``x * 2**-52 - 1``."""
+    return np.right_shift(_mix_tile(r, n, h, tmp), 11, out=tmp)
 
 
 def _hash_tile(r: np.ndarray, n: np.ndarray, h: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -129,9 +179,8 @@ def _hash_tile(r: np.ndarray, n: np.ndarray, h: np.ndarray, tmp: np.ndarray) -> 
     below 2**53, so the cast is exact, and numpy casts int64 in about half the
     time of uint64.  Casting from ``tmp`` rather than onto ``h``'s own memory
     keeps numpy from allocating a tile-sized buffer for the cast."""
-    _mix64_rest(np.bitwise_xor(r[:, None], n, out=h), tmp)
     u = h.view(np.float64)
-    np.copyto(u, np.right_shift(h, 11, out=tmp).view(np.int64))
+    np.copyto(u, _bits_tile(r, n, h, tmp).view(np.int64))
     u *= _INV_2_52
     u -= 1.0
     return u
@@ -463,27 +512,54 @@ def sample_field(
     return js, ks, _compile(spec, js, ks, A).sample(_replicate_ids([replicate_index]))[0]
 
 
+def _groups(weights: np.ndarray):
+    """The support order that sorts ``weights`` (stable), and the pieces of at
+    most ``GROUP_COLUMNS`` columns that the runs of equal weight fall into in
+    that order: each piece's first column, its column count and its weight."""
+    order = np.argsort(weights, kind="stable")
+    w = weights[order]
+    starts = np.flatnonzero(np.concatenate(([True], w[1:] != w[:-1])))
+    pieces = -(-np.diff(starts, append=len(w)) // GROUP_COLUMNS)
+    first = np.repeat(np.cumsum(pieces) - pieces, pieces)  # each piece's run's first piece
+    cuts = np.repeat(starts, pieces) + GROUP_COLUMNS * (np.arange(len(first)) - first)
+    return order, cuts, np.diff(cuts, append=len(w)), w[cuts]
+
+
 def _sums(spec: FieldSpec, js: np.ndarray, ks: np.ndarray, A: int,
           replicates: Sequence[int]) -> np.ndarray:
     """``w . U`` per replicate at targets ``(js, ks)``, in tiles of at most
     ``BLOCK_VALUES`` hashed values (one row if that alone is wider), each
-    reduced in a buffer allocated once per call."""
+    reduced in a buffer allocated once per call.
+
+    The support is hashed in the order of :func:`_groups`.  Per tile, each
+    piece of equal weight sums its innovation integers ``x`` exactly in uint64
+    (at most 2048 values below 2**53); less ``count * 2**52`` it is
+    ``2**52 * sum(u)``, exact in int64, and only then goes to float64."""
     reps = _replicate_ids(replicates)
     field = _compile(spec, js, ks, A)
-    r, n = _keys(spec.master_seed, reps, *field.support)
+    if not field.width:
+        return np.zeros(len(reps))
+    order, cuts, counts, weights = _groups(field.weights)
+    r, n = _keys(spec.master_seed, reps, *(labels[order] for labels in field.support))
+    del order  # and the permuted labels, before the tile buffers
+    offsets = counts.astype(np.uint64) << np.uint64(52)
     out = np.empty(len(reps), dtype=np.float64)
-    rows = max(1, BLOCK_VALUES // max(field.width, 1))
+    rows = max(1, BLOCK_VALUES // field.width)
     h = np.empty((min(rows, len(reps)), field.width), dtype=np.uint64)
     tmp = np.empty_like(h)
-    for start in range(0, len(reps), rows):  # hash, check, weight and sum one cached tile
+    for start in range(0, len(reps), rows):  # hash, check and sum one cached tile
         stop = min(start + rows, len(reps))
-        u = _hash_tile(r[start:stop], n, h[: stop - start], tmp[: stop - start])
-        if u.size and not (-1.0 <= u.min() and u.max() < 1.0):
+        x = _bits_tile(r[start:stop], n, h[: stop - start], tmp[: stop - start])
+        if not x.max() < _TWO_53:
             raise AmplitudeError(
                 f"an innovation lies outside [-1, 1), so the amplitude bound C = {spec.C!r} fails"
             )
-        u *= field.weights  # not u @ w: BLAS bits would depend on the tile's size
-        u.sum(axis=1, out=out[start:stop])
+        group = np.add.reduceat(x, cuts, axis=1)
+        group -= offsets  # modulo 2**64: the int64 view holds the exact difference
+        sums = group.view(np.int64).astype(np.float64)
+        sums *= _INV_2_52
+        sums *= weights
+        sums.sum(axis=1, out=out[start:stop])
     return out
 
 
@@ -498,13 +574,18 @@ def region_sums(
     The sum is ``w . U``: one weight per support node, ``w = M^T 1``, so no
     value is built.  A tile holds whole rows, at most ``BLOCK_VALUES``
     hashed values (one row of the support if that alone is wider).  It is
-    hashed, checked, weighted and summed in place in a uint64 tile buffer,
-    with a second as the hash's scratch, both allocated once per call, so
-    peak memory is those two buffers plus the support arrays,
-    whatever the replicate count.  Tile boundaries do not affect the result:
-    each replicate's sum is a row-wise reduction of innovations that depend
-    only on (seed, replicate, node).  It agrees with the sum of
-    :func:`field_values` to rounding (bit for bit for the independent field).
+    hashed, checked and summed in place in a uint64 tile buffer, with a
+    second as the hash's scratch, both allocated once per call, so peak
+    memory is those two buffers plus the support arrays, whatever the
+    replicate count.  Each piece of at most ``GROUP_COLUMNS`` = 2048
+    support nodes of equal weight sums its innovations exactly as integers
+    (2048 * 2**52 = 2**63 bounds the centred sum), and only the G piece sums
+    are rounded, weighted and added, so the result is within
+    ``(G + 1) * 2**-53 * sum |w u|`` of the exact ``w . U``, and is its
+    correctly rounded value for one piece of weight 1.  Tile boundaries and
+    worker counts do not affect the result: each replicate's sum is a
+    row-wise reduction of innovations that depend only on (seed, replicate,
+    node).  It agrees with the sum of :func:`field_values` to rounding.
     """
     return _sums(spec, *region_arrays(region, A), A, replicates)
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -120,14 +121,46 @@ def test_worker_exchangeability():
         assert np.array_equal(whole, parts)
 
 
+def _pieces(weights):
+    """G: the pieces of at most ``GROUP_COLUMNS`` columns that the runs of equal
+    weight split into, each summed exactly by the region-sum kernel."""
+    counts = np.unique(np.asarray(weights), return_counts=True)[1]
+    return int((-(-counts // _fields.GROUP_COLUMNS)).sum())
+
+
+def _exact_sums(u, weights):
+    """``sum_i w_i u_i`` for each row of the innovations ``u``, and its scale
+    ``sum_i |w_i u_i|``, as exact Fractions.  Every innovation is ``x / 2**52``
+    for an integer ``x``, so each weight's columns sum exactly in Python ints."""
+    ints = (np.asarray(u) * 2.0**52).astype(np.int64)  # exact: a 2**-52 grid in [-1, 1)
+    weights = np.asarray(weights)
+    exact, scale = [Fraction(0)] * len(ints), [Fraction(0)] * len(ints)
+    for w in np.unique(weights).tolist():
+        part = ints[:, weights == w].tolist()
+        exact = [e + Fraction(w) * sum(row) / 2**52 for e, row in zip(exact, part)]
+        scale = [a + abs(Fraction(w)) * sum(map(abs, row)) / 2**52 for a, row in zip(scale, part)]
+    return exact, scale
+
+
+def _assert_near_exact(sums, exact, scale, pieces):
+    """Each sum within ``(G + 1) * 2**-53 * sum |w u|`` of the exact sum: one
+    rounding per exact piece sum, and G - 1 in adding the G pieces."""
+    assert len(sums) == len(exact)
+    for got, want, size in zip(sums.tolist(), exact, scale):
+        assert abs(Fraction(got) - want) <= (pieces + 1) * size / 2**53
+
+
 def _assert_sums_of(spec, sums, values):
-    """``region_sums`` is ``w . U``: bit for bit the values' sum for the independent
-    field, and otherwise within 1e-12 of the sum of ``|values|`` (a scale that does
-    not vanish when the sum itself cancels)."""
-    direct = values.sum(axis=1)
+    """``region_sums`` is ``w . U``: for the independent field at ``C = 1``, whose
+    values are the innovations, within the kernel's bound of their exact sum, and
+    otherwise within 1e-12 of the sum of ``|values|`` (a scale that does not
+    vanish when the sum itself cancels)."""
     if spec.kind == "independent":
-        assert np.array_equal(sums, direct)
+        assert spec.C == 1
+        weights = np.ones(values.shape[1])
+        _assert_near_exact(sums, *_exact_sums(values, weights), _pieces(weights))
     else:
+        direct = values.sum(axis=1)
         assert np.all(np.abs(sums - direct) <= 1e-12 * np.abs(values).sum(axis=1))
 
 
@@ -381,44 +414,46 @@ def test_independent_region_sums_memory_is_two_tiles():
     assert peak < 3 * 2**20
 
 
-def _reference_sums(spec, js, ks, A, reps):
-    """``w . U`` from the whole innovation matrix, summed row by row."""
+def _assert_near_the_whole_matrix_sums(spec, js, ks, A, reps, sums):
+    """``sums`` within the kernel's bound of ``w . U``, taken exactly from the
+    whole innovation matrix and the compiled weights."""
     field = _fields._compile(spec, js, ks, A)
-    ids = np.array(reps, dtype=np.uint64)
-    u = _fields._innovations(spec.master_seed, ids, *field.support)
-    return (u * field.weights).sum(axis=1)
+    u = _fields._innovations(spec.master_seed, np.array(reps, dtype=np.uint64), *field.support)
+    _assert_near_exact(sums, *_exact_sums(u, field.weights), _pieces(field.weights))
 
 
 @pytest.mark.parametrize("spec", _KINDS, ids=lambda spec: spec.kind)
 def test_fused_sums_match_the_whole_matrix_reference_bit_for_bit(spec, monkeypatch):
+    # near the exact sums of the whole matrix; bit for bit across tile budgets
     reps, default = range(3, 44), _fields.BLOCK_VALUES
     for region, A in ((Generations(6), 3), (Strip(2, 3), 2), (Subtree(2, 3, 3), 3)):
         js, ks = region_arrays(region, A)
         nodes = list(region_nodes(region, A))
-        want = _reference_sums(spec, js, ks, A, reps)
+        want = region_sums(spec, region, A, reps)
+        _assert_near_the_whole_matrix_sums(spec, js, ks, A, reps, want)
         width = _fields._compile(spec, js, ks, A).width
         for budget in (1, width - 1, width, 2 * width + 1, default):
             monkeypatch.setattr(_fields, "BLOCK_VALUES", budget)
             assert np.array_equal(region_sums(spec, region, A, reps), want)
             assert np.array_equal(node_sums(spec, nodes, A, reps), want)
-    monkeypatch.setattr(_fields, "BLOCK_VALUES", default)
+        monkeypatch.setattr(_fields, "BLOCK_VALUES", default)
     # a support wider than a tile: one replicate per tile
     spec = FieldSpec.m_dependent(1, C=0.9, master_seed=34)
     js, ks = region_arrays(Generations(16), 2)
     assert _fields._compile(spec, js, ks, 2).width > default
-    want = _reference_sums(spec, js, ks, 2, range(5))
-    assert np.array_equal(region_sums(spec, Generations(16), 2, range(5)), want)
+    sums = region_sums(spec, Generations(16), 2, range(5))
+    _assert_near_the_whole_matrix_sums(spec, js, ks, 2, range(5), sums)
 
 
 @pytest.mark.parametrize("spec", _KINDS, ids=lambda spec: spec.kind)
 def test_region_sums_blocks_narrower_than_the_support(spec, monkeypatch):
-    hash_rows, hash_tile = [], _fields._hash_tile
+    hash_rows, bits_tile = [], _fields._bits_tile
 
     def counted(r, n, h, tmp):
         hash_rows.append(len(r))
-        return hash_tile(r, n, h, tmp)
+        return bits_tile(r, n, h, tmp)
 
-    monkeypatch.setattr(_fields, "_hash_tile", counted)
+    monkeypatch.setattr(_fields, "_bits_tile", counted)
     reps, default = range(41), _fields.BLOCK_VALUES
     for region in (Generations(6), Strip(2, 3), Subtree(2, 3, 3)):
         monkeypatch.setattr(_fields, "BLOCK_VALUES", default)
@@ -496,7 +531,7 @@ def test_a_map_row_with_l1_norm_above_C_raises_before_hashing(monkeypatch):
     def no_hash(r, n, h, tmp):
         raise AssertionError("innovations hashed before the map was checked")
 
-    monkeypatch.setattr(_fields, "_hash_tile", no_hash)
+    monkeypatch.setattr(_fields, "_mix_tile", no_hash)
     tampered = FieldSpec.branching_ar(0.5, C=1.0, master_seed=41)
     object.__setattr__(tampered, "a", 1.25)  # |a| > 1: row norms grow with depth
     for bad in (spec, tampered):
@@ -542,21 +577,24 @@ def test_out_of_range_labels_raise_validation_error():
 
 
 def test_amplitude_guard_raises_library_error(monkeypatch, capsys):
-    def out_of_range(r, n, h, tmp):
-        u = h.view(np.float64)
-        u.fill(1.5)
-        return u
+    mix_tile = _fields._mix_tile
 
-    monkeypatch.setattr(_fields, "_hash_tile", out_of_range)
+    def out_of_range(r, n, h, tmp):  # the top 54 bits: innovations in [-1, 3)
+        return np.right_shift(mix_tile(r, n, h, tmp), 10, out=tmp)
+
+    monkeypatch.setattr(_fields, "_bits_tile", out_of_range)
+    nodes = list(region_nodes(Generations(3), 2))
     for spec in (
         FieldSpec.independent(C=1.0),
         FieldSpec.m_dependent(1, C=1.0),
         FieldSpec.branching_ar(0.5, C=1.0),
     ):
         with pytest.raises(AmplitudeError):
-            field_values(spec, [NodeId(1, 1)], 2, range(3))
-        with pytest.raises(RuntimeError):
+            field_values(spec, nodes, 2, range(3))
+        with pytest.raises(AmplitudeError, match="outside"):
             region_sums(spec, Generations(3), 2, range(3))
+        with pytest.raises(AmplitudeError, match="outside"):
+            node_sums(spec, nodes, 2, range(3))
     for argv in (
         ["simulate", "--rate", "2", "--region", "generations(3)", "--field", "independent",
          "--C", "1"],
@@ -646,15 +684,50 @@ def test_a_full_tile_of_random_keys_matches_the_reference():
 
 @pytest.mark.parametrize("spec", _KINDS, ids=lambda spec: spec.kind)
 def test_region_sums_match_the_pure_python_oracle_bit_for_bit(spec):
+    # bit for bit where the kernel is exact (the independent field at C = 1, one
+    # piece): the correctly rounded exact sum; otherwise within the bound
     reps = [0, 1, 2**40, 2**64 - 1]
     js, ks = region_arrays(Generations(6), 3)
     field = _fields._compile(spec, js, ks, 3)
     support = list(zip(*(array.tolist() for array in field.support)))
-    oracle = np.array(
-        [[_innovation_ref(spec.master_seed, rep, j, k) for j, k in support] for rep in reps]
-    )
-    want = (oracle * field.weights).sum(axis=1)
-    assert np.array_equal(region_sums(spec, Generations(6), 3, reps), want)
+    oracle = [[_innovation_ref(spec.master_seed, rep, j, k) for j, k in support] for rep in reps]
+    exact, scale = _exact_sums(oracle, field.weights)
+    sums = region_sums(spec, Generations(6), 3, reps)
+    _assert_near_exact(sums, exact, scale, _pieces(field.weights))
+    if spec.kind == "independent":
+        assert sums.tolist() == [float(x) for x in exact]
+
+
+@pytest.mark.parametrize("region, A", [(Strip(5, 3), 2), (Generations(6), 3)])
+def test_independent_sums_are_the_correctly_rounded_exact_sums(region, A):
+    # at C = 1 a support of at most 2048 nodes is one exact piece, rounded once
+    spec = FieldSpec.independent(C=1.0, master_seed=48)
+    js, ks = region_arrays(region, A)
+    assert len(js) <= _fields.GROUP_COLUMNS
+    reps = range(40)
+    u = _fields._innovations(48, np.array(reps, dtype=np.uint64), js, ks)
+    exact = _exact_sums(u, np.ones(len(js)))[0]
+    assert region_sums(spec, region, A, reps).tolist() == [float(x) for x in exact]
+
+
+@pytest.mark.parametrize("bits", [0, 2**64 - 1])
+def test_exact_piece_sums_do_not_wrap_at_the_int64_ends(bits, monkeypatch):
+    # 8191 equal weights: pieces of 2048, 2048, 2048 and 2047 columns; an
+    # all-zero piece sums to exactly -2**63, an all-ones one to 2**63 - 2**11
+    def constant(r, n, h, tmp):
+        h.fill(bits)
+        return h
+
+    monkeypatch.setattr(_fields, "_mix_tile", constant)
+    spec = FieldSpec.independent(C=1.0, master_seed=49)
+    js, ks = region_arrays(Generations(13), 2)
+    weights = _fields._compile(spec, js, ks, 2).weights
+    assert len(weights) == 8191 and _pieces(weights) == 4
+    u = np.full((3, 8191), (bits >> 11) * 2.0**-52 - 1)
+    exact, scale = _exact_sums(u, weights)
+    sums = region_sums(spec, Generations(13), 2, range(3))
+    _assert_near_exact(sums, exact, scale, 4)
+    assert sums.tolist() == [float(x) for x in exact]
 
 
 def test_hash_tile_allocates_no_tile_sized_buffer():
@@ -824,6 +897,27 @@ def _peak_bytes(call):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_node_keys_memory_is_one_key_array():
+    # 1 MiB of keys for 131071 nodes; a fresh array per step peaked at 3 MiB
+    js, ks = region_arrays(Generations(17), 2)
+    reps = np.zeros(1, dtype=np.uint64)
+    assert _peak_bytes(lambda: _fields._keys(1, reps, js, ks)) <= 2 * 8 * len(js)
+
+
+def test_node_keys_do_not_depend_on_the_key_step(monkeypatch):
+    rng = np.random.default_rng(50)
+    js = rng.integers(0, 63, 5000)
+    ks = np.array([int(rng.integers(1, 2**j, endpoint=True)) for j in js.tolist()])
+    reps = np.arange(3, dtype=np.uint64)
+    want = _fields._keys(7, reps, js, ks)
+    for step in (1, 777, 4999):
+        monkeypatch.setattr(_fields, "KEY_VALUES", step)
+        assert all(np.array_equal(a, b) for a, b in zip(_fields._keys(7, reps, js, ks), want))
+    n0 = [_mix64_ref(_mix64_ref(j ^ 0xE7037ED1A0B428DB) ^ _mix64_ref(k ^ 0x8EBC6AF09C88C6E3))
+          for j, k in zip(js.tolist(), ks.tolist())]
+    assert want[1].tolist() == [_fold_ref(x) for x in n0]
 
 
 def test_m_dependent_compile_memory_is_bounded():
