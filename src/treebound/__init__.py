@@ -32,10 +32,12 @@ from .errors import AmplitudeError, CapacityError, InfeasibleGridError, Validati
 from .fields import (
     FieldCertificate,
     FieldSpec,
+    RegionPlan,
     field_certificate,
     field_to_csv,
     field_values,
     node_sums,
+    region_plan,
     region_sums,
     sample_field,
 )

@@ -20,11 +20,14 @@ assumed or merely heuristic.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional, Sequence
 
-from .errors import InfeasibleGridError, ValidationError, float_in_range, is_real, reject, require
+from .errors import (CapacityError, InfeasibleGridError, ValidationError, float_in_range, is_real,
+                     reject, require)
 from .paircount import count_pairs_closed
+from .tree import low_bits
 
 _SQRT_E = math.sqrt(math.e)
 
@@ -198,6 +201,11 @@ def _check_admissible(inp: BernsteinInput) -> None:
         (("C", inp.C, ">", 0), ("sigma2", inp.sigma2, ">=", 0), ("epsilon", inp.epsilon, ">", 0),
          ("beta", inp.beta, ">", 0)),
     )
+    # block_count = ceil(A**L / (P2 + Q2)) must print: refused from L*log10(A),
+    # before A**L is formed, as count-pairs refuses its counts
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and inp.L >= limit / math.log10(inp.A):
+        raise CapacityError(f"block_count = ceil(A**L / (P2 + Q2)) may exceed {limit} digits")
     msgs = []
     if inp.Q2 < 2:
         msgs.append(f"Q2 = {inp.Q2} is below the minimum block length 2")
@@ -346,7 +354,10 @@ def concentration_schedule(inp: ConcentrationInput) -> ConcentrationSchedule:
         raise ValidationError(f"eta = {inp.eta} must lie in (0, 1)")
 
     A, L = inp.A, inp.L
-    P1 = _floor_pow(L, inp.eta)
+    try:
+        P1 = _floor_pow(L, inp.eta)
+    except OverflowError:  # L past float range, where L - L**eta > 2**980
+        raise CapacityError("A**(L - P1) leaves float range") from None
     if P1 < 1:
         raise ValidationError(f"derived P1 = {P1} must be >= 1")
     strip_level = L - P1
@@ -354,6 +365,8 @@ def concentration_schedule(inp: ConcentrationInput) -> ConcentrationSchedule:
         raise ValidationError(
             f"derived strip level L - P1 = {strip_level} must be >= 1"
         )
+    if low_bits(A, strip_level) >= 1024:  # refused before A**(L - P1) is formed
+        raise CapacityError("A**(L - P1) leaves float range")
     strip_roots = float_in_range("A**(L - P1)", A**strip_level)
     P2 = int(math.floor(float_in_range(
         "derived P2", inp.D * strip_roots * math.log(L) / strip_level

@@ -21,22 +21,32 @@ chunking or worker count, which is what makes Monte Carlo runs reproducible
 and mergeable.
 
 Every kind is linear in the innovations ``U`` of a support of nodes:
-``Z = M U``.  Each call compiles the field once at its targets into that map
-(a scale by ``C``, ball means applied by one ``bincount`` per tile of rows
-and replicate, or the autoregression over parent indices) and into the
-support's weights ``w = M^T 1``, one per support node.  Compiling checks that every row of ``M``
-has an l1 norm of at most ``C (1 + 1e-12)``, which bounds every value for
-innovations in [-1, 1].  :func:`field_values` and :func:`sample_field` map
-replicates through ``M`` and check every value against ``C``;
+``Z = M U``.  :func:`field_values` and :func:`sample_field` compile the field
+at their targets into that map (a scale by ``C``, ball means applied by one
+``bincount`` per tile of rows and replicate, or the autoregression over
+parent indices) and into the support's weights ``w = M^T 1``, one per
+support node.  Compiling checks that every row of ``M`` has an l1 norm of at
+most ``C (1 + 1e-12)``, which bounds every value for innovations in [-1, 1],
+and the values are checked against ``C``.
+
 :func:`region_sums` and :func:`node_sums` build no value: a sum is ``w . U``.
-They hash the node keys once per call.  Then, one tile of whole rows (at most
-``BLOCK_VALUES`` = 2**16 innovations) at a time, they hash, check and sum in
-place in a uint64 tile buffer, with a second as the hash's scratch, both
-allocated once per call.  Their peak memory is those two buffers (512 KiB
-each) per calling thread plus the support arrays, whatever the replicate
-count.  The tile stays in cache through those passes, and is large enough
-that handing over the GIL on every numpy call does not serialize worker
-threads.
+On a :class:`Strip` or :class:`Generations` region, whole generations, the
+weights are constant on each support generation, so :func:`region_plan`
+gives them in closed form, one row per generation (its weight, its count
+``A**g`` and first index 1 implied), with the row norms that the same
+amplitude guard reads; no label array is built, no map compiled and no
+per-node weight sorted.  A node list or a :class:`Subtree` region compiles
+its map, and its support nodes enter as ranges of one node.  Either way the
+kernel :func:`_sums` takes weighted label ranges, builds the node keys and
+the exact-sum pieces once, and returns the tile loop, so ``verify.mc_tail``'s
+worker slices share one build.  One tile of whole rows (at most
+``BLOCK_VALUES`` = 2**16 innovations) at a time, the loop hashes, checks and
+sums in place in a uint64 tile buffer, with a second as the hash's scratch,
+both allocated once per call.  Its peak memory is those two buffers (512 KiB
+each) per calling thread plus the node keys, 8 bytes per support node,
+whatever the replicate count.  The tile stays in cache through those passes,
+and is large enough that handing over the GIL on every numpy call does not
+serialize worker threads.
 
 The finalizer's first step, ``x ^ (x >> 30)``, distributes over the xor of a
 replicate key and a node key, so :func:`_keys` applies it to the keys once per
@@ -47,10 +57,10 @@ The values' path casts ``x`` to float64 from an int64 view, exact below
 2**53, about twice as fast as numpy's uint64 cast, and with no tile-sized
 temporary: eleven passes.  No innovation bit changes, so the guarantee holds.
 
-The sums take two more passes and no float pass over a tile.  The weights are
-constant within each generation, so the support is hashed in the stable order
-of its weights, and each run of equal weight is cut into pieces of at most
-``GROUP_COLUMNS`` = 2048 columns.  Per tile, ``x.max() < 2**53`` checks every
+The sums take two more passes and no float pass over a tile.  The support
+is hashed in the stable order of its weights, each range in label order, and
+each run of equal weight is cut into pieces of at most ``GROUP_COLUMNS`` =
+2048 columns.  Per tile, ``x.max() < 2**53`` checks every
 innovation to lie in [-1, 1), and ``np.add.reduceat`` sums each piece's
 integers in uint64: 2048 values below 2**53 stay below 2048 * 2**53 = 2**64,
 so the sum is exact, and less ``count * 2**52`` it is ``2**52 * sum(u)``,
@@ -60,11 +70,14 @@ weight and the G pieces are added.  So a sum is within ``(G + 1) * 2**-53 *
 sum |w u|`` of the exact ``w . U``, and it is the correctly rounded exact sum
 when there is one piece of weight 1 (the independent field at ``C = 1`` on at
 most 2048 nodes).  Integer sums do not depend on order, so the permutation
-changes nothing.  Regions enter as the int64 labels of
-``tree.region_arrays``, and :func:`sample_field` returns ``(js, ks, values)``
-in that label-sorted order.
+changes nothing.  A plan row expands to the nodes of its generation in label
+order, and a stable sort of the rows by weight is the order a stable sort of
+the per-node weights gives, so the pieces, and every bit of a sum, are those
+of the compiled weights.  :func:`sample_field` takes a region as the int64
+labels of ``tree.region_arrays`` and returns ``(js, ks, values)`` in that
+label-sorted order.
 
-The m-dependent map is kept as label ranges, never as entries.  A ball's
+The compiled m-dependent map is kept as label ranges, never as entries.  A ball's
 members in one generation are one index range (``tree.ball_layer``), and the
 balls of a run of consecutive targets in one generation cover one interval
 there, so :func:`_ball_means` builds the support as a union of run intervals,
@@ -78,14 +91,18 @@ chunk's Python objects are alive beside the text.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .bounds import MixingEnvelope
-from .errors import AmplitudeError, ValidationError, float_in_range, is_real, require
-from .tree import NodeId, Region, ball_layer, ball_sizes, node_labels, region_arrays
+from .errors import (AmplitudeError, CapacityError, ValidationError, float_in_range, is_real,
+                     require)
+from .tree import (BALL_ENTRY_CAP, DEFAULT_NODE_CAP, Generations, NodeId, Region, Strip,
+                   _ball_size, _generation_runs, _powers, _validate_region, ball_layer,
+                   ball_sizes, low_bits, node_labels, region_arrays)
 
 AR_TABLE_HORIZON = 64
 BLOCK_VALUES = 1 << 16  # hashed values per tile: 512 KiB of uint64, cache resident
@@ -136,25 +153,37 @@ def _keys(
     The hash of (seed, replicate, node) is ``mix64(r0 ^ n0)`` for the unfolded
     keys.  A logical right shift distributes over xor, so the finalizer's first
     step on ``x = r0 ^ n0``, ``x ^ (x >> 30)``, equals
-    ``(r0 ^ r0 >> 30) ^ (n0 ^ n0 >> 30)``.  Folding it into the keys here, once
-    per call, spares every tile two passes.
+    ``(r0 ^ r0 >> 30) ^ (n0 ^ n0 >> 30)``.  Folding it into the keys once, not
+    per tile, spares every tile two passes."""
+    return _rep_keys(seed, reps), _node_keys(len(js), lambda a, b: (js[a:b], ks[a:b]))
 
-    The node keys are mixed in place, ``KEY_VALUES`` at a time, through one
-    reused two-row scratch array, so the only support-sized array made is ``n``."""
+
+def _rep_keys(seed: int, reps: np.ndarray) -> np.ndarray:
+    """The folded replicate keys of :func:`_keys`, the only keys the seed enters."""
     s = np.array([seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64) ^ _C_SEED
     s = _mix64(s, np.empty_like(s))
     tmp = np.empty(len(reps), dtype=np.uint64)
     r = _mix_into(np.empty_like(tmp), reps, _C_REP, tmp)
-    r = _xorshift(_mix64(np.bitwise_xor(r, s, out=r), tmp), 30, tmp)
-    n = np.empty(len(js), dtype=np.uint64)
-    scratch = np.empty((2, min(len(js), KEY_VALUES)), dtype=np.uint64)
-    for start in range(0, len(js), KEY_VALUES):
-        stop = min(start + KEY_VALUES, len(js))
+    return _xorshift(_mix64(np.bitwise_xor(r, s, out=r), tmp), 30, tmp)
+
+
+def _node_keys(
+    width: int, labels: Callable[[int, int], tuple[np.ndarray, np.ndarray]]
+) -> np.ndarray:
+    """The folded node keys of :func:`_keys` of ``width`` nodes, whose int64
+    labels ``labels(start, stop)`` gives ``KEY_VALUES`` at a time.  They are
+    mixed in place through one reused two-row scratch array, so the only
+    support-sized array made is the keys'."""
+    n = np.empty(width, dtype=np.uint64)
+    scratch = np.empty((2, min(width, KEY_VALUES)), dtype=np.uint64)
+    for start in range(0, width, KEY_VALUES):
+        stop = min(start + KEY_VALUES, width)
+        js, ks = labels(start, stop)
         part, (gen, spare) = n[start:stop], scratch[:, : stop - start]
-        _mix_into(part, ks[start:stop], _C_IDX, spare)
-        part ^= _mix_into(gen, js[start:stop], _C_GEN, spare)
+        _mix_into(part, ks, _C_IDX, spare)
+        part ^= _mix_into(gen, js, _C_GEN, spare)
         _xorshift(_mix64(part, spare), 30, spare)
-    return r, n
+    return n
 
 
 def _mix_tile(r: np.ndarray, n: np.ndarray, h: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -264,21 +293,30 @@ class _Compiled(NamedTuple):
     ``U`` of its support nodes."""
 
     sample: Callable[[np.ndarray], np.ndarray]  # replicate ids -> values (replicates, targets)
-    width: int  # support nodes, whose innovations are hashed
     weights: np.ndarray  # w = M^T 1, one per support node: sum_v Z_v = w . U
     support: tuple[np.ndarray, np.ndarray]  # support labels (js, ks)
+
+
+def _check_norms(norms: np.ndarray, C: float) -> None:
+    """:class:`AmplitudeError` unless every row norm of a field's map is at
+    most ``C (1 + 1e-12)``, which bounds every value for innovations in
+    [-1, 1]."""
+    if len(norms) and norms.max() > C * (1.0 + 1e-12):
+        raise AmplitudeError(
+            f"a row of the field's map has l1 norm {norms.max()!r}, above the amplitude bound "
+            f"C = {C!r}"
+        )
 
 
 def _compile(spec: FieldSpec, js: np.ndarray, ks: np.ndarray, A: int) -> _Compiled:
     """The field at targets ``(js, ks)``, built once: support, map and weights.
 
     Raises :class:`AmplitudeError` unless every row of ``M`` has an l1 norm of
-    at most ``C (1 + 1e-12)``, which bounds every value for any innovations in
-    [-1, 1]; the sampler still checks each value it returns.
+    at most ``C (1 + 1e-12)``; the sampler still checks each value it returns.
     """
     C = spec.C
     if not len(js):
-        return _Compiled(lambda reps: np.zeros((len(reps), 0)), 0, np.zeros(0), (js, ks))
+        return _Compiled(lambda reps: np.zeros((len(reps), 0)), np.zeros(0), (js, ks))
     if spec.kind == "independent":
         support, apply = (js, ks), lambda u: np.multiply(u, C, out=u)
         norms = weights = np.full(len(js), C, dtype=np.float64)
@@ -286,12 +324,8 @@ def _compile(spec: FieldSpec, js: np.ndarray, ks: np.ndarray, A: int) -> _Compil
         support, apply, norms, weights = _ball_means(js, ks, A, spec.m, C)
     else:
         support, apply, norms, weights = _autoregression(js, ks, A, spec.a, C)
+    _check_norms(norms, C)
     limit = C * (1.0 + 1e-12)
-    if norms.max() > limit:
-        raise AmplitudeError(
-            f"a row of the field's map has l1 norm {norms.max()!r}, above the amplitude bound "
-            f"C = {C!r}"
-        )
 
     def sample(reps: np.ndarray) -> np.ndarray:
         values = apply(_innovations(spec.master_seed, reps, *support))
@@ -299,7 +333,7 @@ def _compile(spec: FieldSpec, js: np.ndarray, ks: np.ndarray, A: int) -> _Compil
             raise AmplitudeError(f"a sampled value lies outside the amplitude bound C = {C!r}")
         return values
 
-    return _Compiled(sample, len(support[0]), weights, support)
+    return _Compiled(sample, weights, support)
 
 
 def _ball_means(js: np.ndarray, ks: np.ndarray, A: int, m: int, C: float):
@@ -482,6 +516,136 @@ def _autoregression(js: np.ndarray, ks: np.ndarray, A: int, a: float, C: float):
     return (support_j, np.concatenate(levels)), apply, norms, weights
 
 
+class RegionPlan(NamedTuple):
+    """A field's region sum on a :class:`Strip` or :class:`Generations` region,
+    one row per support generation, with no node built: each of the ``A**g``
+    nodes (indices from 1) of support generation ``g = generations[i]``
+    carries the weight ``weights[i]`` of ``sum_v Z_v = w . U``.  ``norms[i]``
+    is the l1 norm of every row of the field's map at the region's ``i``-th
+    generation, which the amplitude guard reads."""
+
+    generations: np.ndarray  # int64, ascending
+    weights: np.ndarray  # float64, one per support generation
+    norms: np.ndarray  # float64, one per region generation
+
+
+def region_plan(spec: FieldSpec, region: Region, A: int) -> RegionPlan:
+    """The weights of ``spec`` on ``region`` (a :class:`Strip` or
+    :class:`Generations`), per support generation, in closed form; no node
+    cap applies, and a plan of ``Generations(10**5)`` takes about 0.1 s.
+
+    With target generations ``[t0, t1)``:
+
+    * ``independent``: the weight ``C`` on each target generation;
+    * ``branching_ar``: generations ``0 .. t1 - 1``, the recursion of
+      :func:`_autoregression` on one value per generation;
+    * ``m_dependent``: generations ``max(0, t0 - m) .. t1 - 1 + m``, the ball
+      shares of :func:`_ball_means` summed per generation.
+
+    Each weight is summed in the order and the float steps in which the
+    compiled map adds it, so it equals every per-node weight of
+    :func:`_compile` at that generation bit for bit.
+    """
+    if not isinstance(region, (Strip, Generations)):
+        raise ValidationError(f"a region plan needs a strip or generations region, got {region!r}")
+    _validate_region(region, A)
+    t0, t1 = ((region.level, region.level + region.depth) if isinstance(region, Strip)
+              else (0, region.count))
+    C = float(spec.C)
+    if spec.kind == "independent" or t0 == t1:
+        return RegionPlan(np.arange(t0, t1, dtype=np.int64), *(np.full(t1 - t0, C),) * 2)
+    if spec.kind == "m_dependent":
+        return _ball_plan(t0, t1, A, spec.m, C)
+    return _autoregression_plan(t0, t1, A, spec.a, C)
+
+
+def _added(total: float, x: float, times: int) -> float:
+    """``total`` with ``x`` added ``times`` times in sequence in float64, as
+    ``np.bincount`` and ``np.add.at`` add equal values into one slot; ``total``
+    is 0 or of the sign of ``x``.
+
+    Rounding to nearest is symmetric, so take ``x >= 0``.  The floats of one
+    binade are evenly spaced, so once a step has stayed in a binade (and a tie
+    has rounded to an even multiple of the spacing), every further step in it
+    adds one amount: two real steps measure it, and all but the last two
+    steps that stay in the binade are taken at once, exactly.  The cost grows
+    with the binades crossed, about ``log2(times)``, not with ``times``."""
+    if x < 0.0:
+        return -_added(-total, -x, times)
+    while times and total < math.inf:
+        nxt = total + x
+        times -= 1
+        if times and total > 0.0 and math.frexp(nxt)[1] == math.frexp(total)[1]:
+            after = nxt + x
+            times -= 1
+            binade = math.frexp(after)[1]
+            if binade == math.frexp(nxt)[1]:
+                step = after - nxt  # exact: both lie in one binade
+                half = math.ldexp(1.0, binade - 1)  # the binade is [half, 2 half): no overflow
+                room = int((half - after + half) // step) - 2 if step else times
+                jump = max(0, min(times, room))
+                after += jump * step  # exact: a multiple of the spacing inside the binade
+                times -= jump
+            nxt = after
+        total = nxt
+    return total
+
+
+def _ball_plan(t0: int, t1: int, A: int, m: int, C: float) -> RegionPlan:
+    """:func:`_ball_means` per generation of the targets ``[t0, t1)``.
+
+    A node ``u`` of generation ``g`` lies in the balls of the
+    ``A**(min((m - d) // 2, g) + d)`` target nodes of generation ``g + d``
+    that :func:`ball_layer` counts at ``(g, 1)`` (distance is symmetric), and
+    ``np.add.at`` adds their shares ``C/|ball|`` in row order: ``d``
+    ascending, one share that many times in sequence.  That profile depends on
+    ``g`` only through ``min(g, 2m)`` and the targets within ``m`` of ``g``,
+    so each distinct profile is summed once.
+
+    Raises :class:`CapacityError` when one ball holds more than
+    ``BALL_ENTRY_CAP`` members, decided before ``A**m`` is formed."""
+    if low_bits(A, m) >= BALL_ENTRY_CAP.bit_length() or _ball_size(m, A, m) > BALL_ENTRY_CAP:
+        raise CapacityError(f"a radius-{m} ball holds more than {BALL_ENTRY_CAP} members, "
+                            f"the cap on ball members in all")
+    sizes = [_ball_size(j, A, m) for j in range(m + 1)]  # by the center's generation, clipped
+    shares = [C / size for size in sizes]
+    row_norms = [_added(0.0, share, size) for share, size in zip(shares, sizes)]
+    gens = np.arange(max(0, t0 - m), t1 + m, dtype=np.int64)
+    profiles, weights = {}, []
+    for g in gens.tolist():
+        lo, hi = max(t0 - g, -m), min(t1 - 1 - g, m)  # the target generations g + d
+        key = (min(g, 2 * m), lo, hi)
+        if key not in profiles:
+            w = 0.0
+            for d in range(lo, hi + 1):
+                w = _added(w, shares[min(g + d, m)], A ** (min((m - d) // 2, g) + d))
+            profiles[key] = w
+        weights.append(profiles[key])
+    norms = np.array(row_norms)[np.minimum(np.arange(t0, t1), m)]
+    return RegionPlan(gens, np.array(weights), norms)
+
+
+def _autoregression_plan(t0: int, t1: int, A: int, a: float, C: float) -> RegionPlan:
+    """:func:`_autoregression` per generation of the targets ``[t0, t1)``: the
+    support is generations ``0 .. t1 - 1``, ``d_j`` is 1 on a target
+    generation plus ``a`` times its ``A`` children's ``d_{j+1}`` added in
+    sequence (as ``np.bincount`` adds them), and the weight is
+    ``(1 - |a|) C d_j``, ``C d_0`` at the root.
+
+    Raises :class:`CapacityError` when a weight leaves float range, which
+    ``A |a| > 1`` brings about past a few hundred generations."""
+    step, d = (1.0 - abs(a)) * C, [1.0] * t1
+    for j in range(t1 - 2, -1, -1):
+        d[j] = float(j >= t0) + a * _added(0.0, d[j + 1], A)
+    weights = np.multiply(step, d)
+    weights[0] = C * d[0]
+    float_in_range("a plan weight", np.abs(weights).max())
+    norms = [C]
+    for _ in range(1, t1):
+        norms.append(abs(a) * norms[-1] + abs(step))
+    return RegionPlan(np.arange(t1, dtype=np.int64), weights, np.array(norms[t0:]))
+
+
 def _replicate_ids(replicates: Sequence[int]) -> np.ndarray:
     """Replicate ids as uint64; :class:`ValidationError` unless each is an
     integer in ``[0, 2**64)``."""
@@ -512,55 +676,111 @@ def sample_field(
     return js, ks, _compile(spec, js, ks, A).sample(_replicate_ids([replicate_index]))[0]
 
 
-def _groups(weights: np.ndarray):
-    """The support order that sorts ``weights`` (stable), and the pieces of at
-    most ``GROUP_COLUMNS`` columns that the runs of equal weight fall into in
-    that order: each piece's first column, its column count and its weight."""
+def _range_labels(gens, firsts, counts, ends, start: int, stop: int):
+    """The int64 labels ``(js, ks)`` of columns ``start .. stop - 1`` of the
+    label ranges laid end to end: range ``i``, the ``counts[i]`` indices from
+    ``firsts[i]`` in generation ``gens[i]``, ends before column ``ends[i]``."""
+    lo = int(np.searchsorted(ends, start, "right"))
+    hi = int(np.searchsorted(ends, stop, "left")) + 1  # ranges lo .. hi - 1 meet the columns
+    begin = ends[lo:hi] - counts[lo:hi]
+    skip = np.maximum(begin, start) - begin  # columns of the first range before start
+    lengths = np.minimum(ends[lo:hi], stop) - begin - skip
+    ks = np.ones(stop - start + 1, dtype=np.int64)
+    _mark_ranges(ks, begin + skip - start, firsts[lo:hi] + skip, lengths)
+    return np.repeat(gens[lo:hi], lengths), np.cumsum(ks, out=ks)[: stop - start]
+
+
+def _sums(
+    spec: FieldSpec, gens: np.ndarray, firsts: np.ndarray, counts: np.ndarray,
+    weights: np.ndarray,
+) -> Callable[[Sequence[int]], np.ndarray]:
+    """``w . U`` per replicate, as a function of the replicates, over weighted
+    label ranges: the ``counts[i]`` nodes ``(gens[i], firsts[i] ..)`` each
+    carry the weight ``weights[i]``.
+
+    The ranges are sorted by weight (stable) and laid end to end in that
+    order, each in label order; each run of equal weight is cut into pieces of
+    at most ``GROUP_COLUMNS`` columns.  The node keys and the pieces are built
+    here, once; the function returned hashes, in tiles of at most
+    ``BLOCK_VALUES`` values (one row if that alone is wider), through two tile
+    buffers allocated per call.  Per tile, each piece sums its innovation
+    integers ``x`` exactly in uint64 (at most 2048 values below 2**53); less
+    ``count * 2**52`` it is ``2**52 * sum(u)``, exact in int64, and only then
+    goes to float64."""
     order = np.argsort(weights, kind="stable")
-    w = weights[order]
-    starts = np.flatnonzero(np.concatenate(([True], w[1:] != w[:-1])))
-    pieces = -(-np.diff(starts, append=len(w)) // GROUP_COLUMNS)
+    gens, firsts, counts, weights = (x[order] for x in (gens, firsts, counts, weights))
+    ends = np.cumsum(counts)
+    width = int(ends[-1]) if len(ends) else 0
+    opens = np.ones(len(weights), dtype=bool)  # the ranges that open a run of equal weight
+    np.not_equal(weights[1:], weights[:-1], out=opens[1:])
+    starts = (ends - counts)[opens]  # each run's first column
+    pieces = -(-np.diff(starts, append=width) // GROUP_COLUMNS)
     first = np.repeat(np.cumsum(pieces) - pieces, pieces)  # each piece's run's first piece
     cuts = np.repeat(starts, pieces) + GROUP_COLUMNS * (np.arange(len(first)) - first)
-    return order, cuts, np.diff(cuts, append=len(w)), w[cuts]
+    offsets = np.diff(cuts, append=width).astype(np.uint64) << np.uint64(52)
+    piece_weights = np.repeat(weights[opens], pieces)
+    n = _node_keys(width, lambda a, b: _range_labels(gens, firsts, counts, ends, a, b))
+
+    def sums(replicates: Sequence[int]) -> np.ndarray:
+        reps = _replicate_ids(replicates)
+        if not width:
+            return np.zeros(len(reps))
+        r = _rep_keys(spec.master_seed, reps)
+        out = np.empty(len(reps), dtype=np.float64)
+        rows = max(1, BLOCK_VALUES // width)
+        h = np.empty((min(rows, len(reps)), width), dtype=np.uint64)
+        tmp = np.empty_like(h)
+        for start in range(0, len(reps), rows):  # hash, check and sum one cached tile
+            stop = min(start + rows, len(reps))
+            x = _bits_tile(r[start:stop], n, h[: stop - start], tmp[: stop - start])
+            if not x.max() < _TWO_53:
+                raise AmplitudeError(
+                    f"an innovation lies outside [-1, 1), so the amplitude bound C = {spec.C!r} "
+                    "fails"
+                )
+            group = np.add.reduceat(x, cuts, axis=1)
+            group -= offsets  # modulo 2**64: the int64 view holds the exact difference
+            part = group.view(np.int64).astype(np.float64)
+            part *= _INV_2_52
+            part *= piece_weights
+            part.sum(axis=1, out=out[start:stop])
+        return out
+
+    return sums
 
 
-def _sums(spec: FieldSpec, js: np.ndarray, ks: np.ndarray, A: int,
-          replicates: Sequence[int]) -> np.ndarray:
-    """``w . U`` per replicate at targets ``(js, ks)``, in tiles of at most
-    ``BLOCK_VALUES`` hashed values (one row if that alone is wider), each
-    reduced in a buffer allocated once per call.
+def region_sums_of(
+    spec: FieldSpec, region: Region, A: int
+) -> Callable[[Sequence[int]], np.ndarray]:
+    """:func:`region_sums` as a function of the replicates: every check, the
+    weights and the node keys come first, once, so that each call (a worker's
+    slice of replicates) runs only the tile loop.
 
-    The support is hashed in the order of :func:`_groups`.  Per tile, each
-    piece of equal weight sums its innovation integers ``x`` exactly in uint64
-    (at most 2048 values below 2**53); less ``count * 2**52`` it is
-    ``2**52 * sum(u)``, exact in int64, and only then goes to float64."""
-    reps = _replicate_ids(replicates)
+    A :class:`Strip` or :class:`Generations` region is checked against the
+    node cap, the 63-bit labels and, for the m-dependent field, the cap on
+    ball members, all from its generations; then its weights come from
+    :func:`region_plan`, one row per support generation, and pass the
+    amplitude guard.  No label array, map or per-node weight is built.  A
+    :class:`Subtree` region is compiled, and its support nodes enter as ranges
+    of one node."""
+    if not isinstance(region, (Strip, Generations)):
+        return _compiled_sums(spec, *region_arrays(region, A), A)
+    runs = _generation_runs(region, A, DEFAULT_NODE_CAP)
+    if spec.kind == "m_dependent" and runs:  # a whole generation's largest index is its count
+        js, _, counts = (np.array(column, dtype=np.int64) for column in zip(*runs))
+        ball_sizes(js, counts, A, spec.m, counts)
+    plan = region_plan(spec, region, A)
+    _check_norms(plan.norms, spec.C)
+    counts = _powers(A)[plan.generations]
+    return _sums(spec, plan.generations, np.ones_like(counts), counts, plan.weights)
+
+
+def _compiled_sums(spec: FieldSpec, js: np.ndarray, ks: np.ndarray, A: int):
+    """:func:`_sums` over the compiled support of targets ``(js, ks)``, one
+    node per range."""
     field = _compile(spec, js, ks, A)
-    if not field.width:
-        return np.zeros(len(reps))
-    order, cuts, counts, weights = _groups(field.weights)
-    r, n = _keys(spec.master_seed, reps, *(labels[order] for labels in field.support))
-    del order  # and the permuted labels, before the tile buffers
-    offsets = counts.astype(np.uint64) << np.uint64(52)
-    out = np.empty(len(reps), dtype=np.float64)
-    rows = max(1, BLOCK_VALUES // field.width)
-    h = np.empty((min(rows, len(reps)), field.width), dtype=np.uint64)
-    tmp = np.empty_like(h)
-    for start in range(0, len(reps), rows):  # hash, check and sum one cached tile
-        stop = min(start + rows, len(reps))
-        x = _bits_tile(r[start:stop], n, h[: stop - start], tmp[: stop - start])
-        if not x.max() < _TWO_53:
-            raise AmplitudeError(
-                f"an innovation lies outside [-1, 1), so the amplitude bound C = {spec.C!r} fails"
-            )
-        group = np.add.reduceat(x, cuts, axis=1)
-        group -= offsets  # modulo 2**64: the int64 view holds the exact difference
-        sums = group.view(np.int64).astype(np.float64)
-        sums *= _INV_2_52
-        sums *= weights
-        sums.sum(axis=1, out=out[start:stop])
-    return out
+    ones = np.ones(len(field.weights), dtype=np.int64)
+    return _sums(spec, *field.support, ones, field.weights)
 
 
 def region_sums(
@@ -572,30 +792,45 @@ def region_sums(
     """``sum_v Z_v`` over ``region`` for each replicate, in blocks of bounded memory.
 
     The sum is ``w . U``: one weight per support node, ``w = M^T 1``, so no
-    value is built.  A tile holds whole rows, at most ``BLOCK_VALUES``
-    hashed values (one row of the support if that alone is wider).  It is
-    hashed, checked and summed in place in a uint64 tile buffer, with a
-    second as the hash's scratch, both allocated once per call, so peak
-    memory is those two buffers plus the support arrays, whatever the
-    replicate count.  Each piece of at most ``GROUP_COLUMNS`` = 2048
-    support nodes of equal weight sums its innovations exactly as integers
-    (2048 * 2**52 = 2**63 bounds the centred sum), and only the G piece sums
-    are rounded, weighted and added, so the result is within
-    ``(G + 1) * 2**-53 * sum |w u|`` of the exact ``w . U``, and is its
-    correctly rounded value for one piece of weight 1.  Tile boundaries and
-    worker counts do not affect the result: each replicate's sum is a
-    row-wise reduction of innovations that depend only on (seed, replicate,
-    node).  It agrees with the sum of :func:`field_values` to rounding.
+    value is built.  On a :class:`Strip` or :class:`Generations` region the
+    weights are constant on each support generation and come from
+    :func:`region_plan` in closed form: ``C`` for the independent field, the
+    backward recursion of the autoregression, the ball shares of the
+    m-dependent field, each summed in the order and the float steps in which
+    the compiled map adds them, so they equal its per-node weights bit for
+    bit.  No label array, map or per-node sort is built; the node keys are
+    hashed from the plan's label ranges.  A :class:`Subtree` region compiles
+    its map.
+
+    The support is hashed in the stable order of its weights, each support
+    generation in label order: a stable sort of the plan rows gives the order
+    a stable argsort of the per-node weights gives, so the pieces below, and
+    the bits of every sum, do not depend on which path built the weights.  A
+    tile holds whole rows, at most ``BLOCK_VALUES`` hashed values (one row of
+    the support if that alone is wider).  It is hashed, checked and summed in
+    place in a uint64 tile buffer, with a second as the hash's scratch, both
+    allocated once per call, so peak memory is those two buffers plus the
+    node keys (8 bytes per support node), whatever the replicate count.  Each
+    piece of at most ``GROUP_COLUMNS`` = 2048 support nodes of equal weight
+    sums its innovations exactly as integers (2048 * 2**52 = 2**63 bounds the
+    centred sum), and only the G piece sums are rounded, weighted and added,
+    so the result is within ``(G + 1) * 2**-53 * sum |w u|`` of the exact
+    ``w . U``, and is its correctly rounded value for one piece of weight 1.
+    Tile boundaries and worker counts do not affect the result: each
+    replicate's sum is a row-wise reduction of innovations that depend only
+    on (seed, replicate, node).  It agrees with the sum of
+    :func:`field_values` to rounding.
     """
-    return _sums(spec, *region_arrays(region, A), A, replicates)
+    return region_sums_of(spec, region, A)(replicates)
 
 
 def node_sums(
     spec: FieldSpec, nodes: Sequence[NodeId], A: int, replicates: Sequence[int]
 ) -> np.ndarray:
     """``sum_v Z_v`` over ``nodes`` (a repeated node counts each time) for each
-    replicate, computed as :func:`region_sums` computes a region's."""
-    return _sums(spec, *node_labels(nodes, A), A, replicates)
+    replicate, computed as :func:`region_sums` computes a region's, from the
+    compiled weights."""
+    return _compiled_sums(spec, *node_labels(nodes, A), A)(replicates)
 
 
 def field_to_csv(sample: tuple[np.ndarray, np.ndarray, np.ndarray]) -> str:

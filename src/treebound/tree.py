@@ -179,11 +179,17 @@ def _ball_size(j: int, A: int, m: int) -> int:
     return sum(A ** (min((m - d) // 2, j) + d) for d in range(-min(j, m), m + 1))
 
 
-def ball_sizes(js: np.ndarray, ks: np.ndarray, A: int, m: int) -> np.ndarray:
+def ball_sizes(
+    js: np.ndarray, ks: np.ndarray, A: int, m: int, counts: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Member counts of the radius-``m`` balls around the nodes ``(js, ks)``,
     indexed by the center's generation clipped at ``m``: the ball of
     ``(j, k)`` holds ``sizes[min(j, m)]`` nodes (every generation from ``m``
     on has balls of one size).  An entry no center uses reads 0.
+
+    Given ``counts``, the centers are counted per generation instead: the
+    ``counts[i]`` nodes of generation ``js[i]`` whose largest index is
+    ``ks[i]``, with no label array of them.
 
     Raises :class:`ValidationError` when a ball would need labels past the
     63-bit range, as :func:`children` does, and :class:`CapacityError`, before
@@ -193,12 +199,13 @@ def ball_sizes(js: np.ndarray, ks: np.ndarray, A: int, m: int) -> np.ndarray:
     # m >= 63 puts A**m past every label without computing it
     if m >= 63 or int(js.max()) + m >= MAX_LABEL or int(ks.max()) * A**m >= MAX_LABEL:
         raise ValidationError(f"radius-{m} balls of these nodes overflow the 63-bit label range")
-    centers = np.bincount(np.minimum(js, m), minlength=m + 1).tolist()
+    # float bin sums are exact: fewer centers than 2**53 pass the node cap
+    centers = [int(c) for c in np.bincount(np.minimum(js, m), counts, minlength=m + 1).tolist()]
     sizes = [_ball_size(j, A, m) if count else 0 for j, count in enumerate(centers)]
     total = sum(count * size for count, size in zip(centers, sizes))
     if total > BALL_ENTRY_CAP:
         raise CapacityError(
-            f"radius-{m} balls of {len(js)} nodes hold {total} members, "
+            f"radius-{m} balls of {sum(centers)} nodes hold {total} members, "
             f"exceeding the cap of {BALL_ENTRY_CAP}"
         )
     return np.array(sizes, dtype=np.int64)
@@ -374,13 +381,18 @@ def check_node_cap(region: Region, A: int, cap: int = DEFAULT_NODE_CAP) -> None:
         deepest = region.count - 1
     else:
         deepest = (region.level if isinstance(region, Strip) else 0) + region.depth - 1
-    # the deepest generation alone has A**deepest >= 2**low_bits nodes: the integer
-    # term is exact for a power-of-two A, the float one (its factor kept finite) is
-    # 2**-40 below its value, and neither needs the exact count
-    low_bits = max(deepest * (A.bit_length() - 1),
-                   math.floor(math.log2(A) * min(deepest, 1 << 62) * (1 - 2**-40)))
-    if low_bits >= cap.bit_length() or region_node_count(region, A) > cap:
-        raise CapacityError(f"region holds at least 2**{low_bits} nodes, exceeding the cap of {cap}")
+    bits = low_bits(A, deepest)  # the deepest generation alone has A**deepest nodes
+    if bits >= cap.bit_length() or region_node_count(region, A) > cap:
+        raise CapacityError(f"region holds at least 2**{bits} nodes, exceeding the cap of {cap}")
+
+
+def low_bits(A: int, e: int) -> int:
+    """An integer at or below ``log2(A**e)``, found without forming ``A**e``,
+    whose exact value takes super-linear time in ``e``.  The integer term is
+    exact for a power-of-two ``A``; the float one (its factor kept finite) is
+    2**-40 below its value."""
+    return max(e * (A.bit_length() - 1),
+               math.floor(math.log2(A) * min(e, 1 << 62) * (1 - 2**-40)))
 
 
 def _generation_runs(region: Region, A: int, cap: int) -> list[tuple[int, int, int]]:

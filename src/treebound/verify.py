@@ -52,7 +52,7 @@ from .bounds import (
     optimize_params,
 )
 from .errors import CapacityError, ValidationError, float_in_range, is_real, require
-from .fields import FieldSpec, field_certificate, node_sums, region_sums
+from .fields import FieldSpec, field_certificate, node_sums, region_sums_of
 from .tree import (
     Generations, NodeId, Region, Strip, check_node_cap, node_labels, region_node_count,
     tree_distances, validate_node,
@@ -618,13 +618,6 @@ def _default_grid(A: int, L: int) -> GridSpec:
     return GridSpec(p2_values=candidates, q2_values=candidates)
 
 
-def _exceed_counts(
-    spec: FieldSpec, region: Region, A: int, reps: Sequence[int], thresholds: np.ndarray
-) -> np.ndarray:
-    sums = np.abs(region_sums(spec, region, A, reps))
-    return (sums[None, :] > thresholds[:, None]).sum(axis=1)
-
-
 def mc_tail(
     field: FieldSpec,
     region: Region,
@@ -648,7 +641,9 @@ def mc_tail(
 
     Replicates 0..n-1 are split into ``workers`` contiguous slices whose
     exceedance counts merge by addition; the counter-based field generator
-    makes the outcome identical for every worker count.
+    makes the outcome identical for every worker count.  The region's weights
+    and node keys are built once (:func:`region_sums_of`); each slice runs
+    only the tile loop on them, in a pool thread or, for one worker, inline.
     """
     if not eps_grid:
         raise ValidationError("epsilon grid must be non-empty")
@@ -658,6 +653,11 @@ def mc_tail(
     cert = field_certificate(field)
     certified = cert.envelope.provenance == "exact"
     eps = [float(e) for e in eps_grid]
+    if not isinstance(region, (Strip, Generations)):
+        raise ValidationError(
+            "mc_tail pairs bounds with strip or generations regions only"
+        )
+    check_node_cap(region, A)  # a deep region is refused before its bound and its exact count
 
     if isinstance(region, Strip):
         scale = 1.0
@@ -675,8 +675,7 @@ def mc_tail(
                     cert.envelope, e, grid or _default_grid(A, region.level),
                 )
             log_bounds.append(bernstein_bound(inp).log_total)
-    elif isinstance(region, Generations):
-        check_node_cap(region, A)  # a deep region is refused before its exact count
+    else:
         scale = float_in_range("|region|", region_node_count(region, A))
         log_bounds = [
             concentration_bound(
@@ -687,25 +686,17 @@ def mc_tail(
             ).log_total
             for e in eps
         ]
-    else:
-        raise ValidationError(
-            "mc_tail pairs bounds with strip or generations regions only"
-        )
 
     thresholds = np.array([e * scale for e in eps])
-    all_reps = range(n_replicates)
-    if workers == 1:
-        counts = _exceed_counts(field, region, A, all_reps, thresholds)
-    else:
-        step = -(-n_replicates // workers)
-        slices = [range(s, min(s + step, n_replicates)) for s in range(0, n_replicates, step)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    lambda sl: _exceed_counts(field, region, A, sl, thresholds), slices
-                )
-            )
-        counts = np.sum(parts, axis=0)
+    sums = region_sums_of(field, region, A)
+
+    def exceed_counts(reps: range) -> np.ndarray:
+        return (np.abs(sums(reps))[None, :] > thresholds[:, None]).sum(axis=1)
+
+    step = -(-n_replicates // workers)
+    slices = [range(s, min(s + step, n_replicates)) for s in range(0, n_replicates, step)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        counts = np.sum(list((pool.map if workers > 1 else map)(exceed_counts, slices)), axis=0)
 
     out, n = [], int(n_replicates)  # plain Python numbers in the records
     for e, k, log_bound in zip(eps, counts, log_bounds):

@@ -364,6 +364,57 @@ def test_bounds_past_float_range_exit_three(capsys):
     assert err.startswith("error:") and "C*P2" in err
 
 
+def test_mc_tail_refuses_a_deep_strip_before_its_bound(capsys):
+    # the strip bound would form 2**100000 exactly, then fail on a log factor
+    code, out, err = run(capsys, "mc-tail", "--rate", "2", "--region", "strip(100000,3)",
+                         "--field", "independent", "--C", "1", "--epsilons", "0.5",
+                         "--replicates", "100")
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and "region holds at least 2**100002 nodes" in err
+
+
+_DEEP = str(2**1024)
+_BOUND_TAIL = ["--epsilon", "0.5", "--C", "1", "--sigma2", "0.3", "--envelope", "zero"]
+_STRIP_BOUND = ["bernstein-bound", "--A", "2", "--P", "3", "--P2", "4", "--Q2", "4",
+                "--beta", "0.003", "--epsilon", "50", "--C", "1", "--sigma2", "0",
+                "--envelope", "zero", "--L"]
+
+
+@pytest.mark.parametrize("argv, term", [
+    (["concentration-bound", "--A", "2", "--L", _DEEP] + _BOUND_TAIL, "A**(L - P1)"),
+    (["concentration-bound", "--A", "3", "--L", str(10**12)] + _BOUND_TAIL, "A**(L - P1)"),
+    (_STRIP_BOUND + ["20000"], "block_count"),
+    (_STRIP_BOUND + [_DEEP], "block_count"),
+])
+def test_astronomically_deep_bounds_exit_three_naming_the_term(argv, term):
+    # decided from L*log2(A) before any A**L is formed; the child's timeout
+    # fails the test if one ever is
+    probe = f"import sys; from treebound.cli import main; sys.exit(main({argv!r}))"
+    src = str(Path(treebound.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr.startswith("error:") and term in done.stderr, done.stderr
+
+
+def test_concentration_bound_past_float_range_of_L_raises_capacity_error():
+    probe = """
+from treebound import CapacityError, ConcentrationInput, MixingEnvelope, concentration_bound
+try:
+    concentration_bound(ConcentrationInput(A=2, L=2**1024, epsilon=0.5, C=1.0, sigma2=0.3,
+                                           envelope=MixingEnvelope.zero()))
+except CapacityError as exc:
+    print(exc)
+"""
+    src = str(Path(treebound.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "A**(L - P1) leaves float range\n"
+
+
 @pytest.mark.parametrize("argv,key", [
     (["mc-tail", "--rate", "2.5"], "rate"),
     (["mc-tail", "--C", "abc"], "C"),

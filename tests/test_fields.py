@@ -26,6 +26,7 @@ from treebound import (
     field_values,
     node_sums,
     region_nodes,
+    region_plan,
     region_sums,
     sample_field,
     tree_distance,
@@ -33,7 +34,8 @@ from treebound import (
 from treebound import fields as _fields
 from treebound.cli import main
 from treebound.errors import CapacityError
-from treebound.tree import BALL_ENTRY_CAP, MAX_LABEL, _ball_size, _powers, region_arrays
+from treebound.tree import (BALL_ENTRY_CAP, MAX_LABEL, _ball_size, _powers, ball_sizes,
+                            region_arrays)
 
 
 def test_independent_moments():
@@ -431,7 +433,7 @@ def test_fused_sums_match_the_whole_matrix_reference_bit_for_bit(spec, monkeypat
         nodes = list(region_nodes(region, A))
         want = region_sums(spec, region, A, reps)
         _assert_near_the_whole_matrix_sums(spec, js, ks, A, reps, want)
-        width = _fields._compile(spec, js, ks, A).width
+        width = len(_fields._compile(spec, js, ks, A).weights)
         for budget in (1, width - 1, width, 2 * width + 1, default):
             monkeypatch.setattr(_fields, "BLOCK_VALUES", budget)
             assert np.array_equal(region_sums(spec, region, A, reps), want)
@@ -440,7 +442,7 @@ def test_fused_sums_match_the_whole_matrix_reference_bit_for_bit(spec, monkeypat
     # a support wider than a tile: one replicate per tile
     spec = FieldSpec.m_dependent(1, C=0.9, master_seed=34)
     js, ks = region_arrays(Generations(16), 2)
-    assert _fields._compile(spec, js, ks, 2).width > default
+    assert len(_fields._compile(spec, js, ks, 2).weights) > default
     sums = region_sums(spec, Generations(16), 2, range(5))
     _assert_near_the_whole_matrix_sums(spec, js, ks, 2, range(5), sums)
 
@@ -459,7 +461,7 @@ def test_region_sums_blocks_narrower_than_the_support(spec, monkeypatch):
         monkeypatch.setattr(_fields, "BLOCK_VALUES", default)
         whole = region_sums(spec, region, 3, reps)
         _assert_sums_of(spec, whole, field_values(spec, list(region_nodes(region, 3)), 3, reps))
-        width = _fields._compile(spec, *region_arrays(region, 3), 3)[1]
+        width = len(_fields._compile(spec, *region_arrays(region, 3), 3).weights)
         for budget, rows in ((1, 1), (width + width // 2, 1), (2 * width + width // 2, 2)):
             monkeypatch.setattr(_fields, "BLOCK_VALUES", budget)
             hash_rows.clear()
@@ -515,18 +517,27 @@ def test_region_sums_agree_with_summed_values(spec):
 
 
 def test_a_map_row_with_l1_norm_above_C_raises_before_hashing(monkeypatch):
-    ball_means, nodes = _fields._ball_means, list(region_nodes(Generations(4), 2))
+    # the compiled map's norms (node lists, sampling) and the region plan's (sums)
+    ball_means, region_plan = _fields._ball_means, _fields.region_plan
+    nodes = list(region_nodes(Generations(4), 2))
 
-    def inflated(factor):
+    def inflate(factor):
         def build(*args):
             support, apply, norms, weights = ball_means(*args)
             return support, apply, norms * factor, weights
-        return build
+
+        def plan(*args):
+            plan = region_plan(*args)
+            return plan._replace(norms=plan.norms * factor)
+
+        monkeypatch.setattr(_fields, "_ball_means", build)
+        monkeypatch.setattr(_fields, "region_plan", plan)
 
     spec = FieldSpec.m_dependent(1, C=1.0, master_seed=41)
-    monkeypatch.setattr(_fields, "_ball_means", inflated(1 + 0.5e-12))
+    inflate(1 + 0.5e-12)
     field_values(spec, nodes, 2, range(2))  # within the rounding allowance
-    monkeypatch.setattr(_fields, "_ball_means", inflated(1 + 2e-12))
+    region_sums(spec, Generations(4), 2, range(2))
+    inflate(1 + 2e-12)
 
     def no_hash(r, n, h, tmp):
         raise AssertionError("innovations hashed before the map was checked")
@@ -982,12 +993,22 @@ for call in (lambda: field_values(spec, list(region_nodes(Generations(2), 2)), 2
     else:
         raise AssertionError("no CapacityError")
 # a radius past the 63-bit labels is refused without computing A**m
+wide = FieldSpec.m_dependent(10**11)
+for call in (lambda: field_values(wide, list(region_nodes(Generations(2), 2)), 2, range(2)),
+             lambda: region_sums(wide, Generations(2), 2, range(2))):
+    try:
+        call()
+    except ValidationError as exc:
+        assert "63-bit" in str(exc)
+    else:
+        raise AssertionError("no ValidationError")
+# the node cap comes first, from the region's depth alone
 try:
-    field_values(FieldSpec.m_dependent(10**11), list(region_nodes(Generations(2), 2)), 2, range(2))
-except ValidationError as exc:
-    assert "63-bit" in str(exc)
+    region_sums(spec, Generations(10**9), 2, range(2))
+except CapacityError as exc:
+    assert "region holds at least" in str(exc)
 else:
-    raise AssertionError("no ValidationError")
+    raise AssertionError("no CapacityError")
 """
     src = str(Path(treebound.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
@@ -996,3 +1017,145 @@ else:
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "Traceback" not in done.stderr
+
+
+# --- the region plan: per-generation weights in closed form ------------------
+
+
+_PLAN_REGIONS = tuple(Generations(count) for count in range(8)) + tuple(
+    Strip(level, depth) for level in (0, 1, 2, 4) for depth in (1, 2, 3))
+_PLAN_SPECS = tuple(
+    spec
+    for C in (1.0, 0.8)
+    for spec in (FieldSpec.independent(C),)
+    + tuple(FieldSpec.m_dependent(m, C) for m in (1, 2, 3))
+    + tuple(FieldSpec.branching_ar(a, C) for a in (0.8, -0.6, 0.3, 0.0))
+)
+
+
+def _compiled_reference(spec, region, A):
+    """The support generations, weights and target row norms of the compiled
+    map, one per node: the weights are ``_Compiled.weights``."""
+    js, ks = region_arrays(region, A)
+    field = _fields._compile(spec, js, ks, A)
+    if spec.kind == "independent" or not len(js):
+        norms = np.full(len(js), spec.C)
+    elif spec.kind == "m_dependent":
+        norms = _fields._ball_means(js, ks, A, spec.m, spec.C)[2]
+    else:  # the norms of the ancestor closure, whose last nodes are the targets
+        norms = _fields._autoregression(js, ks, A, spec.a, spec.C)[2][len(field.weights) - len(js):]
+    return field.support[0], field.weights, norms
+
+
+@pytest.mark.parametrize("A", [2, 3, 4, 5])
+def test_region_plan_matches_the_compiled_weights_bit_for_bit(A):
+    for region in _PLAN_REGIONS:
+        targets = region_arrays(region, A)[0]
+        for spec in _PLAN_SPECS:
+            support_j, weights, norms = _compiled_reference(spec, region, A)
+            plan = region_plan(spec, region, A)
+            counts = _powers(A)[plan.generations]
+            assert np.array_equal(np.repeat(plan.generations, counts), support_j)
+            assert np.repeat(plan.weights, counts).tobytes() == weights.tobytes(), (spec, region)
+            per_target = np.repeat(plan.norms, np.bincount(targets - targets.min())
+                                   if len(targets) else [])
+            assert per_target.tobytes() == norms.tobytes(), (spec, region)
+
+
+def _sequential(total, x, times):
+    for _ in range(times):
+        total += x
+    return total
+
+
+def test_repeated_addition_is_the_sequential_sum():
+    # ties to even at 1.0 (x = k ulp / 2), binade crossings, subnormals and signs
+    rng = np.random.default_rng(70)
+    xs = [k * 2.0**-53 for k in range(1, 8)] + [0.1, 1 / 3, 0.8 / 7, 2.0**-1074, 3 * 2.0**-1074,
+                                               2.0**-1022, 1e300] + rng.random(12).tolist()
+    for x in xs + [-x for x in xs[::3]]:
+        for total in (0.0, 1.0, 1.0 + 2.0**-52, 3 * x, 0.75):
+            total = math.copysign(total, x)
+            for times in (0, 1, 2, 3, 4, 5, 17, 100, 4097):
+                want = _sequential(total, x, times)
+                assert _fields._added(total, x, times).hex() == want.hex(), (total, x, times)
+    # the top binade, whose end 2**1024 is no float, and an overflow to inf
+    for total, x, times in ((1.7e308, 1e292, 10**5), (1e308, 1e305, 10**4), (0.0, -1e307, 100)):
+        assert _fields._added(total, x, times) == _sequential(total, x, times)
+    for x in (0.1, 0.8 / 27, -0.6 * 0.3):  # as np.bincount adds one bin
+        weights = np.full(3**11, x)
+        assert _fields._added(0.0, x, 3**11) == np.bincount(np.zeros(3**11, int), weights)[0]
+
+
+def test_region_sums_build_no_label_arrays_and_compile_no_map(monkeypatch):
+    def refused(*args):
+        raise AssertionError("a strip or generations region built labels or a map")
+
+    for name in ("region_arrays", "_compile", "_ball_means", "_autoregression"):
+        monkeypatch.setattr(_fields, name, refused)
+    for spec in _SUM_SPECS:
+        for region in (Generations(7), Strip(3, 3)):
+            region_sums(spec, region, 2, range(3))
+
+
+@pytest.mark.parametrize("spec, limit", zip(_KINDS, (5.1, 14.2, 9.1)),
+                         ids=[spec.kind for spec in _KINDS])
+def test_region_sums_memory_holds_no_label_arrays(spec, limit):
+    # the node keys (1 or 2 MiB) and two one-row tile buffers: no label arrays
+    # (16 bytes per node), map or per-node weights, which read 7.1, 16.3 and 11.1 MiB
+    peak = _peak_bytes(lambda: region_sums(spec, Generations(17), 2, range(2)))
+    assert peak <= limit * 2**20
+
+
+def test_a_deep_region_plan_is_fast_and_small():
+    # generations(10**5): no node is built; the traced call runs far slower,
+    # so it is timed untraced and measured traced
+    probe = """
+import time, tracemalloc
+from treebound import FieldSpec, Generations, region_plan
+spec, region = FieldSpec.m_dependent(2), Generations(10**5)
+start = time.perf_counter()
+plan = region_plan(spec, region, 2)
+elapsed = time.perf_counter() - start
+tracemalloc.start()
+region_plan(spec, region, 2)
+peak = tracemalloc.get_traced_memory()[1]
+print(elapsed, peak, len(plan.generations), len(set(plan.weights.tolist())), len(plan.norms))
+"""
+    src = str(Path(treebound.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    elapsed, peak, gens, distinct, norms = done.stdout.split()
+    assert float(elapsed) < 1.0
+    assert int(peak) < 16 * 2**20
+    assert (int(gens), int(distinct), int(norms)) == (10**5 + 2, 9, 10**5)
+
+
+def test_region_plan_refusals():
+    with pytest.raises(ValidationError, match="strip or generations"):
+        region_plan(_KINDS[0], Subtree(1, 1, 2), 2)
+    # one ball past the cap on members, decided before A**m is formed
+    for m in (28, 10**12):
+        with pytest.raises(CapacityError, match="members"):
+            region_plan(FieldSpec.m_dependent(m), Generations(3), 2)
+    # A|a| > 1 doubles the weights each few generations: past float range, not inf
+    with pytest.raises(CapacityError, match="float range"):
+        region_plan(FieldSpec.branching_ar(0.8), Generations(5000), 2)
+    empty = region_plan(_KINDS[1], Generations(0), 2)
+    assert all(len(column) == 0 for column in empty)
+    assert region_sums(_KINDS[1], Generations(0), 2, range(3)).tolist() == [0.0] * 3
+
+
+def test_ball_sizes_per_generation_match_the_label_form():
+    for A, m in ((2, 1), (3, 2), (2, 4)):
+        for region in (Generations(5), Strip(1, 3), Strip(3, 2)):
+            js, ks = region_arrays(region, A)
+            gens = np.unique(js)
+            counts = _powers(A)[gens]
+            assert np.array_equal(ball_sizes(gens, counts, A, m, counts), ball_sizes(js, ks, A, m))
+    js, ks = region_arrays(Generations(2), 2)
+    for args in ((js, ks), (np.arange(2), np.array([1, 2]), np.array([1, 2]))):
+        with pytest.raises(CapacityError, match="balls of 3 nodes hold"):
+            ball_sizes(args[0], args[1], 2, 40, *args[2:])

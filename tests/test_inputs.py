@@ -36,6 +36,8 @@ from treebound import (
     region_arrays,
     region_node_count,
     region_nodes,
+    region_plan,
+    region_sums,
     sample_field,
     total_ordered_pairs,
 )
@@ -50,6 +52,9 @@ _BAD_REGIONS = [Strip(1.5, 2), Strip(1, 2.0), Generations(2.0), Generations(True
 _CALLS = {
     **{f"region_arrays-{r}": (lambda r=r: region_arrays(r, 2)) for r in _BAD_REGIONS},
     **{f"sample_field-{r}": (lambda r=r: sample_field(_SPEC, r, 2, 0)) for r in _BAD_REGIONS},
+    **{f"region_sums-{r}": (lambda r=r: region_sums(_SPEC, r, 2, [0])) for r in _BAD_REGIONS},
+    **{f"region_plan-{r}": (lambda r=r: region_plan(_SPEC, r, 2)) for r in _BAD_REGIONS},
+    "region_plan-rate": lambda: region_plan(_SPEC, Generations(3), 2.0),
     **{f"region_node_count-{r}": (lambda r=r: region_node_count(r, 2)) for r in _BAD_REGIONS},
     "region_nodes-cap": lambda: list(region_nodes(Generations(3), 2, cap=2.5)),
     "mc_tail-workers-float": lambda: mc_tail(_SPEC, Strip(3, 2), 2, [1.0], 200, workers=2.5),

@@ -37,6 +37,7 @@ from treebound import (
     tail_estimates_to_jsonl,
     tree_distance,
 )
+from treebound import fields as fields_mod
 from treebound import verify as verify_mod
 
 
@@ -434,6 +435,27 @@ def test_mc_tail_worker_invariance():
     four = mc_tail(spec, Strip(4, 2), 2, eps, 400, workers=4,
                    bound_params=StripParams(2, 2, 1e-3))
     assert tail_estimates_to_jsonl(one) == tail_estimates_to_jsonl(four)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_mc_tail_builds_one_plan_and_one_key_array_per_op(monkeypatch, workers):
+    # every worker slice runs the tile loop on the weights and node keys of one build
+    calls = {"region_plan": 0, "_node_keys": 0}
+    for name in calls:
+        def counted(*args, _build=getattr(fields_mod, name), _name=name):
+            calls[_name] += 1
+            return _build(*args)
+
+        monkeypatch.setattr(fields_mod, name, counted)
+    for spec in (FieldSpec.independent(C=1.0, master_seed=3),
+                 FieldSpec.m_dependent(1, C=1.0, master_seed=3),
+                 FieldSpec.branching_ar(0.8, C=1.0, master_seed=3)):
+        for region, eps in ((Strip(3, 3), [5.0]), (Generations(7), [0.1])):
+            calls.update(region_plan=0, _node_keys=0)
+            got = mc_tail(spec, region, 2, eps, 300, workers=workers)
+            assert calls == {"region_plan": 1, "_node_keys": 1}
+            want = mc_tail(spec, region, 2, eps, 300, workers=1)
+            assert tail_estimates_to_jsonl(got) == tail_estimates_to_jsonl(want)
 
 
 def test_mc_tail_uncertified_for_heuristic_envelope():
