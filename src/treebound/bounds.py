@@ -195,17 +195,22 @@ def beta_cap(A: int, P: int, P2: int, C: float) -> float:
     return float_in_range("beta cap (A - 1)/(4e*C*P2*(A**P - 1))", (A - 1) / denominator)
 
 
+def _check_block_digits(A: int, L: int) -> None:
+    """:class:`CapacityError` when ``block_count = ceil(A**L / (P2 + Q2))``
+    may not print: refused from ``L*log10(A)``, before ``A**L`` is formed, as
+    count-pairs refuses its counts."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and L >= limit / math.log10(A):
+        raise CapacityError(f"block_count = ceil(A**L / (P2 + Q2)) may exceed {limit} digits")
+
+
 def _check_admissible(inp: BernsteinInput) -> None:
     require(
         (("A", inp.A, 2), ("L", inp.L, 0), ("P", inp.P, 1), ("P2", inp.P2, 1), ("Q2", inp.Q2, 1)),
         (("C", inp.C, ">", 0), ("sigma2", inp.sigma2, ">=", 0), ("epsilon", inp.epsilon, ">", 0),
          ("beta", inp.beta, ">", 0)),
     )
-    # block_count = ceil(A**L / (P2 + Q2)) must print: refused from L*log10(A),
-    # before A**L is formed, as count-pairs refuses its counts
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and inp.L >= limit / math.log10(inp.A):
-        raise CapacityError(f"block_count = ceil(A**L / (P2 + Q2)) may exceed {limit} digits")
+    _check_block_digits(inp.A, inp.L)
     msgs = []
     if inp.Q2 < 2:
         msgs.append(f"Q2 = {inp.Q2} is below the minimum block length 2")
@@ -494,6 +499,7 @@ def optimize_params(
     """
     require((("A", A, 2), ("L", L, 0), ("P", P, 1)),
             (("C", C, ">", 0), ("sigma2", sigma2, ">=", 0), ("epsilon", epsilon, ">", 0)))
+    _check_block_digits(A, L)
     proxy = variance_proxy(A, P, sigma2, C, envelope)
     n_roots = A**L
     candidates = []

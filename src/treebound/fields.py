@@ -21,13 +21,18 @@ chunking or worker count, which is what makes Monte Carlo runs reproducible
 and mergeable.
 
 Every kind is linear in the innovations ``U`` of a support of nodes:
-``Z = M U``.  :func:`field_values` and :func:`sample_field` compile the field
-at their targets into that map (a scale by ``C``, ball means applied by one
-``bincount`` per tile of rows and replicate, or the autoregression over
-parent indices) and into the support's weights ``w = M^T 1``, one per
-support node.  Compiling checks that every row of ``M`` has an l1 norm of at
-most ``C (1 + 1e-12)``, which bounds every value for innovations in [-1, 1],
-and the values are checked against ``C``.
+``Z = M U``.  :func:`field_values`, and :func:`sample_field` on a
+:class:`Subtree` region, compile the field at their targets into that map (a
+scale by ``C``, ball means applied by one ``bincount`` per tile of rows and
+replicate, or the autoregression over parent indices) and into the
+support's weights ``w = M^T 1``, one per support node.  Compiling checks
+that every row of ``M`` has an l1 norm of at most ``C (1 + 1e-12)``, which
+bounds every value for innovations in [-1, 1], and the values are checked
+against ``C``.  On a :class:`Strip` or :class:`Generations` region,
+:func:`sample_field` compiles nothing: after the checks of the region sums
+below, it forms the values one generation at a time from per-generation
+innovations, with the float operations of the compiled map in its order, so
+every bit is the map's.
 
 :func:`region_sums` and :func:`node_sums` build no value: a sum is ``w . U``.
 On a :class:`Strip` or :class:`Generations` region, whole generations, the
@@ -44,9 +49,10 @@ worker slices share one build.  One tile of whole rows (at most
 sums in place in a uint64 tile buffer, with a second as the hash's scratch,
 both allocated once per call.  Its peak memory is those two buffers (512 KiB
 each) per calling thread plus the node keys, 8 bytes per support node,
-whatever the replicate count.  The tile stays in cache through those passes,
-and is large enough that handing over the GIL on every numpy call does not
-serialize worker threads.
+whatever the replicate count.  The tile stays in cache through those passes;
+it was sized for one thread.  Worker threads hand over the GIL at every numpy
+call, so a second one gains little: 1.0-1.3x per ``mc-tail`` op on a 2-core
+host (``generations(12)``, 4096 replicates, 9 interleaved runs per field).
 
 The finalizer's first step, ``x ^ (x >> 30)``, distributes over the xor of a
 replicate key and a node key, so :func:`_keys` applies it to the keys once per
@@ -73,9 +79,8 @@ most 2048 nodes).  Integer sums do not depend on order, so the permutation
 changes nothing.  A plan row expands to the nodes of its generation in label
 order, and a stable sort of the rows by weight is the order a stable sort of
 the per-node weights gives, so the pieces, and every bit of a sum, are those
-of the compiled weights.  :func:`sample_field` takes a region as the int64
-labels of ``tree.region_arrays`` and returns ``(js, ks, values)`` in that
-label-sorted order.
+of the compiled weights.  :func:`sample_field` returns ``(js, ks, values)``
+with the int64 labels of ``tree.region_arrays``, in that label-sorted order.
 
 The compiled m-dependent map is kept as label ranges, never as entries.  A ball's
 members in one generation are one index range (``tree.ball_layer``), and the
@@ -84,7 +89,10 @@ there, so :func:`_ball_means` builds the support as a union of run intervals,
 with no sort over entries.  It keeps one support shift per run and layer and
 each target's run, and forms entries (support positions, row ids,
 ``C/|ball|``) one tile of whole rows at a time, at most ``BLOCK_VALUES`` of
-them, in the (row, column) order of a CSR mat-vec.
+them, in the (row, column) order of a CSR mat-vec.  With no map, the layer
+``d`` of a whole target generation's balls is a reshape of generation
+``j + d``'s innovations into rows of one ancestor each
+(:func:`_ball_values`).
 :func:`field_to_csv` formats ``CSV_ROWS`` rows per ``%`` format, so only one
 chunk's Python objects are alive beside the text.
 """
@@ -109,6 +117,7 @@ BLOCK_VALUES = 1 << 16  # hashed values per tile: 512 KiB of uint64, cache resid
 CSV_ROWS = 4096  # rows per % format in field_to_csv
 KEY_VALUES = 1 << 13  # node keys mixed per step of _keys: 64 KiB per scratch row
 GROUP_COLUMNS = 2048  # columns per exact integer sum: 2048 * 2**53 = 2**64
+SUM_COLUMN_TARGETS = 512  # from this many targets, a numpy add per ball column beats accumulate
 
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
@@ -325,15 +334,20 @@ def _compile(spec: FieldSpec, js: np.ndarray, ks: np.ndarray, A: int) -> _Compil
     else:
         support, apply, norms, weights = _autoregression(js, ks, A, spec.a, C)
     _check_norms(norms, C)
-    limit = C * (1.0 + 1e-12)
 
     def sample(reps: np.ndarray) -> np.ndarray:
-        values = apply(_innovations(spec.master_seed, reps, *support))
-        if values.size and not (-limit <= values.min() and values.max() <= limit):
-            raise AmplitudeError(f"a sampled value lies outside the amplitude bound C = {C!r}")
-        return values
+        return _checked_values(apply(_innovations(spec.master_seed, reps, *support)), C)
 
     return _Compiled(sample, weights, support)
+
+
+def _checked_values(values: np.ndarray, C: float) -> np.ndarray:
+    """``values``, after :class:`AmplitudeError` unless each lies within
+    ``C (1 + 1e-12)`` of 0."""
+    limit = C * (1.0 + 1e-12)
+    if values.size and not (-limit <= values.min() and values.max() <= limit):
+        raise AmplitudeError(f"a sampled value lies outside the amplitude bound C = {C!r}")
+    return values
 
 
 def _ball_means(js: np.ndarray, ks: np.ndarray, A: int, m: int, C: float):
@@ -549,14 +563,34 @@ def region_plan(spec: FieldSpec, region: Region, A: int) -> RegionPlan:
     if not isinstance(region, (Strip, Generations)):
         raise ValidationError(f"a region plan needs a strip or generations region, got {region!r}")
     _validate_region(region, A)
-    t0, t1 = ((region.level, region.level + region.depth) if isinstance(region, Strip)
-              else (0, region.count))
+    t0, t1 = _target_generations(region)
     C = float(spec.C)
     if spec.kind == "independent" or t0 == t1:
         return RegionPlan(np.arange(t0, t1, dtype=np.int64), *(np.full(t1 - t0, C),) * 2)
     if spec.kind == "m_dependent":
         return _ball_plan(t0, t1, A, spec.m, C)
     return _autoregression_plan(t0, t1, A, spec.a, C)
+
+
+def _target_generations(region: Strip | Generations) -> tuple[int, int]:
+    """The generations ``[t0, t1)`` that ``region`` holds in full."""
+    if isinstance(region, Strip):
+        return region.level, region.level + region.depth
+    return 0, region.count
+
+
+def _checked_plan(spec: FieldSpec, region: Strip | Generations, A: int) -> RegionPlan:
+    """:func:`region_plan` of ``region`` after every refusal that comes before
+    hashing, all decided from its generations: the node cap and the 63-bit
+    labels, for the m-dependent field the cap on ball members, and the
+    amplitude guard on the plan's row norms."""
+    runs = _generation_runs(region, A, DEFAULT_NODE_CAP)
+    if spec.kind == "m_dependent" and runs:  # a whole generation's largest index is its count
+        js, _, counts = (np.array(column, dtype=np.int64) for column in zip(*runs))
+        ball_sizes(js, counts, A, spec.m, counts)
+    plan = region_plan(spec, region, A)
+    _check_norms(plan.norms, spec.C)
+    return plan
 
 
 def _added(total: float, x: float, times: int) -> float:
@@ -671,9 +705,106 @@ def sample_field(
     spec: FieldSpec, region: Region, A: int, replicate_index: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One realization of the field on ``region``: the int64 labels ``(js, ks)``
-    in region order, which is label-sorted, and the values at them."""
+    in region order, which is label-sorted, and the values at them.
+
+    A :class:`Strip` or :class:`Generations` region first passes the refusals
+    of :func:`region_sums_of`; its values are then formed one generation at a
+    time, with the float operations of :func:`_compile`'s map in its order,
+    so every bit is its, and no map, support labels or weights are built:
+
+    * ``independent``: ``C U``, the region hashed in one call;
+    * ``branching_ar``: ``Z_root = C U_root`` and ``Z_g = step U_g + a
+      repeat(Z_{g-1}, A)`` (:func:`_autoregression_generations`); the
+      generations above a strip are hashed in one call, and only their last
+      is kept, for the strip's first generation to read;
+    * ``m_dependent``: :func:`_ball_values`.
+
+    A :class:`Subtree` region is compiled."""
+    if not isinstance(region, (Strip, Generations)):
+        js, ks = region_arrays(region, A)
+        return js, ks, _compile(spec, js, ks, A).sample(_replicate_ids([replicate_index]))[0]
+    _checked_plan(spec, region, A)
+    reps, seed = _replicate_ids([replicate_index]), spec.master_seed
+    t0, t1 = _target_generations(region)
+    if spec.kind == "m_dependent":  # labels last: the peak is at the deepest support generation
+        values = _ball_values(seed, reps, t0, t1, A, spec.m, spec.C)
+        return (*region_arrays(region, A), _checked_values(values, spec.C))
+    prev = None
+    if spec.kind == "branching_ar" and t0:  # a strip reads only the last generation above it
+        above = _innovations(seed, reps, *region_arrays(Generations(t0), A))[0]
+        prev = _autoregression_generations(above, 0, A, spec.a, spec.C, None).copy()
+        del above
     js, ks = region_arrays(region, A)
-    return js, ks, _compile(spec, js, ks, A).sample(_replicate_ids([replicate_index]))[0]
+    values = _innovations(seed, reps, js, ks)[0]
+    if spec.kind == "independent":
+        values *= spec.C
+    else:
+        _autoregression_generations(values, t0, A, spec.a, spec.C, prev)
+    return js, ks, _checked_values(values, spec.C)
+
+
+def _autoregression_generations(
+    u: np.ndarray, g0: int, A: int, a: float, C: float, prev: Optional[np.ndarray]
+) -> Optional[np.ndarray]:
+    """The autoregression, in place, on the innovations ``u`` of whole
+    generations from ``g0`` on, in label order, with the float steps of
+    :func:`_autoregression`'s ``apply``, given the values ``prev`` of
+    generation ``g0 - 1`` (``None`` at the root); returns the values of the
+    last generation."""
+    step, at, g = (1.0 - abs(a)) * C, 0, g0
+    while at < len(u):
+        z = u[at : at + A**g]
+        if prev is None:
+            z *= C
+        else:
+            z *= step
+            z += a * np.repeat(prev, A)
+        prev, at, g = z, at + A**g, g + 1
+    return prev
+
+
+def _ball_values(
+    seed: int, reps: np.ndarray, t0: int, t1: int, A: int, m: int, C: float
+) -> np.ndarray:
+    """The radius-``m`` ball means of replicate ``reps[0]`` on the whole
+    generations ``[t0, t1)``, in label order, one target generation ``j`` at
+    a time, from the innovations of the ``2m + 1`` generations its balls
+    reach; each support generation is hashed once, in one call.
+
+    By :func:`ball_layer`, layer ``d`` of the ball of ``(j, k)`` is row
+    ``(k - 1) // A**up`` of generation ``j + d`` cut into rows of
+    ``A**(up + d)``, with ``up = min((m - d) // 2, j)``, shared by the
+    ``A**up`` targets below one ancestor.  :func:`_ball_means` adds a
+    target's entries ``u * C/|ball|`` to 0 in sequence, ``d`` ascending and
+    then along the row, and each running total here takes them in that
+    order: a column of the rows at a time, repeated per target, or, for
+    fewer than ``SUM_COLUMN_TARGETS`` targets, a block of up to
+    ``BLOCK_VALUES`` entries that gets the totals added to its first column
+    and is accumulated along its rows (a sequential running sum, not a
+    pairwise one), its last column the new totals."""
+    sizes = [_ball_size(j, A, m) for j in range(m + 1)]  # by the center's generation, clipped
+    values, at, window = np.empty(int(_powers(A)[t0:t1].sum())), 0, {}
+    for j in range(t0, t1):
+        window.pop(j - m - 1, None)  # no ball of generation j or deeper reaches it
+        for g in range(max(0, j - m), j + m + 1):
+            if g not in window:
+                window[g] = _innovations(seed, reps, np.full(A**g, g), np.arange(1, A**g + 1))[0]
+        total, at = values[at : at + A**j], at + A**j
+        total[:] = 0.0
+        share = C / sizes[min(j, m)]
+        width = 1 if len(total) >= SUM_COLUMN_TARGETS else max(1, BLOCK_VALUES // len(total))
+        for d in range(-min(j, m), m + 1):
+            up = min((m - d) // 2, j)
+            rows = window[j + d].reshape(-1, A ** (up + d))
+            for e in range(0, rows.shape[1], width):
+                block = np.repeat(rows[:, e : e + width] * share, A**up, axis=0)
+                if block.shape[1] == 1:
+                    total += block[:, 0]
+                else:
+                    block[:, 0] += total
+                    np.add.accumulate(block, axis=1, out=block)
+                    total[:] = block[:, -1]
+    return values
 
 
 def _range_labels(gens, firsts, counts, ends, start: int, stop: int):
@@ -765,12 +896,7 @@ def region_sums_of(
     of one node."""
     if not isinstance(region, (Strip, Generations)):
         return _compiled_sums(spec, *region_arrays(region, A), A)
-    runs = _generation_runs(region, A, DEFAULT_NODE_CAP)
-    if spec.kind == "m_dependent" and runs:  # a whole generation's largest index is its count
-        js, _, counts = (np.array(column, dtype=np.int64) for column in zip(*runs))
-        ball_sizes(js, counts, A, spec.m, counts)
-    plan = region_plan(spec, region, A)
-    _check_norms(plan.norms, spec.C)
+    plan = _checked_plan(spec, region, A)
     counts = _powers(A)[plan.generations]
     return _sums(spec, plan.generations, np.ones_like(counts), counts, plan.weights)
 

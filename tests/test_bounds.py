@@ -7,9 +7,13 @@ that only shares the exact integer helpers with the implementation.
 """
 
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -33,6 +37,7 @@ from treebound import (
     optimize_params,
     summability_ratio,
 )
+import treebound
 from treebound import bounds as bounds_mod
 
 mpmath.mp.dps = 50
@@ -496,6 +501,29 @@ def test_zero_terms_stay_finite_past_float_range():
     assert bb.log_factor_mixing == 0.0 and bb.log_factor_variance == 0.0
     assert bb.log_total == math.log(2) - beta_cap(2, 3, 4, 1.0) * 50.0
     assert bb.block_count == -(-2**1100 // 8)
+
+
+def test_optimizer_refuses_unprintable_depth_before_forming_a_power():
+    # forming 3**(10**7) takes seconds and grows faster than linearly in L; the
+    # refusal must come from L * log10(A) first, and the child's timeout fails
+    # the test instead of stalling the suite if it ever does not
+    probe = """
+import time
+from treebound import CapacityError, GridSpec, MixingEnvelope, optimize_params
+start = time.perf_counter()
+try:
+    optimize_params(3, 10**7, 3, 1.0, 0.0, MixingEnvelope.zero(), 50.0, GridSpec((4,), (4,)))
+except CapacityError as exc:
+    assert "digits" in str(exc), exc
+else:
+    raise AssertionError("no CapacityError")
+assert time.perf_counter() - start < 1.0
+"""
+    src = str(Path(treebound.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_summability_ratio_past_float_range():

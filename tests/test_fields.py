@@ -946,6 +946,73 @@ def test_m_dependent_sample_field_memory_is_bounded():
     assert _peak_bytes(lambda: sample_field(spec, Generations(16), 2, 0)) < 8 * 2**20
 
 
+def _compiled_sample(spec, region, A, rep):
+    """The reference: the compiled map's sample at the region's labels."""
+    js, ks = region_arrays(region, A)
+    return js, ks, _fields._compile(spec, js, ks, A).sample(np.array([rep], dtype=np.uint64))[0]
+
+
+_GRID_REGIONS = tuple(Generations(c) for c in range(8)) + tuple(
+    Strip(L, P) for L in (0, 1, 2, 4) for P in (1, 2, 3))
+_GRID_SPECS = tuple(
+    spec
+    for C in (1, 0.8)
+    for spec in (FieldSpec.independent(C=C, master_seed=46),)
+    + tuple(FieldSpec.m_dependent(m, C=C, master_seed=46) for m in (1, 2, 3))
+    + tuple(FieldSpec.branching_ar(a, C=C, master_seed=46) for a in (0.8, -0.6, 0.3, 0.0))
+)
+
+
+def _assert_same_sample(got, want):
+    assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("A", [2, 3, 4])
+def test_generation_sample_matches_the_compiled_map_bit_for_bit(A):
+    for region in _GRID_REGIONS:
+        for spec in _GRID_SPECS:
+            for rep in (0, 2**64 - 1):
+                _assert_same_sample(sample_field(spec, region, A, rep),
+                                    _compiled_sample(spec, region, A, rep))
+
+
+def test_generation_sample_does_not_depend_on_the_summing_blocks(monkeypatch):
+    # a numpy call per column, blocks of one column, blocks cut inside a ball layer
+    cases = [(spec, region, A) for spec in _GRID_SPECS if spec.kind == "m_dependent"
+             for region, A in ((Generations(6), 2), (Strip(2, 2), 4))]
+    want = [_compiled_sample(spec, region, A, 3) for spec, region, A in cases]
+    for targets, budget in ((1, 2**16), (2**20, 1), (2**20, 7), (2**20, 64)):
+        monkeypatch.setattr(_fields, "SUM_COLUMN_TARGETS", targets)
+        monkeypatch.setattr(_fields, "BLOCK_VALUES", budget)
+        for (spec, region, A), sample in zip(cases, want):
+            _assert_same_sample(sample_field(spec, region, A, 3), sample)
+
+
+def test_sample_field_compiles_only_subtrees(monkeypatch):
+    compile_ = _fields._compile
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return compile_(*args)
+
+    monkeypatch.setattr(_fields, "_compile", counted)
+    for spec in _KINDS:
+        for region in (Generations(5), Strip(2, 3)):
+            sample_field(spec, region, 3, 1)
+    assert not calls
+    sample_field(_KINDS[1], Subtree(1, 2, 2), 2, 1)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("spec, budget", zip(_KINDS, (3, 4.5, 3)),
+                         ids=[spec.kind for spec in _KINDS])
+def test_generation_sample_memory_is_bounded(spec, budget):
+    # the labels and values take 1.5 MiB; the rest is hashing one call's nodes
+    # and, for the m-dependent field, the 2m + 1 generations its balls reach
+    assert _peak_bytes(lambda: sample_field(spec, Generations(16), 2, 0)) <= budget * 2**20
+
+
 def test_field_csv_memory_is_bounded_by_its_text():
     # the chunks and their join hold about twice the text; the Python objects
     # of every row at once would hold five times
