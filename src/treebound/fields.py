@@ -117,7 +117,6 @@ BLOCK_VALUES = 1 << 16  # hashed values per tile: 512 KiB of uint64, cache resid
 CSV_ROWS = 4096  # rows per % format in field_to_csv
 KEY_VALUES = 1 << 13  # node keys mixed per step of _keys: 64 KiB per scratch row
 GROUP_COLUMNS = 2048  # columns per exact integer sum: 2048 * 2**53 = 2**64
-SUM_COLUMN_TARGETS = 512  # from this many targets, a numpy add per ball column beats accumulate
 
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
@@ -777,12 +776,11 @@ def _ball_values(
     ``A**up`` targets below one ancestor.  :func:`_ball_means` adds a
     target's entries ``u * C/|ball|`` to 0 in sequence, ``d`` ascending and
     then along the row, and each running total here takes them in that
-    order: a column of the rows at a time, repeated per target, or, for
-    fewer than ``SUM_COLUMN_TARGETS`` targets, a block of up to
-    ``BLOCK_VALUES`` entries that gets the totals added to its first column
-    and is accumulated along its rows (a sequential running sum, not a
-    pairwise one), its last column the new totals."""
-    sizes = [_ball_size(j, A, m) for j in range(m + 1)]  # by the center's generation, clipped
+    order: a block of columns of the rows at a time, repeated per target, at
+    most ``BLOCK_VALUES`` entries (one column if the targets alone are more),
+    gets the totals added to its first column and is accumulated along its
+    rows (a sequential running sum, not a pairwise one), its last column the
+    new totals."""
     values, at, window = np.empty(int(_powers(A)[t0:t1].sum())), 0, {}
     for j in range(t0, t1):
         window.pop(j - m - 1, None)  # no ball of generation j or deeper reaches it
@@ -791,8 +789,8 @@ def _ball_values(
                 window[g] = _innovations(seed, reps, np.full(A**g, g), np.arange(1, A**g + 1))[0]
         total, at = values[at : at + A**j], at + A**j
         total[:] = 0.0
-        share = C / sizes[min(j, m)]
-        width = 1 if len(total) >= SUM_COLUMN_TARGETS else max(1, BLOCK_VALUES // len(total))
+        share = C / _ball_size(min(j, m), A, m)  # by the center's generation, clipped
+        width = max(1, BLOCK_VALUES // len(total))
         for d in range(-min(j, m), m + 1):
             up = min((m - d) // 2, j)
             rows = window[j + d].reshape(-1, A ** (up + d))

@@ -977,12 +977,12 @@ def test_generation_sample_matches_the_compiled_map_bit_for_bit(A):
 
 
 def test_generation_sample_does_not_depend_on_the_summing_blocks(monkeypatch):
-    # a numpy call per column, blocks of one column, blocks cut inside a ball layer
+    # blocks of one column, blocks cut inside a ball layer, one column from
+    # some generation on
     cases = [(spec, region, A) for spec in _GRID_SPECS if spec.kind == "m_dependent"
              for region, A in ((Generations(6), 2), (Strip(2, 2), 4))]
     want = [_compiled_sample(spec, region, A, 3) for spec, region, A in cases]
-    for targets, budget in ((1, 2**16), (2**20, 1), (2**20, 7), (2**20, 64)):
-        monkeypatch.setattr(_fields, "SUM_COLUMN_TARGETS", targets)
+    for budget in (1, 7, 16, 64):
         monkeypatch.setattr(_fields, "BLOCK_VALUES", budget)
         for (spec, region, A), sample in zip(cases, want):
             _assert_same_sample(sample_field(spec, region, A, 3), sample)
@@ -1084,6 +1084,28 @@ else:
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_empty_region_with_a_huge_radius_returns_at_once():
+    # no generation, so no ball: the radius is never raised to a power; the
+    # child's timeout fails the test if it is
+    probe = """
+import contextlib, io
+from treebound import FieldSpec, Generations, sample_field
+from treebound.cli import main
+js, ks, values = sample_field(FieldSpec.m_dependent(10**11), Generations(0), 2, 0)
+assert len(js) == len(ks) == len(values) == 0
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(["simulate", "--region", "generations(0)", "--rate", "2", "--C", "1",
+                 "--field", "m_dependent(100000000000)"])
+assert code == 0 and out.getvalue() == "j,k,value\\n", (code, out.getvalue())
+"""
+    src = str(Path(treebound.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 # --- the region plan: per-generation weights in closed form ------------------
