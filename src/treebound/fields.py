@@ -48,11 +48,13 @@ worker slices share one build.  One tile of whole rows (at most
 ``BLOCK_VALUES`` = 2**16 innovations) at a time, the loop hashes, checks and
 sums in place in a uint64 tile buffer, with a second as the hash's scratch,
 both allocated once per call.  Its peak memory is those two buffers (512 KiB
-each) per calling thread plus the node keys, 8 bytes per support node,
+each) per worker process plus the node keys, 8 bytes per support node,
 whatever the replicate count.  The tile stays in cache through those passes;
-it was sized for one thread.  Worker threads hand over the GIL at every numpy
-call, so a second one gains little: 1.0-1.3x per ``mc-tail`` op on a 2-core
-host (``generations(12)``, 4096 replicates, 9 interleaved runs per field).
+it was sized for one worker.  ``verify.mc_tail`` runs each worker slice after
+the first in a forked child, so the workers share no interpreter lock: two
+ran the loop 1.39-1.61x as fast as one on a 2-core host (``generations(12)``,
+4096 replicates, 9 interleaved runs per field), where two threads, which hand
+over the lock at every numpy call, gained 1.11-1.33x.
 
 The finalizer's first step, ``x ^ (x >> 30)``, distributes over the xor of a
 replicate key and a node key, so :func:`_keys` applies it to the keys once per

@@ -179,6 +179,38 @@ def test_cli_import_loads_no_scipy_stats():
     assert done.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_concurrent_module():
+    # mc-tail's workers are forked processes: no executor (nor logging) at import
+    probe = ("import sys, treebound.cli; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('concurrent', 'logging')))")
+    src = str(Path(treebound.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="forked workers")
+def test_forked_workers_write_no_copy_of_the_parents_stdout_buffer():
+    # stdout to a pipe is block-buffered: a line written but not flushed before
+    # the workers fork must reach the pipe once, from the parent alone
+    argv = ["mc-tail", "--rate", "2", "--region", "generations(8)", "--field", "m_dependent(1)",
+            "--C", "1", "--epsilons", "0.02,0.05", "--replicates", "600", "--seed", "3"]
+    src = str(Path(treebound.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("PYTHONUNBUFFERED", None)
+    outs = []
+    for workers in ("3", "1"):
+        probe = ("import sys; from treebound.cli import main; sys.stdout.write('buffered\\n'); "
+                 f"sys.exit(main({argv + ['--workers', workers]!r}))")
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        outs.append(done.stdout)
+    assert outs[0].count(b"buffered\n") == 1
+    assert outs[0] == outs[1]
+
+
 def test_cached_parser_gives_each_call_what_a_fresh_interpreter_gives(capsys):
     # one parser serves every main() call of a process, a rejected flag included
     calls = [

@@ -3,8 +3,10 @@ inequality on finite spaces, Monte Carlo tails, and sampled mixing lower
 bounds."""
 
 import math
+import os
 import random
 import re
+import signal
 import tracemalloc
 
 import mpmath
@@ -14,6 +16,7 @@ from scipy.stats import beta, binom
 
 from treebound import (
     AlphaSamplePlan,
+    AmplitudeError,
     CapacityError,
     EventPair,
     FieldSpec,
@@ -39,6 +42,7 @@ from treebound import (
 )
 from treebound import fields as fields_mod
 from treebound import verify as verify_mod
+from treebound.cli import main
 
 
 def _brute_force_alpha(space):
@@ -407,14 +411,25 @@ def test_binomial_limits_reject_bad_counts(k, n):
             limit(k, n)
 
 
-def test_mc_tail_workers_capped_before_any_thread(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a thread pool was started")
+def _no_fork():
+    raise AssertionError("a worker process was forked")
 
-    monkeypatch.setattr(verify_mod, "ThreadPoolExecutor", no_pool)
+
+def test_mc_tail_workers_capped_before_any_thread(monkeypatch):
+    monkeypatch.setattr(verify_mod.os, "fork", _no_fork)
     spec = FieldSpec.independent(C=1.0, master_seed=0)
     with pytest.raises(ValidationError, match="workers"):
         mc_tail(spec, Strip(3, 2), 2, [1.0], 200, workers=verify_mod.MAX_WORKERS + 1)
+
+
+def test_mc_tail_forks_nothing_for_one_worker_or_without_fork(monkeypatch):
+    spec = FieldSpec.m_dependent(1, C=1.0, master_seed=2)
+    want = tail_estimates_to_jsonl(mc_tail(spec, Generations(7), 2, [0.05], 300, workers=3))
+    monkeypatch.setattr(verify_mod.os, "fork", _no_fork)
+    assert tail_estimates_to_jsonl(mc_tail(spec, Generations(7), 2, [0.05], 300)) == want
+    monkeypatch.delattr(verify_mod.os, "fork")  # a platform without fork runs every slice inline
+    got = mc_tail(spec, Generations(7), 2, [0.05], 300, workers=3)
+    assert tail_estimates_to_jsonl(got) == want
 
 
 def test_mc_tail_impossible_threshold():
@@ -456,6 +471,59 @@ def test_mc_tail_builds_one_plan_and_one_key_array_per_op(monkeypatch, workers):
             assert calls == {"region_plan": 1, "_node_keys": 1}
             want = mc_tail(spec, region, 2, eps, 300, workers=1)
             assert tail_estimates_to_jsonl(got) == tail_estimates_to_jsonl(want)
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+# case: (the process whose tiles misbehave, how, the error mc_tail raises)
+_WORKER_ENDINGS = {
+    "returns": (None, None, None),
+    "child raises": ("child", "shift", (AmplitudeError, "outside")),
+    "parent raises": ("parent", "shift", (AmplitudeError, "outside")),
+    "parent interrupted": ("parent", "interrupt", (KeyboardInterrupt, None)),
+    "child killed": ("child", "kill", (CapacityError, r"worker slice 1 \(replicates 200 to "
+                                       r"399\) ended without a result: wait status 9")),
+}
+
+
+@pytest.mark.skipif(not (hasattr(os, "fork") and os.path.isdir("/proc/self/fd")),
+                    reason="forked workers and /proc/self/fd")
+@pytest.mark.parametrize("case", list(_WORKER_ENDINGS))
+def test_mc_tail_leaves_no_child_process_and_no_open_fd(monkeypatch, capsys, case):
+    # every forked worker is reaped and every pipe end closed, however the call ends
+    spec = FieldSpec.m_dependent(1, C=1.0, master_seed=5)
+    argv = ["mc-tail", "--rate", "2", "--region", "generations(8)", "--field",
+            "m_dependent(1)", "--C", "1", "--epsilons", "0.02,0.05", "--replicates", "600",
+            "--seed", "5", "--workers", "3"]
+    want = tail_estimates_to_jsonl(mc_tail(spec, Generations(8), 2, [0.02, 0.05], 600))
+    who, action, error = _WORKER_ENDINGS[case]
+    parent, bits_tile, mix_tile = os.getpid(), fields_mod._bits_tile, fields_mod._mix_tile
+
+    def misbehaving(r, n, h, tmp):
+        if who != ("parent" if os.getpid() == parent else "child"):
+            return bits_tile(r, n, h, tmp)
+        if action == "interrupt":
+            raise KeyboardInterrupt
+        if action == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return np.right_shift(mix_tile(r, n, h, tmp), 10, out=tmp)  # innovations in [-1, 3)
+
+    monkeypatch.setattr(fields_mod, "_bits_tile", misbehaving)
+    fds = _open_fds()
+    if error is None:
+        got = mc_tail(spec, Generations(8), 2, [0.02, 0.05], 600, workers=3)
+        assert tail_estimates_to_jsonl(got) == want
+    else:
+        with pytest.raises(error[0], match=error[1]):
+            mc_tail(spec, Generations(8), 2, [0.02, 0.05], 600, workers=3)
+    if case == "child killed":
+        assert main(argv) == 3
+        assert "ended without a result: wait status 9" in capsys.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() <= fds
 
 
 def test_mc_tail_uncertified_for_heuristic_envelope():
