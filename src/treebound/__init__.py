@@ -34,6 +34,7 @@ from .fields import (
     FieldSpec,
     RegionPlan,
     field_certificate,
+    field_lines,
     field_to_csv,
     field_values,
     node_sums,

@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import fields
 from functools import cache
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .embed import (
     refutation_witness,
 )
 from .errors import AmplitudeError, CapacityError, ValidationError, require
-from .fields import field_to_csv, sample_field
+from .fields import field_lines, sample_field
 from .paircount import count_pairs_closed
 from .tree import GraphSpec, parse_edge_list
 from .verify import (
@@ -88,11 +88,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(text: str, out: Optional[str]) -> None:
+    _write((text,), out)
+
+
+def _write(chunks: Iterable[str], out: Optional[str]) -> None:
+    """Write each chunk as it comes, to ``out`` or to stdout."""
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _read(path: Optional[str]) -> Optional[str]:
@@ -226,11 +231,7 @@ def _cmd_embedding_check(args) -> int:
 def _cmd_simulate(args) -> int:
     opts = _options(args, _SIMULATE)
     sample = sample_field(_field(opts), opts["region"], opts["rate"], opts.get("replicate", 0))
-    if args.format == "json":
-        text = _rows(("j", "k", "value"), zip(*(array.tolist() for array in sample)), "json")
-    else:
-        text = field_to_csv(sample)
-    _emit(text, args.out)
+    _write(field_lines(sample, args.format), args.out)
     return EXIT_OK
 
 

@@ -95,28 +95,37 @@ them, in the (row, column) order of a CSR mat-vec.  With no map, the layer
 ``d`` of a whole target generation's balls is a reshape of generation
 ``j + d``'s innovations into rows of one ancestor each
 (:func:`_ball_values`).
-:func:`field_to_csv` formats ``CSV_ROWS`` rows per ``%`` format, so only one
-chunk's Python objects are alive beside the text.
+
+:func:`field_lines` renders a sample as CSV or JSON lines, one string per
+``CSV_ROWS`` rows, and :func:`field_to_csv` joins them.  The rows go through
+the numpy kernel of :mod:`treebound.rowtext`: each value's shortest
+round-trip digits come from its bits by Schubfach (Giulietti, 2020; the
+digits of Ryu, Adams, PLDI 2018) in uint64 arithmetic, exactly, and are laid
+out by ``repr``'s rules in fixed character positions that one boolean mask
+per block of rows compacts into the text.  The bytes are ``repr``'s and
+``json``'s; the tests compare them on 10**6 random bit patterns and every
+power of two with its neighbours.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .bounds import MixingEnvelope
 from .errors import (AmplitudeError, CapacityError, ValidationError, float_in_range, is_real,
                      require)
+from .rowtext import FORMATS, row_text
 from .tree import (BALL_ENTRY_CAP, DEFAULT_NODE_CAP, Generations, NodeId, Region, Strip,
                    _ball_size, _generation_runs, _powers, _validate_region, ball_layer,
                    ball_sizes, low_bits, node_labels, region_arrays)
 
 AR_TABLE_HORIZON = 64
 BLOCK_VALUES = 1 << 16  # hashed values per tile: 512 KiB of uint64, cache resident
-CSV_ROWS = 4096  # rows per % format in field_to_csv
+CSV_ROWS = 4096  # rows per chunk of field_lines: one string, one write
 KEY_VALUES = 1 << 13  # node keys mixed per step of _keys: 64 KiB per scratch row
 GROUP_COLUMNS = 2048  # columns per exact integer sum: 2048 * 2**53 = 2**64
 
@@ -683,12 +692,31 @@ def _autoregression_plan(t0: int, t1: int, A: int, a: float, C: float) -> Region
 
 def _replicate_ids(replicates: Sequence[int]) -> np.ndarray:
     """Replicate ids as uint64; :class:`ValidationError` unless each is an
-    integer in ``[0, 2**64)``."""
+    integer in ``[0, 2**64)``.  A ``range`` is checked by its ends, which bound
+    it, and built by ``np.arange``."""
+    if isinstance(replicates, range):
+        r = replicates
+        if not r:
+            return np.zeros(0, dtype=np.uint64)
+        if 0 <= r[0] < 1 << 64 and 0 <= r[-1] < 1 << 64:
+            ids = np.arange(len(r), dtype=np.uint64)
+            ids *= np.uint64(abs(r.step))
+            if r.step > 0:
+                return np.add(ids, np.uint64(r[0]), out=ids)
+            return np.subtract(np.uint64(r[0]), ids, out=ids)
+        bad = r[0]
+        if 0 <= bad < 1 << 64:  # the first id past the end the range crosses
+            bad = r[((1 << 64) - 1 - bad if r.step > 0 else bad) // abs(r.step) + 1]
+        raise _replicate_error(bad)
     ids = list(replicates)
     for r in ids:
         if not isinstance(r, (int, np.integer)) or isinstance(r, bool) or not 0 <= r < 1 << 64:
-            raise ValidationError(f"replicate ids must be integers in [0, 2**64), got {r!r}")
+            raise _replicate_error(r)
     return np.array(ids, dtype=np.uint64)
+
+
+def _replicate_error(r) -> ValidationError:
+    return ValidationError(f"replicate ids must be integers in [0, 2**64), got {r!r}")
 
 
 def field_values(
@@ -959,15 +987,26 @@ def node_sums(
     return _compiled_sums(spec, *node_labels(nodes, A), A)(replicates)
 
 
-def field_to_csv(sample: tuple[np.ndarray, np.ndarray, np.ndarray]) -> str:
-    """Debug dump of a :func:`sample_field` result as CSV lines ``j,k,value``.
+def field_lines(
+    sample: tuple[np.ndarray, np.ndarray, np.ndarray], fmt: str = "csv"
+) -> Iterator[str]:
+    """The rows ``(j, k, value)`` of a :func:`sample_field` result as text,
+    one string per ``CSV_ROWS`` rows: CSV lines ``j,k,value`` after that
+    header, or (``fmt="json"``) JSON lines ``{"j": j, "k": k, "value": value}``,
+    each value as ``repr`` prints it.  See :mod:`treebound.rowtext`."""
+    js, ks = (np.ascontiguousarray(labels, dtype=np.int64) for labels in sample[:2])
+    values = np.ascontiguousarray(sample[2], dtype=np.float64)
+    head = FORMATS[fmt][0]
+    if not len(values):
+        yield head
+        return
+    render = row_text(js, ks, values, fmt)
+    for start in range(0, len(values), CSV_ROWS):
+        yield render(start, min(start + CSV_ROWS, len(values)), head)
+        head = ""
 
-    Rows are formatted ``CSV_ROWS`` at a time, so the Python objects of one
-    chunk, not of the whole sample, are alive beside the text."""
-    chunks = ["j,k,value\n"]
-    for start in range(0, len(sample[2]), CSV_ROWS):
-        part = [array[start : start + CSV_ROWS].tolist() for array in sample]
-        flat = [None] * (3 * len(part[2]))  # j, k, value interleaved: one % format per chunk
-        flat[0::3], flat[1::3], flat[2::3] = part
-        chunks.append(("%d,%d,%r\n" * len(part[2])) % tuple(flat))
-    return "".join(chunks)
+
+def field_to_csv(sample: tuple[np.ndarray, np.ndarray, np.ndarray]) -> str:
+    """Debug dump of a :func:`sample_field` result as CSV lines ``j,k,value``:
+    the chunks of :func:`field_lines`, joined."""
+    return "".join(field_lines(sample))

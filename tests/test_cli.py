@@ -343,6 +343,18 @@ def test_simulate_matches_sorted_node_reference(capsys, text, region):
     assert run(capsys, *args, "--format", "json") == (0, jsonl, "")
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_simulate_out_gets_the_bytes_of_stdout(tmp_path, capsys, fmt):
+    # both stream one chunk of rows at a time; 16383 rows are four chunks
+    args = ["simulate", "--rate", "2", "--region", "generations(14)", "--field",
+            "m_dependent(1)", "--C", "1", "--seed", "3", "--format", fmt]
+    code, out, _ = run(capsys, *args)
+    path = tmp_path / f"dump.{fmt}"
+    assert run(capsys, *args, "--out", str(path)) == (0, "", "")
+    assert code == 0 and len(out.splitlines()) >= 16383
+    assert path.read_bytes() == out.encode()
+
+
 def test_capacity_exit_code(capsys):
     code, _, err = run(capsys, "simulate", "--rate", "2", "--region",
                        "generations(30)", "--field", "independent", "--C", "1")

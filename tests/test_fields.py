@@ -22,6 +22,7 @@ from treebound import (
     Subtree,
     ValidationError,
     field_certificate,
+    field_lines,
     field_to_csv,
     field_values,
     node_sums,
@@ -32,6 +33,7 @@ from treebound import (
     tree_distance,
 )
 from treebound import fields as _fields
+from treebound import rowtext
 from treebound.cli import main
 from treebound.errors import CapacityError
 from treebound.tree import (BALL_ENTRY_CAP, MAX_LABEL, _ball_size, _powers, ball_sizes,
@@ -618,9 +620,17 @@ def test_amplitude_guard_raises_library_error(monkeypatch, capsys):
         assert err.startswith("error:") and "amplitude" in err
 
 
-@pytest.mark.parametrize("rep", [-1, 2**64, np.int64(-2), 1.5, True])
+@pytest.mark.parametrize("rep", [-1, 2**64, np.int64(-2), 1.5, True, range(2**64 - 2, 2**64 + 1),
+                                 range(2**64 + 4, 2**64 - 6, -3), range(5, -5, -3)])
 def test_replicate_ids_outside_uint64_rejected(rep):
     spec = FieldSpec.m_dependent(1, master_seed=1)
+    if isinstance(rep, range):  # checked by its ends; the first id outside names the error
+        bad = next(r for r in rep if not 0 <= r < 2**64)
+        with pytest.raises(ValidationError, match=f"got {bad}$"):
+            field_values(spec, [NodeId(1, 1)], 2, rep)
+        with pytest.raises(ValidationError, match=f"got {bad}$"):
+            region_sums(spec, Generations(3), 2, rep)
+        return
     with pytest.raises(ValidationError, match="replicate"):
         field_values(spec, [NodeId(1, 1)], 2, [0, rep])
     with pytest.raises(ValidationError, match="replicate"):
@@ -637,6 +647,14 @@ def test_replicate_ids_at_the_uint64_ends():
     assert got.tolist() == want
     assert sample_field(spec, Subtree(1, 2, 1), 2, 2**64 - 1)[2].tolist() == want[2:]
     assert region_sums(spec, Subtree(1, 2, 1), 2, reps).tolist() == want
+    # ranges are built by np.arange: empty, ending at 2**64, and stepped either way
+    for reps in (range(7, 7), range(2**64 - 3, 2**64), range(0, 2**64, 2**63),
+                 range(2**64 - 1, 2**62, -2**62)):
+        ids = list(reps)
+        want = [_innovation_ref(3, r, 1, 2) for r in ids]
+        assert _fields._replicate_ids(reps).tolist() == ids
+        assert field_values(spec, [NodeId(1, 2)], 2, reps)[:, 0].tolist() == want
+        assert region_sums(spec, Subtree(1, 2, 1), 2, reps).tolist() == want
 
 
 # --- the hash tile against a pure-Python inverse of the finalizer -----------
@@ -762,12 +780,42 @@ def _csv_ref(sample):
     return "j,k,value\n" + "".join(f"{j},{k},{value!r}\n" for j, k, value in rows)
 
 
+def _first_difference(got, want):
+    """The first pair of differing lines, or None when the texts are equal."""
+    if got == want:
+        return None
+    pairs = zip(got.splitlines(), want.splitlines())
+    return next(((a, b) for a, b in pairs if a != b), (len(got), len(want)))
+
+
+def _edge_samples():
+    """Rows whose text each layout and rounding rule of repr decides: every
+    power of two with both neighbours, +-0, both sides of 1e-4 and 1e16, NaN
+    and the infinities, labelled with the int64 ends; then 2**20 float64 bit
+    patterns drawn uniformly over all 2**64, in slices."""
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    values = [powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)]
+    for edge in (1e-4, 1e16):
+        values.append(np.nextafter(edge, [0, edge, np.inf]))
+    values.append(np.array([0.0, np.nan, np.inf, 1e-5, 1e15, 1 / 3, 5e-324]))
+    values = np.concatenate(values)
+    values = np.concatenate([values, -values])
+    ends = np.array([-2**63, 2**63 - 1, 0, -1], dtype=np.int64)
+    yield np.resize(ends, len(values)), np.resize(ends[::-1], len(values)), values
+    bits = np.random.default_rng(20251020).integers(0, 2**64, 2**20, dtype=np.uint64)
+    for part in np.split(bits, 8):
+        labels = (part >> np.uint64(40)).view(np.int64) - 2**23
+        yield labels, labels[::-1].copy(), part.view(np.float64)
+
+
 def test_field_csv_matches_the_row_by_row_format():
     for spec in _KINDS:
         sample = sample_field(spec, Strip(3, 4), 3, 5)
         assert field_to_csv(sample) == _csv_ref(sample)
     empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
     assert field_to_csv(empty) == _csv_ref(empty) == "j,k,value\n"
+    for sample in _edge_samples():
+        assert _first_difference(field_to_csv(sample), _csv_ref(sample)) is None
 
 
 # sha256 of ``simulate`` stdout, generations(16), seed 17
@@ -1021,6 +1069,15 @@ def test_field_csv_memory_is_bounded_by_its_text():
     assert _peak_bytes(lambda: field_to_csv(sample)) < 2.5 * len(text)
 
 
+def test_field_csv_chunk_memory_is_within_the_per_row_format():
+    # formatting the first 4096 rows with one % format per chunk peaked at
+    # 616 KiB: the rows' Python objects, the text and its join with the header
+    sample = sample_field(FieldSpec.m_dependent(1, C=1.0, master_seed=45), Generations(16), 2, 0)
+    chunk = tuple(array[: _fields.CSV_ROWS] for array in sample)
+    assert _fields.CSV_ROWS == 4096
+    assert _peak_bytes(lambda: field_to_csv(chunk)) <= 616 * 2**10
+
+
 def test_field_csv_chunk_boundaries(monkeypatch):
     sample = sample_field(_KINDS[1], Strip(2, 3), 3, 7)
     n, want = len(sample[2]), _csv_ref(sample)
@@ -1029,6 +1086,10 @@ def test_field_csv_chunk_boundaries(monkeypatch):
         monkeypatch.setattr(_fields, "CSV_ROWS", rows)
         assert field_to_csv(sample) == want
         assert field_to_csv(empty) == "j,k,value\n"
+        assert len(list(field_lines(sample))) == -(-n // rows)
+        for block in (1, 3, n):  # the kernel's rows per pass, within and across chunks
+            monkeypatch.setattr(rowtext, "TEXT_ROWS", block)
+            assert field_to_csv(sample) == want
 
 
 def test_oversized_balls_raise_capacity_error_not_memory_error():
