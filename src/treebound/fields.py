@@ -20,41 +20,41 @@ to the three values.  Results therefore never depend on iteration order,
 chunking or worker count, which is what makes Monte Carlo runs reproducible
 and mergeable.
 
-Every kind is linear in the innovations ``U`` of a support of nodes:
-``Z = M U``.  :func:`field_values`, and :func:`sample_field` on a
-:class:`Subtree` region, compile the field at their targets into that map (a
-scale by ``C``, ball means applied by one ``bincount`` per tile of rows and
-replicate, or the autoregression over parent indices) and into the
-support's weights ``w = M^T 1``, one per support node.  Compiling checks
-that every row of ``M`` has an l1 norm of at most ``C (1 + 1e-12)``, which
-bounds every value for innovations in [-1, 1], and the values are checked
-against ``C``.  On a :class:`Strip` or :class:`Generations` region,
-:func:`sample_field` compiles nothing: after the checks of the region sums
-below, it forms the values one generation at a time from per-generation
-innovations, with the float operations of the compiled map in its order, so
-every bit is the map's.
+Values are formed over label runs ``(generation, first index, count)``,
+consecutive indices of one generation: :func:`sample_field` takes a region's
+generations as its runs, and :func:`field_values` sorts its labels into runs
+of distinct labels and scatters the values back to their order.  Every kind
+is linear in the innovations ``U`` of a support of nodes, ``Z = M U``, and
+per run it is:
 
-:func:`region_sums` and :func:`node_sums` build no value: a sum is ``w . U``.
-On a :class:`Strip` or :class:`Generations` region, whole generations, the
-weights are constant on each support generation, so :func:`region_plan`
-gives them in closed form, one row per generation (its weight, its count
-``A**g`` and first index 1 implied), with the row norms that the same
-amplitude guard reads; no label array is built, no map compiled and no
-per-node weight sorted.  A node list or a :class:`Subtree` region compiles
-its map, and its support nodes enter as ranges of one node.  Either way the
+* ``independent``: ``C U``;
+* ``branching_ar``: ``C U`` at the root and ``step U + a Z_parent`` below.
+  The parents of a run are a run, so each generation of a region reads the
+  one above it, and any other run first forms its ancestors from the root;
+* ``m_dependent``: layer ``d`` of a run's balls is one block-aligned interval
+  of generation ``j + d``: a reshape of its innovations, with each row
+  repeated over the ``A**up`` targets below it (:func:`_ball_values`).
+
+The float steps are those of a mat-vec with ``M`` in row order.  Before any
+hashing, the m-dependent balls pass the cap on ball members, the
+autoregression's ancestors the node cap, and every row of ``M`` an l1 norm of
+at most ``C (1 + 1e-12)`` (read per generation), which bounds every value for
+innovations in [-1, 1]; the values are then checked against ``C``.
+
+On a :class:`Strip` or :class:`Generations` region, whole generations,
+:func:`region_sums` builds no value: a sum is ``w . U``, and the weights
+``w = M^T 1`` are constant on each support generation, so
+:func:`region_plan` gives them in closed form, one row per generation.  The
 kernel :func:`_sums` takes weighted label ranges, builds the node keys and
 the exact-sum pieces once, and returns the tile loop, so ``verify.mc_tail``'s
 worker slices share one build.  One tile of whole rows (at most
 ``BLOCK_VALUES`` = 2**16 innovations) at a time, the loop hashes, checks and
 sums in place in a uint64 tile buffer, with a second as the hash's scratch,
-both allocated once per call.  Its peak memory is those two buffers (512 KiB
+both allocated once per call: its peak memory is those two buffers (512 KiB
 each) per worker process plus the node keys, 8 bytes per support node,
-whatever the replicate count.  The tile stays in cache through those passes;
-it was sized for one worker.  ``verify.mc_tail`` runs each worker slice after
-the first in a forked child, so the workers share no interpreter lock: two
-ran the loop 1.39-1.61x as fast as one on a 2-core host (``generations(12)``,
-4096 replicates, 9 interleaved runs per field), where two threads, which hand
-over the lock at every numpy call, gained 1.11-1.33x.
+whatever the replicate count.  A :class:`Subtree` region, and
+:func:`node_sums` on a node list, add sampled values instead, the values of
+at most ``BLOCK_VALUES`` at a time.
 
 The finalizer's first step, ``x ^ (x >> 30)``, distributes over the xor of a
 replicate key and a node key, so :func:`_keys` applies it to the keys once per
@@ -77,24 +77,8 @@ per piece, to float64; it is scaled by 2**-52 (exact) and by the piece's
 weight and the G pieces are added.  So a sum is within ``(G + 1) * 2**-53 *
 sum |w u|`` of the exact ``w . U``, and it is the correctly rounded exact sum
 when there is one piece of weight 1 (the independent field at ``C = 1`` on at
-most 2048 nodes).  Integer sums do not depend on order, so the permutation
-changes nothing.  A plan row expands to the nodes of its generation in label
-order, and a stable sort of the rows by weight is the order a stable sort of
-the per-node weights gives, so the pieces, and every bit of a sum, are those
-of the compiled weights.  :func:`sample_field` returns ``(js, ks, values)``
-with the int64 labels of ``tree.region_arrays``, in that label-sorted order.
-
-The compiled m-dependent map is kept as label ranges, never as entries.  A ball's
-members in one generation are one index range (``tree.ball_layer``), and the
-balls of a run of consecutive targets in one generation cover one interval
-there, so :func:`_ball_means` builds the support as a union of run intervals,
-with no sort over entries.  It keeps one support shift per run and layer and
-each target's run, and forms entries (support positions, row ids,
-``C/|ball|``) one tile of whole rows at a time, at most ``BLOCK_VALUES`` of
-them, in the (row, column) order of a CSR mat-vec.  With no map, the layer
-``d`` of a whole target generation's balls is a reshape of generation
-``j + d``'s innovations into rows of one ancestor each
-(:func:`_ball_values`).
+most 2048 nodes).  Integer sums do not depend on order, so the stable sort of
+the plan's rows by weight changes nothing.
 
 :func:`field_lines` renders a sample as CSV or JSON lines, one string per
 ``CSV_ROWS`` rows, and :func:`field_to_csv` joins them.  The rows go through
@@ -110,6 +94,7 @@ power of two with its neighbours.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
@@ -120,8 +105,8 @@ from .errors import (AmplitudeError, CapacityError, ValidationError, float_in_ra
                      require)
 from .rowtext import FORMATS, row_text
 from .tree import (BALL_ENTRY_CAP, DEFAULT_NODE_CAP, Generations, NodeId, Region, Strip,
-                   _ball_size, _generation_runs, _powers, _validate_region, ball_layer,
-                   ball_sizes, low_bits, node_labels, region_arrays)
+                   _ball_size, _generation_runs, _powers, _run_arrays, _validate_region,
+                   ball_sizes, low_bits, node_labels)
 
 AR_TABLE_HORIZON = 64
 BLOCK_VALUES = 1 << 16  # hashed values per tile: 512 KiB of uint64, cache resident
@@ -307,15 +292,6 @@ def field_certificate(spec: FieldSpec) -> FieldCertificate:
     )
 
 
-class _Compiled(NamedTuple):
-    """A field at fixed targets as a linear map ``Z = M U`` of the innovations
-    ``U`` of its support nodes."""
-
-    sample: Callable[[np.ndarray], np.ndarray]  # replicate ids -> values (replicates, targets)
-    weights: np.ndarray  # w = M^T 1, one per support node: sum_v Z_v = w . U
-    support: tuple[np.ndarray, np.ndarray]  # support labels (js, ks)
-
-
 def _check_norms(norms: np.ndarray, C: float) -> None:
     """:class:`AmplitudeError` unless every row norm of a field's map is at
     most ``C (1 + 1e-12)``, which bounds every value for innovations in
@@ -327,30 +303,6 @@ def _check_norms(norms: np.ndarray, C: float) -> None:
         )
 
 
-def _compile(spec: FieldSpec, js: np.ndarray, ks: np.ndarray, A: int) -> _Compiled:
-    """The field at targets ``(js, ks)``, built once: support, map and weights.
-
-    Raises :class:`AmplitudeError` unless every row of ``M`` has an l1 norm of
-    at most ``C (1 + 1e-12)``; the sampler still checks each value it returns.
-    """
-    C = spec.C
-    if not len(js):
-        return _Compiled(lambda reps: np.zeros((len(reps), 0)), np.zeros(0), (js, ks))
-    if spec.kind == "independent":
-        support, apply = (js, ks), lambda u: np.multiply(u, C, out=u)
-        norms = weights = np.full(len(js), C, dtype=np.float64)
-    elif spec.kind == "m_dependent":
-        support, apply, norms, weights = _ball_means(js, ks, A, spec.m, C)
-    else:
-        support, apply, norms, weights = _autoregression(js, ks, A, spec.a, C)
-    _check_norms(norms, C)
-
-    def sample(reps: np.ndarray) -> np.ndarray:
-        return _checked_values(apply(_innovations(spec.master_seed, reps, *support)), C)
-
-    return _Compiled(sample, weights, support)
-
-
 def _checked_values(values: np.ndarray, C: float) -> np.ndarray:
     """``values``, after :class:`AmplitudeError` unless each lies within
     ``C (1 + 1e-12)`` of 0."""
@@ -360,193 +312,13 @@ def _checked_values(values: np.ndarray, C: float) -> np.ndarray:
     return values
 
 
-def _ball_means(js: np.ndarray, ks: np.ndarray, A: int, m: int, C: float):
-    """Entry ``C/|ball(v)|`` at each node of the radius-``m`` ball of target
-    ``v``, kept as label ranges rather than as entries.
-
-    Sorted, the targets fall into runs of consecutive indices in one
-    generation: at most one per generation for a region, at most one per
-    target for a scattered list.  By :func:`ball_layer`, a run's balls cover
-    one interval of each generation they reach, so the support is the union,
-    per generation, of the run intervals, with no sort over entries, and a
-    label of an interval sits in the support at the label plus the shift of
-    its merged interval.  What stays alive is one shift per run and layer,
-    and the run of each target.
-
-    Entries (support positions, row ids, ``C/|ball|`` products) are formed one
-    tile of whole rows at a time, at most ``BLOCK_VALUES`` of them (one ball if
-    that alone is wider).  A row's entries come in the (row, column) order in
-    which a CSR mat-vec adds them, so one ``bincount`` per tile and replicate
-    gives each value's bits, and ``np.add.at`` in row order across tiles gives
-    the weights'."""
-    sizes, n, layers = ball_sizes(js, ks, A, m), len(js), range(-m, m + 1)
-    order = np.lexsort((ks, js))
-    sj, sk = js[order], ks[order]
-    new = np.empty(n + 1, dtype=bool)  # a run starts at each True; the last closes them
-    new[0] = new[n] = True
-    np.not_equal(sj[1:], sj[:-1], out=new[1:n])
-    new[1:n] |= sk[1:] - sk[:-1] > 1
-    run_j, run_lo, run_hi = sj[new[:n]], sk[new[:n]], sk[new[1:]]
-    run = np.empty(n, dtype=np.min_scalar_type(len(run_j)))  # each target's run
-    run[order] = np.cumsum(new[:n]) - 1
-    del order, sj, sk, new
-    # the interval each run's balls cover in each generation j + d they reach
-    parts = []
-    for d in layers:
-        at = np.flatnonzero(run_j >= -d)
-        lo, count = ball_layer(run_j[at], run_lo[at], A, m, d)
-        end = ball_layer(run_j[at], run_hi[at], A, m, d)[0] + count  # one past the last
-        parts.append((np.full(len(at), d + m), at, run_j[at] + d, lo, end))
-    layer, at, gens, lo, end = (np.concatenate(part) for part in zip(*parts))
-    group_j, group_lo, group_end, group = _interval_union(gens, lo, end)
-    lengths = group_end - group_lo
-    offsets = np.cumsum(lengths)
-    width = int(offsets[-1])
-    offsets -= lengths
-    shift = np.zeros((len(layers), len(run_j)), dtype=np.int64)  # support position - label
-    shift[layer, at] = (offsets - group_lo)[group]
-    support_k = np.ones(width + 1, dtype=np.int64)
-    _mark_ranges(support_k, offsets, group_lo, lengths)
-    support = np.repeat(group_j, lengths), np.cumsum(support_k, out=support_k)[:width]
-    # tiles of whole rows, at most BLOCK_VALUES entries or one ball
-    ends, bounds = np.cumsum(sizes[np.minimum(js, m)]), [0]
-    while bounds[-1] < n:
-        start = bounds[-1]
-        stop = np.searchsorted(ends, (ends[start - 1] if start else 0) + BLOCK_VALUES, "right")
-        bounds.append(max(int(stop), start + 1))
-    tiles = list(zip(bounds[:-1], bounds[1:]))
-    del ends, bounds
-
-    def entries(r0: int, r1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Support positions, row ids from 0 and ``C/|ball|`` products of the
-        entries of targets ``r0 .. r1 - 1``, in CSR order."""
-        j, k, runs = js[r0:r1], ks[r0:r1], run[r0:r1]
-        row_sizes = sizes[np.minimum(j, m)]
-        at = np.cumsum(row_sizes)
-        total = int(at[-1])
-        at -= row_sizes  # each row's next entry
-        pos, lowest = np.ones(total + 1, dtype=np.intp), int(j.min())
-        for d in layers:
-            rows = slice(None) if lowest + d >= 0 else np.flatnonzero(j >= -d)
-            first, count = ball_layer(j[rows], k[rows], A, m, d)
-            first += shift[d + m][runs[rows]]  # the range's first support position
-            _mark_ranges(pos, at[rows], first, count)
-            at[rows] += count
-        del at, first, count
-        return (np.cumsum(pos, out=pos)[:total], np.repeat(np.arange(r1 - r0), row_sizes),
-                np.repeat(C / row_sizes, row_sizes))
-
-    norms, weights = np.empty(n), np.zeros(width)
-    for r0, r1 in tiles:
-        pos, row_ids, data = entries(r0, r1)
-        np.add.at(weights, pos, data)
-        norms[r0:r1] = np.bincount(row_ids, weights=data, minlength=r1 - r0)
-        del pos, row_ids, data  # before the next tile's are formed
-
-    def apply(u: np.ndarray) -> np.ndarray:
-        out = np.empty((len(u), n))
-        for r0, r1 in tiles:
-            pos, row_ids, data = entries(r0, r1)
-            x = np.empty(len(pos))
-            for row, innovations in zip(out, u):  # contiguous rows: no transposed copies
-                np.multiply(np.take(innovations, pos, out=x), data, out=x)
-                row[r0:r1] = np.bincount(row_ids, weights=x, minlength=r1 - r0)
-            del pos, row_ids, data, x  # before the next tile's are formed
-        return out
-
-    return support, apply, norms, weights
-
-
-def _interval_union(gens: np.ndarray, lo: np.ndarray, end: np.ndarray):
-    """The union, per generation, of the label intervals ``[lo, end)`` in
-    ``gens``: the merged intervals' generations, starts and ends, ascending,
-    and the merged interval of each input interval.
-
-    Sorted by (generation, label), a merged interval opens where the count of
-    open intervals rises from 0.  At one label openings sort first, so
-    intervals that touch merge."""
-    q = len(lo)
-    events = np.lexsort((np.arange(2 * q) >= q, np.concatenate((lo, end)), np.tile(gens, 2)))
-    opening = events < q
-    cover = np.cumsum(np.where(opening, 1, -1))
-    starts = opening & (cover == 1)
-    group = np.empty(q, dtype=np.intp)
-    group[events[opening]] = (np.cumsum(starts) - 1)[opening]
-    first = events[starts]
-    return gens[first], lo[first], end[events[cover == 0] - q], group
-
-
-def _mark_ranges(steps: np.ndarray, at: np.ndarray, firsts: np.ndarray, counts: np.ndarray):
-    """Mark the ranges ``firsts[i] .. firsts[i] + counts[i] - 1``, laid out
-    from slot ``at[i]`` on, in ``steps``, which starts as ones and has a spare
-    last slot: once every range is marked, the running sum of ``steps`` holds
-    them.  Each range adds its first value less 1 at its first slot and takes
-    its last value off one slot past it."""
-    steps[at] += firsts - 1
-    steps[at + counts] -= firsts + counts - 1
-
-
-def _sorted_distinct(x: np.ndarray) -> np.ndarray:
-    """The distinct values of ``x``, ascending: ``np.unique`` without the
-    ``numpy.ma`` import it makes on first use (about 14 ms per process)."""
-    x = np.sort(x)
-    keep = np.ones(len(x), dtype=bool)
-    np.not_equal(x[1:], x[:-1], out=keep[1:])
-    return x[keep]
-
-
-def _autoregression(js: np.ndarray, ks: np.ndarray, A: int, a: float, C: float):
-    """``Z_root = C U`` and ``Z_v = a Z_parent + (1 - |a|) C U_v`` over the
-    ancestor closure of the targets, one generation slice at a time.
-
-    A target's weight reaches each ancestor through ``a`` per generation, so
-    the weights come from one pass up the slices: ``d_v`` is the number of
-    times ``v`` is a target plus ``a`` times the sum of its children's ``d``."""
-    levels, local = [None] * (int(js.max()) + 1), np.empty(len(js), dtype=np.intp)
-    level = np.empty(0, dtype=np.int64)
-    for j in range(len(levels) - 1, -1, -1):
-        at = js == j
-        levels[j] = level = _sorted_distinct(np.concatenate((ks[at], (level - 1) // A + 1)))
-        local[at] = np.searchsorted(level, ks[at])
-    starts = np.cumsum([0] + [len(level) for level in levels])
-    parents = [
-        starts[j - 1] + np.searchsorted(levels[j - 1], (levels[j] - 1) // A + 1)
-        for j in range(1, len(levels))
-    ]
-    rows = starts[js] + local
-    identity = np.array_equal(rows, np.arange(starts[-1]))
-    step = (1.0 - abs(a)) * C
-
-    def apply(u: np.ndarray) -> np.ndarray:
-        u[:, 0] *= C
-        for j, parent_cols in enumerate(parents, start=1):
-            z = u[:, starts[j] : starts[j + 1]]
-            z *= step
-            z += a * np.take(u, parent_cols, axis=1)
-        return u if identity else np.take(u, rows, axis=1)
-
-    norms, d = np.empty(starts[-1]), np.bincount(rows, minlength=starts[-1]).astype(np.float64)
-    norms[0] = C
-    for j, parent_cols in enumerate(parents, start=1):
-        norms[starts[j] : starts[j + 1]] = abs(a) * norms[parent_cols] + abs(step)
-    for j in range(len(parents), 0, -1):
-        d[starts[j - 1] : starts[j]] += a * np.bincount(
-            parents[j - 1] - starts[j - 1], weights=d[starts[j] : starts[j + 1]],
-            minlength=starts[j] - starts[j - 1],
-        )
-    weights = step * d
-    weights[0] = C * d[0]
-    support_j = np.repeat(np.arange(len(levels), dtype=np.int64), np.diff(starts))
-    return (support_j, np.concatenate(levels)), apply, norms, weights
-
-
 class RegionPlan(NamedTuple):
     """A field's region sum on a :class:`Strip` or :class:`Generations` region,
     one row per support generation, with no node built: each of the ``A**g``
     nodes (indices from 1) of support generation ``g = generations[i]``
     carries the weight ``weights[i]`` of ``sum_v Z_v = w . U``.  ``norms[i]``
     is the l1 norm of every row of the field's map at the region's ``i``-th
-    generation, which the amplitude guard reads."""
+    generation."""
 
     generations: np.ndarray  # int64, ascending
     weights: np.ndarray  # float64, one per support generation
@@ -561,46 +333,27 @@ def region_plan(spec: FieldSpec, region: Region, A: int) -> RegionPlan:
     With target generations ``[t0, t1)``:
 
     * ``independent``: the weight ``C`` on each target generation;
-    * ``branching_ar``: generations ``0 .. t1 - 1``, the recursion of
-      :func:`_autoregression` on one value per generation;
+    * ``branching_ar``: generations ``0 .. t1 - 1``, the backward recursion
+      of :func:`_autoregression_plan` on one value per generation;
     * ``m_dependent``: generations ``max(0, t0 - m) .. t1 - 1 + m``, the ball
-      shares of :func:`_ball_means` summed per generation.
+      shares of :func:`_ball_plan` summed per generation.
 
-    Each weight is summed in the order and the float steps in which the
-    compiled map adds it, so it equals every per-node weight of
-    :func:`_compile` at that generation bit for bit.
+    A weight is the column sum ``(M^T 1)_u`` of the field's map, and each is
+    summed as ``M^T 1`` adds it with the rows in order (as ``np.add.at`` or a
+    CSR mat-vec of the transpose adds it), so it equals every per-node weight
+    of the map at that generation bit for bit.
     """
     if not isinstance(region, (Strip, Generations)):
         raise ValidationError(f"a region plan needs a strip or generations region, got {region!r}")
     _validate_region(region, A)
-    t0, t1 = _target_generations(region)
+    strip = isinstance(region, Strip)
+    t0, t1 = (region.level, region.level + region.depth) if strip else (0, region.count)
     C = float(spec.C)
     if spec.kind == "independent" or t0 == t1:
         return RegionPlan(np.arange(t0, t1, dtype=np.int64), *(np.full(t1 - t0, C),) * 2)
     if spec.kind == "m_dependent":
         return _ball_plan(t0, t1, A, spec.m, C)
     return _autoregression_plan(t0, t1, A, spec.a, C)
-
-
-def _target_generations(region: Strip | Generations) -> tuple[int, int]:
-    """The generations ``[t0, t1)`` that ``region`` holds in full."""
-    if isinstance(region, Strip):
-        return region.level, region.level + region.depth
-    return 0, region.count
-
-
-def _checked_plan(spec: FieldSpec, region: Strip | Generations, A: int) -> RegionPlan:
-    """:func:`region_plan` of ``region`` after every refusal that comes before
-    hashing, all decided from its generations: the node cap and the 63-bit
-    labels, for the m-dependent field the cap on ball members, and the
-    amplitude guard on the plan's row norms."""
-    runs = _generation_runs(region, A, DEFAULT_NODE_CAP)
-    if spec.kind == "m_dependent" and runs:  # a whole generation's largest index is its count
-        js, _, counts = (np.array(column, dtype=np.int64) for column in zip(*runs))
-        ball_sizes(js, counts, A, spec.m, counts)
-    plan = region_plan(spec, region, A)
-    _check_norms(plan.norms, spec.C)
-    return plan
 
 
 def _added(total: float, x: float, times: int) -> float:
@@ -635,25 +388,31 @@ def _added(total: float, x: float, times: int) -> float:
     return total
 
 
+def _ball_norms(A: int, m: int, C: float) -> list[float]:
+    """The l1 norm of a row of the m-dependent map, by its target's generation
+    clipped at ``m``: ``C/|ball|`` added ``|ball|`` times in sequence, as a
+    mat-vec adds a row's entries."""
+    return [_added(0.0, C / size, size) for size in (_ball_size(j, A, m) for j in range(m + 1))]
+
+
 def _ball_plan(t0: int, t1: int, A: int, m: int, C: float) -> RegionPlan:
-    """:func:`_ball_means` per generation of the targets ``[t0, t1)``.
+    """The m-dependent map's weights per generation of the targets ``[t0, t1)``.
 
     A node ``u`` of generation ``g`` lies in the balls of the
     ``A**(min((m - d) // 2, g) + d)`` target nodes of generation ``g + d``
     that :func:`ball_layer` counts at ``(g, 1)`` (distance is symmetric), and
-    ``np.add.at`` adds their shares ``C/|ball|`` in row order: ``d``
-    ascending, one share that many times in sequence.  That profile depends on
-    ``g`` only through ``min(g, 2m)`` and the targets within ``m`` of ``g``,
-    so each distinct profile is summed once.
+    its weight adds their shares ``C/|ball|`` in row order: ``d`` ascending,
+    one share that many times in sequence.  That profile depends on ``g``
+    only through ``min(g, 2m)`` and the targets within ``m`` of ``g``, so each
+    distinct profile is summed once.
 
     Raises :class:`CapacityError` when one ball holds more than
     ``BALL_ENTRY_CAP`` members, decided before ``A**m`` is formed."""
     if low_bits(A, m) >= BALL_ENTRY_CAP.bit_length() or _ball_size(m, A, m) > BALL_ENTRY_CAP:
         raise CapacityError(f"a radius-{m} ball holds more than {BALL_ENTRY_CAP} members, "
                             f"the cap on ball members in all")
-    sizes = [_ball_size(j, A, m) for j in range(m + 1)]  # by the center's generation, clipped
-    shares = [C / size for size in sizes]
-    row_norms = [_added(0.0, share, size) for share, size in zip(shares, sizes)]
+    # by the center's generation, clipped
+    shares = [C / _ball_size(j, A, m) for j in range(m + 1)]
     gens = np.arange(max(0, t0 - m), t1 + m, dtype=np.int64)
     profiles, weights = {}, []
     for g in gens.tolist():
@@ -665,16 +424,26 @@ def _ball_plan(t0: int, t1: int, A: int, m: int, C: float) -> RegionPlan:
                 w = _added(w, shares[min(g + d, m)], A ** (min((m - d) // 2, g) + d))
             profiles[key] = w
         weights.append(profiles[key])
-    norms = np.array(row_norms)[np.minimum(np.arange(t0, t1), m)]
+    norms = np.array(_ball_norms(A, m, C))[np.minimum(np.arange(t0, t1), m)]
     return RegionPlan(gens, np.array(weights), norms)
 
 
+def _autoregression_norms(t1: int, a: float, C: float) -> list[float]:
+    """The l1 norm of a row of the autoregression's map at each generation
+    ``0 .. t1 - 1``: ``C`` at the root, then ``|a|`` times the parent's plus
+    ``(1 - |a|) C``."""
+    step, norms = abs((1.0 - abs(a)) * C), [C]
+    for _ in range(1, t1):
+        norms.append(abs(a) * norms[-1] + step)
+    return norms
+
+
 def _autoregression_plan(t0: int, t1: int, A: int, a: float, C: float) -> RegionPlan:
-    """:func:`_autoregression` per generation of the targets ``[t0, t1)``: the
-    support is generations ``0 .. t1 - 1``, ``d_j`` is 1 on a target
-    generation plus ``a`` times its ``A`` children's ``d_{j+1}`` added in
-    sequence (as ``np.bincount`` adds them), and the weight is
-    ``(1 - |a|) C d_j``, ``C d_0`` at the root.
+    """The autoregression's weights per generation of the targets
+    ``[t0, t1)``: the support is generations ``0 .. t1 - 1``, ``d_j`` is 1 on
+    a target generation plus ``a`` times its ``A`` children's ``d_{j+1}``
+    added in sequence, and the weight is ``(1 - |a|) C d_j``, ``C d_0`` at
+    the root.
 
     Raises :class:`CapacityError` when a weight leaves float range, which
     ``A |a| > 1`` brings about past a few hundred generations."""
@@ -684,22 +453,24 @@ def _autoregression_plan(t0: int, t1: int, A: int, a: float, C: float) -> Region
     weights = np.multiply(step, d)
     weights[0] = C * d[0]
     float_in_range("a plan weight", np.abs(weights).max())
-    norms = [C]
-    for _ in range(1, t1):
-        norms.append(abs(a) * norms[-1] + abs(step))
-    return RegionPlan(np.arange(t1, dtype=np.int64), weights, np.array(norms[t0:]))
+    return RegionPlan(np.arange(t1, dtype=np.int64), weights,
+                      np.array(_autoregression_norms(t1, a, C)[t0:]))
 
 
 def _replicate_ids(replicates: Sequence[int]) -> np.ndarray:
     """Replicate ids as uint64; :class:`ValidationError` unless each is an
     integer in ``[0, 2**64)``.  A ``range`` is checked by its ends, which bound
-    it, and built by ``np.arange``."""
+    it, counted from them (:class:`CapacityError` past ``sys.maxsize``, where
+    ``len`` fails) and built by ``np.arange``."""
     if isinstance(replicates, range):
         r = replicates
         if not r:
             return np.zeros(0, dtype=np.uint64)
         if 0 <= r[0] < 1 << 64 and 0 <= r[-1] < 1 << 64:
-            ids = np.arange(len(r), dtype=np.uint64)
+            count = (r[-1] - r[0]) // r.step + 1
+            if count > sys.maxsize:
+                raise CapacityError(f"{count} replicate ids exceed the cap of {sys.maxsize}")
+            ids = np.arange(count, dtype=np.uint64)
             ids *= np.uint64(abs(r.step))
             if r.step > 0:
                 return np.add(ids, np.uint64(r[0]), out=ids)
@@ -719,15 +490,207 @@ def _replicate_error(r) -> ValidationError:
     return ValidationError(f"replicate ids must be integers in [0, 2**64), got {r!r}")
 
 
+Run = tuple[int, int, int]  # (generation, first index, count): consecutive labels
+
+
+def _label_runs(js: np.ndarray, ks: np.ndarray) -> tuple[list[Run], np.ndarray]:
+    """The distinct labels ``(js, ks)``, ascending, as runs of consecutive
+    indices in one generation, and the column of each input label among the
+    runs' labels laid end to end."""
+    order = np.lexsort((ks, js))
+    sj, sk = js[order], ks[order]
+    new = np.ones(len(sj), dtype=bool)  # a label unlike the one before it
+    new[1:] = (sj[1:] != sj[:-1]) | (sk[1:] != sk[:-1])
+    columns = np.empty(len(sj), dtype=np.intp)
+    columns[order] = np.cumsum(new) - 1
+    sj, sk = sj[new], sk[new]
+    opens = np.ones(len(sj), dtype=bool)  # a label that starts a run
+    opens[1:] = (sj[1:] != sj[:-1]) | (sk[1:] - sk[:-1] != 1)
+    starts = np.flatnonzero(opens)
+    counts = np.diff(starts, append=len(sj))
+    return list(zip(sj[starts].tolist(), sk[starts].tolist(), counts.tolist())), columns
+
+
+def _parent_run(run: Run, A: int) -> Run:
+    """The parents of a run below the root: a run one generation up."""
+    j, first, count = run
+    lo = (first - 1) // A + 1
+    return j - 1, lo, (first + count - 2) // A + 2 - lo
+
+
+def _ancestor_caps(runs: Sequence[Run], A: int) -> int:
+    """:class:`CapacityError` unless the autoregression at the labels of
+    ``runs`` hashes at most ``DEFAULT_NODE_CAP`` nodes: the runs and, for each
+    run whose parents are not the run before it, its ancestors up to the
+    root, counted without listing them: a run's ancestors narrow to one node
+    per generation within 63 generations up (two consecutive indices share a
+    parent unless the first is a multiple of ``A``)."""
+    total, above = 0, None
+    for run in runs:
+        total += run[2]
+        if run[0] and _parent_run(run, A) != above:
+            j, first, count = run
+            while j and count > 1:
+                j, first, count = _parent_run((j, first, count), A)
+                total += count
+            total += j
+        above = run
+    if total > DEFAULT_NODE_CAP:
+        raise CapacityError(f"the autoregression at these nodes hashes {total} nodes with their "
+                            f"ancestors, exceeding the cap of {DEFAULT_NODE_CAP}")
+    return total
+
+
+def _checked_runs(spec: FieldSpec, runs: Sequence[Run], A: int) -> int:
+    """Every refusal of sampling or summing ``spec`` at the labels of ``runs``
+    that comes before hashing: the caps (:func:`ball_sizes` of the balls,
+    counted per run, or :func:`_ancestor_caps`), then the amplitude guard on
+    the row norms of the runs' generations, read from the per-generation norms
+    of the region plan.  Returns a bound on the innovations hashed per
+    replicate: the ball members, the nodes with their ancestors, or the nodes."""
+    if not runs:
+        return 0
+    gens, hashed = {j for j, _, _ in runs}, sum(count for _, _, count in runs)
+    if spec.kind == "m_dependent":
+        js, lasts, counts = (np.array(column, dtype=np.int64) for column in zip(
+            *((j, first + count - 1, count) for j, first, count in runs)))
+        sizes = ball_sizes(js, lasts, A, spec.m, counts).tolist()
+        hashed = sum(count * sizes[min(j, spec.m)] for j, _, count in runs)
+        table, gens = _ball_norms(A, spec.m, spec.C), {min(j, spec.m) for j in gens}
+    elif spec.kind == "branching_ar":
+        hashed = _ancestor_caps(runs, A)
+        table = _autoregression_norms(max(gens) + 1, spec.a, spec.C)
+    else:
+        table, gens = [spec.C], {0}
+    _check_norms(np.array([table[j] for j in gens]), spec.C)
+    return hashed
+
+
+def _run_values(spec: FieldSpec, reps: np.ndarray, runs: Sequence[Run], A: int) -> np.ndarray:
+    """The values of replicates ``reps`` at the labels of ``runs`` (past
+    :func:`_checked_runs`) laid end to end, each checked against ``C``."""
+    width = sum(count for _, _, count in runs)
+    if not (width and len(reps)):
+        return np.zeros((len(reps), width))
+    seed, C = spec.master_seed, spec.C
+    if spec.kind == "m_dependent":
+        values = _ball_values(seed, reps, runs, A, spec.m, C)
+    elif spec.kind == "branching_ar":
+        values = _autoregression_values(seed, reps, runs, A, spec.a, C)
+    else:
+        values = _innovations(seed, reps, *_run_arrays(runs))
+        values *= C
+    return _checked_values(values, C)
+
+
+def _autoregression_values(
+    seed: int, reps: np.ndarray, runs: Sequence[Run], A: int, a: float, C: float
+) -> np.ndarray:
+    """The autoregression at the labels of ``runs``, in place on their
+    innovations, hashed in one call: ``Z = C U`` at the root and ``Z = step U
+    + a Z_parent`` below, the parents' values repeated ``A`` times.  A run
+    whose parents are the run before it reads that run's values, as every
+    generation of a region after its first does; any other run first forms
+    its ancestors' runs from the root, in one call of its own, and keeps the
+    last."""
+    u = _innovations(seed, reps, *_run_arrays(runs))
+    step, prev, above, at = (1.0 - abs(a)) * C, None, None, 0
+    for run in runs:
+        j, first, count = run
+        z = u[:, at : at + count]
+        if not j:
+            z *= C
+        else:
+            chain = [_parent_run(run, A)]
+            if chain[0] != above:
+                while chain[-1][0]:
+                    chain.append(_parent_run(chain[-1], A))
+                prev = _autoregression_values(seed, reps, chain[::-1], A, a, C)
+                prev = prev[:, prev.shape[1] - chain[0][2] :].copy()
+            skip = first - 1 - A * (chain[0][1] - 1)  # the run's first column among the repeats
+            z *= step
+            z += a * np.repeat(prev, A, axis=1)[:, skip : skip + count]
+        prev, above, at = z, run, at + count
+    return u
+
+
+def _ball_values(
+    seed: int, reps: np.ndarray, runs: Sequence[Run], A: int, m: int, C: float
+) -> np.ndarray:
+    """The radius-``m`` ball means at the labels of ``runs``, one run at a time.
+
+    By :func:`ball_layer`, layer ``d`` of the ball of ``(j, k)`` is row
+    ``(k - 1) // A**up`` of generation ``j + d`` cut into rows of
+    ``A**(up + d)``, with ``up = min((m - d) // 2, j)``, shared by the
+    ``A**up`` consecutive targets below one ancestor.  So a run's layer is
+    one interval of whole rows, each repeated once per target of the run
+    below it.  Each interval is hashed once per call, those a run meets first
+    in one call.
+
+    A target's entries ``u * C/|ball|`` are added to 0 in sequence, ``d``
+    ascending and then along the row, the order of a CSR mat-vec over its
+    label-sorted support.  A block of columns of the rows at a time, repeated
+    per target, at most ``BLOCK_VALUES`` values (one column if the targets
+    alone are more) and laid out column by column, is added to the running
+    totals one column at a time, or, when it has more columns than values
+    per column, by one running sum over its columns (``np.add.accumulate``
+    takes about 10 ns a value, an add of a whole column far less)."""
+    values = np.empty((len(reps), sum(count for _, _, count in runs)))
+    window, at, gen = {}, 0, None  # innovations by interval (generation, first index, count)
+    for j, first, count in runs:
+        if j != gen:  # the balls of generation j and deeper reach no generation above j - m
+            window = {key: u for key, u in window.items() if key[0] >= j - m}
+            gen = j
+        total, at = values[:, at : at + count], at + count
+        total[:] = 0.0
+        share = C / _ball_size(min(j, m), A, m)  # by the center's generation, clipped
+        width = max(1, BLOCK_VALUES // total.size)
+        layers = []  # per layer d, ascending: up, first row (from 0), rows, row size, interval
+        for d in range(-min(j, m), m + 1):
+            up = min((m - d) // 2, j)
+            lo, size = (first - 1) // A**up, A ** (up + d)
+            rows = (first + count - 2) // A**up + 1 - lo
+            layers.append((up, lo, rows, size, (j + d, lo * size + 1, rows * size)))
+        missing = [key for *_, key in layers if key not in window]
+        if missing:  # in one call
+            u, start = _innovations(seed, reps, *_run_arrays(missing)), 0
+            for key in missing:
+                window[key], start = u[:, start : start + key[2]], start + key[2]
+        for up, lo, rows, size, key in layers:
+            layer = window[key].reshape(len(reps), rows, size)
+            skip, tail = first - 1 - lo * A**up, (lo + rows) * A**up - (first + count - 1)
+            targets = A**up  # the run's targets below each row, fewer in a row it cuts
+            if skip or tail:
+                targets = np.full(rows, A**up)
+                targets[0] -= skip
+                targets[-1] -= tail
+            for e in range(0, size, width):
+                block = np.multiply(layer[:, :, e : e + width].transpose(2, 0, 1), share,
+                                    order="C")
+                if up:
+                    block = np.repeat(block, targets, axis=2)
+                if len(block) > total.size:  # short columns: one running sum over them
+                    block[0] += total
+                    np.add.accumulate(block, axis=0, out=block)
+                    total[:] = block[-1]
+                else:
+                    for column in block:  # one whole-row add each
+                        total += column
+    return values
+
+
 def field_values(
     spec: FieldSpec, nodes: Sequence[NodeId], A: int, replicates: Sequence[int]
 ) -> np.ndarray:
     """Field values at ``nodes`` for each replicate; shape (len(replicates), len(nodes)).
 
     Deterministic given (master_seed, replicate, node); independent of the
-    order in which replicates are batched.
+    order in which replicates are batched.  The nodes are sampled as runs of
+    distinct labels (:func:`_label_runs`), as a region's generations are.
     """
-    return _compile(spec, *node_labels(nodes, A), A).sample(_replicate_ids(replicates))
+    runs, columns = _label_runs(*node_labels(nodes, A))
+    _checked_runs(spec, runs, A)
+    return _run_values(spec, _replicate_ids(replicates), runs, A)[:, columns]
 
 
 def sample_field(
@@ -736,103 +699,13 @@ def sample_field(
     """One realization of the field on ``region``: the int64 labels ``(js, ks)``
     in region order, which is label-sorted, and the values at them.
 
-    A :class:`Strip` or :class:`Generations` region first passes the refusals
-    of :func:`region_sums_of`; its values are then formed one generation at a
-    time, with the float operations of :func:`_compile`'s map in its order,
-    so every bit is its, and no map, support labels or weights are built:
-
-    * ``independent``: ``C U``, the region hashed in one call;
-    * ``branching_ar``: ``Z_root = C U_root`` and ``Z_g = step U_g + a
-      repeat(Z_{g-1}, A)`` (:func:`_autoregression_generations`); the
-      generations above a strip are hashed in one call, and only their last
-      is kept, for the strip's first generation to read;
-    * ``m_dependent``: :func:`_ball_values`.
-
-    A :class:`Subtree` region is compiled."""
-    if not isinstance(region, (Strip, Generations)):
-        js, ks = region_arrays(region, A)
-        return js, ks, _compile(spec, js, ks, A).sample(_replicate_ids([replicate_index]))[0]
-    _checked_plan(spec, region, A)
-    reps, seed = _replicate_ids([replicate_index]), spec.master_seed
-    t0, t1 = _target_generations(region)
-    if spec.kind == "m_dependent":  # labels last: the peak is at the deepest support generation
-        values = _ball_values(seed, reps, t0, t1, A, spec.m, spec.C)
-        return (*region_arrays(region, A), _checked_values(values, spec.C))
-    prev = None
-    if spec.kind == "branching_ar" and t0:  # a strip reads only the last generation above it
-        above = _innovations(seed, reps, *region_arrays(Generations(t0), A))[0]
-        prev = _autoregression_generations(above, 0, A, spec.a, spec.C, None).copy()
-        del above
-    js, ks = region_arrays(region, A)
-    values = _innovations(seed, reps, js, ks)[0]
-    if spec.kind == "independent":
-        values *= spec.C
-    else:
-        _autoregression_generations(values, t0, A, spec.a, spec.C, prev)
-    return js, ks, _checked_values(values, spec.C)
-
-
-def _autoregression_generations(
-    u: np.ndarray, g0: int, A: int, a: float, C: float, prev: Optional[np.ndarray]
-) -> Optional[np.ndarray]:
-    """The autoregression, in place, on the innovations ``u`` of whole
-    generations from ``g0`` on, in label order, with the float steps of
-    :func:`_autoregression`'s ``apply``, given the values ``prev`` of
-    generation ``g0 - 1`` (``None`` at the root); returns the values of the
-    last generation."""
-    step, at, g = (1.0 - abs(a)) * C, 0, g0
-    while at < len(u):
-        z = u[at : at + A**g]
-        if prev is None:
-            z *= C
-        else:
-            z *= step
-            z += a * np.repeat(prev, A)
-        prev, at, g = z, at + A**g, g + 1
-    return prev
-
-
-def _ball_values(
-    seed: int, reps: np.ndarray, t0: int, t1: int, A: int, m: int, C: float
-) -> np.ndarray:
-    """The radius-``m`` ball means of replicate ``reps[0]`` on the whole
-    generations ``[t0, t1)``, in label order, one target generation ``j`` at
-    a time, from the innovations of the ``2m + 1`` generations its balls
-    reach; each support generation is hashed once, in one call.
-
-    By :func:`ball_layer`, layer ``d`` of the ball of ``(j, k)`` is row
-    ``(k - 1) // A**up`` of generation ``j + d`` cut into rows of
-    ``A**(up + d)``, with ``up = min((m - d) // 2, j)``, shared by the
-    ``A**up`` targets below one ancestor.  :func:`_ball_means` adds a
-    target's entries ``u * C/|ball|`` to 0 in sequence, ``d`` ascending and
-    then along the row, and each running total here takes them in that
-    order: a block of columns of the rows at a time, repeated per target, at
-    most ``BLOCK_VALUES`` entries (one column if the targets alone are more),
-    gets the totals added to its first column and is accumulated along its
-    rows (a sequential running sum, not a pairwise one), its last column the
-    new totals."""
-    values, at, window = np.empty(int(_powers(A)[t0:t1].sum())), 0, {}
-    for j in range(t0, t1):
-        window.pop(j - m - 1, None)  # no ball of generation j or deeper reaches it
-        for g in range(max(0, j - m), j + m + 1):
-            if g not in window:
-                window[g] = _innovations(seed, reps, np.full(A**g, g), np.arange(1, A**g + 1))[0]
-        total, at = values[at : at + A**j], at + A**j
-        total[:] = 0.0
-        share = C / _ball_size(min(j, m), A, m)  # by the center's generation, clipped
-        width = max(1, BLOCK_VALUES // len(total))
-        for d in range(-min(j, m), m + 1):
-            up = min((m - d) // 2, j)
-            rows = window[j + d].reshape(-1, A ** (up + d))
-            for e in range(0, rows.shape[1], width):
-                block = np.repeat(rows[:, e : e + width] * share, A**up, axis=0)
-                if block.shape[1] == 1:
-                    total += block[:, 0]
-                else:
-                    block[:, 0] += total
-                    np.add.accumulate(block, axis=1, out=block)
-                    total[:] = block[:, -1]
-    return values
+    The region's runs are its generations.  After the node cap, the 63-bit
+    labels and the refusals of :func:`_checked_runs`, the values are formed
+    run by run and checked against ``C``, and only then are the labels built."""
+    runs = _generation_runs(region, A, DEFAULT_NODE_CAP)
+    _checked_runs(spec, runs, A)
+    values = _run_values(spec, _replicate_ids([replicate_index]), runs, A)[0]
+    return (*_run_arrays(runs), values)
 
 
 def _range_labels(gens, firsts, counts, ends, start: int, stop: int):
@@ -844,8 +717,10 @@ def _range_labels(gens, firsts, counts, ends, start: int, stop: int):
     begin = ends[lo:hi] - counts[lo:hi]
     skip = np.maximum(begin, start) - begin  # columns of the first range before start
     lengths = np.minimum(ends[lo:hi], stop) - begin - skip
-    ks = np.ones(stop - start + 1, dtype=np.int64)
-    _mark_ranges(ks, begin + skip - start, firsts[lo:hi] + skip, lengths)
+    ks = np.ones(stop - start + 1, dtype=np.int64)  # steps of the indices, summed below
+    at, firsts = begin + skip - start, firsts[lo:hi] + skip
+    ks[at] += firsts - 1  # each range's first index, then back to 1 one past its last
+    ks[at + lengths] -= firsts + lengths - 1
     return np.repeat(gens[lo:hi], lengths), np.cumsum(ks, out=ks)[: stop - start]
 
 
@@ -860,12 +735,8 @@ def _sums(
     The ranges are sorted by weight (stable) and laid end to end in that
     order, each in label order; each run of equal weight is cut into pieces of
     at most ``GROUP_COLUMNS`` columns.  The node keys and the pieces are built
-    here, once; the function returned hashes, in tiles of at most
-    ``BLOCK_VALUES`` values (one row if that alone is wider), through two tile
-    buffers allocated per call.  Per tile, each piece sums its innovation
-    integers ``x`` exactly in uint64 (at most 2048 values below 2**53); less
-    ``count * 2**52`` it is ``2**52 * sum(u)``, exact in int64, and only then
-    goes to float64."""
+    here, once; the function returned runs the tile loop of the module
+    docstring."""
     order = np.argsort(weights, kind="stable")
     gens, firsts, counts, weights = (x[order] for x in (gens, firsts, counts, weights))
     ends = np.cumsum(counts)
@@ -915,26 +786,40 @@ def region_sums_of(
     weights and the node keys come first, once, so that each call (a worker's
     slice of replicates) runs only the tile loop.
 
-    A :class:`Strip` or :class:`Generations` region is checked against the
-    node cap, the 63-bit labels and, for the m-dependent field, the cap on
-    ball members, all from its generations; then its weights come from
-    :func:`region_plan`, one row per support generation, and pass the
-    amplitude guard.  No label array, map or per-node weight is built.  A
-    :class:`Subtree` region is compiled, and its support nodes enter as ranges
-    of one node."""
+    Every region passes the refusals of :func:`sample_field`, all decided
+    from its generations.  The weights of a :class:`Strip` or
+    :class:`Generations` region then come from :func:`region_plan`, one row
+    per support generation; a :class:`Subtree` region sums its sampled
+    values in each call."""
+    runs = _generation_runs(region, A, DEFAULT_NODE_CAP)
+    hashed = _checked_runs(spec, runs, A)
     if not isinstance(region, (Strip, Generations)):
-        return _compiled_sums(spec, *region_arrays(region, A), A)
-    plan = _checked_plan(spec, region, A)
+        return _value_sums(spec, runs, np.arange(sum(count for _, _, count in runs)), A, hashed)
+    plan = region_plan(spec, region, A)
     counts = _powers(A)[plan.generations]
     return _sums(spec, plan.generations, np.ones_like(counts), counts, plan.weights)
 
 
-def _compiled_sums(spec: FieldSpec, js: np.ndarray, ks: np.ndarray, A: int):
-    """:func:`_sums` over the compiled support of targets ``(js, ks)``, one
-    node per range."""
-    field = _compile(spec, js, ks, A)
-    ones = np.ones(len(field.weights), dtype=np.int64)
-    return _sums(spec, *field.support, ones, field.weights)
+def _value_sums(
+    spec: FieldSpec, runs: Sequence[Run], columns: np.ndarray, A: int, hashed: int
+) -> Callable[[Sequence[int]], np.ndarray]:
+    """The sums over ``columns`` of the values at the labels of ``runs`` (laid
+    end to end, past :func:`_checked_runs`, which bounds the innovations
+    ``hashed`` per replicate), as a function of the replicates: the values of
+    at most ``BLOCK_VALUES`` innovations or columns at a time (one replicate
+    if more), added in column order, a running sum's last column whatever the
+    tile's shape."""
+
+    def sums(replicates: Sequence[int]) -> np.ndarray:
+        reps = _replicate_ids(replicates)
+        out = np.zeros(len(reps))
+        rows = max(1, BLOCK_VALUES // max(hashed, len(columns), 1))
+        for start in range(0, len(reps) if len(columns) else 0, rows):
+            values = _run_values(spec, reps[start : start + rows], runs, A)[:, columns]
+            out[start : start + rows] = np.add.accumulate(values, axis=1, out=values)[:, -1]
+        return out
+
+    return sums
 
 
 def region_sums(
@@ -945,35 +830,16 @@ def region_sums(
 ) -> np.ndarray:
     """``sum_v Z_v`` over ``region`` for each replicate, in blocks of bounded memory.
 
-    The sum is ``w . U``: one weight per support node, ``w = M^T 1``, so no
-    value is built.  On a :class:`Strip` or :class:`Generations` region the
-    weights are constant on each support generation and come from
-    :func:`region_plan` in closed form: ``C`` for the independent field, the
-    backward recursion of the autoregression, the ball shares of the
-    m-dependent field, each summed in the order and the float steps in which
-    the compiled map adds them, so they equal its per-node weights bit for
-    bit.  No label array, map or per-node sort is built; the node keys are
-    hashed from the plan's label ranges.  A :class:`Subtree` region compiles
-    its map.
+    On a :class:`Strip` or :class:`Generations` region the sum is ``w . U``,
+    with the weights of :func:`region_plan`, hashed in tiles of at most
+    ``BLOCK_VALUES`` values: peak memory is two tile buffers plus 8 bytes per
+    support node, whatever the replicate count.  Each piece of at most
+    ``GROUP_COLUMNS`` = 2048 nodes of equal weight is summed exactly as
+    integers, so the result is within ``(G + 1) * 2**-53 * sum |w u|`` of the
+    exact ``w . U`` for G pieces, and is correctly rounded for one of weight 1.
 
-    The support is hashed in the stable order of its weights, each support
-    generation in label order: a stable sort of the plan rows gives the order
-    a stable argsort of the per-node weights gives, so the pieces below, and
-    the bits of every sum, do not depend on which path built the weights.  A
-    tile holds whole rows, at most ``BLOCK_VALUES`` hashed values (one row of
-    the support if that alone is wider).  It is hashed, checked and summed in
-    place in a uint64 tile buffer, with a second as the hash's scratch, both
-    allocated once per call, so peak memory is those two buffers plus the
-    node keys (8 bytes per support node), whatever the replicate count.  Each
-    piece of at most ``GROUP_COLUMNS`` = 2048 support nodes of equal weight
-    sums its innovations exactly as integers (2048 * 2**52 = 2**63 bounds the
-    centred sum), and only the G piece sums are rounded, weighted and added,
-    so the result is within ``(G + 1) * 2**-53 * sum |w u|`` of the exact
-    ``w . U``, and is its correctly rounded value for one piece of weight 1.
-    Tile boundaries and worker counts do not affect the result: each
-    replicate's sum is a row-wise reduction of innovations that depend only
-    on (seed, replicate, node).  It agrees with the sum of
-    :func:`field_values` to rounding.
+    A :class:`Subtree` region adds its sampled values, as :func:`node_sums`
+    does.  Tile boundaries and worker counts do not affect the result.
     """
     return region_sums_of(spec, region, A)(replicates)
 
@@ -982,9 +848,15 @@ def node_sums(
     spec: FieldSpec, nodes: Sequence[NodeId], A: int, replicates: Sequence[int]
 ) -> np.ndarray:
     """``sum_v Z_v`` over ``nodes`` (a repeated node counts each time) for each
-    replicate, computed as :func:`region_sums` computes a region's, from the
-    compiled weights."""
-    return _compiled_sums(spec, *node_labels(nodes, A), A)(replicates)
+    replicate: the values of :func:`field_values`, added in sequence in the
+    order of ``nodes``, for at most ``BLOCK_VALUES // len(nodes)`` replicates
+    at a time (one if the nodes are more).  The ``n - 1`` additions leave a
+    sum within ``(n - 1) * 2**-53 * sum |Z_v|`` (to first order) of the exact
+    sum of those values; for the independent field at ``C = 1`` the values
+    are the innovations, exactly.  The bits do not depend on how the
+    replicates are split."""
+    runs, columns = _label_runs(*node_labels(nodes, A))
+    return _value_sums(spec, runs, columns, A, _checked_runs(spec, runs, A))(replicates)
 
 
 def field_lines(

@@ -170,7 +170,8 @@ def node_labels(nodes: Sequence[NodeId], A: int) -> tuple[np.ndarray, np.ndarray
     in order."""
     for v in nodes:
         validate_node(v, A)
-    return tuple(np.array([(v.j, v.k) for v in nodes], dtype=np.int64).reshape(-1, 2).T)
+    return tuple(np.fromiter((getattr(v, name) for v in nodes), dtype=np.int64, count=len(nodes))
+                 for name in ("j", "k"))
 
 
 def _ball_size(j: int, A: int, m: int) -> int:
@@ -433,7 +434,12 @@ def region_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Generations and indices (int64) of the nodes of ``region``, in the
     order of :func:`region_nodes`, without building a :class:`NodeId`."""
-    runs = _generation_runs(region, A, cap)
+    return _run_arrays(_generation_runs(region, A, cap))
+
+
+def _run_arrays(runs: Sequence[tuple[int, int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 labels ``(js, ks)`` of the runs ``(j, first_k, count)`` laid
+    end to end, each in index order."""
     counts = [count for _, _, count in runs]
     js = np.repeat(np.array([j for j, _, _ in runs], dtype=np.int64), counts)
     ks = np.concatenate(

@@ -168,6 +168,31 @@ def _assert_sums_of(spec, sums, values):
         assert np.all(np.abs(sums - direct) <= 1e-12 * np.abs(values).sum(axis=1))
 
 
+def _exact_row_sums(values):
+    """The exact sum of each row of float64 ``values``, as Fractions: a value
+    is ``m * 2**e`` with an integer ``|m| < 2**53``, so a row's values of one
+    exponent sum exactly in int64 (fewer than 1024 of them)."""
+    assert values.shape[1] < 1024
+    m, e = np.frexp(values)
+    m, e = (m * 2.0**53).astype(np.int64), e - 53
+    low, total = int(e.min(initial=0)), [0] * len(values)
+    for x in np.unique(e).tolist():
+        part = np.where(e == x, m, 0).sum(axis=1).tolist()
+        total = [t + (p << (x - low)) for t, p in zip(total, part)]
+    return [t * Fraction(2) ** low for t in total]
+
+
+def _assert_value_sums(sums, values):
+    """A sum of sampled values (:func:`node_sums`, and ``region_sums`` on a
+    :class:`Subtree`): within ``gamma_{n-1} * sum |v|`` of the exact sum of the
+    ``n`` values of its row, the bound of ``n - 1`` float additions in any
+    order, ``gamma_k = k u / (1 - k u)`` with ``u = 2**-53``."""
+    adds = Fraction(max(values.shape[1] - 1, 0), 2**53)
+    exact, scale = _exact_row_sums(values), _exact_row_sums(np.abs(values))
+    for got, want, size in zip(sums.tolist(), exact, scale):
+        assert abs(Fraction(got) - want) <= adds / (1 - adds) * size
+
+
 def test_region_sums_matches_per_node_values():
     spec = FieldSpec.branching_ar(0.3, C=1.0, master_seed=12)
     region = Strip(2, 2)
@@ -420,31 +445,37 @@ def test_independent_region_sums_memory_is_two_tiles():
 
 def _assert_near_the_whole_matrix_sums(spec, js, ks, A, reps, sums):
     """``sums`` within the kernel's bound of ``w . U``, taken exactly from the
-    whole innovation matrix and the compiled weights."""
-    field = _fields._compile(spec, js, ks, A)
-    u = _fields._innovations(spec.master_seed, np.array(reps, dtype=np.uint64), *field.support)
-    _assert_near_exact(sums, *_exact_sums(u, field.weights), _pieces(field.weights))
+    whole innovation matrix and the oracle's weights."""
+    support_j, support_k, weights = _oracle_weights(spec, js, ks, A)
+    reps = np.array(reps, dtype=np.uint64)
+    u = _fields._innovations(spec.master_seed, reps, support_j, support_k)
+    _assert_near_exact(sums, *_exact_sums(u, weights), _pieces(weights))
 
 
 @pytest.mark.parametrize("spec", _KINDS, ids=lambda spec: spec.kind)
 def test_fused_sums_match_the_whole_matrix_reference_bit_for_bit(spec, monkeypatch):
-    # near the exact sums of the whole matrix; bit for bit across tile budgets
+    # near the exact sums of the whole matrix, or of the values on a subtree;
+    # bit for bit across tile budgets
     reps, default = range(3, 44), _fields.BLOCK_VALUES
     for region, A in ((Generations(6), 3), (Strip(2, 3), 2), (Subtree(2, 3, 3), 3)):
         js, ks = region_arrays(region, A)
         nodes = list(region_nodes(region, A))
+        values = field_values(spec, nodes, A, reps)
         want = region_sums(spec, region, A, reps)
-        _assert_near_the_whole_matrix_sums(spec, js, ks, A, reps, want)
-        width = len(_fields._compile(spec, js, ks, A).weights)
+        if isinstance(region, Subtree):
+            _assert_value_sums(want, values)
+        else:
+            _assert_near_the_whole_matrix_sums(spec, js, ks, A, reps, want)
+        width = len(_oracle_weights(spec, js, ks, A)[2])
         for budget in (1, width - 1, width, 2 * width + 1, default):
             monkeypatch.setattr(_fields, "BLOCK_VALUES", budget)
             assert np.array_equal(region_sums(spec, region, A, reps), want)
-            assert np.array_equal(node_sums(spec, nodes, A, reps), want)
+            _assert_value_sums(node_sums(spec, nodes, A, reps), values)
         monkeypatch.setattr(_fields, "BLOCK_VALUES", default)
     # a support wider than a tile: one replicate per tile
     spec = FieldSpec.m_dependent(1, C=0.9, master_seed=34)
     js, ks = region_arrays(Generations(16), 2)
-    assert len(_fields._compile(spec, js, ks, 2).weights) > default
+    assert int(_powers(2)[region_plan(spec, Generations(16), 2).generations].sum()) > default
     sums = region_sums(spec, Generations(16), 2, range(5))
     _assert_near_the_whole_matrix_sums(spec, js, ks, 2, range(5), sums)
 
@@ -459,11 +490,11 @@ def test_region_sums_blocks_narrower_than_the_support(spec, monkeypatch):
 
     monkeypatch.setattr(_fields, "_bits_tile", counted)
     reps, default = range(41), _fields.BLOCK_VALUES
-    for region in (Generations(6), Strip(2, 3), Subtree(2, 3, 3)):
+    for region in (Generations(6), Strip(2, 3)):  # the tile loop of whole generations
         monkeypatch.setattr(_fields, "BLOCK_VALUES", default)
         whole = region_sums(spec, region, 3, reps)
         _assert_sums_of(spec, whole, field_values(spec, list(region_nodes(region, 3)), 3, reps))
-        width = len(_fields._compile(spec, *region_arrays(region, 3), 3).weights)
+        width = int(_powers(3)[region_plan(spec, region, 3).generations].sum())
         for budget, rows in ((1, 1), (width + width // 2, 1), (2 * width + width // 2, 2)):
             monkeypatch.setattr(_fields, "BLOCK_VALUES", budget)
             hash_rows.clear()
@@ -477,10 +508,70 @@ def _csr_ball_means(js, ks, A, m, C):
     from scipy.sparse import csr_array
 
     rows, member_j, member_k = ball_arrays(js, ks, A, m)
-    labels, cols = np.unique(np.stack([member_j, member_k], axis=1), axis=0, return_inverse=True)
-    data = (C / np.bincount(rows))[rows]
-    matrix = csr_array((data, (rows, cols.ravel())), shape=(len(js), len(labels)))
-    return labels[:, 0], labels[:, 1], matrix
+    top = int(member_j.max(initial=0))
+    if (A ** (top + 1) - 1) // (A - 1) < 2**63:  # one int64 sort key: the breadth-first position
+        before = np.array([(A**g - 1) // (A - 1) for g in range(top + 1)], dtype=np.int64)
+        keys, cols = np.unique(before[member_j] + member_k - 1, return_inverse=True)
+        support_j = np.searchsorted(before, keys, "right") - 1
+        support_k = keys - before[support_j] + 1
+    else:
+        labels, cols = np.unique(np.stack([member_j, member_k], axis=1), axis=0,
+                                 return_inverse=True)
+        support_j, support_k = labels.T
+    sizes = np.bincount(rows, minlength=len(js))  # rows ascend, each ball's members too
+    indptr = np.concatenate([[0], np.cumsum(sizes)])
+    matrix = csr_array(((C / sizes)[rows], cols.ravel(), indptr),
+                       shape=(len(js), len(support_j)))
+    return support_j, support_k, matrix
+
+
+def _per_node_autoregression(spec, js, ks, A, reps):
+    """The branching autoregression at each node ``(j, k)`` along its own
+    ancestor path, root first: ``C U`` at the root, then ``(1 - |a|) C U + a
+    Z_parent``, the ancestor in generation ``g`` being ``(k - 1) // A**(j - g) + 1``."""
+    step, z = (1.0 - abs(spec.a)) * spec.C, np.zeros((len(reps), len(js)))
+    for g in range(int(js.max(initial=-1)) + 1):
+        on = js >= g
+        up = (ks[on] - 1) // _powers(A)[js[on] - g] + 1
+        u = _fields._innovations(spec.master_seed, reps, np.full(len(up), g), up)
+        z[:, on] = spec.C * u if g == 0 else step * u + spec.a * z[:, on]
+    return z
+
+
+def _oracle_values(spec, js, ks, A, reps):
+    """The field at the labels ``(js, ks)`` by the test-side oracles: ``C U``,
+    the CSR ball means, or the per-node autoregression."""
+    reps = np.asarray(reps, dtype=np.uint64)
+    if spec.kind == "independent":
+        return spec.C * _fields._innovations(spec.master_seed, reps, js, ks)
+    if spec.kind == "branching_ar":
+        return _per_node_autoregression(spec, js, ks, A, reps)
+    support_j, support_k, matrix = _csr_ball_means(js, ks, A, spec.m, spec.C)
+    u = _fields._innovations(spec.master_seed, reps, support_j, support_k)
+    return np.stack([matrix @ row for row in u]).reshape(len(reps), len(js))
+
+
+def _oracle_weights(spec, js, ks, A):
+    """The support labels and weights ``w = M^T 1`` of the field's map at the
+    targets ``(js, ks)``, each weight added over the rows in order: the CSR
+    transpose's mat-vec, or for the autoregression, over generations
+    ``0 .. max(js)``, ``d_v`` (the times ``v`` is a target plus ``a`` times
+    its children's ``d`` added in order) times ``(1 - |a|) C``, ``C`` at the root."""
+    if spec.kind == "independent":
+        return js, ks, np.full(len(js), float(spec.C))
+    if spec.kind == "m_dependent":
+        support_j, support_k, matrix = _csr_ball_means(js, ks, A, spec.m, spec.C)
+        return support_j, support_k, matrix.T @ np.ones(len(js))
+    top, parts = int(js.max()), []
+    for g in range(top, -1, -1):
+        d = np.bincount(ks[js == g] - 1, minlength=A**g).astype(np.float64)
+        if parts:
+            parents = np.arange(A ** (g + 1)) // A
+            d += spec.a * np.bincount(parents, weights=parts[-1], minlength=A**g)
+        parts.append(d)
+    weights = (1.0 - abs(spec.a)) * spec.C * np.concatenate(parts[::-1])
+    weights[0] = spec.C * parts[-1][0]
+    return (*region_arrays(Generations(top + 1), A), weights)
 
 
 @pytest.mark.parametrize(
@@ -491,12 +582,10 @@ def _csr_ball_means(js, ks, A, m, C):
 def test_ball_means_match_a_csr_oracle_bit_for_bit(region, A, m):
     js, ks = region_arrays(region, A)
     reps = np.arange(4, dtype=np.uint64)
-    support_j, support_k, matrix = _csr_ball_means(js, ks, A, m, 0.8)
-    field = _fields._compile(FieldSpec.m_dependent(m, C=0.8, master_seed=40), js, ks, A)
-    assert np.array_equal(field.support[0], support_j)
-    assert np.array_equal(field.support[1], support_k)
-    want = np.stack([matrix @ u for u in _fields._innovations(40, reps, support_j, support_k)])
-    assert np.array_equal(field.sample(reps), want)
+    spec = FieldSpec.m_dependent(m, C=0.8, master_seed=40)
+    want = _oracle_values(spec, js, ks, A, reps)
+    for rep, values in zip(reps.tolist(), want):
+        assert sample_field(spec, region, A, rep)[2].tobytes() == values.tobytes()
 
 
 _SUM_SPECS = _KINDS + (
@@ -511,29 +600,26 @@ def test_region_sums_agree_with_summed_values(spec):
         for region in _REGIONS + (Generations(6), Strip(2, 2), Strip(2, 3), Subtree(2, 3, 3)):
             nodes = list(region_nodes(region, A))
             sums = region_sums(spec, region, A, range(100))
-            _assert_sums_of(spec, sums, field_values(spec, nodes, A, range(100)))
-            assert np.array_equal(node_sums(spec, nodes, A, range(100)), sums)
+            values = field_values(spec, nodes, A, range(100))
+            if isinstance(region, Subtree):  # its sampled values, added
+                _assert_value_sums(sums, values)
+            else:
+                _assert_sums_of(spec, sums, values)
+            _assert_value_sums(node_sums(spec, nodes, A, range(100)), values)
     repeated = [NodeId(3, 5), NodeId(0, 1), NodeId(3, 5), NodeId(2, 1), NodeId(4, 16)]
     values = field_values(spec, repeated, 2, range(100))
-    _assert_sums_of(spec, node_sums(spec, repeated, 2, range(100)), values)
+    _assert_value_sums(node_sums(spec, repeated, 2, range(100)), values)
 
 
 def test_a_map_row_with_l1_norm_above_C_raises_before_hashing(monkeypatch):
-    # the compiled map's norms (node lists, sampling) and the region plan's (sums)
-    ball_means, region_plan = _fields._ball_means, _fields.region_plan
+    # the per-generation row norms that node lists, sampling and the region
+    # plan's sums all read
+    ball_norms = _fields._ball_norms
     nodes = list(region_nodes(Generations(4), 2))
 
     def inflate(factor):
-        def build(*args):
-            support, apply, norms, weights = ball_means(*args)
-            return support, apply, norms * factor, weights
-
-        def plan(*args):
-            plan = region_plan(*args)
-            return plan._replace(norms=plan.norms * factor)
-
-        monkeypatch.setattr(_fields, "_ball_means", build)
-        monkeypatch.setattr(_fields, "region_plan", plan)
+        monkeypatch.setattr(_fields, "_ball_norms",
+                            lambda *args: [norm * factor for norm in ball_norms(*args)])
 
     spec = FieldSpec.m_dependent(1, C=1.0, master_seed=41)
     inflate(1 + 0.5e-12)
@@ -716,13 +802,12 @@ def test_region_sums_match_the_pure_python_oracle_bit_for_bit(spec):
     # bit for bit where the kernel is exact (the independent field at C = 1, one
     # piece): the correctly rounded exact sum; otherwise within the bound
     reps = [0, 1, 2**40, 2**64 - 1]
-    js, ks = region_arrays(Generations(6), 3)
-    field = _fields._compile(spec, js, ks, 3)
-    support = list(zip(*(array.tolist() for array in field.support)))
+    support_j, support_k, weights = _oracle_weights(spec, *region_arrays(Generations(6), 3), 3)
+    support = list(zip(support_j.tolist(), support_k.tolist()))
     oracle = [[_innovation_ref(spec.master_seed, rep, j, k) for j, k in support] for rep in reps]
-    exact, scale = _exact_sums(oracle, field.weights)
+    exact, scale = _exact_sums(oracle, weights)
     sums = region_sums(spec, Generations(6), 3, reps)
-    _assert_near_exact(sums, exact, scale, _pieces(field.weights))
+    _assert_near_exact(sums, exact, scale, _pieces(weights))
     if spec.kind == "independent":
         assert sums.tolist() == [float(x) for x in exact]
 
@@ -749,9 +834,8 @@ def test_exact_piece_sums_do_not_wrap_at_the_int64_ends(bits, monkeypatch):
 
     monkeypatch.setattr(_fields, "_mix_tile", constant)
     spec = FieldSpec.independent(C=1.0, master_seed=49)
-    js, ks = region_arrays(Generations(13), 2)
-    weights = _fields._compile(spec, js, ks, 2).weights
-    assert len(weights) == 8191 and _pieces(weights) == 4
+    weights = np.ones(8191)  # C on each node of generations(13)
+    assert _pieces(weights) == 4
     u = np.full((3, 8191), (bits >> 11) * 2.0**-52 - 1)
     exact, scale = _exact_sums(u, weights)
     sums = region_sums(spec, Generations(13), 2, range(3))
@@ -861,34 +945,26 @@ def test_ball_arrays_are_row_major(A):
 
 @pytest.mark.parametrize("A", [2, 3])
 def test_m_dependent_compile_on_unsorted_repeats_matches_the_csr_oracle(A):
-    reps = np.arange(4, dtype=np.uint64)
     for m in (1, 2, 3):
-        js, ks = _unsorted_repeats(A, np.random.default_rng(60 + m))
-        support_j, support_k, matrix = _csr_ball_means(js, ks, A, m, 0.8)
-        field = _fields._compile(FieldSpec.m_dependent(m, C=0.8, master_seed=44), js, ks, A)
-        assert np.array_equal(field.support[0], support_j)
-        assert np.array_equal(field.support[1], support_k)
-        assert np.array_equal(field.weights, matrix.T @ np.ones(len(js)))
-        norms = _fields._ball_means(js, ks, A, m, 0.8)[2]
-        assert np.array_equal(norms, matrix @ np.ones(len(support_j)))
-        u = _fields._innovations(44, reps, support_j, support_k)
-        assert np.array_equal(field.sample(reps), np.stack([matrix @ row for row in u]))
+        labels = _unsorted_repeats(A, np.random.default_rng(60 + m))
+        _assert_ball_means_match_the_csr_oracle(*labels, A, m)
+
+
+def _nodes(js, ks):
+    return [NodeId(j, k) for j, k in zip(js.tolist(), ks.tolist())]
 
 
 def _assert_ball_means_match_the_csr_oracle(js, ks, A, m):
-    """Support, weights, norms and 4 replicates' values, bit for bit."""
+    """The row norms the amplitude guard reads and 4 replicates' values of
+    ``field_values``, bit for bit."""
     reps = np.arange(4, dtype=np.uint64)
-    support_j, support_k, matrix = _csr_ball_means(js, ks, A, m, 0.8)
-    field = _fields._compile(FieldSpec.m_dependent(m, C=0.8, master_seed=46), js, ks, A)
-    assert np.array_equal(field.support[0], support_j)
-    assert np.array_equal(field.support[1], support_k)
-    assert np.array_equal(field.weights, matrix.T @ np.ones(len(js)))
+    spec = FieldSpec.m_dependent(m, C=0.8, master_seed=46)
     if len(js):
-        norms = _fields._ball_means(js, ks, A, m, 0.8)[2]
-        assert np.array_equal(norms, matrix @ np.ones(len(support_j)))
-    u = _fields._innovations(46, reps, support_j, support_k)
-    want = np.stack([matrix @ row for row in u]).reshape(len(reps), len(js))
-    assert np.array_equal(field.sample(reps), want)
+        matrix = _csr_ball_means(js, ks, A, m, 0.8)[2]
+        norms = np.array(_fields._ball_norms(A, m, 0.8))[np.minimum(js, m)]
+        assert norms.tobytes() == (matrix @ np.ones(matrix.shape[1])).tobytes()
+    want = _oracle_values(spec, js, ks, A, reps)
+    assert field_values(spec, _nodes(js, ks), A, reps).tobytes() == want.tobytes()
 
 
 def _labels(pairs):
@@ -926,26 +1002,21 @@ def test_ball_means_deep_generations_match_the_csr_oracle(m):
     with pytest.raises(ValidationError, match="63-bit") as want:
         ball_arrays(js, ks, 2, m)
     with pytest.raises(ValidationError) as got:
-        _fields._ball_means(js, ks, 2, m, 0.8)
+        field_values(FieldSpec.m_dependent(m, C=0.8), _nodes(js, ks), 2, range(1))
     assert str(got.value) == str(want.value)
 
 
 def test_ball_means_do_not_depend_on_tile_boundaries(monkeypatch):
-    reps, default = np.arange(4, dtype=np.uint64), _fields.BLOCK_VALUES
+    reps = np.arange(4, dtype=np.uint64)
     cases = [(region_arrays(Generations(7), 3), 3, 1), (region_arrays(Strip(1, 3), 2), 2, 3),
              (_labels(_TOUCHING), 3, 2), (_labels(_TOUCHING), 2, 4)]
     for (js, ks), A, m in cases:
-        support, apply, norms, weights = _fields._ball_means(js, ks, A, m, 0.8)
-        u = _fields._innovations(47, reps, *support)
-        values = apply(u.copy())
+        spec = FieldSpec.m_dependent(m, C=0.8, master_seed=47)
+        want = _oracle_values(spec, js, ks, A, reps).tobytes()
         ball = _ball_size(m, A, m)
-        for budget in (1, ball - 1, ball, 2 * ball + 1, default):
+        for budget in (1, ball - 1, ball, 2 * ball + 1, _fields.BLOCK_VALUES):
             monkeypatch.setattr(_fields, "BLOCK_VALUES", budget)
-            tiled = _fields._ball_means(js, ks, A, m, 0.8)
-            assert all(np.array_equal(a, b) for a, b in zip(tiled[0], support))
-            assert np.array_equal(tiled[2], norms)
-            assert np.array_equal(tiled[3], weights)
-            assert np.array_equal(tiled[1](u.copy()), values)
+            assert field_values(spec, _nodes(js, ks), A, reps).tobytes() == want
 
 
 def _peak_bytes(call):
@@ -980,24 +1051,24 @@ def test_node_keys_do_not_depend_on_the_key_step(monkeypatch):
 
 
 def test_m_dependent_compile_memory_is_bounded():
-    # 262139 ball entries, 6 MiB as entry arrays: the support, weights and norms
-    # take 3.5 MiB, one tile of entries 1.5 MiB, so no entry-sized array fits
-    js, ks = region_arrays(Generations(16), 2)
+    # 262139 ball entries, 6 MiB as entry arrays: the labels, their runs and the
+    # window of hashed generations read 4.1 MiB, so no entry-sized array fits
+    nodes = list(region_nodes(Generations(16), 2))
     spec = FieldSpec.m_dependent(1, C=1.0, master_seed=45)
-    assert _peak_bytes(lambda: _fields._compile(spec, js, ks, 2)) < 6 * 2**20
+    assert _peak_bytes(lambda: field_values(spec, nodes, 2, range(1))) < 6 * 2**20
 
 
 def test_m_dependent_sample_field_memory_is_bounded():
-    # the compiled map, one replicate of the 131071 support innovations and the
-    # values, with one tile of entries at a time
+    # the values, the 2m + 1 hashed generations their balls reach, one block
+    # of ball entries and the labels
     spec = FieldSpec.m_dependent(1, C=1.0, master_seed=45)
     assert _peak_bytes(lambda: sample_field(spec, Generations(16), 2, 0)) < 8 * 2**20
 
 
-def _compiled_sample(spec, region, A, rep):
-    """The reference: the compiled map's sample at the region's labels."""
+def _oracle_sample(spec, region, A, rep):
+    """The reference: the oracles' values at the region's labels."""
     js, ks = region_arrays(region, A)
-    return js, ks, _fields._compile(spec, js, ks, A).sample(np.array([rep], dtype=np.uint64))[0]
+    return js, ks, _oracle_values(spec, js, ks, A, [rep])[0]
 
 
 _GRID_REGIONS = tuple(Generations(c) for c in range(8)) + tuple(
@@ -1015,13 +1086,39 @@ def _assert_same_sample(got, want):
     assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
+_GRID_REPS = np.array([0, 2**64 - 1], dtype=np.uint64)
+
+
 @pytest.mark.parametrize("A", [2, 3, 4])
 def test_generation_sample_matches_the_compiled_map_bit_for_bit(A):
+    # the map Z = M U at the region's labels, by the test-side oracles
     for region in _GRID_REGIONS:
+        js, ks = region_arrays(region, A)
         for spec in _GRID_SPECS:
-            for rep in (0, 2**64 - 1):
-                _assert_same_sample(sample_field(spec, region, A, rep),
-                                    _compiled_sample(spec, region, A, rep))
+            want = _oracle_values(spec, js, ks, A, _GRID_REPS)
+            for rep, values in zip(_GRID_REPS.tolist(), want):
+                _assert_same_sample(sample_field(spec, region, A, rep), (js, ks, values))
+
+
+@pytest.mark.parametrize("A", [2, 3, 4])
+def test_subtree_and_node_list_samples_match_the_oracles_bit_for_bit(A, monkeypatch):
+    # subtrees through sample_field, and unsorted node lists with repeats
+    # through field_values, at BLOCK_VALUES 1, 7 and its default
+    subtrees = (Subtree(0, 1, 4), Subtree(1, 2, 3), Subtree(3, A**3 - 1, 3), Subtree(5, 7, 1))
+    lists = (_unsorted_repeats(A, np.random.default_rng(70 + A)), _labels(_TOUCHING))
+    cases = [(spec, region, region_arrays(region, A))
+             for spec in _GRID_SPECS for region in subtrees]
+    cases += [(spec, None, labels) for spec in _GRID_SPECS for labels in lists]
+    want = [_oracle_values(spec, js, ks, A, _GRID_REPS) for spec, _, (js, ks) in cases]
+    for budget in (1, 7, _fields.BLOCK_VALUES):
+        monkeypatch.setattr(_fields, "BLOCK_VALUES", budget)
+        for (spec, region, (js, ks)), values in zip(cases, want):
+            if region is None:
+                got = field_values(spec, _nodes(js, ks), A, _GRID_REPS)
+                assert got.tobytes() == values.tobytes(), (spec, budget)
+                continue
+            for rep, row in zip(_GRID_REPS.tolist(), values):
+                _assert_same_sample(sample_field(spec, region, A, rep), (js, ks, row))
 
 
 def test_generation_sample_does_not_depend_on_the_summing_blocks(monkeypatch):
@@ -1029,28 +1126,11 @@ def test_generation_sample_does_not_depend_on_the_summing_blocks(monkeypatch):
     # some generation on
     cases = [(spec, region, A) for spec in _GRID_SPECS if spec.kind == "m_dependent"
              for region, A in ((Generations(6), 2), (Strip(2, 2), 4))]
-    want = [_compiled_sample(spec, region, A, 3) for spec, region, A in cases]
+    want = [_oracle_sample(spec, region, A, 3) for spec, region, A in cases]
     for budget in (1, 7, 16, 64):
         monkeypatch.setattr(_fields, "BLOCK_VALUES", budget)
         for (spec, region, A), sample in zip(cases, want):
             _assert_same_sample(sample_field(spec, region, A, 3), sample)
-
-
-def test_sample_field_compiles_only_subtrees(monkeypatch):
-    compile_ = _fields._compile
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return compile_(*args)
-
-    monkeypatch.setattr(_fields, "_compile", counted)
-    for spec in _KINDS:
-        for region in (Generations(5), Strip(2, 3)):
-            sample_field(spec, region, 3, 1)
-    assert not calls
-    sample_field(_KINDS[1], Subtree(1, 2, 2), 2, 1)
-    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("spec, budget", zip(_KINDS, (3, 4.5, 3)),
@@ -1147,6 +1227,68 @@ else:
     assert "Traceback" not in done.stderr
 
 
+def test_deep_autoregression_targets_raise_capacity_error_not_memory_error():
+    # 10**9 ancestors, or a strip at the node cap whose 22369621 ancestors pass
+    # it: under a 3 GiB address-space limit their arrays fail, so only a count
+    # made before any array is built can refuse them cleanly
+    probe = """
+import contextlib, io, resource
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from treebound import CapacityError, FieldSpec, NodeId, Strip, Subtree, field_values, node_sums
+from treebound import region_sums, sample_field
+from treebound.cli import main
+for rate, region in (("2", "subtree(1000000000,1,1)"), ("4", "strip(13,1)")):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["simulate", "--rate", rate, "--C", "1", "--region", region,
+                     "--field", "branching_ar(0.5)"])
+    assert code == 3, (region, code, err.getvalue())
+    assert err.getvalue().startswith("error:") and "ancestors" in err.getvalue(), err.getvalue()
+spec = FieldSpec.branching_ar(0.5)
+for call in (lambda: field_values(spec, [NodeId(10**9, 1)], 2, range(2)),
+             lambda: node_sums(spec, [NodeId(2, 1), NodeId(10**9, 5)], 2, range(2)),
+             lambda: sample_field(spec, Subtree(10**9, 1, 1), 2, 0),
+             lambda: sample_field(spec, Strip(13, 1), 4, 0),
+             lambda: region_sums(spec, Strip(13, 1), 4, range(2))):
+    try:
+        call()
+    except CapacityError as exc:
+        assert "exceeding the cap" in str(exc)
+    else:
+        raise AssertionError("no CapacityError")
+"""
+    src = str(Path(treebound.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_autoregression_ancestors_count_each_chain_once(monkeypatch):
+    # a run reads the run above it when that run is its parents; any other run
+    # counts its ancestors up to the root: 1 + 3 nodes, 3 + (2 + 1 + 1), then 6
+    runs = [(3, 4, 1), (3, 6, 3), (4, 11, 6)]
+    monkeypatch.setattr(_fields, "DEFAULT_NODE_CAP", 17)
+    _fields._ancestor_caps(runs, 2)
+    monkeypatch.setattr(_fields, "DEFAULT_NODE_CAP", 16)
+    with pytest.raises(CapacityError, match="hashes 17 nodes"):
+        _fields._ancestor_caps(runs, 2)
+
+
+@pytest.mark.parametrize("call", ["region_sums", "field_values", "node_sums"])
+def test_replicate_ranges_past_sys_maxsize_raise_capacity_error(call):
+    # len() of such a range raises OverflowError: the count comes from its ends
+    spec = FieldSpec.independent()
+    run = {"region_sums": lambda reps: region_sums(spec, Generations(2), 2, reps),
+           "field_values": lambda reps: field_values(spec, [NodeId(1, 1)], 2, reps),
+           "node_sums": lambda reps: node_sums(spec, [NodeId(1, 1)], 2, reps)}[call]
+    for reps in (range(2**63), range(2**64 - 1, -1, -1), range(1, 2**64, 1)):
+        with pytest.raises(CapacityError, match="replicate ids exceed the cap"):
+            run(reps)
+
+
 def test_empty_region_with_a_huge_radius_returns_at_once():
     # no generation, so no ball: the radius is never raised to a power; the
     # child's timeout fails the test if it is
@@ -1183,26 +1325,42 @@ _PLAN_SPECS = tuple(
 )
 
 
-def _compiled_reference(spec, region, A):
-    """The support generations, weights and target row norms of the compiled
-    map, one per node: the weights are ``_Compiled.weights``."""
+def _compiled_reference(spec, region, A, balls):
+    """The support generations, weights and target row norms of the field's
+    map, one per node, by the oracles: each target's row norm is its l1 norm,
+    the CSR row sum or, for the autoregression, ``|a|`` times its parent's
+    plus ``|(1 - |a|) C|``, ``C`` at the root.  ``balls`` keeps the region's
+    CSR ball means by radius, built once at ``C = 1`` and rescaled."""
+    from scipy.sparse import csr_array
+
     js, ks = region_arrays(region, A)
-    field = _fields._compile(spec, js, ks, A)
-    if spec.kind == "independent" or not len(js):
+    if not len(js):
+        return js, np.zeros(0), np.zeros(0)
+    if spec.kind == "m_dependent":
+        if spec.m not in balls:
+            balls[spec.m] = _csr_ball_means(js, ks, A, spec.m, 1.0)
+        support_j, _, ones = balls[spec.m]
+        sizes = np.diff(ones.indptr)
+        matrix = csr_array((np.repeat(spec.C / sizes, sizes), ones.indices, ones.indptr),
+                           shape=ones.shape)
+        return support_j, matrix.T @ np.ones(len(js)), matrix @ np.ones(len(support_j))
+    support_j, _, weights = _oracle_weights(spec, js, ks, A)
+    if spec.kind == "independent":
         norms = np.full(len(js), spec.C)
-    elif spec.kind == "m_dependent":
-        norms = _fields._ball_means(js, ks, A, spec.m, spec.C)[2]
-    else:  # the norms of the ancestor closure, whose last nodes are the targets
-        norms = _fields._autoregression(js, ks, A, spec.a, spec.C)[2][len(field.weights) - len(js):]
-    return field.support[0], field.weights, norms
+    else:
+        by_generation, step = [spec.C], abs((1.0 - abs(spec.a)) * spec.C)
+        for _ in range(int(js.max())):
+            by_generation.append(abs(spec.a) * by_generation[-1] + step)
+        norms = np.array(by_generation)[js]
+    return support_j, weights, norms
 
 
 @pytest.mark.parametrize("A", [2, 3, 4, 5])
 def test_region_plan_matches_the_compiled_weights_bit_for_bit(A):
     for region in _PLAN_REGIONS:
-        targets = region_arrays(region, A)[0]
+        targets, balls = region_arrays(region, A)[0], {}
         for spec in _PLAN_SPECS:
-            support_j, weights, norms = _compiled_reference(spec, region, A)
+            support_j, weights, norms = _compiled_reference(spec, region, A, balls)
             plan = region_plan(spec, region, A)
             counts = _powers(A)[plan.generations]
             assert np.array_equal(np.repeat(plan.generations, counts), support_j)
@@ -1241,7 +1399,8 @@ def test_region_sums_build_no_label_arrays_and_compile_no_map(monkeypatch):
     def refused(*args):
         raise AssertionError("a strip or generations region built labels or a map")
 
-    for name in ("region_arrays", "_compile", "_ball_means", "_autoregression"):
+    for name in ("_run_arrays", "_label_runs", "_run_values", "_ball_values",
+                 "_autoregression_values"):
         monkeypatch.setattr(_fields, name, refused)
     for spec in _SUM_SPECS:
         for region in (Generations(7), Strip(3, 3)):

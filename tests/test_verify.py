@@ -233,6 +233,31 @@ def test_davydov_randomized_suite():
         assert davydov_check(space, 3, 3, 3).holds
 
 
+def _two_atom_witness(alpha):
+    """P(A) = P(B) = 1/2 and P(A & B) = 1/4 + alpha, with xi = +-1 on A and its
+    complement and eta = +-1 on B and its: Cov(xi, eta) = 4 alpha, the mixing
+    coefficient is alpha and every norm is 1."""
+    probs = [0.25 + alpha, 0.25 - alpha, 0.25 - alpha, 0.25 + alpha]  # AB, AB', A'B, A'B'
+    return FiniteSpace.build(probs, [[0, 1], [2, 3]], [[0, 2], [1, 3]], [1, 1, -1, -1],
+                             [1, -1, 1, -1])
+
+
+@pytest.mark.parametrize("alpha, exponents, ratio", [
+    (0.01, (math.inf, math.inf, 1), 0.4),
+    (0.1, (math.inf, math.inf, 1), 0.4),
+    (0.25, (math.inf, math.inf, 1), 0.4),
+    (0.25, (4, 4, 2), 0.2),  # 0.4 * alpha**(1/2)
+    (0.25, (3, 3, 3), 0.4 * 0.25 ** (2 / 3)),  # 0.1587
+])
+def test_davydov_sharp_two_atom_witnesses(alpha, exponents, ratio):
+    # lhs / rhs = 4 alpha / (10 alpha**(1/r)): the constant 10 is checked, not
+    # only the inequality's direction
+    result = davydov_check(_two_atom_witness(alpha), *exponents)
+    assert result.alpha == pytest.approx(alpha, abs=1e-15)
+    assert result.lhs / result.rhs == pytest.approx(ratio, abs=1e-12)
+    assert result.holds
+
+
 def test_davydov_input_errors():
     space = FiniteSpace.build([0.5, 0.5], [[0], [1]], [[0], [1]], [1, -1], [1, -1])
     with pytest.raises(ValidationError) as err:
