@@ -39,6 +39,7 @@ from .fields import field_lines, sample_field
 from .paircount import count_pairs_closed
 from .tree import GraphSpec, parse_edge_list
 from .verify import (
+    MC_HASHED_VALUES,
     StripParams,
     TailEstimate,
     davydov_checks,
@@ -240,14 +241,14 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="treebound", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, help, formats, table=None):
+    def command(name, handler, help, formats, table=None, helps=None):
         p = sub.add_parser(name, help=help)
         p.add_argument("--out", help="write output to this path instead of stdout")
         p.add_argument("--format", choices=formats, default=formats[0])
         if table is not None:
             p.add_argument("--config")
             for key in table:
-                p.add_argument(f"--{key}")
+                p.add_argument(f"--{key}", help=helps and helps.get(key))
         p.set_defaults(handler=handler)
         return p
 
@@ -261,8 +262,11 @@ def _build_parser() -> _Parser:
             ("json",), _BERNSTEIN)
     command("concentration-bound", _cmd_concentration, "evaluate the whole-tree tail bound",
             ("json",), _CONCENTRATION)
+    hashed = MC_HASHED_VALUES.bit_length() - 1
     command("mc-tail", _cmd_mc_tail, "Monte Carlo tail probabilities versus bounds",
-            ("json", "csv"), _MC_TAIL)
+            ("json", "csv"), _MC_TAIL,
+            {"replicates": f"at least 100; replicates x support nodes may hash at most "
+                           f"2**{hashed} innovations (about 42 minutes), exit 3 past it"})
 
     p = command("verify-davydov", _cmd_verify_davydov,
                 "covariance inequality on random finite spaces", ("json", "csv"))

@@ -346,14 +346,31 @@ def region_plan(spec: FieldSpec, region: Region, A: int) -> RegionPlan:
     if not isinstance(region, (Strip, Generations)):
         raise ValidationError(f"a region plan needs a strip or generations region, got {region!r}")
     _validate_region(region, A)
-    strip = isinstance(region, Strip)
-    t0, t1 = (region.level, region.level + region.depth) if strip else (0, region.count)
+    t0, t1 = _targets(region)
     C = float(spec.C)
     if spec.kind == "independent" or t0 == t1:
         return RegionPlan(np.arange(t0, t1, dtype=np.int64), *(np.full(t1 - t0, C),) * 2)
     if spec.kind == "m_dependent":
         return _ball_plan(t0, t1, A, spec.m, C)
     return _autoregression_plan(t0, t1, A, spec.a, C)
+
+
+def _targets(region: Strip | Generations) -> tuple[int, int]:
+    """The target generations ``[t0, t1)`` of a strip or generations region."""
+    if isinstance(region, Strip):
+        return region.level, region.level + region.depth
+    return 0, region.count
+
+
+def _support_span(spec: FieldSpec, region: Strip | Generations) -> tuple[int, int]:
+    """The support generations ``[lo, hi)`` of :func:`region_plan`, in closed
+    form: the nodes whose innovations one replicate of the region sum hashes."""
+    t0, t1 = _targets(region)
+    if t0 == t1 or spec.kind == "independent":
+        return t0, t1
+    if spec.kind == "m_dependent":
+        return max(0, t0 - spec.m), t1 + spec.m
+    return 0, t1
 
 
 def _added(total: float, x: float, times: int) -> float:
@@ -566,6 +583,14 @@ def _checked_runs(spec: FieldSpec, runs: Sequence[Run], A: int) -> int:
     return hashed
 
 
+def _region_runs(spec: FieldSpec, region: Region, A: int) -> tuple[list[Run], int]:
+    """The runs of the generations of ``region``, past the node cap and the
+    refusals of :func:`_checked_runs`, and its bound on the innovations
+    hashed per replicate."""
+    runs = _generation_runs(region, A, DEFAULT_NODE_CAP)
+    return runs, _checked_runs(spec, runs, A)
+
+
 def _run_values(spec: FieldSpec, reps: np.ndarray, runs: Sequence[Run], A: int) -> np.ndarray:
     """The values of replicates ``reps`` at the labels of ``runs`` (past
     :func:`_checked_runs`) laid end to end, each checked against ``C``."""
@@ -702,8 +727,7 @@ def sample_field(
     The region's runs are its generations.  After the node cap, the 63-bit
     labels and the refusals of :func:`_checked_runs`, the values are formed
     run by run and checked against ``C``, and only then are the labels built."""
-    runs = _generation_runs(region, A, DEFAULT_NODE_CAP)
-    _checked_runs(spec, runs, A)
+    runs, _ = _region_runs(spec, region, A)
     values = _run_values(spec, _replicate_ids([replicate_index]), runs, A)[0]
     return (*_run_arrays(runs), values)
 
@@ -791,8 +815,7 @@ def region_sums_of(
     :class:`Generations` region then come from :func:`region_plan`, one row
     per support generation; a :class:`Subtree` region sums its sampled
     values in each call."""
-    runs = _generation_runs(region, A, DEFAULT_NODE_CAP)
-    hashed = _checked_runs(spec, runs, A)
+    runs, hashed = _region_runs(spec, region, A)
     if not isinstance(region, (Strip, Generations)):
         return _value_sums(spec, runs, np.arange(sum(count for _, _, count in runs)), A, hashed)
     plan = region_plan(spec, region, A)

@@ -7,10 +7,11 @@ testable without any estimation error.  A :class:`SpaceBlock` holds
 spaces packed end to end, one array per field over all their outcomes, each
 partition as one atom label per outcome; a :class:`FiniteSpace` is a block
 of one.  The block checks the rules of a space once, in vector form, so
-there is one validation path.  :func:`random_finite_spaces` draws a block
-with the generator calls of one space at a time, and renumbers its atoms
-and broadcasts their values once per block; :func:`random_finite_space` is
-its block of one.  :func:`davydov_checks` checks a block at once
+there is one validation path.  :func:`random_finite_spaces` gives every
+space a fixed-width slot of uniforms, draws a block's slots in a few
+generator calls and reads them with array operations, so a block holds the
+spaces its count of single draws gives; :func:`random_finite_space` is its
+block of one.  :func:`davydov_checks` checks a block at once
 (:func:`davydov_check` and :func:`exact_alpha` are blocks of one): one
 ``bincount`` gives every joint atom table, and the spaces of one shape
 ``(n_g, n_h)`` take their unions of H-atoms in one stacked product with a
@@ -53,17 +54,21 @@ from .bounds import (
     optimize_params,
 )
 from .errors import CapacityError, ValidationError, float_in_range, is_real, require
-from .fields import FieldSpec, field_certificate, node_sums, region_sums_of
+from .fields import (
+    FieldSpec, _region_runs, _support_span, field_certificate, node_sums, region_sums_of,
+)
 from .tree import (
-    Generations, NodeId, Region, Strip, check_node_cap, node_labels, region_node_count,
-    tree_distances, validate_node,
+    Generations, NodeId, Region, Strip, check_node_cap, low_bits, node_labels,
+    region_node_count, tree_distances, validate_node,
 )
 
 MAX_ATOMS = 12
 MAX_OUTCOMES = 1 << 12  # the most outcomes, and atoms per partition, a random space draws
 ALPHA_VALUES = 1 << 15  # the most union contributions one stacked product holds
 PAIR_BLOCK = 1 << 16  # the most node pairs one separation step holds
+DRAW_VALUES = 1 << 15  # the most uniforms one generator call of random_finite_spaces draws
 MAX_WORKERS = 64  # the most slices one mc_tail call runs: itself and up to 63 forked children
+MC_HASHED_VALUES = 1 << 40  # the most innovations one mc_tail call hashes: ~42 min at 2.3 ns each
 
 
 @dataclass(frozen=True, eq=False)
@@ -731,6 +736,10 @@ def mc_tail(
     which shares no interpreter lock with it: on a 2-core host two workers
     ran the ``generations(12)`` tile loop 1.39-1.61x as fast as one, where two
     threads gained 1.11-1.33x.  One worker forks nothing.
+
+    Replicates times the region's support nodes may hash at most
+    ``MC_HASHED_VALUES`` = 2**40 innovations, about 42 minutes at 2.3 ns
+    each; more raise :class:`CapacityError` before any array is built.
     """
     if not eps_grid:
         raise ValidationError("epsilon grid must be non-empty")
@@ -745,6 +754,7 @@ def mc_tail(
             "mc_tail pairs bounds with strip or generations regions only"
         )
     check_node_cap(region, A)  # a deep region is refused before its bound and its exact count
+    _check_hashed(field, region, A, n_replicates)
 
     if isinstance(region, Strip):
         scale = 1.0
@@ -808,6 +818,24 @@ def mc_tail(
     return out
 
 
+def _check_hashed(field: FieldSpec, region: Strip | Generations, A: int, n_replicates: int) -> None:
+    """:class:`CapacityError` when ``n_replicates`` replicates of the support
+    of ``field`` on ``region`` hash more than ``MC_HASHED_VALUES``
+    innovations, counted in closed form before a power of ``A`` past the cap
+    is formed.  A field that cannot be summed on the region at all (its
+    balls or ancestors over their caps) is refused as such first."""
+    lo, hi = _support_span(field, region)
+    if hi == lo:
+        return
+    bits = low_bits(A, hi - 1)  # the deepest support generation alone has A**(hi - 1) nodes
+    support = (A**hi - A**lo) // (A - 1) if bits < MC_HASHED_VALUES.bit_length() else None
+    if support is None or n_replicates * support > MC_HASHED_VALUES:
+        _region_runs(field, region, A)
+        nodes = f"at least 2**{bits}" if support is None else support
+        raise CapacityError(f"{n_replicates} replicates of {nodes} support nodes hash more than "
+                            f"the cap of {MC_HASHED_VALUES} innovations")
+
+
 def tail_estimates_to_jsonl(estimates: Sequence[TailEstimate]) -> str:
     """One JSON object per estimate, in a fixed field order."""
     return "".join(json.dumps(t.as_dict(), sort_keys=False) + "\n" for t in estimates)
@@ -824,14 +852,25 @@ def random_finite_spaces(
     per atom, broadcast to outcomes, hence exactly measurable by
     construction.  Both sizes are capped at ``MAX_OUTCOMES``.
 
-    The spaces make the generator calls of ``count`` calls of
-    :func:`random_finite_space`, in the same order: the outcome count and
-    its uniforms, then per partition the atom count, the labels and one
-    value per atom in use.  So the block holds the same values and leaves
-    the generator in the same state.  Per space only the count of atoms in
-    use is taken, because it sets how many values are drawn; dropping the
-    empty atoms, broadcasting the values and validating happen once for the
-    block.
+    Every space reads one slot of ``1 + M + 2 (1 + M + A)`` uniforms ``u``
+    of ``rng.random``, for ``M = max_outcomes`` and ``A = max_atoms``, in
+    this order:
+
+    * one for the outcome count ``n = 2 + floor(u (M - 1))``;
+    * ``M`` weights ``u + 1e-3``, of which the first ``n`` are the space's,
+      each divided by their sum added left to right;
+    * per partition, G then H: one for the atom count
+      ``n_atoms = 1 + floor(u A)``; ``M`` labels ``floor(u n_atoms)``, of
+      which the first ``n`` are the outcomes'; ``A`` atom values ``2 u - 1``,
+      the variable taking on each outcome the value at its label.  The atoms
+      in use are then numbered ``0, 1, ...`` in label order.
+
+    ``floor(u R) <= R - 1`` for every double ``u < 1`` and ``R < 2**20``, so
+    no count or label reaches its bound.  The slots are drawn
+    ``DRAW_VALUES`` uniforms at a time (one slot if it is wider) and read
+    with array operations.  A block depends only on its slots, so it holds
+    the spaces that ``count`` calls of :func:`random_finite_space` draw, and
+    leaves the generator in the same state, however it is split.
     """
     require((("count", count, 1), ("max_outcomes", max_outcomes, 2), ("max_atoms", max_atoms, 1)))
     over = [f"{name} = {value}" for name, value in
@@ -839,50 +878,54 @@ def random_finite_spaces(
     if over:
         raise CapacityError(f"random finite spaces capped at {MAX_OUTCOMES} outcomes "
                             f"and atoms per partition, got {' and '.join(over)}")
-    integers, random, uniform, add = rng.integers, rng.random, rng.uniform, np.add.reduce
-    sizes, totals, weights = [], [], []
-    # per partition: the atoms drawn and in use per space, the labels, the values
-    drawn, used, labels, values = ([], []), ([], []), ([], []), ([], [])
-    for _ in range(count):
-        n = int(integers(2, max_outcomes + 1))
-        x = random(n)
-        x += 1e-3
-        sizes.append(n)
-        totals.append(add(x))
-        weights.append(x)
-        for part in (0, 1):
-            n_atoms = int(integers(1, max_atoms + 1))
-            atoms = integers(0, n_atoms, size=n)
-            k = len(set(atoms.tolist()))
-            drawn[part].append(n_atoms)
-            used[part].append(k)
-            labels[part].append(atoms)
-            values[part].append(uniform(-1.0, 1.0, size=k))
-    sizes = np.array(sizes)
-    probs = np.concatenate(weights)
-    probs /= np.repeat(totals, sizes)  # each space's own sum: reduceat adds in another order
-    packed = []
-    for part in (0, 1):
-        # atom a of space s is atom first[s] + a of the block; ranking the atoms
-        # in use drops the empty ones and indexes the values drawn for them
-        n_drawn, n_used = np.array(drawn[part]), np.array(used[part])
-        atom = np.repeat(n_drawn.cumsum() - n_drawn, sizes) + np.concatenate(labels[part])
-        in_use = np.zeros(int(n_drawn.sum()), bool)
-        in_use[atom] = True
-        rank = (in_use.cumsum() - 1)[atom]
-        packed.append(rank - np.repeat(n_used.cumsum() - n_used, sizes))  # each space's labels
-        packed.append(np.concatenate(values[part])[rank])
-    g, xi, h, eta = packed
+    width = 1 + max_outcomes + 2 * (1 + max_outcomes + max_atoms)
+    rows = max(1, DRAW_VALUES // width)
+    parts = [_read_slots(rng.random((min(rows, count - s), width)), max_outcomes, max_atoms)
+             for s in range(0, count, rows)]
+    if len(parts) > 1:  # the pieces are freed before the block copies the whole
+        parts = [[np.concatenate(column) for column in zip(*parts)]]
+    sizes, probs, g, xi, h, eta = parts.pop()
     return SpaceBlock(probs, g, h, xi, eta, sizes)
+
+
+def _read_slots(u: np.ndarray, M: int, A: int) -> tuple[np.ndarray, ...]:
+    """The sizes, probabilities, and labels and values of G and H of the
+    spaces of the slots ``u`` (one row each) of :func:`random_finite_spaces`."""
+    r, width = u.shape
+    sizes = (u[:, 0] * (M - 1)).astype(np.int64)
+    sizes += 2
+    used = np.arange(M) < sizes[:, None]  # the first n entries of each M-wide field
+    owner = np.repeat(np.arange(r), sizes)
+    weights = u[:, 1:1 + M] + 1e-3
+    probs = weights[used]
+    totals = np.cumsum(weights, axis=1, out=weights)[np.arange(r), sizes - 1]
+    probs /= totals[owner]
+    out = [sizes, probs]
+    for base in (1 + M, 2 + 2 * M + A):
+        n_atoms = (u[:, base] * A).astype(np.int64)
+        n_atoms += 1
+        labels = u[:, base + 1:base + 1 + M][used]
+        labels *= n_atoms[owner]
+        labels = labels.astype(np.int64)
+        values = u.ravel()[owner * width + (base + 1 + M) + labels]
+        values *= 2.0
+        values -= 1.0
+        in_use = np.zeros((r, A), bool)
+        in_use[owner, labels] = True
+        out += [np.cumsum(in_use, axis=1)[owner, labels] - 1, values]
+    return tuple(out)
 
 
 def random_finite_space(
     rng: np.random.Generator, max_outcomes: int = 64, max_atoms: int = 8
 ) -> FiniteSpace:
     """A random finite space with measurable variables, for randomized checks:
-    the block of one of :func:`random_finite_spaces`, which draws it (2 to
-    ``max_outcomes`` outcomes, at most ``max_atoms`` atoms per partition, the
-    variables uniform on [-1, 1) per atom)."""
+    the block of one of :func:`random_finite_spaces`, which reads it from one
+    slot of ``1 + M + 2 (1 + M + A)`` uniforms (``M = max_outcomes``,
+    ``A = max_atoms``): 2 to ``M`` outcomes, at most ``A`` atoms per
+    partition, the variables ``2 u - 1`` per atom.  Every count and label is
+    ``floor(u R)`` for a range ``R``, which stays below ``R`` for every double
+    ``u < 1``."""
     return FiniteSpace._of(random_finite_spaces(rng, 1, max_outcomes, max_atoms))
 
 

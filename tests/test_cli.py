@@ -241,6 +241,14 @@ def test_mc_tail_partial_strip_params_rejected(capsys):
     assert "P2" in err and "beta" in err
 
 
+def test_mc_tail_help_states_the_cap_on_hashed_values(capsys):
+    with pytest.raises(SystemExit):
+        main(["mc-tail", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert "replicates x support nodes may hash at most 2**40 innovations" in out
+    assert 2**40 == verify_mod.MC_HASHED_VALUES
+
+
 def test_verify_davydov_cli(capsys):
     code, out, _ = run(capsys, "verify-davydov", "--spaces", "5", "--seed", "3")
     assert code == 0
@@ -249,13 +257,14 @@ def test_verify_davydov_cli(capsys):
     assert all(r["holds"] for r in rows)
 
 
-# sha256 of `verify-davydov --spaces 300 --seed 5` stdout as it read before the
-# spaces were checked in blocks: 8 atoms and 64 outcomes (the defaults), and
-# 12 atoms and 128 outcomes; alpha, lhs and rhs of every space, bit for bit
+# sha256 of `verify-davydov --spaces 300 --seed 5` stdout as the check kernels
+# read it before the spaces were drawn in slots, on the slot draws: 8 atoms
+# and 64 outcomes (the defaults), and 12 atoms and 128 outcomes; alpha, lhs
+# and rhs of every space, bit for bit
 _DAVYDOV_SHA256 = {
-    (): "4b9e2cf8d2b623c1a66779322d42ae42e045a569d77b8773541fe018d6cacf05",
+    (): "6d9738f7f9f07e9b283efb983c10f02159520b58d40ca41b94062230d85ee6af",
     ("--max-atoms", "12", "--max-outcomes", "128"):
-        "8d79aa766320bd8632e44616022a02efbce530653cdcbdf6f2a540f82078e222",
+        "3ab19440fe5d2ec56a9c3a1460123800b6d73602b15cb5d6c5b3888afb259b5d",
 }
 _DAVYDOV = ["verify-davydov", "--spaces", "300", "--seed", "5"]
 
@@ -271,21 +280,21 @@ def test_verify_davydov_stdout_pinned_for_every_block_size(capsys, monkeypatch, 
 
 @pytest.mark.parametrize("block", [1, 7, 256])
 def test_verify_davydov_names_the_first_space_over_the_atom_cap(capsys, monkeypatch, block):
-    # the first space over the cap is space 4 at 64 outcomes and space 10 at 128,
-    # where space 13, in the same block of 7, is over it too
+    # the first space over the cap is space 18 at 64 outcomes and space 15 at
+    # 128; space 25 and space 53, in the same block of 256, are over it too
     monkeypatch.setattr(cli_mod, "DAVYDOV_BLOCK", block)
-    for outcomes, counts in (("64", "12 and 13"), ("128", "5 and 13")):
+    for outcomes, counts in (("64", "3 and 13"), ("128", "6 and 13")):
         code, out, err = run(capsys, *_DAVYDOV, "--max-atoms", "13", "--max-outcomes", outcomes)
         assert (code, out) == (3, "")
         assert err == f"error: exact mixing coefficient capped at 12 atoms per partition, got {counts}\n"
 
 
 def test_verify_davydov_prints_alpha_zero_as_positive_zero(capsys):
-    # space 3 of this draw has alpha exactly 0 with a negative part of -0.0
+    # space 9 of this draw has alpha exactly 0 with a negative part of -0.0
     code, out, _ = run(capsys, "verify-davydov", "--spaces", "12", "--seed", "3",
                        "--max-atoms", "12", "--max-outcomes", "128")
     assert code == 0
-    assert '"alpha": 0.0,' in out.splitlines()[3]
+    assert '"alpha": 0.0,' in out.splitlines()[9]
     assert "-0.0" not in out
 
 
@@ -591,7 +600,10 @@ def test_count_pairs_distance_past_the_subtree_prints_zero(capsys):
 # The README grammar with extreme values.  Sizes that set how much work a run
 # does (replicates, spaces, depths, workers) only take values that fail fast;
 # the sizes of verify-davydov's spaces are capped, so they take every value.
+# mc-tail's replicates also take 2**62 and 2**63, past its cap on hashed
+# values: refused whatever the other flags.
 _BIG = str(2**63)
+_HUGE_REPLICATES = (str(2**62), _BIG)
 _EXTREMES = ("0", "-1", _BIG, "1e154", "1e308", "1e-320", "nan", "inf", "2.5", "abc", "")
 _SMALL = tuple(v for v in _EXTREMES if v != _BIG)
 _ENVELOPES = ("zero", "m_dependent(1)", "table(0.1,0.05)", "super_exponential(2)")
@@ -613,7 +625,7 @@ _GRAMMAR = {
     "mc-tail": [
         ("rate", ("2",), False), ("region", _REGIONS, False), ("field", _FIELDS, False),
         ("C", ("1",), False), ("epsilons", ("1,2", "0.05"), False),
-        ("replicates", ("100",), True), ("seed", (None, "5"), False),
+        ("replicates", ("100", *_HUGE_REPLICATES), True), ("seed", (None, "5"), False),
         ("workers", (None, "1", "2"), True), ("eta", (None, "0.5"), False),
         ("D", (None, "1"), False), ("P2", (None, "2"), False), ("Q2", (None, "2"), False),
         ("beta", (None, "0.002"), False), ("format", (None, "json", "csv"), False)],
@@ -654,7 +666,8 @@ def _cli_argv(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=_cli_argv())
 def test_cli_fuzz_ends_in_an_exit_code(capsys, argv):
-    assert main(argv) in (0, 1, 2, 3)
+    huge = "--replicates" in argv and argv[argv.index("--replicates") + 1] in _HUGE_REPLICATES
+    assert main(argv) in ((1, 3) if huge else (0, 1, 2, 3))
     capsys.readouterr()
 
 

@@ -1370,6 +1370,15 @@ def test_region_plan_matches_the_compiled_weights_bit_for_bit(A):
             assert per_target.tobytes() == norms.tobytes(), (spec, region)
 
 
+@pytest.mark.parametrize("A", [2, 3])
+def test_support_span_is_the_plans_generations(A):
+    # the closed form mc_tail caps its hashed values with, before any plan
+    for region in _PLAN_REGIONS:
+        for spec in _PLAN_SPECS:
+            lo, hi = _fields._support_span(spec, region)
+            assert region_plan(spec, region, A).generations.tolist() == list(range(lo, hi))
+
+
 def _sequential(total, x, times):
     for _ in range(times):
         total += x

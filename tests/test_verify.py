@@ -7,11 +7,15 @@ import os
 import random
 import re
 import signal
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import beta, binom
 
 from treebound import (
@@ -40,6 +44,7 @@ from treebound import (
     tail_estimates_to_jsonl,
     tree_distance,
 )
+import treebound
 from treebound import fields as fields_mod
 from treebound import verify as verify_mod
 from treebound.cli import main
@@ -258,6 +263,45 @@ def test_davydov_sharp_two_atom_witnesses(alpha, exponents, ratio):
     assert result.holds
 
 
+def _hill_climb(n_g, n_h, exponents, seed, steps=200, width=16):
+    """The largest ``lhs / rhs`` a seeded hill-climb reaches over the spaces of
+    ``n_g x n_h`` product cells (one outcome per pair of atoms): each step
+    checks the point and ``width - 1`` Gaussian moves of its cell logits and
+    atom values as one block, keeps the best, and shrinks the moves when the
+    point stays best."""
+    n = n_g * n_h
+    g, h = np.divmod(np.arange(n), n_h)
+    rng = np.random.default_rng(seed)
+    x, scale = rng.normal(size=n + n_g + n_h), 1.0
+    for _ in range(steps):
+        y = x + scale * rng.normal(size=(width, x.size))
+        y[0] = x
+        w = np.exp(y[:, :n] - y[:, :n].max(axis=1, keepdims=True))
+        block = SpaceBlock((w / w.sum(axis=1, keepdims=True)).ravel(), np.tile(g, width),
+                           np.tile(h, width), y[:, n:n + n_g][:, g].ravel(),
+                           y[:, n + n_g:][:, h].ravel(), [n] * width)
+        results = davydov_checks(block, *exponents)
+        assert all(result.holds for result in results)
+        ratios = [result.lhs / result.rhs for result in results]
+        k = int(np.argmax(ratios))
+        if k == 0:
+            scale *= 0.8
+        x, best = y[k], ratios[k]
+    return best
+
+
+@pytest.mark.parametrize("shape, exponents, reached", [
+    ((2, 2), (4, 4, 2), 0.19983210710384228),
+    ((3, 3), (4, 4, 2), 0.19827646473556362),
+    ((2, 2), (3, 3, 3), 0.1585972563444659),
+    ((3, 3), (3, 3, 3), 0.157825516228619),
+])
+def test_davydov_hill_climb_reaches_the_two_atom_witness_and_no_further(shape, exponents, reached):
+    # the climbs end just below the sharp two-atom witnesses' 0.2 and 0.1587:
+    # no 2 x 2 or 3 x 3 space they meet tells a constant above 2 or 1.587 from 10
+    assert _hill_climb(*shape, exponents, seed=7) == pytest.approx(reached, rel=1e-12)
+
+
 def test_davydov_input_errors():
     space = FiniteSpace.build([0.5, 0.5], [[0], [1]], [[0], [1]], [1, -1], [1, -1])
     with pytest.raises(ValidationError) as err:
@@ -292,48 +336,50 @@ def test_davydov_norm_of_huge_values_is_finite():
 
 
 # alpha and lhs (float.hex) of `verify-davydov --spaces 40 --seed 3 --max-atoms 12
-# --max-outcomes 128` (p = q = 4, r = 2), pinned bit for bit
+# --max-outcomes 128` (p = q = 4, r = 2), pinned bit for bit; computed by the
+# check kernels as they stood before the spaces were drawn in slots, on the
+# slot draws, so they pin the kernels as well as the draws
 _PINNED_ALPHA_LHS = [
-    ("0x1.98f16fbc23b9ep-6", "0x1.1c307f5ddf1b4p-5"),
-    ("0x1.0be9711a6c1f5p-4", "0x1.8546ad1012720p-8"),
-    ("0x1.1707390399b44p-3", "0x1.455019bc1ce87p-7"),
-    ("0x0.0p+0", "0x1.0000000000000p-60"),
-    ("0x1.579952c4e52b3p-3", "0x1.d261926dc79cfp-5"),
-    ("0x1.412c73085ce32p-3", "0x1.48245d5385c77p-5"),
-    ("0x1.47942bddcb524p-5", "0x1.e7c7022d7de00p-9"),
-    ("0x1.0000000000000p-52", "0x1.0000000000000p-54"),
-    ("0x1.922ac8dd56884p-4", "0x1.05c2504ff8880p-11"),
-    ("0x1.f8e1720ed8a63p-4", "0x1.6b18ae7cef400p-7"),
-    ("0x1.8000000000000p-53", "0x1.0000000000000p-55"),
-    ("0x0.0p+0", "0x1.0000000000000p-56"),
-    ("0x1.a993373de4c13p-4", "0x1.a51da3f9dec80p-8"),
-    ("0x1.1557089df56f5p-4", "0x1.2002d554dbba8p-7"),
-    ("0x1.18da0ec7300aep-3", "0x1.a8ab2cdfe7270p-6"),
-    ("0x0.0p+0", "0x1.0000000000000p-55"),
-    ("0x1.205872034fa87p-3", "0x1.774e3d5e8626fp-4"),
-    ("0x1.3885b67b4fd0ep-3", "0x1.0794d5fd35a99p-5"),
-    ("0x1.50fa8bf39f322p-4", "0x1.72b8807ca819bp-6"),
-    ("0x1.25a8235fdef6ep-3", "0x1.f56a838e22fe3p-6"),
-    ("0x1.ff17331e145cep-4", "0x1.0a04671c04258p-5"),
-    ("0x1.bbe0d738003bep-4", "0x1.374c48ff6bbebp-5"),
-    ("0x1.9ab1f9dd6d05ep-4", "0x1.c341dfa52978ep-5"),
-    ("0x1.b19ecba9c6516p-4", "0x1.cf3b84e3b7800p-13"),
-    ("0x1.2dc78d2505b82p-3", "0x1.9718e140dff88p-4"),
-    ("0x1.fbc3a659f6406p-3", "0x1.2c8f16038b1c0p-4"),
-    ("0x1.debdd5aacdd51p-4", "0x1.bf69673407610p-5"),
-    ("0x1.71a2c464ede31p-4", "0x1.51bd7b10b53d0p-8"),
-    ("0x1.930f75ba848e2p-3", "0x1.284e88d8fff03p-6"),
-    ("0x1.66054af545a6dp-3", "0x1.aa4aab87d63f4p-5"),
-    ("0x0.0p+0", "0x1.0000000000000p-54"),
-    ("0x1.f1d49cadf4a14p-3", "0x1.14f1f1ed5f905p-7"),
-    ("0x1.144aef94f6015p-3", "0x1.c471dfdcc83e8p-5"),
-    ("0x1.4cb0f7855e2f0p-4", "0x1.c2c047a7ecae0p-8"),
-    ("0x1.ff3aebc8a2f1ap-4", "0x1.05d8ed7914e5dp-4"),
-    ("0x1.4b05c610801f5p-3", "0x1.b0dc531fc638dp-5"),
-    ("0x1.0000000000000p-52", "0x1.8000000000000p-54"),
-    ("0x1.5a646017bcba2p-4", "0x1.e3edd2ddf6ce8p-7"),
+    ("0x1.c53db5c5d8348p-3", "0x1.5ac82733a7904p-5"),
+    ("0x1.6e08636f203cbp-4", "0x1.e34be8feb4516p-6"),
+    ("0x1.063985aadb5e4p-4", "0x1.22912c61635f0p-10"),
+    ("0x1.e000000000000p-52", "0x1.4000000000000p-54"),
+    ("0x1.fffc35491008dp-3", "0x1.ec2acd6018945p-3"),
+    ("0x1.fdefbca490048p-3", "0x1.9fcdbf42b4d03p-3"),
+    ("0x1.2b4a7361c715bp-4", "0x1.22ec52def4b60p-9"),
+    ("0x1.cbca071c46441p-4", "0x1.8e156456521d6p-6"),
+    ("0x1.bf6129a544c5cp-4", "0x1.dcb3a5cf943c2p-5"),
     ("0x0.0p+0", "0x0.0p+0"),
-    ("0x1.ec24763684e18p-3", "0x1.d931924d787fcp-4"),
+    ("0x1.048082e5f0c5dp-3", "0x1.a9d882f5e2c8cp-6"),
+    ("0x1.6b6e975c0ff7bp-4", "0x1.b9adb39fad6d0p-7"),
+    ("0x1.c400000000000p-53", "0x1.0000000000000p-56"),
+    ("0x1.c461ba275e4a9p-3", "0x1.0b9aa5a3e5764p-4"),
+    ("0x0.0p+0", "0x0.0p+0"),
+    ("0x1.a87bd89e9a6f8p-4", "0x1.8afa6d58cf839p-7"),
+    ("0x1.1f58a9c839a08p-3", "0x1.e19ac265d7c3cp-6"),
+    ("0x1.85fb0a12de1ecp-3", "0x1.7557ab0c3e99ap-4"),
+    ("0x1.5b57f9c12c5b2p-3", "0x1.a1714aef1f26cp-6"),
+    ("0x1.76d8de05b9a4ep-3", "0x1.1a8a8ddcd83b5p-6"),
+    ("0x1.0214c93e75fbap-4", "0x1.e0d401ce3b4b4p-6"),
+    ("0x1.3dfdfab3889e2p-4", "0x1.c6c098bf00df8p-8"),
+    ("0x1.2ec3c39548858p-6", "0x1.f12343d6e5240p-9"),
+    ("0x1.2e47055ab60d6p-3", "0x1.deca253c5c8e1p-4"),
+    ("0x1.bb1157068f64fp-5", "0x1.5945bd7d57ed0p-8"),
+    ("0x1.214e1cfcb9875p-3", "0x1.cbfbe7e08e043p-6"),
+    ("0x1.d7e4e1c385f98p-4", "0x1.14cafaa4cc20cp-5"),
+    ("0x1.c84d48b229a24p-5", "0x1.ef98297dc53d0p-10"),
+    ("0x1.0b6ca79c8df4ep-3", "0x1.9e5ff8c545878p-5"),
+    ("0x0.0p+0", "0x1.0000000000000p-57"),
+    ("0x1.771c1d5ab0757p-4", "0x1.2f11ed0968538p-9"),
+    ("0x1.5f0fa62e6cf78p-4", "0x1.5bb0fc2c54800p-14"),
+    ("0x1.69da581437c7ap-3", "0x1.40976e2ac8910p-6"),
+    ("0x1.1e024c55e9d53p-3", "0x1.282db8710d00cp-6"),
+    ("0x1.33f549067fc4ap-4", "0x1.dbe4dfa637b68p-7"),
+    ("0x1.cf26e17a52344p-5", "0x1.b2f069fdec4dap-6"),
+    ("0x1.8da452be4eb51p-4", "0x1.26ef8f38a65c2p-6"),
+    ("0x1.d687cc4bf8fd8p-4", "0x1.c8211b1edcff0p-5"),
+    ("0x1.20a841783029dp-3", "0x1.9d05c08c478b1p-6"),
+    ("0x1.eedd28e39bb95p-5", "0x1.c8cdb209f9a61p-5"),
 ]
 
 
@@ -583,6 +629,60 @@ def test_mc_tail_refuses_a_deep_generations_region_before_its_count():
         mc_tail(spec, Generations(10**9), 3, [0.5], 100)
 
 
+def test_mc_tail_hashes_up_to_its_cap_and_no_more(monkeypatch):
+    # generations(8) holds 255 nodes; m_dependent(1) also hashes generation 8: 511
+    monkeypatch.setattr(verify_mod, "MC_HASHED_VALUES", 511 * 100)
+    for spec, support in ((FieldSpec.independent(C=1.0), 255), (FieldSpec.m_dependent(1), 511)):
+        n = verify_mod.MC_HASHED_VALUES // support
+        assert mc_tail(spec, Generations(8), 2, [0.5], n)[0].n_replicates == n
+        with pytest.raises(CapacityError, match=f"^{n + 1} replicates of {support} support "
+                                                f"nodes hash more than the cap of 51100 "):
+            mc_tail(spec, Generations(8), 2, [0.5], n + 1)
+
+
+def test_mc_tail_refuses_a_field_it_cannot_sum_before_counting_its_replicates(monkeypatch):
+    # balls over their cap or past the 63-bit labels keep their own refusals
+    for m, error, message in ((40, CapacityError, "radius-40 balls of 15 nodes hold"),
+                              (10**6, ValidationError, "overflow the 63-bit label range")):
+        with pytest.raises(error, match=message):
+            mc_tail(FieldSpec.m_dependent(m), Generations(4), 2, [0.5], 2**62)
+    # without them, a support down to generation 10**6 + 3 is counted from its
+    # bits, before its power is formed
+    monkeypatch.setattr(verify_mod, "_region_runs", lambda *args: None)
+    with pytest.raises(CapacityError, match=r"^100 replicates of at least 2\*\*1000003 support"):
+        mc_tail(FieldSpec.m_dependent(10**6), Generations(4), 2, [0.5], 100)
+
+
+def test_mc_tail_huge_replicate_counts_raise_capacity_error_not_memory_error():
+    # under a 4 GB address-space limit the replicate ids of either call cannot
+    # be allocated, so only a count made before any array is built refuses them
+    probe = """
+import contextlib, io, resource
+resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+from treebound import CapacityError, FieldSpec, Generations, mc_tail
+from treebound.cli import main
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    code = main(["mc-tail", "--rate", "2", "--C", "1", "--region", "generations(8)",
+                 "--field", "independent", "--replicates", str(2**62), "--epsilons", "0.5"])
+assert (code, err.getvalue()) == (3, "error: 4611686018427387904 replicates of 255 support nodes "
+                                     "hash more than the cap of 1099511627776 innovations\\n"), err.getvalue()
+try:
+    mc_tail(FieldSpec.independent(), Generations(8), 2, [0.5], 2**40, workers=2)
+except CapacityError as exc:
+    assert "1099511627776 replicates of 255 support nodes" in str(exc), str(exc)
+else:
+    raise AssertionError("no CapacityError")
+"""
+    src = str(Path(treebound.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_empirical_alpha_independent_near_zero():
     spec = FieldSpec.independent(C=1.0, master_seed=8)
     plan = AlphaSamplePlan(
@@ -746,31 +846,34 @@ def test_davydov_checks_fail_at_the_first_bad_space():
 
 
 def test_davydov_alpha_zero_is_positive_zero():
-    # space 3 of the pinned draw: 2 x 1 atoms, every union contribution 0,
-    # the negative part -0.0
+    # space 3: 2 x 1 atoms whose joint table is its own product, every union
+    # contribution 0, the negative part -0.0
     rng = np.random.default_rng(3)
-    spaces = [random_finite_space(rng, 128, 12) for _ in range(4)]
-    assert (spaces[3].n_g, spaces[3].n_h) == (2, 1)
+    spaces = [random_finite_space(rng, 128, 12) for _ in range(3)]
+    spaces.append(FiniteSpace.build([0.25, 0.75], [[0], [1]], [[0, 1]], [1.0, -1.0], [2.0, 2.0]))
     for result in (davydov_check(spaces[3], 4, 4, 2), davydov_checks(spaces, 4, 4, 2)[3]):
         assert result.alpha == 0.0 and math.copysign(1.0, result.alpha) == 1.0
     assert exact_alpha(spaces[3]).hex() == "0x0.0p+0"
 
 
 def _drawn_one_at_a_time(rng, max_outcomes, max_atoms):
-    """The arrays of one random space, drawn and renumbered on their own:
-    the oracle for the block's draws."""
-    n = int(rng.integers(2, max_outcomes + 1))
-    probs = rng.random(n) + 1e-3
-    probs /= probs.sum()
-    arrays = [probs]
-    for _ in range(2):
-        n_atoms = int(rng.integers(1, max_atoms + 1))
-        labels = rng.integers(0, n_atoms, size=n)
-        used = np.bincount(labels, minlength=n_atoms) > 0
-        labels = (used.cumsum() - 1)[labels]
-        arrays += [labels, rng.uniform(-1.0, 1.0, size=np.count_nonzero(used))[labels]]
-    probs, g, xi, h, eta = arrays
-    return {"probs": probs, "g": g, "h": h, "xi": xi, "eta": eta}
+    """The arrays of one random space, read from its own slot in plain
+    Python floats: the oracle for the block's draws."""
+    M, A = max_outcomes, max_atoms
+    u = rng.random(1 + M + 2 * (1 + M + A)).tolist()
+    n = 2 + math.floor(u[0] * (M - 1))
+    weights = [x + 1e-3 for x in u[1:1 + n]]
+    total = 0.0
+    for w in weights:  # left to right
+        total += w
+    arrays = {"probs": np.array([w / total for w in weights])}
+    for label, value, base in (("g", "xi", 1 + M), ("h", "eta", 2 + 2 * M + A)):
+        n_atoms = 1 + math.floor(u[base] * A)
+        labels = [math.floor(x * n_atoms) for x in u[base + 1:base + 1 + n]]
+        in_use = sorted(set(labels))
+        arrays[label] = np.array([in_use.index(a) for a in labels], np.int64)
+        arrays[value] = np.array([u[base + 1 + M + a] * 2.0 - 1.0 for a in labels])
+    return arrays
 
 
 def _spaces_of(block):
@@ -799,6 +902,76 @@ def test_block_draws_what_single_draws_give(count, outcomes, atoms):
     assert block.n_h.tolist() == [space.n_h for space in singles]
     state = rng_block.bit_generator.state
     assert state == rng_single.bit_generator.state == rng_oracle.bit_generator.state
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32), outcomes=st.integers(2, 40), atoms=st.integers(1, 13),
+       cuts=st.lists(st.integers(1, 9), min_size=1, max_size=6),
+       draw_values=st.sampled_from([1, 90, 700, verify_mod.DRAW_VALUES]))
+def test_any_split_of_a_draw_gives_the_same_spaces(seed, outcomes, atoms, cuts, draw_values):
+    # one block of sum(cuts) spaces against blocks of the cuts' sizes, each
+    # drawn draw_values uniforms (at least one slot) per generator call
+    rng_whole, rng_split = np.random.default_rng(seed), np.random.default_rng(seed)
+    whole = random_finite_spaces(rng_whole, sum(cuts), outcomes, atoms)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify_mod, "DRAW_VALUES", draw_values)
+        split = [space for count in cuts
+                 for space in _spaces_of(random_finite_spaces(rng_split, count, outcomes, atoms))]
+    assert len(split) == len(whole)
+    assert all(_same_arrays(got, want) for got, want in zip(split, _spaces_of(whole)))
+    assert rng_split.bit_generator.state == rng_whole.bit_generator.state
+
+
+class _SlotStub:
+    """Stands in for a generator: every slot holds ``u``, except the atom
+    values of both partitions, which read ``a / A`` at atom ``a``."""
+
+    def __init__(self, u, M, A):
+        self.row = np.full(1 + M + 2 * (1 + M + A), u)
+        for first in (2 + 2 * M, 3 + 3 * M + A):  # the first atom value of G, of H
+            self.row[first:first + A] = np.arange(A) / A
+
+    def random(self, shape):
+        return np.broadcast_to(self.row, shape).copy()
+
+
+@pytest.mark.parametrize("M,A", [(2, 1), (3, 2), (64, 8), (4096, 12), (4096, 4096)])
+def test_slot_uniforms_at_the_ends_stay_inside_their_ranges(M, A):
+    # u = 1 - 2**-53, the largest double below 1: n = M, n_atoms = A and every
+    # label A - 1, one atom in use whose value is read at A - 1; u = 0: n = 2
+    # and one atom at label 0
+    top = 1.0 - 2.0**-53
+    R = np.arange(1, 1 << 20)
+    assert (np.floor(top * R) <= R - 1).all()
+    for u, n, atom in ((top, M, A - 1), (0.0, 2, 0)):
+        block = random_finite_spaces(_SlotStub(u, M, A), 3, M, A)
+        assert block.sizes.tolist() == [n] * 3
+        assert block.n_g.tolist() == block.n_h.tolist() == [1] * 3
+        assert (block.g == 0).all() and (block.h == 0).all()
+        assert set(block.xi.tolist()) == set(block.eta.tolist()) == {atom / A * 2.0 - 1.0}
+        assert set(block.probs.tolist()) == {block.probs[0]}
+
+
+def test_slot_draws_trace_less_memory_than_the_per_space_draws():
+    # the per-space draws (seven generator calls per space) traced a peak of
+    # 81.44 MB on this call: 256 spaces of up to 4096 outcomes
+    tracemalloc.start()
+    try:
+        random_finite_spaces(np.random.default_rng(0), 256, 4096, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 81_440_000
+
+
+def test_outcome_counts_are_uniform():
+    M, count = 12, 20_000
+    sizes = random_finite_spaces(np.random.default_rng(41), count, M, 2).sizes
+    assert sizes.min() >= 2 and sizes.max() <= M
+    p = 1 / (M - 1)
+    error = math.sqrt(count * p * (1 - p))
+    counts = np.bincount(sizes, minlength=M + 1)[2:]
+    assert (abs(counts - count * p) <= 5 * error).all(), counts
 
 
 @pytest.mark.parametrize("outcomes,atoms", [(verify_mod.MAX_OUTCOMES + 1, 8), (64, 2**63),
