@@ -52,7 +52,10 @@ EXIT_VALIDATION = 1
 EXIT_VIOLATION = 2
 EXIT_CAPACITY = 3
 
-DAVYDOV_BLOCK = 256  # verify-davydov draws and checks this many spaces at a time
+# verify-davydov draws and checks its spaces in blocks of this many outcome
+# slots, --max-outcomes per space: 1024 spaces at the default 64 outcomes,
+# one at the cap of 4096 outcomes
+DAVYDOV_OUTCOMES = 1 << 16
 
 # The options of each config-driven subcommand: key -> (parser, required).
 # Each key is a --key flag and a config key; an absent optional key is not
@@ -111,11 +114,45 @@ def _read(path: Optional[str]) -> Optional[str]:
             raise ValidationError(f"{path} is not a text file: {exc}") from exc
 
 
+_JSON_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # of float.__repr__
+_JSON_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
+def _column_text(values: Sequence, fmt: str) -> list[str]:
+    """The text of each value of one column: ``str`` for CSV, and for JSON
+    the text ``json.dumps`` gives, by one rule for the column when all its
+    values are ``float``, all ``int`` or all ``bool`` or ``None``.  A column
+    of one object repeated (an option echoed on every row) is rendered once."""
+    if len(values) > 1 and all(value is values[0] for value in values):
+        return _column_text(values[:1], fmt) * len(values)
+    if fmt != "json":
+        return list(map(str, values))
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return [_JSON_WORDS.get(text, text) for text in map(float.__repr__, values)]
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    if kinds <= {bool, type(None)}:
+        return list(map(_JSON_CONSTANTS.__getitem__, values))
+    return list(map(json.dumps, values))
+
+
 def _rows(names: Sequence[str], rows, fmt: str) -> str:
     """JSON lines keyed by ``names``, or CSV with ``names`` as its header."""
+    return (",".join(map(str, names)) + "\n" if fmt == "csv" else "") + _lines(names, rows, fmt)
+
+
+def _lines(names: Sequence[str], rows, fmt: str) -> str:
+    """The lines of ``rows`` alone, rendered one column at a time: the bytes
+    of a ``json.dumps`` of each row's dict keyed by ``names``, or of ``str``
+    of its values joined by commas."""
+    columns = [_column_text(column, fmt) for column in zip(*rows)]
     if fmt == "json":
-        return "".join(json.dumps(dict(zip(names, row))) + "\n" for row in rows)
-    return "".join(",".join(map(str, row)) + "\n" for row in [names, *rows])
+        keys = (json.dumps(name).replace("%", "%%") for name in names)
+        line = "{" + ", ".join(f"{key}: %s" for key in keys) + "}\n"
+    else:
+        line = ",".join(["%s"] * len(names)) + "\n"
+    return "".join([line % row for row in zip(*columns)])
 
 
 def _options(args, table) -> dict:
@@ -181,17 +218,22 @@ def _cmd_mc_tail(args) -> int:
 def _cmd_verify_davydov(args) -> int:
     require((("--seed", args.seed, 0), ("--spaces", args.spaces, 1)))
     rng = np.random.default_rng(args.seed)
-    rows = []
-    for start in range(0, args.spaces, DAVYDOV_BLOCK):
-        block = random_finite_spaces(rng, min(DAVYDOV_BLOCK, args.spaces - start),
+    # a --max-outcomes below 1 is refused by the first draw
+    step = max(1, DAVYDOV_OUTCOMES // max(1, args.max_outcomes))
+    names = ("space_index", "n_outcomes", "p", "q", "r", "alpha", "lhs", "rhs", "holds")
+    chunks = [_rows(names, [], args.format)]  # the CSV header, then each block's lines
+    holds = True
+    for start in range(0, args.spaces, step):
+        block = random_finite_spaces(rng, min(step, args.spaces - start),
                                      args.max_outcomes, args.max_atoms)
         results = davydov_checks(block, args.p, args.q, args.r)
-        for index, (size, result) in enumerate(zip(block.sizes.tolist(), results), start):
-            rows.append((index, size, args.p, args.q, args.r,
-                         result.alpha, result.lhs, result.rhs, result.holds))
-    names = ("space_index", "n_outcomes", "p", "q", "r", "alpha", "lhs", "rhs", "holds")
-    _emit(_rows(names, rows, args.format), args.out)
-    return EXIT_OK if all(row[-1] for row in rows) else EXIT_VIOLATION
+        rows = [(index, size, args.p, args.q, args.r,
+                 result.alpha, result.lhs, result.rhs, result.holds)
+                for index, (size, result) in enumerate(zip(block.sizes.tolist(), results), start)]
+        chunks.append(_lines(names, rows, args.format))
+        holds = holds and all(result.holds for result in results)
+    _write(chunks, args.out)
+    return EXIT_OK if holds else EXIT_VIOLATION
 
 
 def _cmd_embedding_check(args) -> int:

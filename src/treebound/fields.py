@@ -109,6 +109,7 @@ from .tree import (BALL_ENTRY_CAP, DEFAULT_NODE_CAP, Generations, NodeId, Region
                    ball_sizes, low_bits, node_labels)
 
 AR_TABLE_HORIZON = 64
+AR_WALK_GENERATIONS = 1 << 16  # ancestor generations one autoregression walks: ~0.4 s, 18 MiB
 BLOCK_VALUES = 1 << 16  # hashed values per tile: 512 KiB of uint64, cache resident
 CSV_ROWS = 4096  # rows per chunk of field_lines: one string, one write
 KEY_VALUES = 1 << 13  # node keys mixed per step of _keys: 64 KiB per scratch row
@@ -541,12 +542,20 @@ def _ancestor_caps(runs: Sequence[Run], A: int) -> int:
     run whose parents are not the run before it, its ancestors up to the
     root, counted without listing them: a run's ancestors narrow to one node
     per generation within 63 generations up (two consecutive indices share a
-    parent unless the first is a multiple of ``A``)."""
-    total, above = 0, None
+    parent unless the first is a multiple of ``A``).
+
+    Each such run walks its ancestors one generation per Python step, about
+    6 us and 280 bytes a generation: one node at generation 10**5 took
+    0.6 s and 27 MiB.  The node cap alone admits walks of 6.7e7 generations,
+    so the steps of all the walks are capped too, at ``AR_WALK_GENERATIONS``
+    = 2**16 (0.37 s and 18 MiB for one node at that depth); more raise
+    :class:`CapacityError` as well."""
+    total, walked, above = 0, 0, None
     for run in runs:
         total += run[2]
         if run[0] and _parent_run(run, A) != above:
             j, first, count = run
+            walked += j
             while j and count > 1:
                 j, first, count = _parent_run((j, first, count), A)
                 total += count
@@ -555,6 +564,9 @@ def _ancestor_caps(runs: Sequence[Run], A: int) -> int:
     if total > DEFAULT_NODE_CAP:
         raise CapacityError(f"the autoregression at these nodes hashes {total} nodes with their "
                             f"ancestors, exceeding the cap of {DEFAULT_NODE_CAP}")
+    if walked > AR_WALK_GENERATIONS:
+        raise CapacityError(f"the autoregression at these nodes walks {walked} generations of "
+                            f"ancestors, exceeding the cap of {AR_WALK_GENERATIONS}")
     return total
 
 

@@ -15,13 +15,13 @@ block of one.  :func:`davydov_checks` checks a block at once
 (:func:`davydov_check` and :func:`exact_alpha` are blocks of one): one
 ``bincount`` gives every joint atom table, and the spaces of one shape
 ``(n_g, n_h)`` take their unions of H-atoms in one stacked product with a
-cached matrix.  The means ``E[x]`` stay one BLAS dot per space, because
-no batched numpy form adds in the same order, so a block gives each space
-the bits it gets alone.  Lists of atoms appear only at the API edge, in
-``FiniteSpace.build`` and the ``atoms_g``/``atoms_h`` views.  For
-simulated fields the sup over arbitrary events is out of reach, so the
-module only ever reports sampled *lower* bounds there, clearly separated
-from the exact path.
+cached matrix.  The spaces of one outcome count take each mean ``E[x]``
+from one stacked product, which numpy runs as one BLAS dot per space, so a
+block gives each space the bits it gets alone.  Lists of atoms appear only
+at the API edge, in ``FiniteSpace.build`` and the ``atoms_g``/``atoms_h``
+views.  For simulated fields the sup over arbitrary events is out of
+reach, so the module only ever reports sampled *lower* bounds there,
+clearly separated from the exact path.
 
 Monte Carlo tail estimates are paired with the corresponding bound and a
 violation is only flagged when the exact-binomial (Clopper-Pearson) 99%
@@ -69,6 +69,7 @@ PAIR_BLOCK = 1 << 16  # the most node pairs one separation step holds
 DRAW_VALUES = 1 << 15  # the most uniforms one generator call of random_finite_spaces draws
 MAX_WORKERS = 64  # the most slices one mc_tail call runs: itself and up to 63 forked children
 MC_HASHED_VALUES = 1 << 40  # the most innovations one mc_tail call hashes: ~42 min at 2.3 ns each
+MC_REPLICATE_BLOCK = 1 << 12  # the most replicates one mc_tail slice sums at a time
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,13 +99,26 @@ class SpaceBlock:
     owner: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        arrays = {
+        self._check({
             "probs": _real_array("probs", self.probs),
             "xi": _real_array("xi", self.xi),
             "eta": _real_array("eta", self.eta),
             "g": np.array(self.g),
             "h": np.array(self.h),
-        }
+        })
+
+    @classmethod
+    def _fresh(cls, probs, g, h, xi, eta, sizes) -> "SpaceBlock":
+        """A block that keeps fresh arrays, which nothing else holds, as its
+        fields: float64 ``probs``, ``xi``, ``eta`` and int64 labels, checked
+        as the constructor checks them but not copied."""
+        block = object.__new__(cls)
+        object.__setattr__(block, "sizes", sizes)
+        block._check({"probs": probs, "xi": xi, "eta": eta, "g": g, "h": h})
+        return block
+
+    def _check(self, arrays: dict) -> None:
+        """Check the rules of every space on ``arrays`` and keep them as the fields."""
         probs = arrays["probs"]
         n = probs.size
         if probs.ndim != 1 or n == 0:
@@ -123,12 +137,11 @@ class SpaceBlock:
         arrays["start"] = start = sizes.cumsum() - sizes
         arrays["owner"] = owner = np.repeat(np.arange(sizes.size), sizes)
         failures = []  # (space, rank, message): a space's rules in the order listed
-        if not np.isfinite(np.concatenate((probs, arrays["xi"], arrays["eta"]))).all():
-            for rank, name in enumerate(("probs", "xi", "eta")):
-                bad = ~np.isfinite(arrays[name])
-                if bad.any():
-                    failures.append((owner[bad.argmax()], rank,
-                                     f"{name} must be finite (no NaN or infinity)"))
+        for rank, name in enumerate(("probs", "xi", "eta")):
+            finite = np.isfinite(arrays[name])
+            if not finite.all():
+                failures.append((owner[finite.argmin()], rank,
+                                 f"{name} must be finite (no NaN or infinity)"))
         negative = probs < 0
         if negative.any():
             failures.append((owner[negative.argmax()], 3,
@@ -383,7 +396,7 @@ def _scaled(
 def _norm(m: float, mean_power: float, p: float) -> float:
     """``||x||_p`` from ``m = max|x|`` and ``E(|x|/m)**p``: a huge ``p`` gives
     ``m`` instead of 0, and ``p = inf`` gives exactly ``m``."""
-    return 0.0 if m == 0.0 else m * float(mean_power) ** (1.0 / p)
+    return 0.0 if m == 0.0 else m * mean_power ** (1.0 / p)
 
 
 def davydov_checks(
@@ -395,11 +408,14 @@ def davydov_checks(
     The exponents are checked once and measurability once, on the block's
     atoms numbered end to end; the spaces fail in order, the first space
     that is not measurable or exceeds the atom cap naming the error.  The
-    mixing coefficients come from :func:`_alphas`, per shape, and the
-    elementwise parts (scales, powers, products) from the packed outcomes.
-    The means stay one BLAS dot per space: no batched numpy form adds in the
-    same order, and the results are bit for bit those of one space at a
-    time.
+    mixing coefficients come from :func:`_alphas`, per shape, the
+    elementwise parts (scales, powers, products) from the packed outcomes,
+    and the five means of each space from :func:`_space_means`, one stacked
+    product per outcome count and mean.  The rest (the covariance and its
+    scale, the powers ``** (1/p)``, ``** (1/q)`` and ``** (1/r)``, the
+    products of the right side) is taken per space in Python floats, since
+    numpy's ``**`` rounds some powers otherwise.  The results are bit for
+    bit those of one space at a time.
     """
     if not all(e == math.inf or is_real(e, ">=", 1) for e in (p, q, r)):
         raise ValidationError(f"exponents must be >= 1, got ({p}, {q}, {r})")
@@ -434,21 +450,38 @@ def davydov_checks(
     alpha = _alphas(block).tolist()
     xi, e_xi, m_xi, powers_xi = _scaled(start, owner, block.xi, p)
     eta, e_eta, m_eta, powers_eta = _scaled(start, owner, block.eta, q)
-    xi_eta = xi * eta
+    means = _space_means(block, (xi * eta, xi, eta, powers_xi, powers_eta))
     results = []
-    for s, (lo, hi) in enumerate(zip(start.tolist(), (start + block.sizes).tolist())):
-        probs, part = block.probs[lo:hi], slice(lo, hi)
-        cov = abs(float(probs @ xi_eta[part])
-                  - float(probs @ xi[part]) * float(probs @ eta[part]))
+    for a, e_x, e_y, m_x, m_y, mean_xy, mean_x, mean_y, power_x, power_y in zip(
+        alpha, e_xi, e_eta, m_xi, m_eta, *(mean.tolist() for mean in means)
+    ):
         try:
-            lhs = math.ldexp(cov, e_xi[s] + e_eta[s])
+            lhs = math.ldexp(abs(mean_xy - mean_x * mean_y), e_x + e_y)
         except OverflowError:  # |Cov| itself lies past float range
             lhs = math.inf
-        norm_xi = _norm(m_xi[s], probs @ powers_xi[part], p)
-        norm_eta = _norm(m_eta[s], probs @ powers_eta[part], q)
-        rhs = 10.0 * alpha[s] ** (1.0 / r) * norm_xi * norm_eta
-        results.append(DavydovResult(lhs=lhs, rhs=rhs, holds=lhs <= rhs + 1e-12, alpha=alpha[s]))
+        rhs = 10.0 * a ** (1.0 / r) * _norm(m_x, power_x, p) * _norm(m_y, power_y, q)
+        results.append(DavydovResult(lhs=lhs, rhs=rhs, holds=lhs <= rhs + 1e-12, alpha=a))
     return results
+
+
+def _space_means(block: SpaceBlock, columns: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """``E[x]`` of each space of ``block`` for each packed array ``x`` of
+    ``columns``, one outcome count ``n`` at a time.
+
+    The ``k`` spaces of ``n`` outcomes are gathered into C-contiguous
+    ``(k, n)`` rows, and each mean is one stacked ``(k, 1, n) @ (k, n, 1)``
+    product.  numpy runs it as one BLAS dot per space, the dot that
+    ``probs @ x`` runs on the space alone, so every mean has those bits.  (A
+    ``(k, n, 5)`` operand, or one with a zero stride, takes other kernels.)"""
+    sizes = block.sizes
+    order = np.argsort(sizes, kind="stable")
+    means = [np.empty(len(block)) for _ in columns]
+    for members in np.split(order, np.flatnonzero(np.diff(sizes[order])) + 1):
+        at = block.start[members, None] + np.arange(sizes[members[0]])
+        probs = block.probs[at][:, None, :]
+        for mean, x in zip(means, columns):
+            mean[members] = (probs @ x[at][:, :, None]).ravel()
+    return means
 
 
 def davydov_check(space: FiniteSpace, p: float, q: float, r: float) -> DavydovResult:
@@ -737,9 +770,12 @@ def mc_tail(
     ran the ``generations(12)`` tile loop 1.39-1.61x as fast as one, where two
     threads gained 1.11-1.33x.  One worker forks nothing.
 
-    Replicates times the region's support nodes may hash at most
-    ``MC_HASHED_VALUES`` = 2**40 innovations, about 42 minutes at 2.3 ns
-    each; more raise :class:`CapacityError` before any array is built.
+    Each slice sums its replicates ``MC_REPLICATE_BLOCK`` = 4096 at a time
+    and adds up their exceedance counts, so its memory does not grow with
+    the replicate count.  Replicates times the region's support nodes may
+    hash at most ``MC_HASHED_VALUES`` = 2**40 innovations, about 42 minutes
+    at 2.3 ns each; more raise :class:`CapacityError` before any array is
+    built.
     """
     if not eps_grid:
         raise ValidationError("epsilon grid must be non-empty")
@@ -788,7 +824,11 @@ def mc_tail(
     sums = region_sums_of(field, region, A)
 
     def exceed_counts(reps: range) -> np.ndarray:
-        return (np.abs(sums(reps))[None, :] > thresholds[:, None]).sum(axis=1)
+        counts = np.zeros(len(thresholds), dtype=np.int64)
+        for lo in range(reps.start, reps.stop, MC_REPLICATE_BLOCK):
+            block = range(lo, min(lo + MC_REPLICATE_BLOCK, reps.stop))
+            counts += (np.abs(sums(block))[None, :] > thresholds[:, None]).sum(axis=1)
+        return counts
 
     step = -(-n_replicates // workers)
     slices = [range(s, min(s + step, n_replicates)) for s in range(0, n_replicates, step)]
@@ -868,9 +908,11 @@ def random_finite_spaces(
     ``floor(u R) <= R - 1`` for every double ``u < 1`` and ``R < 2**20``, so
     no count or label reaches its bound.  The slots are drawn
     ``DRAW_VALUES`` uniforms at a time (one slot if it is wider) and read
-    with array operations.  A block depends only on its slots, so it holds
-    the spaces that ``count`` calls of :func:`random_finite_space` draw, and
-    leaves the generator in the same state, however it is split.
+    with array operations; the block keeps the arrays they give, one field
+    joined at a time, without a further copy.  A block depends only on its
+    slots, so it holds the spaces that ``count`` calls of
+    :func:`random_finite_space` draw, and leaves the generator in the same
+    state, however it is split.
     """
     require((("count", count, 1), ("max_outcomes", max_outcomes, 2), ("max_atoms", max_atoms, 1)))
     over = [f"{name} = {value}" for name, value in
@@ -882,10 +924,12 @@ def random_finite_spaces(
     rows = max(1, DRAW_VALUES // width)
     parts = [_read_slots(rng.random((min(rows, count - s), width)), max_outcomes, max_atoms)
              for s in range(0, count, rows)]
-    if len(parts) > 1:  # the pieces are freed before the block copies the whole
-        parts = [[np.concatenate(column) for column in zip(*parts)]]
-    sizes, probs, g, xi, h, eta = parts.pop()
-    return SpaceBlock(probs, g, h, xi, eta, sizes)
+    columns = list(zip(*parts))
+    del parts
+    for i in range(len(columns)):  # one field joined at a time, its pieces freed before the next
+        columns[i] = np.concatenate(columns[i]) if len(columns[i]) > 1 else columns[i][0]
+    sizes, probs, g, xi, h, eta = columns
+    return SpaceBlock._fresh(probs, g, h, xi, eta, sizes)
 
 
 def _read_slots(u: np.ndarray, M: int, A: int) -> tuple[np.ndarray, ...]:

@@ -267,26 +267,94 @@ _DAVYDOV_SHA256 = {
         "3ab19440fe5d2ec56a9c3a1460123800b6d73602b15cb5d6c5b3888afb259b5d",
 }
 _DAVYDOV = ["verify-davydov", "--spaces", "300", "--seed", "5"]
+# spaces per block at the default 64 outcomes: outcome budgets of 64 (one
+# space per block), 7 * 64 (7 spaces at 64 outcomes, 3 at 128) and 256 * 64,
+# and the default budget, one block of all 300
+_BUDGETS = [1, 7, 256, pytest.param(None, id="default")]
 
 
-@pytest.mark.parametrize("block", [1, 7, 256])
+def _block_counts(monkeypatch):
+    """The space count of every block verify-davydov draws, as it draws them."""
+    counts = []
+
+    def recorded(rng, count, *sizes, _draw=cli_mod.random_finite_spaces):
+        counts.append(count)
+        return _draw(rng, count, *sizes)
+
+    monkeypatch.setattr(cli_mod, "random_finite_spaces", recorded)
+    return counts
+
+
+@pytest.mark.parametrize("block", _BUDGETS)
 def test_verify_davydov_stdout_pinned_for_every_block_size(capsys, monkeypatch, block):
-    monkeypatch.setattr(cli_mod, "DAVYDOV_BLOCK", block)
+    budget = cli_mod.DAVYDOV_OUTCOMES if block is None else 64 * block
+    monkeypatch.setattr(cli_mod, "DAVYDOV_OUTCOMES", budget)
+    counts = _block_counts(monkeypatch)
     for shape, digest in _DAVYDOV_SHA256.items():
+        counts.clear()
         code, out, err = run(capsys, *_DAVYDOV, *shape)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+        step = min(300, max(1, budget // (128 if shape else 64)))
+        assert counts == [step] * (300 // step) + [300 % step] * (300 % step > 0)
+        # the CSV header comes once, before the lines of every block
+        code, csv, _ = run(capsys, *_DAVYDOV, *shape, "--format", "csv")
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert csv.splitlines() == [",".join(rows[0])] + [
+            ",".join(str(v) for v in row.values()) for row in rows]
 
 
-@pytest.mark.parametrize("block", [1, 7, 256])
+def test_verify_davydov_blocks_hold_a_fixed_count_of_outcome_slots(capsys, monkeypatch):
+    counts = _block_counts(monkeypatch)
+    for outcomes, want in (("64", [1024, 976]), ("4096", [16, 4]), ("2", [2000])):
+        counts.clear()
+        spaces = str(sum(want))
+        code, out, _ = run(capsys, "verify-davydov", "--spaces", spaces, "--seed", "1",
+                           "--max-outcomes", outcomes, "--max-atoms", "3")
+        assert code == 0 and len(out.splitlines()) == sum(want)
+        assert counts == want
+
+
+@pytest.mark.parametrize("block", _BUDGETS)
 def test_verify_davydov_names_the_first_space_over_the_atom_cap(capsys, monkeypatch, block):
     # the first space over the cap is space 18 at 64 outcomes and space 15 at
-    # 128; space 25 and space 53, in the same block of 256, are over it too
-    monkeypatch.setattr(cli_mod, "DAVYDOV_BLOCK", block)
+    # 128; space 25 and space 53, in the same block of 256 or more, are over it too
+    if block is not None:
+        monkeypatch.setattr(cli_mod, "DAVYDOV_OUTCOMES", 64 * block)
     for outcomes, counts in (("64", "3 and 13"), ("128", "6 and 13")):
         code, out, err = run(capsys, *_DAVYDOV, "--max-atoms", "13", "--max-outcomes", outcomes)
         assert (code, out) == (3, "")
         assert err == f"error: exact mixing coefficient capped at 12 atoms per partition, got {counts}\n"
+
+
+_VALUES = {  # the kinds of value a column of the table subcommands may hold
+    "float": st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, -2.2250738585072e-308,
+                                                      math.inf, -math.inf, math.nan])),
+    "int": st.integers(-2**200, 2**200),
+    "flag": st.one_of(st.booleans(), st.none()),
+}
+_VALUES["mixed"] = st.one_of(*_VALUES.values(), st.text(max_size=4))
+
+
+@st.composite
+def _table(draw):
+    """Column names and rows whose columns each hold one kind of value."""
+    name = st.one_of(st.text(max_size=6), st.sampled_from(["%s", "100%", 'a"b', "p,q"]))
+    names = draw(st.lists(name, min_size=1, max_size=6, unique=True))
+    kinds = [draw(st.sampled_from(sorted(_VALUES))) for _ in names]
+    count = draw(st.integers(0, 12))
+    columns = [draw(st.lists(_VALUES[kind], min_size=count, max_size=count)) for kind in kinds]
+    return names, [list(row) for row in zip(*columns)]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(table=_table())
+def test_rows_render_by_column_as_json_dumps_and_str_join_render_by_row(table):
+    names, rows = table
+    assert cli_mod._rows(names, rows, "json") == "".join(
+        json.dumps(dict(zip(names, row))) + "\n" for row in rows)
+    assert cli_mod._rows(names, rows, "csv") == "".join(
+        ",".join(map(str, row)) + "\n" for row in [names, *rows])
 
 
 def test_verify_davydov_prints_alpha_zero_as_positive_zero(capsys):

@@ -1277,6 +1277,57 @@ def test_autoregression_ancestors_count_each_chain_once(monkeypatch):
         _fields._ancestor_caps(runs, 2)
 
 
+def test_autoregression_walks_at_most_its_cap_of_generations(monkeypatch):
+    # the first two runs walk up from generation 3, the third reads the second
+    runs = [(3, 4, 1), (3, 6, 3), (4, 11, 6)]
+    monkeypatch.setattr(_fields, "AR_WALK_GENERATIONS", 6)
+    assert _fields._ancestor_caps(runs, 2) == 17
+    monkeypatch.setattr(_fields, "AR_WALK_GENERATIONS", 5)
+    with pytest.raises(CapacityError, match="walks 6 generations of ancestors, .* cap of 5$"):
+        _fields._ancestor_caps(runs, 2)
+
+
+def test_deep_autoregression_walks_raise_capacity_error_before_any_array():
+    # one node at generation 6 * 10**7 passes the node cap; its walk would take
+    # about 16 GiB at 280 bytes a generation, far past a 3 GiB address-space
+    # limit, so only the count of its steps can refuse it cleanly; the walk at
+    # the cap itself runs
+    probe = """
+import contextlib, io, resource
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from treebound import CapacityError, FieldSpec, NodeId, Subtree, field_values, node_sums
+from treebound import sample_field
+from treebound.fields import AR_WALK_GENERATIONS
+from treebound.cli import main
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    code = main(["simulate", "--rate", "2", "--C", "1", "--region", "subtree(60000000,1,1)",
+                 "--field", "branching_ar(0.5)"])
+assert code == 3, (code, err.getvalue())
+assert err.getvalue() == ("error: the autoregression at these nodes walks 60000000 generations "
+                          "of ancestors, exceeding the cap of 65536\\n"), err.getvalue()
+spec = FieldSpec.branching_ar(0.5)
+for call in (lambda: field_values(spec, [NodeId(6 * 10**7, 1)], 2, range(2)),
+             lambda: field_values(spec, [NodeId(10**5, 1)], 2, range(1)),
+             lambda: node_sums(spec, [NodeId(40000, 1), NodeId(40000, 3)], 2, range(2)),
+             lambda: sample_field(spec, Subtree(AR_WALK_GENERATIONS + 1, 1, 1), 2, 0)):
+    try:
+        call()
+    except CapacityError as exc:
+        assert "generations of ancestors, exceeding the cap of 65536" in str(exc), str(exc)
+    else:
+        raise AssertionError("no CapacityError")
+assert field_values(spec, [NodeId(AR_WALK_GENERATIONS, 1)], 2, range(1)).shape == (1, 1)
+"""
+    src = str(Path(treebound.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+
+
 @pytest.mark.parametrize("call", ["region_sums", "field_values", "node_sums"])
 def test_replicate_ranges_past_sys_maxsize_raise_capacity_error(call):
     # len() of such a range raises OverflowError: the count comes from its ends

@@ -653,6 +653,50 @@ def test_mc_tail_refuses_a_field_it_cannot_sum_before_counting_its_replicates(mo
         mc_tail(FieldSpec.m_dependent(10**6), Generations(4), 2, [0.5], 100)
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_mc_tail_sums_its_replicates_one_block_at_a_time(monkeypatch, workers):
+    spec = FieldSpec.m_dependent(1, C=1.0, master_seed=5)
+    cases = ((Strip(3, 3), [2.0, 5.0]), (Generations(6), [0.05, 0.1]))
+    want = [tail_estimates_to_jsonl(mc_tail(spec, region, 2, eps, 1000, workers=workers))
+            for region, eps in cases]
+    calls = []
+
+    def recorded(*args, _build=verify_mod.region_sums_of):
+        sums = _build(*args)
+
+        def counted(reps):
+            calls.append(len(reps))
+            return sums(reps)
+
+        return counted
+
+    monkeypatch.setattr(verify_mod, "region_sums_of", recorded)
+    monkeypatch.setattr(verify_mod, "MC_REPLICATE_BLOCK", 64)
+    for (region, eps), text in zip(cases, want):
+        calls.clear()
+        got = mc_tail(spec, region, 2, eps, 1000, workers=workers)
+        assert tail_estimates_to_jsonl(got) == text
+        # the calls of the first slice, the one in this process
+        first = -(-1000 // workers)
+        assert calls == [64] * (first // 64) + [first % 64] * (first % 64 > 0)
+
+
+def test_mc_tail_memory_stays_flat_in_the_replicate_count():
+    # the parent summed each slice whole: 1.47 MB more at 2**16 replicates
+    # than at 2**12 on this region, about 24 bytes a replicate
+    spec = FieldSpec.independent(C=1.0, master_seed=2)
+    mc_tail(spec, Generations(6), 2, [0.5, 0.2], 100)  # caches warmed outside the trace
+    peaks = []
+    for n in (2**12, 2**16):
+        tracemalloc.start()
+        try:
+            mc_tail(spec, Generations(6), 2, [0.5, 0.2], n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 32 * verify_mod.MC_REPLICATE_BLOCK
+
+
 def test_mc_tail_huge_replicate_counts_raise_capacity_error_not_memory_error():
     # under a 4 GB address-space limit the replicate ids of either call cannot
     # be allocated, so only a count made before any array is built refuses them
@@ -964,6 +1008,43 @@ def test_slot_draws_trace_less_memory_than_the_per_space_draws():
     assert peak <= 81_440_000
 
 
+def test_a_drawn_block_keeps_the_arrays_of_its_draw():
+    # the parent's SpaceBlock copied every field the draw built and joined
+    # probs, xi and eta once more for one finiteness test: its peak on this
+    # call read 54.8 to 61.0 MB, and must fall by at least a quarter (31.2 MB)
+    tracemalloc.start()
+    try:
+        random_finite_spaces(np.random.default_rng(0), 256, 4096, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.75 * 54.8e6
+
+
+def test_only_the_internal_path_keeps_its_arrays_uncopied():
+    probs, g, h = np.array([0.25, 0.75]), np.array([0, 1]), np.array([0, 0])
+    xi, eta, sizes = np.array([1.0, -1.0]), np.array([2.0, 2.0]), np.array([2])
+    fresh = SpaceBlock._fresh(probs, g, h, xi, eta, sizes)
+    assert all(getattr(fresh, name) is array for name, array in
+               (("probs", probs), ("g", g), ("h", h), ("xi", xi), ("eta", eta)))
+    assert not probs.flags.writeable
+    caller = [np.array([0.25, 0.75]), np.array([0, 1]), np.array([0, 0]),
+              np.array([1.0, -1.0]), np.array([2.0, 2.0])]
+    copied = SpaceBlock(*caller, sizes)
+    for name, array in zip(("probs", "g", "h", "xi", "eta"), caller):
+        assert not np.shares_memory(getattr(copied, name), array)
+        assert array.flags.writeable
+    # both paths check the same rules, with the same messages
+    bad = [(np.array([0.25, np.nan]), g, h, xi, eta), (np.array([0.5, 0.25]), g, h, xi, eta),
+           (probs, np.array([0, 2]), h, xi, eta), (probs, g, h, np.array([1.0, np.inf]), eta)]
+    for arrays in bad:
+        with pytest.raises(ValidationError) as public:
+            SpaceBlock(*arrays, sizes)
+        with pytest.raises(ValidationError) as internal:
+            SpaceBlock._fresh(*(a.copy() for a in arrays), sizes.copy())
+        assert str(public.value) == str(internal.value)
+
+
 def test_outcome_counts_are_uniform():
     M, count = 12, 20_000
     sizes = random_finite_spaces(np.random.default_rng(41), count, M, 2).sizes
@@ -1105,6 +1186,41 @@ def test_davydov_checks_of_a_drawn_block_and_of_its_spaces_agree(p, q, r):
         [(x.lhs.hex(), x.rhs.hex(), x.holds, x.alpha.hex()) for x in want]
     assert [a.hex() for a in verify_mod._alphas(block)] == \
         [exact_alpha(space).hex() for space in spaces]
+
+
+def _per_space_means(block, columns):
+    return [np.array([block.probs[lo:lo + n] @ x[lo:lo + n]
+                      for lo, n in zip(block.start.tolist(), block.sizes.tolist())])
+            for x in columns]
+
+
+def _same_bits(got, want):
+    return all(np.array_equal(a.view(np.int64), b.view(np.int64)) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("count,outcomes,atoms", [(1024, 64, 8), (512, 128, 12)])
+def test_grouped_means_are_the_per_space_dots_on_the_bench_shapes(count, outcomes, atoms):
+    # one block of each verify-davydov bench op, at the default outcome budget
+    block = random_finite_spaces(np.random.default_rng(7), count, outcomes, atoms)
+    xi, eta = block.xi / 3.0, block.eta * 1e-300
+    columns = (xi * eta, xi, eta, np.abs(xi) ** 4.0, np.abs(eta) ** 2.5)
+    assert _same_bits(verify_mod._space_means(block, columns), _per_space_means(block, columns))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(sizes=st.lists(st.integers(1, 70), min_size=1, max_size=40),
+       seed=st.integers(0, 2**32 - 1))
+def test_grouped_means_are_the_per_space_dots_on_random_blocks(sizes, seed):
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    weights = rng.random(n)
+    start = np.cumsum(sizes) - sizes
+    probs = weights / np.repeat(np.add.reduceat(weights, start), sizes)
+    zeros = np.zeros(n, dtype=np.int64)
+    block = SpaceBlock(probs, zeros, zeros, zeros.astype(float), zeros.astype(float),
+                       np.array(sizes))
+    columns = [rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n) for _ in range(5)]
+    assert _same_bits(verify_mod._space_means(block, columns), _per_space_means(block, columns))
 
 
 def _random_nodes(rnd, A, count, low, high):
