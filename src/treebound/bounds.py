@@ -20,12 +20,11 @@ assumed or merely heuristic.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional, Sequence
 
-from .errors import (CapacityError, InfeasibleGridError, ValidationError, float_in_range, is_real,
-                     reject, require)
+from .errors import (CapacityError, InfeasibleGridError, ValidationError, check_printable,
+                     float_in_range, is_real, reject, require)
 from .paircount import count_pairs_closed
 from .tree import low_bits
 
@@ -199,9 +198,7 @@ def _check_block_digits(A: int, L: int) -> None:
     """:class:`CapacityError` when ``block_count = ceil(A**L / (P2 + Q2))``
     may not print: refused from ``L*log10(A)``, before ``A**L`` is formed, as
     count-pairs refuses its counts."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and L >= limit / math.log10(A):
-        raise CapacityError(f"block_count = ceil(A**L / (P2 + Q2)) may exceed {limit} digits")
+    check_printable("block_count = ceil(A**L / (P2 + Q2))", lambda: L * math.log10(A))
 
 
 def _check_admissible(inp: BernsteinInput) -> None:

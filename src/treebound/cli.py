@@ -34,7 +34,7 @@ from .embed import (
     parse_lattice_map,
     refutation_witness,
 )
-from .errors import AmplitudeError, CapacityError, ValidationError, require
+from .errors import AmplitudeError, CapacityError, ValidationError, check_printable, require
 from .fields import field_lines, sample_field
 from .paircount import count_pairs_closed
 from .tree import GraphSpec, parse_edge_list
@@ -171,13 +171,9 @@ def _cmd_count_pairs(args) -> int:
     L = dists[-1] if dists else 1  # the largest distance asked for
     require((("--rate", A, 2), ("--gens", P, 1), ("--dist", L, 1)))
     if L <= 2 * P - 2:  # farther apart there are no pairs
-        try:  # N <= P*(L + 2)*A**(P - 1 + L/2), term by term in count_pairs_sum
-            digits = math.log10(P * (L + 2)) + math.log10(A) * (2 * P - 2 + L) / 2
-        except OverflowError:  # an exponent past float range
-            digits = math.inf
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit and digits >= limit:
-            raise CapacityError(f"pair counts at distance {L} may exceed {limit} digits")
+        # N <= P*(L + 2)*A**(P - 1 + L/2), term by term in count_pairs_sum
+        check_printable(f"pair counts at distance {L}",
+                        lambda: math.log10(P * (L + 2)) + math.log10(A) * (2 * P - 2 + L) / 2)
     rows = [(A, P, L, count_pairs_closed(A, P, L)) for L in dists]
     _emit(_rows(("A", "P", "L", "N"), rows, args.format), args.out)
     return EXIT_OK

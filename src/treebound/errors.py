@@ -5,7 +5,9 @@ real is a finite number (not a ``bool`` or ``str``) above a low, or at it.
 """
 
 import math
+import sys
 from numbers import Real
+from typing import Callable
 
 
 class ValidationError(ValueError):
@@ -74,6 +76,20 @@ def require(integers=(), reals=()) -> None:
             rule = "" if low == -math.inf else f" and {op} {low}"
             msgs.append(f"{name} = {_shown(value)} must be finite{rule}")
     reject(msgs)
+
+
+def check_printable(what: str, digits: Callable[[], float]) -> None:
+    """:class:`CapacityError` ``"<what> may exceed <limit> digits"`` when an
+    integer of ``digits()`` decimal digits (an estimate from above, infinite
+    when it leaves float range) may not print: ``limit`` is Python's
+    ``sys.get_int_max_str_digits()``, and 0 or no such function means none."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    try:
+        over = bool(limit) and digits() >= limit
+    except OverflowError:  # an exponent past float range
+        over = True
+    if over:
+        raise CapacityError(f"{what} may exceed {limit} digits")
 
 
 def float_in_range(term: str, value) -> float:

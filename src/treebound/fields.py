@@ -23,9 +23,12 @@ and mergeable.
 Values are formed over label runs ``(generation, first index, count)``,
 consecutive indices of one generation: :func:`sample_field` takes a region's
 generations as its runs, and :func:`field_values` sorts its labels into runs
-of distinct labels and scatters the values back to their order.  Every kind
-is linear in the innovations ``U`` of a support of nodes, ``Z = M U``, and
-per run it is:
+of distinct labels and scatters the values back to their order.  Runs are
+also the only form in which a node set reaches the hash: :func:`_innovations`
+and :func:`_sums` take runs, and :func:`_node_keys` expands them
+``KEY_VALUES`` labels at a time (:func:`treebound.tree.run_labels`), so no
+label array is built only to be hashed.  Every kind is linear in the
+innovations ``U`` of a support of nodes, ``Z = M U``, and per run it is:
 
 * ``independent``: ``C U``;
 * ``branching_ar``: ``C U`` at the root and ``step U + a Z_parent`` below.
@@ -45,7 +48,7 @@ On a :class:`Strip` or :class:`Generations` region, whole generations,
 :func:`region_sums` builds no value: a sum is ``w . U``, and the weights
 ``w = M^T 1`` are constant on each support generation, so
 :func:`region_plan` gives them in closed form, one row per generation.  The
-kernel :func:`_sums` takes weighted label ranges, builds the node keys and
+kernel :func:`_sums` takes weighted label runs, builds the node keys and
 the exact-sum pieces once, and returns the tile loop, so ``verify.mc_tail``'s
 worker slices share one build.  One tile of whole rows (at most
 ``BLOCK_VALUES`` = 2**16 innovations) at a time, the loop hashes, checks and
@@ -57,20 +60,21 @@ whatever the replicate count.  A :class:`Subtree` region, and
 at most ``BLOCK_VALUES`` at a time.
 
 The finalizer's first step, ``x ^ (x >> 30)``, distributes over the xor of a
-replicate key and a node key, so :func:`_keys` applies it to the keys once per
-call and each tile starts at the first multiply: seven numpy passes mix it
-(:func:`_mix_tile`), and one shifts the top 53 bits into the scratch buffer
-(:func:`_bits_tile`), the integer ``x`` of the innovation ``x * 2**-52 - 1``.
-The values' path casts ``x`` to float64 from an int64 view, exact below
-2**53, about twice as fast as numpy's uint64 cast, and with no tile-sized
-temporary: eleven passes.  No innovation bit changes, so the guarantee holds.
+replicate key and a node key, so :func:`_rep_keys` and :func:`_node_keys`
+apply it to the keys once per call and each tile starts at the first
+multiply: seven numpy passes mix it (:func:`_mix_tile`), and one shifts the
+top 53 bits into the scratch buffer (:func:`_bits_tile`), the integer ``x``
+of the innovation ``x * 2**-52 - 1``.  The values' path casts ``x`` to
+float64 from an int64 view, exact below 2**53, about twice as fast as
+numpy's uint64 cast, and with no tile-sized temporary: eleven passes.  No
+innovation bit changes, so the guarantee holds.
 
 The sums take two more passes and no float pass over a tile.  The support
-is hashed in the stable order of its weights, each range in label order, and
-each run of equal weight is cut into pieces of at most ``GROUP_COLUMNS`` =
-2048 columns.  Per tile, ``x.max() < 2**53`` checks every
-innovation to lie in [-1, 1), and ``np.add.reduceat`` sums each piece's
-integers in uint64: 2048 values below 2**53 stay below 2048 * 2**53 = 2**64,
+is hashed in the stable order of its weights, each run in label order, and
+each stretch of equal weight is cut into pieces of at most ``GROUP_COLUMNS``
+= 2048 columns.  Per tile, ``x.max() < 2**53`` checks every innovation to
+lie in [-1, 1), and ``np.add.reduceat`` sums each piece's integers in
+uint64: 2048 values below 2**53 stay below 2048 * 2**53 = 2**64,
 so the sum is exact, and less ``count * 2**52`` it is ``2**52 * sum(u)``,
 exact in int64 since 2048 * 2**52 = 2**63.  Only that integer is rounded, once
 per piece, to float64; it is scaled by 2**-52 (exact) and by the piece's
@@ -81,8 +85,8 @@ most 2048 nodes).  Integer sums do not depend on order, so the stable sort of
 the plan's rows by weight changes nothing.
 
 :func:`field_lines` renders a sample as CSV or JSON lines, one string per
-``CSV_ROWS`` rows, and :func:`field_to_csv` joins them.  The rows go through
-the numpy kernel of :mod:`treebound.rowtext`: each value's shortest
+block of ``TEXT_ROWS`` rows that the numpy kernel of :mod:`treebound.rowtext`
+yields, and :func:`field_to_csv` joins them.  Each value's shortest
 round-trip digits come from its bits by Schubfach (Giulietti, 2020; the
 digits of Ryu, Adams, PLDI 2018) in uint64 arithmetic, exactly, and are laid
 out by ``repr``'s rules in fixed character positions that one boolean mask
@@ -104,15 +108,14 @@ from .bounds import MixingEnvelope
 from .errors import (AmplitudeError, CapacityError, ValidationError, float_in_range, is_real,
                      require)
 from .rowtext import FORMATS, row_text
-from .tree import (BALL_ENTRY_CAP, DEFAULT_NODE_CAP, Generations, NodeId, Region, Strip,
-                   _ball_size, _generation_runs, _powers, _run_arrays, _validate_region,
-                   ball_sizes, low_bits, node_labels)
+from .tree import (BALL_ENTRY_CAP, DEFAULT_NODE_CAP, Generations, NodeId, Region, Run, Strip,
+                   _ball_size, _generation_runs, _validate_region, ball_sizes,
+                   generation_span, low_bits, node_labels, run_labels)
 
 AR_TABLE_HORIZON = 64
 AR_WALK_GENERATIONS = 1 << 16  # ancestor generations one autoregression walks: ~0.4 s, 18 MiB
 BLOCK_VALUES = 1 << 16  # hashed values per tile: 512 KiB of uint64, cache resident
-CSV_ROWS = 4096  # rows per chunk of field_lines: one string, one write
-KEY_VALUES = 1 << 13  # node keys mixed per step of _keys: 64 KiB per scratch row
+KEY_VALUES = 1 << 13  # node keys mixed per step of _node_keys: 64 KiB per scratch row
 GROUP_COLUMNS = 2048  # columns per exact integer sum: 2048 * 2**53 = 2**64
 
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -149,22 +152,15 @@ def _mix_into(out: np.ndarray, x: np.ndarray, key: np.uint64, tmp: np.ndarray) -
     return _mix64(np.bitwise_xor(out, key, out=out), tmp)
 
 
-def _keys(
-    seed: int, reps: np.ndarray, js: np.ndarray, ks: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The replicate keys ``r`` (seed folded in) and the node keys ``n``, each
-    with the finalizer's first step already applied.
+def _rep_keys(seed: int, reps: np.ndarray) -> np.ndarray:
+    """The replicate keys ``r``, the seed folded in, with the finalizer's first
+    step already applied, as :func:`_node_keys` applies it to the node keys.
 
     The hash of (seed, replicate, node) is ``mix64(r0 ^ n0)`` for the unfolded
     keys.  A logical right shift distributes over xor, so the finalizer's first
     step on ``x = r0 ^ n0``, ``x ^ (x >> 30)``, equals
     ``(r0 ^ r0 >> 30) ^ (n0 ^ n0 >> 30)``.  Folding it into the keys once, not
     per tile, spares every tile two passes."""
-    return _rep_keys(seed, reps), _node_keys(len(js), lambda a, b: (js[a:b], ks[a:b]))
-
-
-def _rep_keys(seed: int, reps: np.ndarray) -> np.ndarray:
-    """The folded replicate keys of :func:`_keys`, the only keys the seed enters."""
     s = np.array([seed & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64) ^ _C_SEED
     s = _mix64(s, np.empty_like(s))
     tmp = np.empty(len(reps), dtype=np.uint64)
@@ -172,18 +168,19 @@ def _rep_keys(seed: int, reps: np.ndarray) -> np.ndarray:
     return _xorshift(_mix64(np.bitwise_xor(r, s, out=r), tmp), 30, tmp)
 
 
-def _node_keys(
-    width: int, labels: Callable[[int, int], tuple[np.ndarray, np.ndarray]]
-) -> np.ndarray:
-    """The folded node keys of :func:`_keys` of ``width`` nodes, whose int64
-    labels ``labels(start, stop)`` gives ``KEY_VALUES`` at a time.  They are
+def _node_keys(runs: Sequence[Run]) -> np.ndarray:
+    """The node keys ``n`` of the labels of ``runs`` laid end to end, with the
+    finalizer's first step applied (see :func:`_rep_keys`).  The labels are
+    expanded ``KEY_VALUES`` at a time (:func:`~treebound.tree.run_labels`) and
     mixed in place through one reused two-row scratch array, so the only
     support-sized array made is the keys'."""
+    runs = np.asarray(runs, dtype=np.int64).reshape(-1, 3)
+    width = int(runs[:, 2].sum())
     n = np.empty(width, dtype=np.uint64)
     scratch = np.empty((2, min(width, KEY_VALUES)), dtype=np.uint64)
     for start in range(0, width, KEY_VALUES):
         stop = min(start + KEY_VALUES, width)
-        js, ks = labels(start, stop)
+        js, ks = run_labels(runs, start, stop)
         part, (gen, spare) = n[start:stop], scratch[:, : stop - start]
         _mix_into(part, ks, _C_IDX, spare)
         part ^= _mix_into(gen, js, _C_GEN, spare)
@@ -193,7 +190,8 @@ def _node_keys(
 
 def _mix_tile(r: np.ndarray, n: np.ndarray, h: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """Fill the uint64 buffer ``h`` of shape (len(r), len(n)) with the 64-bit
-    hashes of the folded keys ``r`` and ``n`` of :func:`_keys`, in place, in
+    hashes of the folded keys ``r`` and ``n`` (:func:`_rep_keys`,
+    :func:`_node_keys`), in place, in
     seven numpy passes; ``tmp`` is scratch of the same shape."""
     return _mix64_rest(np.bitwise_xor(r[:, None], n, out=h), tmp)
 
@@ -206,8 +204,8 @@ def _bits_tile(r: np.ndarray, n: np.ndarray, h: np.ndarray, tmp: np.ndarray) -> 
 
 def _hash_tile(r: np.ndarray, n: np.ndarray, h: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """Fill the uint64 buffer ``h`` of shape (len(r), len(n)) with the
-    innovations of the folded keys ``r`` and ``n`` of :func:`_keys`, in place,
-    and return its float64 view; ``tmp`` is scratch of the same shape.
+    innovations of the folded keys ``r`` and ``n`` of :func:`_mix_tile`, in
+    place, and return its float64 view; ``tmp`` is scratch of the same shape.
 
     The top 53 bits are cast to float64 from ``tmp`` viewed as int64: they are
     below 2**53, so the cast is exact, and numpy casts int64 in about half the
@@ -220,10 +218,11 @@ def _hash_tile(r: np.ndarray, n: np.ndarray, h: np.ndarray, tmp: np.ndarray) -> 
     return u
 
 
-def _innovations(seed: int, reps: np.ndarray, js: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """Uniform [-1, 1) innovations keyed on (seed, replicate, node), shape
-    (len(reps), len(js)), C-contiguous; a pure function of its inputs."""
-    r, n = _keys(seed, reps, js, ks)
+def _innovations(seed: int, reps: np.ndarray, runs: Sequence[Run]) -> np.ndarray:
+    """Uniform [-1, 1) innovations keyed on (seed, replicate, node) at the
+    labels of ``runs`` laid end to end, shape (len(reps), nodes),
+    C-contiguous; a pure function of its inputs."""
+    r, n = _rep_keys(seed, reps), _node_keys(runs)
     out = np.empty((len(r), len(n)), dtype=np.uint64)
     rows = max(1, BLOCK_VALUES // max(len(n), 1))
     tmp = np.empty((min(rows, len(r)), len(n)), dtype=np.uint64)
@@ -293,26 +292,6 @@ def field_certificate(spec: FieldSpec) -> FieldCertificate:
     )
 
 
-def _check_norms(norms: np.ndarray, C: float) -> None:
-    """:class:`AmplitudeError` unless every row norm of a field's map is at
-    most ``C (1 + 1e-12)``, which bounds every value for innovations in
-    [-1, 1]."""
-    if len(norms) and norms.max() > C * (1.0 + 1e-12):
-        raise AmplitudeError(
-            f"a row of the field's map has l1 norm {norms.max()!r}, above the amplitude bound "
-            f"C = {C!r}"
-        )
-
-
-def _checked_values(values: np.ndarray, C: float) -> np.ndarray:
-    """``values``, after :class:`AmplitudeError` unless each lies within
-    ``C (1 + 1e-12)`` of 0."""
-    limit = C * (1.0 + 1e-12)
-    if values.size and not (-limit <= values.min() and values.max() <= limit):
-        raise AmplitudeError(f"a sampled value lies outside the amplitude bound C = {C!r}")
-    return values
-
-
 class RegionPlan(NamedTuple):
     """A field's region sum on a :class:`Strip` or :class:`Generations` region,
     one row per support generation, with no node built: each of the ``A**g``
@@ -347,7 +326,7 @@ def region_plan(spec: FieldSpec, region: Region, A: int) -> RegionPlan:
     if not isinstance(region, (Strip, Generations)):
         raise ValidationError(f"a region plan needs a strip or generations region, got {region!r}")
     _validate_region(region, A)
-    t0, t1 = _targets(region)
+    t0, t1 = generation_span(region)
     C = float(spec.C)
     if spec.kind == "independent" or t0 == t1:
         return RegionPlan(np.arange(t0, t1, dtype=np.int64), *(np.full(t1 - t0, C),) * 2)
@@ -356,17 +335,10 @@ def region_plan(spec: FieldSpec, region: Region, A: int) -> RegionPlan:
     return _autoregression_plan(t0, t1, A, spec.a, C)
 
 
-def _targets(region: Strip | Generations) -> tuple[int, int]:
-    """The target generations ``[t0, t1)`` of a strip or generations region."""
-    if isinstance(region, Strip):
-        return region.level, region.level + region.depth
-    return 0, region.count
-
-
 def _support_span(spec: FieldSpec, region: Strip | Generations) -> tuple[int, int]:
     """The support generations ``[lo, hi)`` of :func:`region_plan`, in closed
     form: the nodes whose innovations one replicate of the region sum hashes."""
-    t0, t1 = _targets(region)
+    t0, t1 = generation_span(region)
     if t0 == t1 or spec.kind == "independent":
         return t0, t1
     if spec.kind == "m_dependent":
@@ -418,7 +390,8 @@ def _ball_plan(t0: int, t1: int, A: int, m: int, C: float) -> RegionPlan:
 
     A node ``u`` of generation ``g`` lies in the balls of the
     ``A**(min((m - d) // 2, g) + d)`` target nodes of generation ``g + d``
-    that :func:`ball_layer` counts at ``(g, 1)`` (distance is symmetric), and
+    that the layer rule of :func:`_ball_values` counts at ``(g, 1)`` (distance
+    is symmetric), and
     its weight adds their shares ``C/|ball|`` in row order: ``d`` ascending,
     one share that many times in sequence.  That profile depends on ``g``
     only through ``min(g, 2m)`` and the targets within ``m`` of ``g``, so each
@@ -508,9 +481,6 @@ def _replicate_error(r) -> ValidationError:
     return ValidationError(f"replicate ids must be integers in [0, 2**64), got {r!r}")
 
 
-Run = tuple[int, int, int]  # (generation, first index, count): consecutive labels
-
-
 def _label_runs(js: np.ndarray, ks: np.ndarray) -> tuple[list[Run], np.ndarray]:
     """The distinct labels ``(js, ks)``, ascending, as runs of consecutive
     indices in one generation, and the column of each input label among the
@@ -575,15 +545,15 @@ def _checked_runs(spec: FieldSpec, runs: Sequence[Run], A: int) -> int:
     that comes before hashing: the caps (:func:`ball_sizes` of the balls,
     counted per run, or :func:`_ancestor_caps`), then the amplitude guard on
     the row norms of the runs' generations, read from the per-generation norms
-    of the region plan.  Returns a bound on the innovations hashed per
-    replicate: the ball members, the nodes with their ancestors, or the nodes."""
+    of the region plan: each at most ``C (1 + 1e-12)``, which bounds every
+    value for innovations in [-1, 1].  Returns a bound on the innovations
+    hashed per replicate: the ball members, the nodes with their ancestors,
+    or the nodes."""
     if not runs:
         return 0
     gens, hashed = {j for j, _, _ in runs}, sum(count for _, _, count in runs)
     if spec.kind == "m_dependent":
-        js, lasts, counts = (np.array(column, dtype=np.int64) for column in zip(
-            *((j, first + count - 1, count) for j, first, count in runs)))
-        sizes = ball_sizes(js, lasts, A, spec.m, counts).tolist()
+        sizes = ball_sizes(runs, A, spec.m).tolist()
         hashed = sum(count * sizes[min(j, spec.m)] for j, _, count in runs)
         table, gens = _ball_norms(A, spec.m, spec.C), {min(j, spec.m) for j in gens}
     elif spec.kind == "branching_ar":
@@ -591,7 +561,12 @@ def _checked_runs(spec: FieldSpec, runs: Sequence[Run], A: int) -> int:
         table = _autoregression_norms(max(gens) + 1, spec.a, spec.C)
     else:
         table, gens = [spec.C], {0}
-    _check_norms(np.array([table[j] for j in gens]), spec.C)
+    norms = np.array([table[j] for j in gens])
+    if norms.max() > spec.C * (1.0 + 1e-12):
+        raise AmplitudeError(
+            f"a row of the field's map has l1 norm {norms.max()!r}, above the amplitude bound "
+            f"C = {spec.C!r}"
+        )
     return hashed
 
 
@@ -605,7 +580,8 @@ def _region_runs(spec: FieldSpec, region: Region, A: int) -> tuple[list[Run], in
 
 def _run_values(spec: FieldSpec, reps: np.ndarray, runs: Sequence[Run], A: int) -> np.ndarray:
     """The values of replicates ``reps`` at the labels of ``runs`` (past
-    :func:`_checked_runs`) laid end to end, each checked against ``C``."""
+    :func:`_checked_runs`) laid end to end, each checked to lie within
+    ``C (1 + 1e-12)`` of 0."""
     width = sum(count for _, _, count in runs)
     if not (width and len(reps)):
         return np.zeros((len(reps), width))
@@ -615,9 +591,12 @@ def _run_values(spec: FieldSpec, reps: np.ndarray, runs: Sequence[Run], A: int) 
     elif spec.kind == "branching_ar":
         values = _autoregression_values(seed, reps, runs, A, spec.a, C)
     else:
-        values = _innovations(seed, reps, *_run_arrays(runs))
+        values = _innovations(seed, reps, runs)
         values *= C
-    return _checked_values(values, C)
+    limit = C * (1.0 + 1e-12)
+    if not (-limit <= values.min() and values.max() <= limit):
+        raise AmplitudeError(f"a sampled value lies outside the amplitude bound C = {C!r}")
+    return values
 
 
 def _autoregression_values(
@@ -630,7 +609,7 @@ def _autoregression_values(
     generation of a region after its first does; any other run first forms
     its ancestors' runs from the root, in one call of its own, and keeps the
     last."""
-    u = _innovations(seed, reps, *_run_arrays(runs))
+    u = _innovations(seed, reps, runs)
     step, prev, above, at = (1.0 - abs(a)) * C, None, None, 0
     for run in runs:
         j, first, count = run
@@ -656,12 +635,15 @@ def _ball_values(
 ) -> np.ndarray:
     """The radius-``m`` ball means at the labels of ``runs``, one run at a time.
 
-    By :func:`ball_layer`, layer ``d`` of the ball of ``(j, k)`` is row
+    Layer ``d`` of the ball of ``(j, k)``, its members in generation
+    ``j + d`` (``-min(j, m) <= d <= m``), is one contiguous index range: with
+    ``up = min((m - d) // 2, j)``, the descendants, ``up + d`` generations
+    down, of the center's ancestor ``up`` generations up.  That is row
     ``(k - 1) // A**up`` of generation ``j + d`` cut into rows of
-    ``A**(up + d)``, with ``up = min((m - d) // 2, j)``, shared by the
-    ``A**up`` consecutive targets below one ancestor.  So a run's layer is
-    one interval of whole rows, each repeated once per target of the run
-    below it.  Each interval is hashed once per call, those a run meets first
+    ``A**(up + d)``, shared by the ``A**up`` consecutive targets below one
+    ancestor, and the row is monotone in ``k``.  So a run's layer is one
+    interval of whole rows, each repeated once per target of the run below
+    it.  Each interval is hashed once per call, those a run meets first
     in one call.
 
     A target's entries ``u * C/|ball|`` are added to 0 in sequence, ``d``
@@ -690,7 +672,7 @@ def _ball_values(
             layers.append((up, lo, rows, size, (j + d, lo * size + 1, rows * size)))
         missing = [key for *_, key in layers if key not in window]
         if missing:  # in one call
-            u, start = _innovations(seed, reps, *_run_arrays(missing)), 0
+            u, start = _innovations(seed, reps, missing), 0
             for key in missing:
                 window[key], start = u[:, start : start + key[2]], start + key[2]
         for up, lo, rows, size, key in layers:
@@ -741,51 +723,32 @@ def sample_field(
     run by run and checked against ``C``, and only then are the labels built."""
     runs, _ = _region_runs(spec, region, A)
     values = _run_values(spec, _replicate_ids([replicate_index]), runs, A)[0]
-    return (*_run_arrays(runs), values)
-
-
-def _range_labels(gens, firsts, counts, ends, start: int, stop: int):
-    """The int64 labels ``(js, ks)`` of columns ``start .. stop - 1`` of the
-    label ranges laid end to end: range ``i``, the ``counts[i]`` indices from
-    ``firsts[i]`` in generation ``gens[i]``, ends before column ``ends[i]``."""
-    lo = int(np.searchsorted(ends, start, "right"))
-    hi = int(np.searchsorted(ends, stop, "left")) + 1  # ranges lo .. hi - 1 meet the columns
-    begin = ends[lo:hi] - counts[lo:hi]
-    skip = np.maximum(begin, start) - begin  # columns of the first range before start
-    lengths = np.minimum(ends[lo:hi], stop) - begin - skip
-    ks = np.ones(stop - start + 1, dtype=np.int64)  # steps of the indices, summed below
-    at, firsts = begin + skip - start, firsts[lo:hi] + skip
-    ks[at] += firsts - 1  # each range's first index, then back to 1 one past its last
-    ks[at + lengths] -= firsts + lengths - 1
-    return np.repeat(gens[lo:hi], lengths), np.cumsum(ks, out=ks)[: stop - start]
+    return (*run_labels(runs, 0, len(values)), values)
 
 
 def _sums(
-    spec: FieldSpec, gens: np.ndarray, firsts: np.ndarray, counts: np.ndarray,
-    weights: np.ndarray,
+    spec: FieldSpec, runs: Sequence[Run], weights: np.ndarray
 ) -> Callable[[Sequence[int]], np.ndarray]:
     """``w . U`` per replicate, as a function of the replicates, over weighted
-    label ranges: the ``counts[i]`` nodes ``(gens[i], firsts[i] ..)`` each
-    carry the weight ``weights[i]``.
+    label runs: the nodes of ``runs[i]`` each carry the weight ``weights[i]``.
 
-    The ranges are sorted by weight (stable) and laid end to end in that
-    order, each in label order; each run of equal weight is cut into pieces of
-    at most ``GROUP_COLUMNS`` columns.  The node keys and the pieces are built
-    here, once; the function returned runs the tile loop of the module
+    The runs are sorted by weight (stable) and laid end to end in that order;
+    each stretch of equal weight is cut into pieces of at most
+    ``GROUP_COLUMNS`` columns.  The node keys and the pieces are built here,
+    once; the function returned runs the tile loop of the module
     docstring."""
     order = np.argsort(weights, kind="stable")
-    gens, firsts, counts, weights = (x[order] for x in (gens, firsts, counts, weights))
-    ends = np.cumsum(counts)
-    width = int(ends[-1]) if len(ends) else 0
-    opens = np.ones(len(weights), dtype=bool)  # the ranges that open a run of equal weight
+    runs, weights = np.array(runs, dtype=np.int64).reshape(-1, 3)[order], weights[order]
+    width = int(runs[:, 2].sum())
+    opens = np.ones(len(weights), dtype=bool)  # the runs that open a stretch of equal weight
     np.not_equal(weights[1:], weights[:-1], out=opens[1:])
-    starts = (ends - counts)[opens]  # each run's first column
+    starts = (np.cumsum(runs[:, 2]) - runs[:, 2])[opens]  # each stretch's first column
     pieces = -(-np.diff(starts, append=width) // GROUP_COLUMNS)
-    first = np.repeat(np.cumsum(pieces) - pieces, pieces)  # each piece's run's first piece
+    first = np.repeat(np.cumsum(pieces) - pieces, pieces)  # each piece's stretch's first piece
     cuts = np.repeat(starts, pieces) + GROUP_COLUMNS * (np.arange(len(first)) - first)
     offsets = np.diff(cuts, append=width).astype(np.uint64) << np.uint64(52)
     piece_weights = np.repeat(weights[opens], pieces)
-    n = _node_keys(width, lambda a, b: _range_labels(gens, firsts, counts, ends, a, b))
+    n = _node_keys(runs)
 
     def sums(replicates: Sequence[int]) -> np.ndarray:
         reps = _replicate_ids(replicates)
@@ -831,8 +794,7 @@ def region_sums_of(
     if not isinstance(region, (Strip, Generations)):
         return _value_sums(spec, runs, np.arange(sum(count for _, _, count in runs)), A, hashed)
     plan = region_plan(spec, region, A)
-    counts = _powers(A)[plan.generations]
-    return _sums(spec, plan.generations, np.ones_like(counts), counts, plan.weights)
+    return _sums(spec, [(g, 1, A**g) for g in plan.generations.tolist()], plan.weights)
 
 
 def _value_sums(
@@ -898,18 +860,18 @@ def field_lines(
     sample: tuple[np.ndarray, np.ndarray, np.ndarray], fmt: str = "csv"
 ) -> Iterator[str]:
     """The rows ``(j, k, value)`` of a :func:`sample_field` result as text,
-    one string per ``CSV_ROWS`` rows: CSV lines ``j,k,value`` after that
-    header, or (``fmt="json"``) JSON lines ``{"j": j, "k": k, "value": value}``,
-    each value as ``repr`` prints it.  See :mod:`treebound.rowtext`."""
+    one string per block of rows that the kernel renders: CSV
+    lines ``j,k,value`` after that header, or (``fmt="json"``) JSON lines
+    ``{"j": j, "k": k, "value": value}``, each value as ``repr`` prints it.
+    See :mod:`treebound.rowtext`."""
     js, ks = (np.ascontiguousarray(labels, dtype=np.int64) for labels in sample[:2])
     values = np.ascontiguousarray(sample[2], dtype=np.float64)
     head = FORMATS[fmt][0]
     if not len(values):
         yield head
         return
-    render = row_text(js, ks, values, fmt)
-    for start in range(0, len(values), CSV_ROWS):
-        yield render(start, min(start + CSV_ROWS, len(values)), head)
+    for text in row_text(js, ks, values, fmt):
+        yield head + text
         head = ""
 
 

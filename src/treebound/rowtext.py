@@ -30,7 +30,7 @@ The layout is ``repr``'s: positional for decimal exponents ``-4 <= e < 16``
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable
+from typing import Iterator
 
 import numpy as np
 
@@ -146,10 +146,9 @@ def _width(labels: np.ndarray) -> int:
     return len(str(max(-int(labels.min()), int(labels.max()), 1)))
 
 
-def row_text(js: np.ndarray, ks: np.ndarray, values: np.ndarray, fmt: str
-             ) -> Callable[[int, int, str], str]:
-    """``head`` and the text of rows ``start..stop``, as a function of
-    ``(start, stop, head)``, for int64 labels and float64 values.
+def row_text(js: np.ndarray, ks: np.ndarray, values: np.ndarray, fmt: str) -> Iterator[str]:
+    """The text of the rows of int64 labels and float64 values (at least
+    one), one string per block of ``TEXT_ROWS`` rows.
 
     A row's characters sit in fixed positions: the literals, a sign and
     right-aligned digits per label, and the value's sign, ``0.000`` prefix,
@@ -192,7 +191,8 @@ def row_text(js: np.ndarray, ks: np.ndarray, values: np.ndarray, fmt: str
     log10_2, log10_3_4, log2_10 = (np.int64(661971961083), np.int64(274743187321),
                                    np.int64(-913124641741))
 
-    def block(start: int, stop: int) -> str:
+    for start in range(0, len(values), TEXT_ROWS):
+        stop = min(start + TEXT_ROWS, len(values))
         m = stop - start
         out, mask = text[:, :m], used[:, :m]
         c, h, k, t, w, vb, vbl, vbr, c0, c1, z, odd = buffer[:, :m]
@@ -366,10 +366,4 @@ def row_text(js: np.ndarray, ks: np.ndarray, values: np.ndarray, fmt: str
             np.subtract(b, biased[0], out=big)
             np.subtract(biased[0], b, out=big, where=temp)
             _put_quads(words, big[None], out[expo + 2 : expo + 5], scratch[:1, :m])
-        return str(out.T[mask.T], "ascii")
-
-    def render(start: int, stop: int, head: str = "") -> str:
-        return "".join([head] + [block(a, min(a + TEXT_ROWS, stop))
-                                 for a in range(start, stop, TEXT_ROWS)])
-
-    return render
+        yield str(out.T[mask.T], "ascii")

@@ -9,6 +9,11 @@ up is one index division), so a node at generation 2**62 is as cheap to
 handle as the root; only region iterators materialize node sets, and those
 are capped.
 
+A node set travels as label runs ``(generation, first index, count)``: a
+region's runs are its generations (a :class:`Strip` or :class:`Generations`
+region is one generation span ``[t0, t1)``), and :func:`run_labels`, the one
+expander of runs, builds the int64 labels of a window of columns at a time.
+
 Tree distance has one array implementation, :func:`tree_distances`, which
 the separation checks, refutation scans and graph distances share;
 :func:`tree_distance` is its pure-int scalar reference.
@@ -33,6 +38,8 @@ from .errors import CapacityError, ValidationError, is_integer, require
 MAX_LABEL = 1 << 63          # generation and index must stay below 63 usable bits
 DEFAULT_NODE_CAP = 1 << 26   # hard stop for materialized regions
 BALL_ENTRY_CAP = 1 << 28     # ball members in all: the radius-1 balls of that many nodes at A = 2
+
+Run = tuple[int, int, int]  # (generation, first index, count): consecutive labels
 
 
 @dataclass(frozen=True, order=True, slots=True, init=False)
@@ -180,17 +187,11 @@ def _ball_size(j: int, A: int, m: int) -> int:
     return sum(A ** (min((m - d) // 2, j) + d) for d in range(-min(j, m), m + 1))
 
 
-def ball_sizes(
-    js: np.ndarray, ks: np.ndarray, A: int, m: int, counts: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Member counts of the radius-``m`` balls around the nodes ``(js, ks)``,
-    indexed by the center's generation clipped at ``m``: the ball of
-    ``(j, k)`` holds ``sizes[min(j, m)]`` nodes (every generation from ``m``
-    on has balls of one size).  An entry no center uses reads 0.
-
-    Given ``counts``, the centers are counted per generation instead: the
-    ``counts[i]`` nodes of generation ``js[i]`` whose largest index is
-    ``ks[i]``, with no label array of them.
+def ball_sizes(runs: Sequence[Run], A: int, m: int) -> np.ndarray:
+    """Member counts of the radius-``m`` balls around the labels of the
+    (nonempty) ``runs``, indexed by the center's generation clipped at ``m``:
+    the ball of ``(j, k)`` holds ``sizes[min(j, m)]`` nodes (every generation
+    from ``m`` on has balls of one size).  An entry no center uses reads 0.
 
     Raises :class:`ValidationError` when a ball would need labels past the
     63-bit range, as :func:`children` does, and :class:`CapacityError`, before
@@ -198,10 +199,12 @@ def ball_sizes(
     ``BALL_ENTRY_CAP`` members in all.
     """
     # m >= 63 puts A**m past every label without computing it
-    if m >= 63 or int(js.max()) + m >= MAX_LABEL or int(ks.max()) * A**m >= MAX_LABEL:
+    if (m >= 63 or max(j for j, _, _ in runs) + m >= MAX_LABEL
+            or max(first + count - 1 for _, first, count in runs) * A**m >= MAX_LABEL):
         raise ValidationError(f"radius-{m} balls of these nodes overflow the 63-bit label range")
-    # float bin sums are exact: fewer centers than 2**53 pass the node cap
-    centers = [int(c) for c in np.bincount(np.minimum(js, m), counts, minlength=m + 1).tolist()]
+    centers = [0] * (m + 1)
+    for j, _, count in runs:
+        centers[min(j, m)] += count
     sizes = [_ball_size(j, A, m) if count else 0 for j, count in enumerate(centers)]
     total = sum(count * size for count, size in zip(centers, sizes))
     if total > BALL_ENTRY_CAP:
@@ -210,35 +213,6 @@ def ball_sizes(
             f"exceeding the cap of {BALL_ENTRY_CAP}"
         )
     return np.array(sizes, dtype=np.int64)
-
-
-def ball_layer(
-    js: np.ndarray, ks: np.ndarray, A: int, m: int, d: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The members, in generation ``j + d``, of the radius-``m`` ball around
-    each node ``(js[i], ks[i])``: the ``counts[i]`` indices from
-    ``firsts[i]``.  Every node needs ``js[i] + d >= 0`` and ``-m <= d <= m``.
-
-    A ball's members in generation ``j + d`` are one contiguous index range:
-    with ``up = min((m - d) // 2, j)``, they are the descendants, ``up + d``
-    generations down, of the center's ancestor ``up`` generations up.  For a
-    center ``(j, k)`` that ancestor's index is ``K = (k - 1) // A**up + 1``
-    and the range is the ``A**(up + d)`` indices from
-    ``(K - 1) * A**(up + d) + 1``.  The block ``(k - 1) // A**up`` is monotone
-    in ``k``, so the layers of consecutive centers of one generation tile one
-    interval.
-
-    The labels must pass :func:`ball_sizes` first, which keeps every index
-    below ``2**63``.
-    """
-    powers = _powers(A)  # A**m < 2**63 by the label check, so every exponent below is in it
-    up = np.minimum((m - d) // 2, js)
-    counts = powers[up + d]
-    firsts = ks - 1
-    firsts //= powers[up]
-    firsts *= counts
-    firsts += 1
-    return firsts, counts
 
 
 def _is_tree_edge(a: NodeId, b: NodeId, A: int) -> bool:
@@ -350,6 +324,13 @@ class Generations:
 Region = Union[Subtree, Strip, Generations]
 
 
+def generation_span(region: Strip | Generations) -> tuple[int, int]:
+    """The generations ``[t0, t1)`` that a strip or generations region holds."""
+    if isinstance(region, Strip):
+        return region.level, region.level + region.depth
+    return 0, region.count
+
+
 def _validate_region(region: Region, A: int) -> None:
     if not isinstance(region, (Subtree, Strip, Generations)):
         raise ValidationError(f"unknown region type: {region!r}")
@@ -365,9 +346,8 @@ def region_node_count(region: Region, A: int) -> int:
     _validate_region(region, A)
     if isinstance(region, Subtree):
         return (A**region.depth - 1) // (A - 1)
-    if isinstance(region, Strip):
-        return A**region.level * (A**region.depth - 1) // (A - 1)
-    return (A**region.count - 1) // (A - 1)
+    t0, t1 = generation_span(region)
+    return (A**t1 - A**t0) // (A - 1)
 
 
 def check_node_cap(region: Region, A: int, cap: int = DEFAULT_NODE_CAP) -> None:
@@ -378,10 +358,7 @@ def check_node_cap(region: Region, A: int, cap: int = DEFAULT_NODE_CAP) -> None:
     """
     require((("cap", cap, 0),))
     _validate_region(region, A)
-    if isinstance(region, Generations):
-        deepest = region.count - 1
-    else:
-        deepest = (region.level if isinstance(region, Strip) else 0) + region.depth - 1
+    deepest = region.depth - 1 if isinstance(region, Subtree) else generation_span(region)[1] - 1
     bits = low_bits(A, deepest)  # the deepest generation alone has A**deepest nodes
     if bits >= cap.bit_length() or region_node_count(region, A) > cap:
         raise CapacityError(f"region holds at least 2**{bits} nodes, exceeding the cap of {cap}")
@@ -396,18 +373,16 @@ def low_bits(A: int, e: int) -> int:
                math.floor(math.log2(A) * min(e, 1 << 62) * (1 - 2**-40)))
 
 
-def _generation_runs(region: Region, A: int, cap: int) -> list[tuple[int, int, int]]:
-    """``(j, first_k, count)`` for each generation of ``region``, in order.
+def _generation_runs(region: Region, A: int, cap: int) -> list[Run]:
+    """The run ``(j, first_k, count)`` of each generation of ``region``, in order.
 
     Checks the cap and the 63-bit label range before anything is built.
     """
     check_node_cap(region, A, cap)
     if isinstance(region, Subtree):
         runs = [(region.j + d, A**d * (region.k - 1) + 1, A**d) for d in range(region.depth)]
-    elif isinstance(region, Strip):
-        runs = [(j, 1, A**j) for j in range(region.level, region.level + region.depth)]
     else:
-        runs = [(j, 1, A**j) for j in range(region.count)]
+        runs = [(j, 1, A**j) for j in range(*generation_span(region))]
     if runs:
         j, first, count = runs[-1]  # the deepest generation holds the largest labels
         if j >= MAX_LABEL or first + count - 1 >= MAX_LABEL:
@@ -434,19 +409,27 @@ def region_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Generations and indices (int64) of the nodes of ``region``, in the
     order of :func:`region_nodes`, without building a :class:`NodeId`."""
-    return _run_arrays(_generation_runs(region, A, cap))
+    runs = _generation_runs(region, A, cap)
+    return run_labels(runs, 0, sum(count for _, _, count in runs))
 
 
-def _run_arrays(runs: Sequence[tuple[int, int, int]]) -> tuple[np.ndarray, np.ndarray]:
-    """The int64 labels ``(js, ks)`` of the runs ``(j, first_k, count)`` laid
-    end to end, each in index order."""
-    counts = [count for _, _, count in runs]
-    js = np.repeat(np.array([j for j, _, _ in runs], dtype=np.int64), counts)
-    ks = np.concatenate(
-        [np.arange(first, first + count, dtype=np.int64) for _, first, count in runs]
-        or [np.empty(0, dtype=np.int64)]
-    )
-    return js, ks
+def run_labels(runs: Sequence[Run], start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 labels ``(js, ks)`` of columns ``start .. stop - 1`` of the
+    runs ``(j, first_k, count)`` (each ``count >= 1``) laid end to end, each
+    in index order.  ``runs`` may be an int64 array of shape ``(n, 3)``,
+    which is then not copied."""
+    gens, firsts, counts = np.asarray(runs, dtype=np.int64).reshape(-1, 3).T
+    ends = np.cumsum(counts)
+    lo = int(np.searchsorted(ends, start, "right"))
+    hi = int(np.searchsorted(ends, stop, "left")) + 1  # runs lo .. hi - 1 meet the columns
+    begin = ends[lo:hi] - counts[lo:hi]
+    skip = np.maximum(begin, start) - begin  # columns of the first run before start
+    lengths = np.minimum(ends[lo:hi], stop) - begin - skip
+    ks = np.ones(stop - start + 1, dtype=np.int64)  # steps of the indices, summed below
+    at, firsts = begin + skip - start, firsts[lo:hi] + skip
+    ks[at] += firsts - 1  # each run's first index, then back to 1 one past its last
+    ks[at + lengths] -= firsts + lengths - 1
+    return np.repeat(gens[lo:hi], lengths), np.cumsum(ks, out=ks)[: stop - start]
 
 
 def parse_edge_list(text: str) -> list[tuple[NodeId, NodeId]]:

@@ -503,6 +503,19 @@ def test_zero_terms_stay_finite_past_float_range():
     assert bb.block_count == -(-2**1100 // 8)
 
 
+def test_block_count_refuses_from_the_first_depth_past_the_digit_limit():
+    # L log10(2) first reaches 4300 at L = 14285; at 14284 block_count prints
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert len(str(bernstein_bound(_zero_input(L=14284, sigma2=0.0)).block_count)) == 4300
+        with pytest.raises(CapacityError) as exc:
+            bernstein_bound(_zero_input(L=14285, sigma2=0.0))
+        assert str(exc.value) == "block_count = ceil(A**L / (P2 + Q2)) may exceed 4300 digits"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_optimizer_refuses_unprintable_depth_before_forming_a_power():
     # forming 3**(10**7) takes seconds and grows faster than linearly in L; the
     # refusal must come from L * log10(A) first, and the child's timeout fails

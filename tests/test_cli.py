@@ -45,6 +45,20 @@ def test_count_pairs_single_distance_json(capsys):
     assert row == {"A": 3, "P": 4, "L": 3, "N": 198}
 
 
+def test_count_pairs_refuses_from_the_first_gens_past_the_digit_limit(capsys):
+    # N <= P (L + 2) A**(P - 1 + L/2) first reaches 4300 digits at gens 14270 (A = 2, L = 1)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, _ = run(capsys, "count-pairs", "--rate", "2", "--gens", "14269", "--dist", "1")
+        assert code == 0 and out.splitlines()[1].startswith("2,14269,1,")
+        code, out, err = run(capsys, "count-pairs", "--rate", "2", "--gens", "14270", "--dist", "1")
+        assert (code, out) == (3, "")
+        assert err == "error: pair counts at distance 1 may exceed 4300 digits\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_unknown_flag_is_named(capsys):
     code, _, err = run(capsys, "count-pairs", "--rate", "2", "--gens", "2", "--bogus")
     assert code == 1

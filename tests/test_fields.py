@@ -36,8 +36,8 @@ from treebound import fields as _fields
 from treebound import rowtext
 from treebound.cli import main
 from treebound.errors import CapacityError
-from treebound.tree import (BALL_ENTRY_CAP, MAX_LABEL, _ball_size, _powers, ball_sizes,
-                            region_arrays)
+from treebound.tree import (BALL_ENTRY_CAP, MAX_LABEL, _ball_size, _generation_runs, _powers,
+                            ball_sizes, region_arrays)
 
 
 def test_independent_moments():
@@ -258,18 +258,27 @@ def _innovation_ref(seed, replicate, j, k):
     return 2.0 * ((_mix64_ref(r ^ n) >> 11) * 2.0**-53) - 1.0
 
 
+def _one_node_runs(js, ks):
+    """Arbitrary labels as one-node runs, in their order: the form in which
+    the tests hash labels that are not runs."""
+    return [(j, k, 1) for j, k in zip(np.asarray(js).tolist(), np.asarray(ks).tolist())]
+
+
+def _innovations_at(seed, reps, js, ks):
+    return _fields._innovations(seed, reps, _one_node_runs(js, ks))
+
+
 def test_innovations_match_pure_python_splitmix64():
     reps = [0, 1, 2**40]
     labels = [(0, 1), (62, 2**62), (5, 17)]
-    js = np.array([j for j, _ in labels], dtype=np.int64)
-    ks = np.array([k for _, k in labels], dtype=np.int64)
+    runs = [(j, k, 1) for j, k in labels]
     for seed in (0, 12345, -7, 2**64 + 5, 2**70 - 1):
-        got = _fields._innovations(seed, np.array(reps, dtype=np.uint64), js, ks)
+        got = _fields._innovations(seed, np.array(reps, dtype=np.uint64), runs)
         want = [[_innovation_ref(seed, r, j, k) for j, k in labels] for r in reps]
         assert got.flags.c_contiguous and got.tolist() == want
     # seeds are masked to 64 bits
-    a = _fields._innovations(-7, np.array(reps, dtype=np.uint64), js, ks)
-    b = _fields._innovations(2**64 - 7, np.array(reps, dtype=np.uint64), js, ks)
+    a = _fields._innovations(-7, np.array(reps, dtype=np.uint64), runs)
+    b = _fields._innovations(2**64 - 7, np.array(reps, dtype=np.uint64), runs)
     assert np.array_equal(a, b)
 
 
@@ -378,7 +387,7 @@ def test_balls_match_tree_distance_definition():
                     assert {NodeId(j, k) for j, k in members} == ball
                     bj = np.array([u.j for u in ball])
                     bk = np.array([u.k for u in ball])
-                    mean = _fields._innovations(21, reps, bj, bk).mean(axis=1)
+                    mean = _innovations_at(21, reps, bj, bk).mean(axis=1)
                     assert np.allclose(values[:, i], 0.8 * mean, rtol=0, atol=1e-12)
 
 
@@ -396,7 +405,7 @@ def test_branching_ar_matches_per_node_recursion():
                     path.append(NodeId(path[-1].j - 1, (path[-1].k - 1) // A + 1))
                 z = None
                 for u in reversed(path):
-                    innov = _fields._innovations(8, reps, np.array([u.j]), np.array([u.k]))[:, 0]
+                    innov = _fields._innovations(8, reps, [(u.j, u.k, 1)])[:, 0]
                     z = C * innov if z is None else a * z + (1.0 - abs(a)) * C * innov
                 assert np.array_equal(values[:, i], z)
 
@@ -448,7 +457,7 @@ def _assert_near_the_whole_matrix_sums(spec, js, ks, A, reps, sums):
     whole innovation matrix and the oracle's weights."""
     support_j, support_k, weights = _oracle_weights(spec, js, ks, A)
     reps = np.array(reps, dtype=np.uint64)
-    u = _fields._innovations(spec.master_seed, reps, support_j, support_k)
+    u = _innovations_at(spec.master_seed, reps, support_j, support_k)
     _assert_near_exact(sums, *_exact_sums(u, weights), _pieces(weights))
 
 
@@ -533,7 +542,7 @@ def _per_node_autoregression(spec, js, ks, A, reps):
     for g in range(int(js.max(initial=-1)) + 1):
         on = js >= g
         up = (ks[on] - 1) // _powers(A)[js[on] - g] + 1
-        u = _fields._innovations(spec.master_seed, reps, np.full(len(up), g), up)
+        u = _innovations_at(spec.master_seed, reps, np.full(len(up), g), up)
         z[:, on] = spec.C * u if g == 0 else step * u + spec.a * z[:, on]
     return z
 
@@ -543,11 +552,11 @@ def _oracle_values(spec, js, ks, A, reps):
     the CSR ball means, or the per-node autoregression."""
     reps = np.asarray(reps, dtype=np.uint64)
     if spec.kind == "independent":
-        return spec.C * _fields._innovations(spec.master_seed, reps, js, ks)
+        return spec.C * _innovations_at(spec.master_seed, reps, js, ks)
     if spec.kind == "branching_ar":
         return _per_node_autoregression(spec, js, ks, A, reps)
     support_j, support_k, matrix = _csr_ball_means(js, ks, A, spec.m, spec.C)
-    u = _fields._innovations(spec.master_seed, reps, support_j, support_k)
+    u = _innovations_at(spec.master_seed, reps, support_j, support_k)
     return np.stack([matrix @ row for row in u]).reshape(len(reps), len(js))
 
 
@@ -787,7 +796,7 @@ def test_a_full_tile_of_random_keys_matches_the_reference():
     js = rng.integers(0, 63, 4095)
     ks = np.array([int(rng.integers(1, 2**j, endpoint=True)) for j in js.tolist()])
     reps = rng.integers(0, 2**64 - 1, 4, dtype=np.uint64, endpoint=True)
-    r, n = _fields._keys(2**64 - 3, reps, js, ks)
+    r, n = _fields._rep_keys(2**64 - 3, reps), _fields._node_keys(_one_node_runs(js, ks))
     h = np.empty((len(r), len(n)), dtype=np.uint64)
     got = _fields._hash_tile(r, n, h, np.empty_like(h))
     want = [
@@ -819,7 +828,7 @@ def test_independent_sums_are_the_correctly_rounded_exact_sums(region, A):
     js, ks = region_arrays(region, A)
     assert len(js) <= _fields.GROUP_COLUMNS
     reps = range(40)
-    u = _fields._innovations(48, np.array(reps, dtype=np.uint64), js, ks)
+    u = _innovations_at(48, np.array(reps, dtype=np.uint64), js, ks)
     exact = _exact_sums(u, np.ones(len(js)))[0]
     assert region_sums(spec, region, A, reps).tolist() == [float(x) for x in exact]
 
@@ -845,7 +854,7 @@ def test_exact_piece_sums_do_not_wrap_at_the_int64_ends(bits, monkeypatch):
 
 def test_hash_tile_allocates_no_tile_sized_buffer():
     # 577 KiB with a uint64 -> float64 multiply, 512 KiB with a cast onto h's own memory
-    r, n = _fields._keys(1, np.arange(16, dtype=np.uint64), np.full(4096, 12), np.arange(1, 4097))
+    r, n = _fields._rep_keys(1, np.arange(16, dtype=np.uint64)), _fields._node_keys([(12, 1, 4096)])
     h = np.empty((16, 4096), dtype=np.uint64)
     assert h.size == _fields.BLOCK_VALUES
     tmp = np.empty_like(h)
@@ -1031,23 +1040,34 @@ def _peak_bytes(call):
 
 def test_node_keys_memory_is_one_key_array():
     # 1 MiB of keys for 131071 nodes; a fresh array per step peaked at 3 MiB
-    js, ks = region_arrays(Generations(17), 2)
+    runs = _generation_runs(Generations(17), 2, 1 << 17)
+    width = sum(count for _, _, count in runs)
+    assert _peak_bytes(lambda: _fields._node_keys(runs)) <= 2 * 8 * width
+
+
+def test_hashing_one_run_builds_no_label_array():
+    # one 65536-node run: its keys, the output and the hash tile's scratch,
+    # 512 KiB each; the keys' two KEY_VALUES scratch rows and label chunks
+    # (256 KiB) are freed before the tiles are made.  The run's int64 labels
+    # would add 1 MiB while the keys are mixed, or through the hash if held
+    width = 1 << 16
     reps = np.zeros(1, dtype=np.uint64)
-    assert _peak_bytes(lambda: _fields._keys(1, reps, js, ks)) <= 2 * 8 * len(js)
+    peak = _peak_bytes(lambda: _fields._innovations(3, reps, [(16, 1, width)]))
+    assert peak < 3 * 8 * width + 16 * 2**10
 
 
 def test_node_keys_do_not_depend_on_the_key_step(monkeypatch):
     rng = np.random.default_rng(50)
     js = rng.integers(0, 63, 5000)
     ks = np.array([int(rng.integers(1, 2**j, endpoint=True)) for j in js.tolist()])
-    reps = np.arange(3, dtype=np.uint64)
-    want = _fields._keys(7, reps, js, ks)
+    runs = _one_node_runs(js, ks)
+    want = _fields._node_keys(runs)
     for step in (1, 777, 4999):
         monkeypatch.setattr(_fields, "KEY_VALUES", step)
-        assert all(np.array_equal(a, b) for a, b in zip(_fields._keys(7, reps, js, ks), want))
+        assert np.array_equal(_fields._node_keys(runs), want)
     n0 = [_mix64_ref(_mix64_ref(j ^ 0xE7037ED1A0B428DB) ^ _mix64_ref(k ^ 0x8EBC6AF09C88C6E3))
           for j, k in zip(js.tolist(), ks.tolist())]
-    assert want[1].tolist() == [_fold_ref(x) for x in n0]
+    assert want.tolist() == [_fold_ref(x) for x in n0]
 
 
 def test_m_dependent_compile_memory_is_bounded():
@@ -1150,11 +1170,12 @@ def test_field_csv_memory_is_bounded_by_its_text():
 
 
 def test_field_csv_chunk_memory_is_within_the_per_row_format():
-    # formatting the first 4096 rows with one % format per chunk peaked at
-    # 616 KiB: the rows' Python objects, the text and its join with the header
+    # a chunk is one kernel block of TEXT_ROWS rows; formatting 4096 rows with
+    # one % format per chunk peaked at 616 KiB: the rows' Python objects, the
+    # text and its join with the header
     sample = sample_field(FieldSpec.m_dependent(1, C=1.0, master_seed=45), Generations(16), 2, 0)
-    chunk = tuple(array[: _fields.CSV_ROWS] for array in sample)
-    assert _fields.CSV_ROWS == 4096
+    chunk = tuple(array[: rowtext.TEXT_ROWS] for array in sample)
+    assert rowtext.TEXT_ROWS == 1024
     assert _peak_bytes(lambda: field_to_csv(chunk)) <= 616 * 2**10
 
 
@@ -1162,14 +1183,11 @@ def test_field_csv_chunk_boundaries(monkeypatch):
     sample = sample_field(_KINDS[1], Strip(2, 3), 3, 7)
     n, want = len(sample[2]), _csv_ref(sample)
     empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
-    for rows in (1, 7, n - 1, n, n + 1):
-        monkeypatch.setattr(_fields, "CSV_ROWS", rows)
+    for rows in (1, 3, 7, n - 1, n, n + 1):  # the kernel's rows per pass, one chunk each
+        monkeypatch.setattr(rowtext, "TEXT_ROWS", rows)
         assert field_to_csv(sample) == want
         assert field_to_csv(empty) == "j,k,value\n"
         assert len(list(field_lines(sample))) == -(-n // rows)
-        for block in (1, 3, n):  # the kernel's rows per pass, within and across chunks
-            monkeypatch.setattr(rowtext, "TEXT_ROWS", block)
-            assert field_to_csv(sample) == want
 
 
 def test_oversized_balls_raise_capacity_error_not_memory_error():
@@ -1459,8 +1477,7 @@ def test_region_sums_build_no_label_arrays_and_compile_no_map(monkeypatch):
     def refused(*args):
         raise AssertionError("a strip or generations region built labels or a map")
 
-    for name in ("_run_arrays", "_label_runs", "_run_values", "_ball_values",
-                 "_autoregression_values"):
+    for name in ("_label_runs", "_run_values", "_ball_values", "_autoregression_values"):
         monkeypatch.setattr(_fields, name, refused)
     for spec in _SUM_SPECS:
         for region in (Generations(7), Strip(3, 3)):
@@ -1518,13 +1535,12 @@ def test_region_plan_refusals():
 
 
 def test_ball_sizes_per_generation_match_the_label_form():
+    # a region's generation runs count the balls of its labels as one-node runs
     for A, m in ((2, 1), (3, 2), (2, 4)):
-        for region in (Generations(5), Strip(1, 3), Strip(3, 2)):
-            js, ks = region_arrays(region, A)
-            gens = np.unique(js)
-            counts = _powers(A)[gens]
-            assert np.array_equal(ball_sizes(gens, counts, A, m, counts), ball_sizes(js, ks, A, m))
-    js, ks = region_arrays(Generations(2), 2)
-    for args in ((js, ks), (np.arange(2), np.array([1, 2]), np.array([1, 2]))):
+        for region in (Generations(5), Strip(1, 3), Strip(3, 2), Subtree(2, 3, 2)):
+            runs = _generation_runs(region, A, 1 << 10)
+            labels = _one_node_runs(*region_arrays(region, A))
+            assert np.array_equal(ball_sizes(runs, A, m), ball_sizes(labels, A, m))
+    for runs in (_generation_runs(Generations(2), 2, 3), _one_node_runs([0, 1, 1], [1, 1, 2])):
         with pytest.raises(CapacityError, match="balls of 3 nodes hold"):
-            ball_sizes(args[0], args[1], 2, 40, *args[2:])
+            ball_sizes(runs, 2, 40)

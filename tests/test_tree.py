@@ -29,7 +29,7 @@ from treebound import (
     region_nodes,
     tree_distance,
 )
-from treebound.tree import tree_distances
+from treebound.tree import run_labels, tree_distances
 
 
 def _random_node(rnd, A, max_gen=20):
@@ -360,3 +360,34 @@ def test_deep_region_is_refused_before_its_exact_count():
                 region_arrays(region, A)
             low_bits = int(str(info.value).split("2**")[1].split()[0])
             assert 2**low_bits <= region_node_count(region, A) < 2 ** (low_bits + 2)
+
+
+def _run_labels_ref(runs, start, stop):
+    """Columns ``start .. stop - 1`` of the runs' labels laid end to end, in Python ints."""
+    labels = [(j, first + i) for j, first, count in runs for i in range(count)][start:stop]
+    return [j for j, _ in labels], [k for _, k in labels]
+
+
+def test_run_labels_match_the_pure_python_expansion():
+    rnd = random.Random(29)
+    for _ in range(400):
+        runs = []
+        for _ in range(rnd.randint(0, 6)):
+            count = rnd.randint(1, 30)
+            j = rnd.choice((rnd.randint(0, 70), 2**62 + rnd.randint(0, 10), 2**63 - 1))
+            first = rnd.choice((2, rnd.randint(2, 10**6), 2**62 + rnd.randint(-10**6, 10**6),
+                                2**63 - count - rnd.randint(0, 3)))
+            runs.append((j, first, count))
+        width = sum(count for _, _, count in runs)
+        windows = [(0, width)] + [tuple(sorted(rnd.randint(0, width) for _ in range(2)))
+                                  for _ in range(6)]
+        for start, stop in windows:
+            js, ks = run_labels(runs, start, stop)
+            assert js.dtype == ks.dtype == np.int64
+            assert (js.tolist(), ks.tolist()) == _run_labels_ref(runs, start, stop)
+    # windows that start or stop inside a run, span runs, or hold nothing
+    runs = [(3, 5, 4), (62, 2**62 - 1, 3), (0, 1, 1), (2**62, 2**63 - 2, 1)]
+    for start, stop in ((1, 3), (2, 6), (3, 9), (6, 7), (0, 9), (4, 4), (0, 0), (9, 9)):
+        js, ks = run_labels(np.array(runs, dtype=np.int64), start, stop)
+        assert (js.tolist(), ks.tolist()) == _run_labels_ref(runs, start, stop)
+    assert [len(x) for x in run_labels([], 0, 0)] == [0, 0]
