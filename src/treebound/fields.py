@@ -57,7 +57,8 @@ both allocated once per call: its peak memory is those two buffers (512 KiB
 each) per worker process plus the node keys, 8 bytes per support node,
 whatever the replicate count.  A :class:`Subtree` region, and
 :func:`node_sums` on a node list, add sampled values instead, the values of
-at most ``BLOCK_VALUES`` at a time.
+at most ``BLOCK_VALUES`` at a time, with the node keys of each run built
+once per call and shared by its tiles (:func:`_key_memo`).
 
 The finalizer's first step, ``x ^ (x >> 30)``, distributes over the xor of a
 replicate key and a node key, so :func:`_rep_keys` and :func:`_node_keys`
@@ -85,14 +86,25 @@ most 2048 nodes).  Integer sums do not depend on order, so the stable sort of
 the plan's rows by weight changes nothing.
 
 :func:`field_lines` renders a sample as CSV or JSON lines, one string per
-block of ``TEXT_ROWS`` rows that the numpy kernel of :mod:`treebound.rowtext`
-yields, and :func:`field_to_csv` joins them.  Each value's shortest
-round-trip digits come from its bits by Schubfach (Giulietti, 2020; the
-digits of Ryu, Adams, PLDI 2018) in uint64 arithmetic, exactly, and are laid
-out by ``repr``'s rules in fixed character positions that one boolean mask
-per block of rows compacts into the text.  The bytes are ``repr``'s and
-``json``'s; the tests compare them on 10**6 random bit patterns and every
-power of two with its neighbours.
+block of ``TEXT_ROWS`` (3328) rows that the numpy kernel of
+:mod:`treebound.rowtext` yields, and :func:`field_to_csv` joins them.  Each
+value's shortest round-trip digits come from its bits by Schubfach
+(Giulietti, 2020; the digits of Ryu, Adams, PLDI 2018) in uint64
+arithmetic, exactly, and are laid out by ``repr``'s rules in fixed
+character positions, 0 where a row has no character, which one boolean
+mask per block of rows compacts into the text.  One work array of about
+128 bytes a row serves every stage of a block, which with the block's text
+peaks at about 185 bytes a row, so a block of ``TEXT_ROWS`` rows stays
+within 616 KiB.  The bytes are ``repr``'s and ``json``'s; the tests compare
+them on 10**6 random bit patterns and every power of two with its
+neighbours.
+
+:func:`region_sums`, :func:`node_sums` and :func:`field_values` refuse more
+than ``REPLICATE_VALUES`` = 2**28 returned values (replicates times values
+per replicate, 2 GiB of float64) with :class:`CapacityError`, counted from
+the replicates before any array of them.  ``verify.mc_tail`` sums its
+replicates in blocks through :func:`region_sums_of` instead, under its own
+cap on hashed values.
 """
 
 from __future__ import annotations
@@ -117,6 +129,7 @@ AR_WALK_GENERATIONS = 1 << 16  # ancestor generations one autoregression walks: 
 BLOCK_VALUES = 1 << 16  # hashed values per tile: 512 KiB of uint64, cache resident
 KEY_VALUES = 1 << 13  # node keys mixed per step of _node_keys: 64 KiB per scratch row
 GROUP_COLUMNS = 2048  # columns per exact integer sum: 2048 * 2**53 = 2**64
+REPLICATE_VALUES = 1 << 28  # values one region_sums, node_sums or field_values call returns: 2 GiB
 
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
@@ -218,11 +231,29 @@ def _hash_tile(r: np.ndarray, n: np.ndarray, h: np.ndarray, tmp: np.ndarray) -> 
     return u
 
 
-def _innovations(seed: int, reps: np.ndarray, runs: Sequence[Run]) -> np.ndarray:
+def _key_memo() -> Callable[[Sequence[Run]], np.ndarray]:
+    """:func:`_node_keys` remembered by its runs, for a caller that hashes the
+    same runs once per tile of replicates: each is keyed once per call."""
+    memo: dict[tuple, np.ndarray] = {}
+
+    def keys(runs: Sequence[Run]) -> np.ndarray:
+        key = tuple(map(tuple, runs))
+        if key not in memo:
+            memo[key] = _node_keys(runs)
+        return memo[key]
+
+    return keys
+
+
+def _innovations(
+    seed: int, reps: np.ndarray, runs: Sequence[Run],
+    keys: Optional[Callable[[Sequence[Run]], np.ndarray]] = None,
+) -> np.ndarray:
     """Uniform [-1, 1) innovations keyed on (seed, replicate, node) at the
     labels of ``runs`` laid end to end, shape (len(reps), nodes),
-    C-contiguous; a pure function of its inputs."""
-    r, n = _rep_keys(seed, reps), _node_keys(runs)
+    C-contiguous; a pure function of its inputs.  The node keys come from
+    ``keys`` (a :func:`_key_memo`) when given, else from :func:`_node_keys`."""
+    r, n = _rep_keys(seed, reps), (_node_keys(runs) if keys is None else keys(runs))
     out = np.empty((len(r), len(n)), dtype=np.uint64)
     rows = max(1, BLOCK_VALUES // max(len(n), 1))
     tmp = np.empty((min(rows, len(r)), len(n)), dtype=np.uint64)
@@ -448,28 +479,49 @@ def _autoregression_plan(t0: int, t1: int, A: int, a: float, C: float) -> Region
                       np.array(_autoregression_norms(t1, a, C)[t0:]))
 
 
+def _replicate_count(replicates: Sequence[int]) -> int:
+    """The number of replicate ids.  A ``range`` is checked by its ends, which
+    bound it (:class:`ValidationError` unless both lie in ``[0, 2**64)``), and
+    counted from them (:class:`CapacityError` past ``sys.maxsize``, where
+    ``len`` fails)."""
+    r = replicates
+    if not isinstance(r, range):
+        return len(r)
+    if not r:
+        return 0
+    if 0 <= r[0] < 1 << 64 and 0 <= r[-1] < 1 << 64:
+        count = (r[-1] - r[0]) // r.step + 1
+        if count > sys.maxsize:
+            raise CapacityError(f"{count} replicate ids exceed the cap of {sys.maxsize}")
+        return count
+    bad = r[0]
+    if 0 <= bad < 1 << 64:  # the first id past the end the range crosses
+        bad = r[((1 << 64) - 1 - bad if r.step > 0 else bad) // abs(r.step) + 1]
+    raise _replicate_error(bad)
+
+
+def _check_replicates(replicates: Sequence[int], width: int) -> None:
+    """:class:`CapacityError` when ``width`` values for each replicate exceed
+    ``REPLICATE_VALUES``, counted before any array (:func:`_replicate_count`)."""
+    count = _replicate_count(replicates)
+    if count * width > REPLICATE_VALUES:
+        raise CapacityError(f"{count} replicates x {width} values exceed the cap of "
+                            f"{REPLICATE_VALUES} values one call returns")
+
+
 def _replicate_ids(replicates: Sequence[int]) -> np.ndarray:
     """Replicate ids as uint64; :class:`ValidationError` unless each is an
-    integer in ``[0, 2**64)``.  A ``range`` is checked by its ends, which bound
-    it, counted from them (:class:`CapacityError` past ``sys.maxsize``, where
-    ``len`` fails) and built by ``np.arange``."""
+    integer in ``[0, 2**64)``.  A ``range`` is counted by
+    :func:`_replicate_count` and built by ``np.arange``."""
     if isinstance(replicates, range):
-        r = replicates
-        if not r:
-            return np.zeros(0, dtype=np.uint64)
-        if 0 <= r[0] < 1 << 64 and 0 <= r[-1] < 1 << 64:
-            count = (r[-1] - r[0]) // r.step + 1
-            if count > sys.maxsize:
-                raise CapacityError(f"{count} replicate ids exceed the cap of {sys.maxsize}")
-            ids = np.arange(count, dtype=np.uint64)
+        r, count = replicates, _replicate_count(replicates)
+        ids = np.arange(count, dtype=np.uint64)
+        if count:
             ids *= np.uint64(abs(r.step))
             if r.step > 0:
                 return np.add(ids, np.uint64(r[0]), out=ids)
             return np.subtract(np.uint64(r[0]), ids, out=ids)
-        bad = r[0]
-        if 0 <= bad < 1 << 64:  # the first id past the end the range crosses
-            bad = r[((1 << 64) - 1 - bad if r.step > 0 else bad) // abs(r.step) + 1]
-        raise _replicate_error(bad)
+        return ids
     ids = list(replicates)
     for r in ids:
         if not isinstance(r, (int, np.integer)) or isinstance(r, bool) or not 0 <= r < 1 << 64:
@@ -578,20 +630,23 @@ def _region_runs(spec: FieldSpec, region: Region, A: int) -> tuple[list[Run], in
     return runs, _checked_runs(spec, runs, A)
 
 
-def _run_values(spec: FieldSpec, reps: np.ndarray, runs: Sequence[Run], A: int) -> np.ndarray:
+def _run_values(
+    spec: FieldSpec, reps: np.ndarray, runs: Sequence[Run], A: int,
+    keys: Optional[Callable[[Sequence[Run]], np.ndarray]] = None,
+) -> np.ndarray:
     """The values of replicates ``reps`` at the labels of ``runs`` (past
     :func:`_checked_runs`) laid end to end, each checked to lie within
-    ``C (1 + 1e-12)`` of 0."""
+    ``C (1 + 1e-12)`` of 0; ``keys`` as :func:`_innovations` takes it."""
     width = sum(count for _, _, count in runs)
     if not (width and len(reps)):
         return np.zeros((len(reps), width))
     seed, C = spec.master_seed, spec.C
     if spec.kind == "m_dependent":
-        values = _ball_values(seed, reps, runs, A, spec.m, C)
+        values = _ball_values(seed, reps, runs, A, spec.m, C, keys)
     elif spec.kind == "branching_ar":
-        values = _autoregression_values(seed, reps, runs, A, spec.a, C)
+        values = _autoregression_values(seed, reps, runs, A, spec.a, C, keys)
     else:
-        values = _innovations(seed, reps, runs)
+        values = _innovations(seed, reps, runs, keys)
         values *= C
     limit = C * (1.0 + 1e-12)
     if not (-limit <= values.min() and values.max() <= limit):
@@ -600,7 +655,8 @@ def _run_values(spec: FieldSpec, reps: np.ndarray, runs: Sequence[Run], A: int) 
 
 
 def _autoregression_values(
-    seed: int, reps: np.ndarray, runs: Sequence[Run], A: int, a: float, C: float
+    seed: int, reps: np.ndarray, runs: Sequence[Run], A: int, a: float, C: float,
+    keys: Optional[Callable[[Sequence[Run]], np.ndarray]] = None,
 ) -> np.ndarray:
     """The autoregression at the labels of ``runs``, in place on their
     innovations, hashed in one call: ``Z = C U`` at the root and ``Z = step U
@@ -609,7 +665,7 @@ def _autoregression_values(
     generation of a region after its first does; any other run first forms
     its ancestors' runs from the root, in one call of its own, and keeps the
     last."""
-    u = _innovations(seed, reps, runs)
+    u = _innovations(seed, reps, runs, keys)
     step, prev, above, at = (1.0 - abs(a)) * C, None, None, 0
     for run in runs:
         j, first, count = run
@@ -621,7 +677,7 @@ def _autoregression_values(
             if chain[0] != above:
                 while chain[-1][0]:
                     chain.append(_parent_run(chain[-1], A))
-                prev = _autoregression_values(seed, reps, chain[::-1], A, a, C)
+                prev = _autoregression_values(seed, reps, chain[::-1], A, a, C, keys)
                 prev = prev[:, prev.shape[1] - chain[0][2] :].copy()
             skip = first - 1 - A * (chain[0][1] - 1)  # the run's first column among the repeats
             z *= step
@@ -631,7 +687,8 @@ def _autoregression_values(
 
 
 def _ball_values(
-    seed: int, reps: np.ndarray, runs: Sequence[Run], A: int, m: int, C: float
+    seed: int, reps: np.ndarray, runs: Sequence[Run], A: int, m: int, C: float,
+    keys: Optional[Callable[[Sequence[Run]], np.ndarray]] = None,
 ) -> np.ndarray:
     """The radius-``m`` ball means at the labels of ``runs``, one run at a time.
 
@@ -672,7 +729,7 @@ def _ball_values(
             layers.append((up, lo, rows, size, (j + d, lo * size + 1, rows * size)))
         missing = [key for *_, key in layers if key not in window]
         if missing:  # in one call
-            u, start = _innovations(seed, reps, missing), 0
+            u, start = _innovations(seed, reps, missing, keys), 0
             for key in missing:
                 window[key], start = u[:, start : start + key[2]], start + key[2]
         for up, lo, rows, size, key in layers:
@@ -706,8 +763,12 @@ def field_values(
     Deterministic given (master_seed, replicate, node); independent of the
     order in which replicates are batched.  The nodes are sampled as runs of
     distinct labels (:func:`_label_runs`), as a region's generations are.
+    More than ``REPLICATE_VALUES`` = 2**28 values in all raise
+    :class:`CapacityError` before any array of replicates.
     """
-    runs, columns = _label_runs(*node_labels(nodes, A))
+    js, ks = node_labels(nodes, A)
+    _check_replicates(replicates, len(js))
+    runs, columns = _label_runs(js, ks)
     _checked_runs(spec, runs, A)
     return _run_values(spec, _replicate_ids(replicates), runs, A)[:, columns]
 
@@ -805,14 +866,16 @@ def _value_sums(
     ``hashed`` per replicate), as a function of the replicates: the values of
     at most ``BLOCK_VALUES`` innovations or columns at a time (one replicate
     if more), added in column order, a running sum's last column whatever the
-    tile's shape."""
+    tile's shape.  The node keys of every run hashed are built once
+    (:func:`_key_memo`), at the first tile that hashes it."""
+    keys = _key_memo()
 
     def sums(replicates: Sequence[int]) -> np.ndarray:
         reps = _replicate_ids(replicates)
         out = np.zeros(len(reps))
         rows = max(1, BLOCK_VALUES // max(hashed, len(columns), 1))
         for start in range(0, len(reps) if len(columns) else 0, rows):
-            values = _run_values(spec, reps[start : start + rows], runs, A)[:, columns]
+            values = _run_values(spec, reps[start : start + rows], runs, A, keys)[:, columns]
             out[start : start + rows] = np.add.accumulate(values, axis=1, out=values)[:, -1]
         return out
 
@@ -836,8 +899,11 @@ def region_sums(
     exact ``w . U`` for G pieces, and is correctly rounded for one of weight 1.
 
     A :class:`Subtree` region adds its sampled values, as :func:`node_sums`
-    does.  Tile boundaries and worker counts do not affect the result.
+    does.  Tile boundaries and worker counts do not affect the result.  More
+    than ``REPLICATE_VALUES`` = 2**28 replicates raise :class:`CapacityError`
+    before any array.
     """
+    _check_replicates(replicates, 1)
     return region_sums_of(spec, region, A)(replicates)
 
 
@@ -851,7 +917,9 @@ def node_sums(
     sum within ``(n - 1) * 2**-53 * sum |Z_v|`` (to first order) of the exact
     sum of those values; for the independent field at ``C = 1`` the values
     are the innovations, exactly.  The bits do not depend on how the
-    replicates are split."""
+    replicates are split.  More than ``REPLICATE_VALUES`` = 2**28 replicates
+    raise :class:`CapacityError` before any array."""
+    _check_replicates(replicates, 1)
     runs, columns = _label_runs(*node_labels(nodes, A))
     return _value_sums(spec, runs, columns, A, _checked_runs(spec, runs, A))(replicates)
 

@@ -911,6 +911,15 @@ def test_field_csv_matches_the_row_by_row_format():
         assert _first_difference(field_to_csv(sample), _csv_ref(sample)) is None
 
 
+def test_field_csv_matches_the_row_by_row_format_across_block_ends(monkeypatch):
+    # 1000 rows a block divides none of the sample lengths, so block ends fall
+    # inside every layout case of the edge rows and the bit patterns
+    monkeypatch.setattr(rowtext, "TEXT_ROWS", 1000)
+    for sample in _edge_samples():
+        assert len(sample[2]) % 1000
+        assert _first_difference(field_to_csv(sample), _csv_ref(sample)) is None
+
+
 # sha256 of ``simulate`` stdout, generations(16), seed 17
 _SIMULATE_PINS = {
     "independent": "c3aafceb51d8e57bce826c44a3ff0b491038583b3d8d15827a2487111e2da9f5",
@@ -1175,8 +1184,22 @@ def test_field_csv_chunk_memory_is_within_the_per_row_format():
     # text and its join with the header
     sample = sample_field(FieldSpec.m_dependent(1, C=1.0, master_seed=45), Generations(16), 2, 0)
     chunk = tuple(array[: rowtext.TEXT_ROWS] for array in sample)
-    assert rowtext.TEXT_ROWS == 1024
+    assert len(list(field_lines(chunk))) == 1
     assert _peak_bytes(lambda: field_to_csv(chunk)) <= 616 * 2**10
+
+
+def test_field_lines_allocate_no_work_buffer_per_block():
+    # 16 blocks peak within one block's peak plus the text of all 16: the work
+    # array is allocated once per call, not per block
+    rows = rowtext.TEXT_ROWS
+    sample = sample_field(FieldSpec.m_dependent(1, C=1.0, master_seed=45), Generations(17), 2, 0)
+    blocks = tuple(array[-16 * rows :] for array in sample)
+    last = tuple(array[-rows:] for array in sample)
+    chunks = list(field_lines(blocks))
+    assert len(chunks) == 16 and len(list(field_lines(last))) == 1
+    text = sum(len(chunk) for chunk in chunks)
+    assert _peak_bytes(lambda: list(field_lines(blocks))) <= (
+        _peak_bytes(lambda: list(field_lines(last))) + text)
 
 
 def test_field_csv_chunk_boundaries(monkeypatch):
@@ -1356,6 +1379,76 @@ def test_replicate_ranges_past_sys_maxsize_raise_capacity_error(call):
     for reps in (range(2**63), range(2**64 - 1, -1, -1), range(1, 2**64, 1)):
         with pytest.raises(CapacityError, match="replicate ids exceed the cap"):
             run(reps)
+
+
+def test_replicate_counts_past_memory_raise_capacity_error():
+    # 2**40 replicates ask numpy for 8 TiB: under a 4 GiB address-space limit
+    # each call must be refused by its count, before any array
+    probe = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+from treebound import (CapacityError, FieldSpec, Generations, NodeId, field_values, node_sums,
+                       region_sums)
+from treebound.fields import REPLICATE_VALUES
+spec, reps = FieldSpec.independent(), range(2**40)
+for call in (lambda: region_sums(spec, Generations(2), 2, reps),
+             lambda: field_values(spec, [NodeId(1, 1)], 2, reps),
+             lambda: node_sums(spec, [NodeId(1, 1)], 2, reps)):
+    try:
+        call()
+    except CapacityError as exc:
+        assert f"exceed the cap of {REPLICATE_VALUES} values" in str(exc), str(exc)
+    else:
+        raise AssertionError("no CapacityError")
+assert field_values(spec, [NodeId(1, 1)], 2, range(REPLICATE_VALUES + 1, 0, -2**20)).shape == (257, 1)
+"""
+    src = str(Path(treebound.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_replicate_cap_counts_values_per_replicate():
+    spec, cap = FieldSpec.independent(), _fields.REPLICATE_VALUES
+    nodes = [NodeId(2, k) for k in range(1, 5)]
+    with pytest.raises(CapacityError, match="replicates x 4 values exceed the cap"):
+        field_values(spec, nodes, 2, range(cap // 4 + 1))
+    with pytest.raises(CapacityError, match="replicates x 1 values exceed the cap"):
+        node_sums(spec, nodes, 2, range(cap + 1))
+    with pytest.raises(CapacityError, match="replicates x 1 values exceed the cap"):
+        region_sums(spec, Generations(2), 2, range(cap + 1))
+
+
+# sha256 of the sums at 10**4 replicates: node_sums over generation 9's first
+# 256 nodes, region_sums over Subtree(3, 2, 6), both at rate 2
+_VALUE_SUM_PINS = {
+    "independent": ("1a14161cf206f0de1d0548fcecafaf57750235eec7e8fde84bb3c7701d96b70f",
+                    "a8a3d52755de120470a9611cbeea7e63d99de526c99dec7608311ca62838e8c9"),
+    "m_dependent": ("dedb98004748a885544bb05acea7b80b6e0df11b321b41cdf0ea350dbe02eac9",
+                    "df9f938238022e70508dc10d6619ca915d3842091cffab04e79be17729efc624"),
+    "branching_ar": ("cc36b110a4f7c314fa7eb5278ce26c36c3dea8b809c6e40710935e825d4da94c",
+                     "9f773fdfbe664b3ad6314d39174a430cdddbbc50cbf3f272674ca0ae3872c1d8"),
+}
+
+
+@pytest.mark.parametrize("spec", _KINDS, ids=[spec.kind for spec in _KINDS])
+def test_value_sums_key_each_run_once_per_call(spec, monkeypatch):
+    # the tiles of replicates share one key build per run: 157 tiles of the
+    # m-dependent sums below once built their keys 157 times
+    calls, keys = [], _fields._node_keys
+    monkeypatch.setattr(_fields, "_node_keys", lambda runs: calls.append(1) or keys(runs))
+    nodes = [NodeId(9, k) for k in range(1, 257)]
+    for call, target in ((node_sums, nodes), (region_sums, Subtree(3, 2, 6))):
+        made = []
+        for n in (10**3, 10**4):
+            calls.clear()
+            sums = call(spec, target, 2, range(n))
+            made.append(len(calls))
+        assert made[0] == made[1]
+        pin = _VALUE_SUM_PINS[spec.kind][call is region_sums]
+        assert hashlib.sha256(sums.tobytes()).hexdigest() == pin
 
 
 def test_empty_region_with_a_huge_radius_returns_at_once():

@@ -762,6 +762,31 @@ def test_empirical_alpha_branching_ar_positive():
     assert result.value >= 5 * result.std_error
 
 
+# (value, std_error) of empirical_alpha_lower on fixed plans, bit for bit
+_ALPHA_PINS = [
+    (FieldSpec.independent(C=1.0, master_seed=8), 2,
+     tuple(EventPair((NodeId(0, 1),), (NodeId(n, 1),)) for n in (2, 3, 4)), 10_000,
+     (0.004127839999999966, 0.0024994915381670525)),
+    (FieldSpec.m_dependent(1, C=1.0, master_seed=9), 3,
+     (EventPair((NodeId(0, 1),), (NodeId(3, 2),)),), 10_000,
+     (0.0030503399999999847, 0.002499880960813051)),
+    (FieldSpec.branching_ar(0.9, C=1.0, master_seed=10), 1,
+     (EventPair((NodeId(0, 1),), (NodeId(1, 1),)),), 10_000,
+     (0.23628244999999998, 0.0008172511277077407)),
+    (FieldSpec.m_dependent(1, C=1.0, master_seed=32), 3,
+     (EventPair(tuple(NodeId(9, k) for k in range(1, 129)),
+                tuple(NodeId(9, k) for k in range(385, 513)), 0.5, -0.5),), 4000,
+     (0.0035195000000000365, 0.003912651760564677)),
+]
+
+
+@pytest.mark.parametrize("spec, n, pairs, replicates, want", _ALPHA_PINS,
+                         ids=["independent", "m_dependent", "branching_ar", "m_dependent-sets"])
+def test_empirical_alpha_lower_is_pinned(spec, n, pairs, replicates, want):
+    result = empirical_alpha_lower(spec, 2, n, AlphaSamplePlan(pairs=pairs, n_replicates=replicates))
+    assert (result.value, result.std_error, result.pair_index) == (*want, 0)
+
+
 def test_empirical_alpha_memory_is_bounded():
     # all values of both sets at once would peak at about 176 MiB
     spec = FieldSpec.m_dependent(1, C=1.0, master_seed=12)
