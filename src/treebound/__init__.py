@@ -76,6 +76,7 @@ from .verify import (
     FiniteSpace,
     SpaceBlock,
     StripParams,
+    TailBound,
     TailEstimate,
     binomial_lower_99,
     binomial_upper_99,
@@ -86,6 +87,7 @@ from .verify import (
     mc_tail,
     random_finite_space,
     random_finite_spaces,
+    tail_bounds,
     tail_estimates_to_jsonl,
 )
 

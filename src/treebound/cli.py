@@ -304,7 +304,9 @@ def _build_parser() -> _Parser:
     command("mc-tail", _cmd_mc_tail, "Monte Carlo tail probabilities versus bounds",
             ("json", "csv"), _MC_TAIL,
             {"replicates": f"at least 100; replicates x support nodes may hash at most "
-                           f"2**{hashed} innovations (about 42 minutes), exit 3 past it"})
+                           f"2**{hashed} innovations (about 42 minutes), exit 3 past it",
+             **dict.fromkeys(("eta", "D"), "generations regions only"),
+             **dict.fromkeys(("P2", "Q2", "beta"), "strip regions only, all three or none")})
 
     p = command("verify-davydov", _cmd_verify_davydov,
                 "covariance inequality on random finite spaces", ("json", "csv"))

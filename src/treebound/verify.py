@@ -21,16 +21,20 @@ block gives each space the bits it gets alone.  Lists of atoms appear only
 at the API edge, in ``FiniteSpace.build`` and the ``atoms_g``/``atoms_h``
 views.  For simulated fields the sup over arbitrary events is out of
 reach, so the module only ever reports sampled *lower* bounds there,
-clearly separated from the exact path.
+clearly separated from the exact path, under the hashed-value cap of
+:func:`mc_tail`.
 
-Monte Carlo tail estimates are paired with the corresponding bound and a
-violation is only flagged when the exact-binomial (Clopper-Pearson) 99%
-*lower* confidence limit of the empirical tail exceeds a bound that is
-itself below 1: the true tail then lies above the bound with 99%
-confidence, so Monte Carlo noise alone (zero exceedances, say) cannot
-raise a false alarm.  The 99% upper limit is reported alongside.
-Estimates whose envelope is not provenance-exact are marked uncertified
-instead of violated.
+:func:`tail_bounds` gives the bound of each threshold, with the parameters
+it used and its envelope's provenance, and samples nothing; a bound option
+that the region's bound does not use is refused, not ignored.
+:func:`mc_tail` samples, counts exceedances and pairs each count with that
+bound.  A violation is only flagged when the exact-binomial
+(Clopper-Pearson) 99% *lower* confidence limit of the empirical tail
+exceeds a bound that is itself below 1: the true tail then lies above the
+bound with 99% confidence, so Monte Carlo noise alone (zero exceedances,
+say) cannot raise a false alarm.  The 99% upper limit is reported
+alongside.  Estimates whose envelope is not provenance-exact are marked
+uncertified instead of violated.
 """
 
 from __future__ import annotations
@@ -50,12 +54,14 @@ from .bounds import (
     GridSpec,
     bernstein_bound,
     concentration_bound,
+    concentration_schedule,
     ConcentrationInput,
     optimize_params,
 )
 from .errors import CapacityError, ValidationError, float_in_range, is_real, require
 from .fields import (
-    FieldSpec, _region_runs, _support_span, field_certificate, node_sums, region_sums_of,
+    FieldSpec, _checked_runs, _label_runs, _region_runs, _support_span, field_certificate,
+    node_sums, region_sums_of,
 )
 from .tree import (
     Generations, NodeId, Region, Strip, check_node_cap, low_bits, node_labels,
@@ -68,7 +74,7 @@ ALPHA_VALUES = 1 << 15  # the most union contributions one stacked product holds
 PAIR_BLOCK = 1 << 16  # the most node pairs one separation step holds
 DRAW_VALUES = 1 << 15  # the most uniforms one generator call of random_finite_spaces draws
 MAX_WORKERS = 64  # the most slices one mc_tail call runs: itself and up to 63 forked children
-MC_HASHED_VALUES = 1 << 40  # the most innovations one mc_tail call hashes: ~42 min at 2.3 ns each
+MC_HASHED_VALUES = 1 << 40  # innovations one mc_tail or empirical_alpha_lower call hashes: ~42 min
 MC_REPLICATE_BLOCK = 1 << 12  # the most replicates one mc_tail slice sums at a time
 
 
@@ -522,6 +528,21 @@ class TailEstimate:
         return asdict(self)
 
 
+@dataclass(frozen=True)
+class TailBound:
+    """The bound of one threshold and the parameters it used: ``P1`` is
+    ``None`` on a strip, whose bound has no wedge."""
+
+    epsilon: float
+    threshold: float
+    log_bound: float
+    P1: Optional[int]
+    P2: int
+    Q2: int
+    beta: float
+    provenance: str
+
+
 # log(k!) - log(sqrt(2*pi*k) * (k/e)**k) for k = 0..15 (Loader's table); a
 # five-term asymptotic series takes over above 15
 _STIRLING_ERRORS = (
@@ -739,6 +760,86 @@ def _forked_map(fn: Callable[[range], np.ndarray], slices: Sequence[range]) -> l
         raise
 
 
+def _epsilon_checks(eps_grid: Sequence[float]) -> list[tuple]:
+    """The :func:`require` checks of each threshold of ``eps_grid``;
+    :class:`ValidationError` at once when it is empty."""
+    if not eps_grid:
+        raise ValidationError("epsilon grid must be non-empty")
+    return [(f"epsilon[{i}]", e, ">", 0) for i, e in enumerate(eps_grid)]
+
+
+def _check_region(region: Region, A: int) -> None:
+    """:class:`ValidationError` unless ``region`` is a strip or generations
+    region, then the node cap, which refuses a deep region before its bound
+    and its exact count."""
+    if not isinstance(region, (Strip, Generations)):
+        raise ValidationError("tail bounds pair with strip or generations regions only")
+    check_node_cap(region, A)
+
+
+def tail_bounds(
+    field: FieldSpec,
+    region: Region,
+    A: int,
+    eps_grid: Sequence[float],
+    *,
+    bound_params: Optional[StripParams] = None,
+    eta: Optional[float] = None,
+    D: Optional[float] = None,
+) -> list[TailBound]:
+    """The bound of each threshold that :func:`mc_tail` pairs with its
+    estimate, with the parameters it used; nothing is sampled.
+
+    On a :class:`Strip` region the statistic is the raw ``|sum Z_v|``, the
+    threshold is ``epsilon`` and the bound is the strip bound, at
+    ``bound_params`` if given and otherwise at the ``(P2, Q2, beta)`` that
+    :func:`optimize_params` picks over the default grid.  On a
+    :class:`Generations` region the statistic is normalized by the node
+    count, so the threshold is ``epsilon * |region|``, and the bound is the
+    whole-tree bound with the ``(P1, P2, Q2, beta)`` that
+    :func:`concentration_schedule` derives from ``eta`` and ``D`` (``None``
+    takes the default of :class:`ConcentrationInput`).  An option the
+    region's bound does not use (``eta`` or ``D`` on a strip,
+    ``bound_params`` on generations) raises :class:`ValidationError`, so it
+    is never silently ignored.
+    """
+    require((), _epsilon_checks(eps_grid))
+    _check_region(region, A)
+    strip = isinstance(region, Strip)
+    given = {name: value for name, value in (("eta", eta), ("D", D)) if value is not None}
+    stray = list(given) if strip else ["P2, Q2, beta"] if bound_params is not None else []
+    if stray:
+        raise ValidationError(f"{', '.join(stray)} cannot be given for a "
+                              f"{'strip' if strip else 'generations'} region, "
+                              f"whose bound does not use them")
+    cert = field_certificate(field)
+    provenance = cert.envelope.provenance
+    out = []
+    if strip:
+        grid = _default_grid(A, region.level)
+        for e in map(float, eps_grid):
+            if bound_params is None:
+                inp = optimize_params(A, region.level, region.depth, cert.C, cert.sigma2,
+                                      cert.envelope, e, grid)
+            else:
+                inp = BernsteinInput(
+                    A=A, L=region.level, P=region.depth,
+                    P2=bound_params.P2, Q2=bound_params.Q2, beta=bound_params.beta,
+                    epsilon=e, C=cert.C, sigma2=cert.sigma2, envelope=cert.envelope,
+                )
+            log_bound = float(bernstein_bound(inp).log_total)
+            out.append(TailBound(e, e, log_bound, None, inp.P2, inp.Q2, inp.beta, provenance))
+        return out
+    scale = float_in_range("|region|", region_node_count(region, A))
+    for e in map(float, eps_grid):
+        inp = ConcentrationInput(A=A, L=region.count, epsilon=e, C=cert.C,
+                                 sigma2=cert.sigma2, envelope=cert.envelope, **given)
+        log_bound = float(concentration_bound(inp).log_total)
+        s = concentration_schedule(inp)
+        out.append(TailBound(e, e * scale, log_bound, s.P1, s.P2, s.Q2, s.beta, provenance))
+    return out
+
+
 def mc_tail(
     field: FieldSpec,
     region: Region,
@@ -748,79 +849,34 @@ def mc_tail(
     *,
     workers: int = 1,
     bound_params: Optional[StripParams] = None,
-    eta: float = 0.5,
-    D: float = 1.0,
-    grid: Optional[GridSpec] = None,
+    eta: Optional[float] = None,
+    D: Optional[float] = None,
 ) -> list[TailEstimate]:
-    """Monte Carlo tail probabilities of the field sum, paired with bounds.
-
-    For a :class:`Strip` region the statistic is the raw ``|sum Z_v|`` and
-    the bound is the strip bound (with ``bound_params`` if given, otherwise
-    optimizer-chosen per threshold); for a :class:`Generations` region the
-    statistic is normalized by the node count and the bound is the
-    whole-tree bound with schedule parameters ``eta`` and ``D``.
+    """Monte Carlo tail probabilities of the field sum, each paired with the
+    bound :func:`tail_bounds` gives its threshold at the bound options given.
 
     Replicates 0..n-1 are split into ``workers`` contiguous slices whose
     exceedance counts merge by addition; the counter-based field generator
     makes the outcome identical for every worker count.  The region's weights
     and node keys are built once (:func:`region_sums_of`); each slice runs
     only the tile loop on them.  The first slice runs in the calling process
-    and every other one in a forked child process (:func:`_forked_map`),
-    which shares no interpreter lock with it: on a 2-core host two workers
-    ran the ``generations(12)`` tile loop 1.39-1.61x as fast as one, where two
-    threads gained 1.11-1.33x.  One worker forks nothing.
+    and every other one in a forked child (:func:`_forked_map`), which shares
+    no interpreter lock with it: on a 2-core host two workers ran the
+    ``generations(12)`` tile loop 1.39-1.61x as fast as one, where two threads
+    gained 1.11-1.33x.  One worker forks nothing.
 
-    Each slice sums its replicates ``MC_REPLICATE_BLOCK`` = 4096 at a time
-    and adds up their exceedance counts, so its memory does not grow with
-    the replicate count.  Replicates times the region's support nodes may
-    hash at most ``MC_HASHED_VALUES`` = 2**40 innovations, about 42 minutes
-    at 2.3 ns each; more raise :class:`CapacityError` before any array is
-    built.
+    Each slice counts the exceedances of ``MC_REPLICATE_BLOCK`` = 4096
+    replicates at a time, so its memory does not grow with the replicate
+    count.  Replicates times the region's support nodes may hash at most
+    ``MC_HASHED_VALUES`` = 2**40 innovations, about 42 minutes at 2.3 ns
+    each; more raise :class:`CapacityError` before any array is built.
     """
-    if not eps_grid:
-        raise ValidationError("epsilon grid must be non-empty")
     require((("n_replicates", n_replicates, 100), ("workers", workers, 1, MAX_WORKERS + 1)),
-            [(f"epsilon[{i}]", e, ">", 0) for i, e in enumerate(eps_grid)])
-
-    cert = field_certificate(field)
-    certified = cert.envelope.provenance == "exact"
-    eps = [float(e) for e in eps_grid]
-    if not isinstance(region, (Strip, Generations)):
-        raise ValidationError(
-            "mc_tail pairs bounds with strip or generations regions only"
-        )
-    check_node_cap(region, A)  # a deep region is refused before its bound and its exact count
+            _epsilon_checks(eps_grid))
+    _check_region(region, A)
     _check_hashed(field, region, A, n_replicates)
-
-    if isinstance(region, Strip):
-        scale = 1.0
-        log_bounds = []
-        for e in eps:
-            if bound_params is not None:
-                inp = BernsteinInput(
-                    A=A, L=region.level, P=region.depth,
-                    P2=bound_params.P2, Q2=bound_params.Q2, beta=bound_params.beta,
-                    epsilon=e, C=cert.C, sigma2=cert.sigma2, envelope=cert.envelope,
-                )
-            else:
-                inp = optimize_params(
-                    A, region.level, region.depth, cert.C, cert.sigma2,
-                    cert.envelope, e, grid or _default_grid(A, region.level),
-                )
-            log_bounds.append(bernstein_bound(inp).log_total)
-    else:
-        scale = float_in_range("|region|", region_node_count(region, A))
-        log_bounds = [
-            concentration_bound(
-                ConcentrationInput(
-                    A=A, L=region.count, epsilon=e, C=cert.C,
-                    sigma2=cert.sigma2, envelope=cert.envelope, eta=eta, D=D,
-                )
-            ).log_total
-            for e in eps
-        ]
-
-    thresholds = np.array([e * scale for e in eps])
+    bounds = tail_bounds(field, region, A, eps_grid, bound_params=bound_params, eta=eta, D=D)
+    thresholds = np.array([bound.threshold for bound in bounds])
     sums = region_sums_of(field, region, A)
 
     def exceed_counts(reps: range) -> np.ndarray:
@@ -832,29 +888,17 @@ def mc_tail(
 
     step = -(-n_replicates // workers)
     slices = [range(s, min(s + step, n_replicates)) for s in range(0, n_replicates, step)]
-    counts = np.sum(_forked_map(exceed_counts, slices), axis=0)
-
-    out, n = [], int(n_replicates)  # plain Python numbers in the records
-    for e, k, log_bound in zip(eps, counts, log_bounds):
-        k = int(k)
+    counts = np.sum(_forked_map(exceed_counts, slices), axis=0).tolist()  # plain Python ints
+    n, certified = int(n_replicates), bounds[0].provenance == "exact"
+    out = []
+    for bound, k in zip(bounds, counts):
         ci_lower = binomial_lower_99(k, n)
-        if certified:
-            violated = bool(log_bound < 0.0 and ci_lower > math.exp(log_bound))
-        else:
-            violated = None
-        out.append(
-            TailEstimate(
-                epsilon=e,
-                n_replicates=n,
-                n_exceed=k,
-                p_hat=k / n,
-                ci_upper_99=binomial_upper_99(k, n),
-                log_bound=float(log_bound),
-                violated=violated,
-                certified=certified,
-                ci_lower_99=ci_lower,
-            )
-        )
+        violated = bound.log_bound < 0.0 and ci_lower > math.exp(bound.log_bound)
+        out.append(TailEstimate(
+            epsilon=bound.epsilon, n_replicates=n, n_exceed=k, p_hat=k / n,
+            ci_upper_99=binomial_upper_99(k, n), log_bound=bound.log_bound,
+            violated=violated if certified else None, certified=certified, ci_lower_99=ci_lower,
+        ))
     return out
 
 
@@ -1027,6 +1071,11 @@ def empirical_alpha_lower(
     separation ``n``: the true coefficient takes a sup over all events,
     any sampled family under-approximates it.  Every pair in the plan must
     keep its two node sets at tree distance >= n.
+
+    Replicates times the innovations that the node sets of all pairs hash
+    per replicate (counted by the checks of sampling, which come first) may
+    be at most ``MC_HASHED_VALUES`` = 2**40, the cap of :func:`mc_tail`;
+    more raise :class:`CapacityError` before any array of samples is built.
     """
     if not plan.pairs:
         raise ValidationError("sample plan must contain at least one event pair")
@@ -1039,6 +1088,11 @@ def empirical_alpha_lower(
             raise ValidationError(
                 f"event pair {idx} has node sets at distance {d} < required {n}"
             )
+    hashed = sum(_checked_runs(field, _label_runs(*node_labels(nodes, A))[0], A)
+                 for pair in plan.pairs for nodes in (pair.nodes_a, pair.nodes_b))
+    if plan.n_replicates * hashed > MC_HASHED_VALUES:
+        raise CapacityError(f"{plan.n_replicates} replicates of {hashed} innovations each "
+                            f"hash more than the cap of {MC_HASHED_VALUES} innovations")
 
     reps = range(plan.n_replicates)
     best = AlphaLowerBound(value=-1.0, std_error=0.0, pair_index=-1)

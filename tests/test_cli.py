@@ -255,6 +255,76 @@ def test_mc_tail_partial_strip_params_rejected(capsys):
     assert "P2" in err and "beta" in err
 
 
+_MC_TAIL_BASE = ["mc-tail", "--rate", "2", "--C", "1", "--field", "independent",
+                 "--replicates", "200"]
+
+
+@pytest.mark.parametrize("region, eps, options, names", [
+    ("generations(8)", "0.05", ["--P2", "4", "--Q2", "4", "--beta", "0.01"],
+     "P2, Q2, beta cannot be given for a generations region"),
+    ("strip(5,3)", "20", ["--eta", "0.9", "--D", "7"], "eta, D cannot be given for a strip region"),
+    ("strip(5,3)", "20", ["--eta", "5"], "eta cannot be given for a strip region"),
+])
+def test_mc_tail_refuses_bound_options_its_region_does_not_use(capsys, region, eps, options,
+                                                               names):
+    code, out, err = run(capsys, *_MC_TAIL_BASE, "--region", region, "--epsilons", eps,
+                         *options)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {names}")
+
+
+@pytest.mark.parametrize("region, eps, options", [
+    ("generations(8)", "0.05", ["--eta", "0.6", "--D", "0.5"]),
+    ("strip(5,3)", "20", ["--P2", "4", "--Q2", "4", "--beta", "0.003"]),
+])
+def test_mc_tail_bound_options_of_its_region_change_the_bound(capsys, region, eps, options):
+    argv = [*_MC_TAIL_BASE, "--region", region, "--epsilons", eps]
+    (code, plain, _), (code_given, given, _) = run(capsys, *argv), run(capsys, *argv, *options)
+    assert code == code_given == 0
+    assert json.loads(given)["log_bound"] != json.loads(plain)["log_bound"]
+    assert json.loads(given)["n_exceed"] == json.loads(plain)["n_exceed"]
+
+
+# sha256 of the mc-tail JSON lines of each op at 300 replicates, seed 11, as
+# they were before the bounds moved to tail_bounds; workers 1 and 2 give them
+_MC_TAIL_OPS = {
+    "strip-fixed": ["--region", "strip(5,3)", "--epsilons", "20,40,80",
+                    "--P2", "4", "--Q2", "4", "--beta", "0.003"],
+    "strip-optimized": ["--region", "strip(5,3)", "--epsilons", "20,40,80"],
+    "generations": ["--region", "generations(8)", "--epsilons", "0.02,0.05,0.1"],
+}
+_MC_TAIL_PINS = {
+    ("strip-fixed", "independent"):
+        "1be3cb877e799a2d32c254e0ab55f2ac1d8c1254ab29313abf3e1ed009a659aa",
+    ("strip-fixed", "m_dependent(1)"):
+        "42aa3c474fc524b0e440582bc30deaa4324fc44d8750a8a8ac3d61d1fd2997b0",
+    ("strip-fixed", "branching_ar(0.8)"):
+        "19899c4e88beceee125016f373278b52f389ab1a73ac035f76a6d4ff51efb0fd",
+    ("strip-optimized", "independent"):
+        "78a91f568d948ea6d3e4b74e961d0139d05152d595bb4e7d7febbb8601737cab",
+    ("strip-optimized", "m_dependent(1)"):
+        "ccf198fb0f044c234e9f54c63f6fb69207f97055f77d57b7fb1e28f28063804d",
+    ("strip-optimized", "branching_ar(0.8)"):
+        "715800d99182aba096a6fb1e07174ecd0862f1cb8f920b7c15e614fee5762e79",
+    ("generations", "independent"):
+        "6be6e0c1cf5a43a7af53a352e507b4171bc1861706504a1ccc55c07d148e99e1",
+    ("generations", "m_dependent(1)"):
+        "bd44bb2ccea48a0d413b67a8be1931e18a3ba50440b604af4aea2cdc1fe37583",
+    ("generations", "branching_ar(0.8)"):
+        "0f1479788e4bd33fdc23232f2b4c06a083f0bdeb734841d3bb11ad2db70ecfd7",
+}
+
+
+@pytest.mark.parametrize("op, field", _MC_TAIL_PINS, ids=[f"{op}-{f}" for op, f in _MC_TAIL_PINS])
+def test_mc_tail_lines_are_pinned(capsys, op, field):
+    for workers in ("1", "2"):
+        code, out, _ = run(capsys, "mc-tail", "--rate", "2", "--C", "1", "--field", field,
+                           "--replicates", "300", "--seed", "11", "--workers", workers,
+                           *_MC_TAIL_OPS[op])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == _MC_TAIL_PINS[op, field]
+
+
 def test_mc_tail_help_states_the_cap_on_hashed_values(capsys):
     with pytest.raises(SystemExit):
         main(["mc-tail", "--help"])

@@ -39,6 +39,7 @@ from treebound import (
     region_plan,
     region_sums,
     sample_field,
+    tail_bounds,
     total_ordered_pairs,
 )
 
@@ -61,6 +62,9 @@ _CALLS = {
     "mc_tail-workers-bool": lambda: mc_tail(_SPEC, Strip(3, 2), 2, [1.0], 200, workers=True),
     "mc_tail-replicates": lambda: mc_tail(_SPEC, Strip(3, 2), 2, [1.0], 100.5),
     "mc_tail-epsilon-str": lambda: mc_tail(_SPEC, Strip(3, 2), 2, [1.0, "2"], 200),
+    "tail_bounds-epsilon-str": lambda: tail_bounds(_SPEC, Strip(3, 2), 2, [1.0, "2"]),
+    "tail_bounds-eta-on-a-strip": lambda: tail_bounds(_SPEC, Strip(3, 2), 2, [1.0], eta=0.5),
+    "tail_bounds-D-nan": lambda: tail_bounds(_SPEC, Generations(6), 2, [0.5], D=math.nan),
     "binomial_upper-k": lambda: binomial_upper_99(1.5, 10),
     "binomial_lower-n": lambda: binomial_lower_99(1, 10.0),
     "binomial_upper-k-past-n": lambda: binomial_upper_99(11, 10),

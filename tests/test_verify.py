@@ -21,26 +21,35 @@ from scipy.stats import beta, binom
 from treebound import (
     AlphaSamplePlan,
     AmplitudeError,
+    BernsteinInput,
     CapacityError,
+    ConcentrationInput,
     EventPair,
     FieldSpec,
     FiniteSpace,
     Generations,
+    GridSpec,
     NodeId,
     SpaceBlock,
     StripParams,
     Strip,
     Subtree,
     ValidationError,
+    bernstein_bound,
     binomial_lower_99,
     binomial_upper_99,
+    concentration_bound,
+    concentration_schedule,
     davydov_check,
     davydov_checks,
     empirical_alpha_lower,
     exact_alpha,
+    field_certificate,
     mc_tail,
+    optimize_params,
     random_finite_space,
     random_finite_spaces,
+    tail_bounds,
     tail_estimates_to_jsonl,
     tree_distance,
 )
@@ -727,6 +736,100 @@ else:
     assert "Traceback" not in done.stderr
 
 
+_BOUND_FIELDS = [FieldSpec.independent(C=1.0, master_seed=3),
+                 FieldSpec.m_dependent(1, C=1.0, master_seed=3),
+                 FieldSpec.branching_ar(0.8, C=1.0, master_seed=3)]
+_BOUND_IDS = ["independent", "m_dependent", "branching_ar"]
+
+
+@pytest.fixture
+def no_sampling(monkeypatch):
+    """Fail any call that would build a region's sums."""
+    def refuse(*args):
+        raise AssertionError("a bound sampled the field")
+
+    monkeypatch.setattr(verify_mod, "region_sums_of", refuse)
+
+
+@pytest.mark.parametrize("params", [None, StripParams(4, 4, 0.003)], ids=["optimized", "fixed"])
+@pytest.mark.parametrize("spec", _BOUND_FIELDS, ids=_BOUND_IDS)
+def test_tail_bounds_on_a_strip_are_the_strip_bound_at_its_parameters(no_sampling, spec, params):
+    cert = field_certificate(spec)
+    eps = [20, 40.0, 80.0]
+    got = tail_bounds(spec, Strip(5, 3), 2, eps, bound_params=params)
+    # the default grid at L = 5: every value v of (2, 3, 4, 6, 8, 12, 16) with 2 v < 2**5
+    grid = GridSpec(p2_values=(2, 3, 4, 6, 8, 12), q2_values=(2, 3, 4, 6, 8, 12))
+    for bound, e in zip(got, eps, strict=True):
+        if params is None:
+            inp = optimize_params(2, 5, 3, cert.C, cert.sigma2, cert.envelope, e, grid)
+        else:
+            inp = BernsteinInput(A=2, L=5, P=3, P2=4, Q2=4, beta=0.003, epsilon=e, C=cert.C,
+                                 sigma2=cert.sigma2, envelope=cert.envelope)
+        assert (bound.epsilon, bound.threshold) == (float(e), float(e))
+        assert (bound.P1, bound.P2, bound.Q2, bound.beta) == (None, inp.P2, inp.Q2, inp.beta)
+        assert bound.log_bound.hex() == bernstein_bound(inp).log_total.hex()
+        assert bound.provenance == cert.envelope.provenance
+    assert type(got[0].epsilon) is float
+
+
+@pytest.mark.parametrize("schedule", [{}, {"eta": 0.6, "D": 0.5}], ids=["default", "given"])
+@pytest.mark.parametrize("spec", _BOUND_FIELDS, ids=_BOUND_IDS)
+def test_tail_bounds_on_generations_are_the_whole_tree_bound_at_its_schedule(
+    no_sampling, spec, schedule
+):
+    cert = field_certificate(spec)
+    eps = [0.02, 0.05, 0.5]
+    got = tail_bounds(spec, Generations(8), 2, eps, **schedule)
+    for bound, e in zip(got, eps, strict=True):
+        inp = ConcentrationInput(A=2, L=8, epsilon=e, C=cert.C, sigma2=cert.sigma2,
+                                 envelope=cert.envelope, **schedule)
+        sched = concentration_schedule(inp)
+        assert (bound.epsilon, bound.threshold) == (e, e * 255)
+        assert (bound.P1, bound.P2, bound.Q2, bound.beta) == (
+            sched.P1, sched.P2, sched.Q2, sched.beta)
+        assert bound.log_bound.hex() == concentration_bound(inp).log_total.hex()
+        assert bound.provenance == cert.envelope.provenance
+    if not schedule:  # None takes the defaults of ConcentrationInput
+        assert got == tail_bounds(spec, Generations(8), 2, eps, eta=0.5, D=1.0)
+
+
+def test_tail_bounds_refuse_the_options_of_the_other_region_kind(no_sampling):
+    spec = _BOUND_FIELDS[0]
+    with pytest.raises(ValidationError, match="^P2, Q2, beta cannot be given for a "
+                                              "generations region"):
+        tail_bounds(spec, Generations(8), 2, [0.05], bound_params=StripParams(4, 4, 0.01))
+    for options, names in (({"eta": 0.9, "D": 7.0}, "eta, D"), ({"eta": 5.0}, "eta"),
+                           ({"D": 7.0}, "D")):
+        with pytest.raises(ValidationError, match=f"^{names} cannot be given for a strip region"):
+            tail_bounds(spec, Strip(5, 3), 2, [20.0], **options)
+        with pytest.raises(ValidationError, match=f"^{names} cannot be given for a strip region"):
+            mc_tail(spec, Strip(5, 3), 2, [20.0], 200, **options)
+    with pytest.raises(ValidationError, match="strip or generations"):
+        tail_bounds(spec, Subtree(0, 1, 3), 2, [1.0])
+    with pytest.raises(ValidationError, match="non-empty"):
+        tail_bounds(spec, Strip(5, 3), 2, [])
+
+
+def test_tail_bounds_use_the_options_of_their_own_region_kind(no_sampling):
+    spec = _BOUND_FIELDS[0]
+    fixed = tail_bounds(spec, Strip(5, 3), 2, [20.0], bound_params=StripParams(4, 4, 0.003))[0]
+    assert fixed.log_bound != tail_bounds(spec, Strip(5, 3), 2, [20.0])[0].log_bound
+    given = tail_bounds(spec, Generations(8), 2, [0.05], eta=0.6, D=0.5)[0]
+    assert given.log_bound != tail_bounds(spec, Generations(8), 2, [0.05])[0].log_bound
+    with pytest.raises(ValidationError, match=r"eta = 5\.0 must lie in \(0, 1\)"):
+        tail_bounds(spec, Generations(8), 2, [0.05], eta=5.0)
+
+
+def test_mc_tail_pairs_each_estimate_with_its_tail_bound():
+    spec = FieldSpec.m_dependent(1, C=1.0, master_seed=4)
+    for region, eps, options in ((Strip(5, 3), [20.0, 40.0], {}),
+                                 (Strip(5, 3), [20.0], {"bound_params": StripParams(4, 4, 0.003)}),
+                                 (Generations(8), [0.02, 0.05], {"eta": 0.6, "D": 0.5})):
+        bounds = tail_bounds(spec, region, 2, eps, **options)
+        got = mc_tail(spec, region, 2, eps, 300, **options)
+        assert [t.log_bound for t in got] == [b.log_bound for b in bounds]
+
+
 def test_empirical_alpha_independent_near_zero():
     spec = FieldSpec.independent(C=1.0, master_seed=8)
     plan = AlphaSamplePlan(
@@ -799,6 +902,42 @@ def test_empirical_alpha_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_empirical_alpha_hashes_up_to_its_cap_and_no_more(monkeypatch):
+    # two single nodes of the independent field hash 2 innovations a replicate
+    spec = FieldSpec.independent(C=1.0, master_seed=8)
+    plan = AlphaSamplePlan(pairs=(EventPair((NodeId(0, 1),), (NodeId(2, 1),)),), n_replicates=100)
+    want = empirical_alpha_lower(spec, 2, 2, plan)
+    monkeypatch.setattr(verify_mod, "MC_HASHED_VALUES", 200)
+    assert empirical_alpha_lower(spec, 2, 2, plan) == want
+    monkeypatch.setattr(verify_mod, "MC_HASHED_VALUES", 199)
+    with pytest.raises(CapacityError, match="^100 replicates of 2 innovations each hash more "
+                                            "than the cap of 199 "):
+        empirical_alpha_lower(spec, 2, 2, plan)
+
+
+def test_empirical_alpha_refuses_past_its_cap_before_sampling():
+    # each radius-20 ball around a node of generation 20 holds 3145726 nodes, so
+    # 2**18 replicates of the pair hash 1.6e12 innovations, hours of hashing
+    probe = """
+from treebound import AlphaSamplePlan, CapacityError, EventPair, FieldSpec, NodeId
+from treebound import empirical_alpha_lower
+plan = AlphaSamplePlan(pairs=(EventPair((NodeId(20, 1),), (NodeId(20, 2**20),)),),
+                       n_replicates=2**18)
+try:
+    empirical_alpha_lower(FieldSpec.m_dependent(20), 2, 1, plan)
+except CapacityError as exc:
+    assert str(exc) == ("262144 replicates of 6291452 innovations each hash more than "
+                        "the cap of 1099511627776 innovations"), str(exc)
+else:
+    raise AssertionError("no CapacityError")
+"""
+    src = str(Path(treebound.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_empirical_alpha_plan_validation():
