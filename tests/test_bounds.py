@@ -9,7 +9,6 @@ that only shares the exact integer helpers with the implementation.
 import math
 import os
 import random
-import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -70,6 +69,21 @@ def _mp_bernstein_log_total(A, L, P, P2, Q2, beta, eps, C, sigma2, alpha):
         proxy += 4 * mpf(C) ** 2 * mpf(alpha(k)) * mpf(count_pairs_sum(A, P, k))
     variance = 4 * mpf(beta) ** 2 * mpmath.e * mpf(P2) ** 2 * proxy * (mpf(n_roots) / mpf(block) + 1)
     return markov + mixing + variance
+
+
+def _mp_concentration_log_total(inp):
+    """Independent whole-tree evaluation: the schedule's exact integers, with
+    the tilt and the strip threshold built in mpmath, never from floats."""
+    A, L = inp.A, inp.L
+    P1 = int(mpmath.floor(mpmath.mpf(L) ** inp.eta))
+    s = L - P1
+    P2 = int(mpmath.floor(inp.D * mpmath.mpf(A) ** s * mpmath.log(L) / s))
+    beta = mpmath.mpf(A - 1) / (4 * mpmath.e * inp.C * P2 * (A**P1 - 1))
+    threshold = inp.epsilon / 2 * mpmath.mpf((A**L - 1) // (A - 1))
+    strip = _mp_bernstein_log_total(A, s, P1, P2, P2, beta, threshold, inp.C, inp.sigma2,
+                                    inp.envelope)
+    wedge = 4 * mpmath.mpf(inp.C) * (A**s - 1) > inp.epsilon * mpmath.mpf(A**L - 1)
+    return mpmath.log1p(mpmath.exp(strip)) if wedge else strip
 
 
 def test_envelope_kinds_and_validation():
@@ -145,7 +159,7 @@ def test_bernstein_against_high_precision_oracle():
             inp.A, inp.L, inp.P, inp.P2, inp.Q2, inp.beta, inp.epsilon,
             inp.C, inp.sigma2, inp.envelope,
         )
-        assert got == pytest.approx(float(want), rel=1e-10)
+        assert got == pytest.approx(float(want), rel=1e-12)
 
 
 def test_bernstein_validation_lists_every_violation():
@@ -256,16 +270,23 @@ def test_concentration_schedule_and_example():
     )
     sched = concentration_schedule(inp)
     assert (sched.P1, sched.P2, sched.Q2) == (3, 141, 141)
-    assert sched.beta == pytest.approx(1 / (4 * math.e * 141 * 7), rel=1e-14)
+    assert math.exp(sched.log_beta) == pytest.approx(1 / (4 * math.e * 141 * 7), rel=1e-14)
     assert sched.f == 16
     bb = concentration_bound(inp)
     assert bb.indicator_wedge == 0
-    # independent high-precision re-evaluation of the strip part
-    want = _mp_bernstein_log_total(
-        2, sched.strip_level, sched.P1, sched.P2, sched.Q2, sched.beta,
-        sched.strip_threshold, 1.0, 1 / 3, MixingEnvelope.zero(),
-    )
-    assert bb.log_total == pytest.approx(float(want), rel=1e-10)
+    assert bb.log_total == pytest.approx(float(_mp_concentration_log_total(inp)), rel=1e-12)
+
+
+@pytest.mark.parametrize("L", [1100, 3000])
+@pytest.mark.parametrize("envelope", [MixingEnvelope.zero(), MixingEnvelope.m_dependent(2)],
+                         ids=["zero", "m_dependent(2)"])
+def test_concentration_past_float_range_matches_the_oracle(L, envelope):
+    # beta near 2**-L and the threshold near 2**L: only their logs are floats
+    inp = ConcentrationInput(A=2, L=L, epsilon=3.0, C=1.0, sigma2=1 / 3, envelope=envelope)
+    sched = concentration_schedule(inp)
+    assert sched.log_beta < -700 < 700 < sched.log_strip_threshold
+    bb = concentration_bound(inp)
+    assert bb.log_total == pytest.approx(float(_mp_concentration_log_total(inp)), rel=1e-12)
 
 
 def test_concentration_wedge_indicator():
@@ -281,6 +302,13 @@ def test_concentration_wedge_indicator():
     assert low.indicator_wedge == 1
     assert high.indicator_wedge == 0
     assert low.log_total >= math.log(1.0)
+    # with the wedge, log(1 + exp(x)) is x itself far past exp's float range
+    huge = concentration_bound(
+        ConcentrationInput(A=2, L=12, epsilon=0.01, C=1.0, sigma2=1e6,
+                           envelope=MixingEnvelope.zero())
+    )
+    assert huge.indicator_wedge == 1
+    assert huge.log_total == huge.log_factor_markov + huge.log_factor_variance > 30000
 
 
 def test_concentration_monotone_in_epsilon():
@@ -301,7 +329,8 @@ def test_concentration_composition_identity():
     manual = bernstein_bound(
         BernsteinInput(
             A=2, L=sched.strip_level, P=sched.P1, P2=sched.P2, Q2=sched.Q2,
-            beta=sched.beta, epsilon=sched.strip_threshold, C=1.0, sigma2=1 / 3,
+            beta=math.exp(sched.log_beta), epsilon=math.exp(sched.log_strip_threshold),
+            C=1.0, sigma2=1 / 3,
             envelope=inp.envelope,
         )
     )
@@ -488,19 +517,24 @@ def test_depth_past_float_range_raises_capacity_error():
         bernstein_bound(deep)
     with pytest.raises(CapacityError, match="log_factor_variance"):
         bernstein_bound(_zero_input(L=1100))
-    with pytest.raises(CapacityError, match="log_factor"):
+    # the optimal tilt eps/(2K), about 1e-330, is below the least float
+    with pytest.raises(CapacityError, match=r"^beta = min\("):
         optimize_params(2, 1100, 3, 1.0, 1 / 3, env, 50.0,
                         GridSpec(p2_values=(4,), q2_values=(4,)))
-    with pytest.raises(CapacityError, match=r"A\*\*\(L - P1\)"):
-        concentration_bound(ConcentrationInput(A=2, L=1100, epsilon=0.5, C=1.0,
-                                               sigma2=1 / 3, envelope=env))
+    # the whole-tree bound at that depth is finite: its intermediates cancel
+    bb = concentration_bound(ConcentrationInput(A=2, L=1100, epsilon=0.5, C=1.0,
+                                                sigma2=1 / 3, envelope=env))
+    assert all(map(math.isfinite, (bb.log_factor_markov, bb.log_factor_variance, bb.log_total)))
 
 
 def test_zero_terms_stay_finite_past_float_range():
     bb = bernstein_bound(_zero_input(L=1100, sigma2=0.0))
     assert bb.log_factor_mixing == 0.0 and bb.log_factor_variance == 0.0
-    assert bb.log_total == math.log(2) - beta_cap(2, 3, 4, 1.0) * 50.0
+    # the Markov factor is log 2 - exp(log beta + log eps), one rounding from beta*eps
+    assert bb.log_total == pytest.approx(math.log(2) - beta_cap(2, 3, 4, 1.0) * 50.0, rel=1e-15)
     assert bb.block_count == -(-2**1100 // 8)
+    # a zero sigma2 and envelope give a zero proxy however deep the block
+    assert bounds_mod.variance_proxy(2, 1100, 0.0, 1.0, MixingEnvelope.zero()) == 0.0
 
 
 def test_block_count_refuses_from_the_first_depth_past_the_digit_limit():
@@ -542,19 +576,32 @@ assert time.perf_counter() - start < 1.0
 def test_summability_ratio_past_float_range():
     # a zero pair sum stays exactly 0 at any depth
     assert summability_ratio(MixingEnvelope.zero(), 2, 1100) == 0.0
-    # 0.5 * N(1022, 1) is a float, but 1022 * 2**1022 is not
-    with pytest.raises(CapacityError, match=r"P \* A\*\*P"):
-        summability_ratio(MixingEnvelope.table([0.5, 0.0]), 2, 1022)
+    # 1022 * 2**1022 and N(1100, 1) are past float range, but each count is
+    # divided exactly, so the ratio is one rounding of the exact quotient
+    for P in (1022, 1100):
+        want = 0.5 * (count_pairs_sum(2, P, 1) / (P * 2**P))
+        assert summability_ratio(MixingEnvelope.table([0.5, 0.0]), 2, P) == want
+    # held at 1/2, alpha(k) * N(P, k) / (P * A**P) reaches about 2**P / P
+    with pytest.raises(CapacityError, match="^summability ratio leaves"):
+        summability_ratio(MixingEnvelope.table([0.5]), 2, 1100)
 
 
-@pytest.mark.parametrize("P2, L, term", [(10**160, 532, "P2**2"), (10**400, 1330, "P2")])
-def test_block_length_past_float_range(P2, L, term):
-    # the square of P2 = 1e160 is past float range; P2 = 1e400 is itself
-    with pytest.raises(CapacityError, match=rf"^{re.escape(term)} leaves"):
-        bernstein_bound(_zero_input(L=L, P2=P2, Q2=2, beta=1e-300))
-    with pytest.raises(CapacityError, match=rf"^{re.escape(term)} leaves"):
-        optimize_params(2, L, 3, 1.0, 1 / 3, MixingEnvelope.zero(), 50.0,
-                        GridSpec(p2_values=(P2,), q2_values=(2,)))
+@pytest.mark.parametrize("P2, L", [(10**160, 532), (10**400, 1330)])
+def test_block_length_past_float_range(P2, L):
+    # beta and P2 enter the bound as logs, so P2 = 1e160, whose square is past
+    # float range, gives a finite bound; at P2 = 1e400 the tilt cap
+    # (A - 1)/(4e*C*P2*(A**P - 1)) is below the least float
+    grid = GridSpec(p2_values=(P2,), q2_values=(2,))
+    inp = _zero_input(L=L, P2=P2, Q2=2, beta=1e-300)
+    if P2 < 1e308:
+        assert math.isfinite(bernstein_bound(inp).log_total)
+        best = optimize_params(2, L, 3, 1.0, 1 / 3, MixingEnvelope.zero(), 50.0, grid)
+        assert math.isfinite(bernstein_bound(best).log_total)
+        return
+    with pytest.raises(ValidationError, match="beta = 1e-300 exceeds its cap"):
+        bernstein_bound(inp)
+    with pytest.raises(CapacityError, match=r"^beta = min\(\(A - 1\)/\(4e\*C\*P2"):
+        optimize_params(2, L, 3, 1.0, 1 / 3, MixingEnvelope.zero(), 50.0, grid)
 
 
 _GRID = GridSpec(p2_values=(4,), q2_values=(4,))
@@ -596,3 +643,52 @@ def _concentration(**overrides):
 def test_integer_parameters_reject_floats_and_bools(call):
     with pytest.raises(ValidationError, match="must be an integer"):
         call()
+
+
+_TINY_TO_HUGE = st.floats(5e-324, 1e300)  # from the least subnormal up
+_EVERY_ENVELOPE = st.one_of(
+    _ENVELOPES,
+    st.floats(0.01, 5.0).map(lambda r: MixingEnvelope.super_exponential(lambda n: r * n)),
+    st.tuples(_ENVELOPES, st.floats(1.0, 4.0)).map(lambda inner_scale: MixingEnvelope(
+        kind="transferred", provenance="heuristic", inner=inner_scale[0],
+        scale=inner_scale[1])),
+)
+
+
+def _finite_or_refused(call):
+    """``call()``, or None when it raises one of the two documented errors."""
+    try:
+        return call()
+    except (ValidationError, CapacityError):
+        return None
+
+
+def _assert_finite(bb):
+    values = (bb.log_factor_markov, bb.log_factor_mixing, bb.log_factor_variance,
+              bb.variance_proxy, bb.log_total, bb.log_total_clamped)
+    assert all(math.isfinite(v) for v in values), bb
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    A=st.sampled_from((2, 3, 4)), L=st.integers(2, 3000), P=st.integers(1, 12),
+    eta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), D=st.floats(1e-3, 1e3),
+    eps=_TINY_TO_HUGE, C=_TINY_TO_HUGE, sigma2=st.one_of(st.just(0.0), _TINY_TO_HUGE),
+    beta=_TINY_TO_HUGE, env=_EVERY_ENVELOPE,
+)
+def test_bounds_end_finite_or_refused_at_every_depth(A, L, P, eta, D, eps, C, sigma2, beta,
+                                                     env):
+    # no OverflowError from exp, no log(0), no inf or NaN in a returned bound
+    bb = _finite_or_refused(lambda: concentration_bound(ConcentrationInput(
+        A=A, L=L, epsilon=eps, C=C, sigma2=sigma2, envelope=env, eta=eta, D=D)))
+    if bb is not None:
+        _assert_finite(bb)
+    best = _finite_or_refused(lambda: optimize_params(
+        A, L, P, C, sigma2, env, eps, GridSpec((2, 3, 4, 6, 8, 12, 16), (2, 3, 4, 6, 8))))
+    for inp in ([] if best is None else [best]) + [replace(_zero_input(), A=A, L=L, P=P,
+                                                           beta=beta, epsilon=eps, C=C,
+                                                           sigma2=sigma2, envelope=env)]:
+        assert 0.0 < inp.beta < math.inf
+        bb = _finite_or_refused(lambda: bernstein_bound(inp))
+        if bb is not None:
+            _assert_finite(bb)

@@ -285,8 +285,8 @@ def test_mc_tail_bound_options_of_its_region_change_the_bound(capsys, region, ep
     assert json.loads(given)["n_exceed"] == json.loads(plain)["n_exceed"]
 
 
-# sha256 of the mc-tail JSON lines of each op at 300 replicates, seed 11, as
-# they were before the bounds moved to tail_bounds; workers 1 and 2 give them
+# sha256 of the mc-tail JSON lines of each op at 300 replicates, seed 11;
+# workers 1 and 2 give them
 _MC_TAIL_OPS = {
     "strip-fixed": ["--region", "strip(5,3)", "--epsilons", "20,40,80",
                     "--P2", "4", "--Q2", "4", "--beta", "0.003"],
@@ -295,17 +295,17 @@ _MC_TAIL_OPS = {
 }
 _MC_TAIL_PINS = {
     ("strip-fixed", "independent"):
-        "1be3cb877e799a2d32c254e0ab55f2ac1d8c1254ab29313abf3e1ed009a659aa",
+        "18b022ef3b1e388c4c826428cd46585245a33721c5eccab6b11dff8b6362d504",
     ("strip-fixed", "m_dependent(1)"):
-        "42aa3c474fc524b0e440582bc30deaa4324fc44d8750a8a8ac3d61d1fd2997b0",
+        "4ba6222dbcb7d5fad77c17d6463aee00064d183070805797d57ce8c369b231fd",
     ("strip-fixed", "branching_ar(0.8)"):
-        "19899c4e88beceee125016f373278b52f389ab1a73ac035f76a6d4ff51efb0fd",
+        "5e2ad592f9b300f3e136fefd0682d0d7a8591b50eff15e5e5274203dfa0557e9",
     ("strip-optimized", "independent"):
-        "78a91f568d948ea6d3e4b74e961d0139d05152d595bb4e7d7febbb8601737cab",
+        "7055add9451cf17d176d4cf287c08311953b427583bc47aa529f7e18afbae25f",
     ("strip-optimized", "m_dependent(1)"):
-        "ccf198fb0f044c234e9f54c63f6fb69207f97055f77d57b7fb1e28f28063804d",
+        "ae515be92fb91257d6ada62d0509d0170a23f9f410f437790b5720f73b808297",
     ("strip-optimized", "branching_ar(0.8)"):
-        "715800d99182aba096a6fb1e07174ecd0862f1cb8f920b7c15e614fee5762e79",
+        "8337e977ec4f2df01c9cdca6c8af4c9af3d433420a3962728206b0386d1b84b8",
     ("generations", "independent"):
         "6be6e0c1cf5a43a7af53a352e507b4171bc1861706504a1ccc55c07d148e99e1",
     ("generations", "m_dependent(1)"):
@@ -546,17 +546,14 @@ def test_bounds_past_float_range_exit_three(capsys):
                        "--C", "1", "--sigma2", "0.3", "--envelope", "zero")
     assert code == 3
     assert err.startswith("error:") and "log_factor_variance" in err
-    code, _, err = run(capsys, "concentration-bound", "--A", "2", "--L", "1100",
-                       "--epsilon", "0.5", "--C", "1", "--sigma2", "0.3",
-                       "--envelope", "zero")
-    assert code == 3
-    assert err.startswith("error:") and "float range" in err
-    # P2**2 leaves float range from L = 542 at A = 2, C**2 above C = 1.34e154
-    code, _, err = run(capsys, "concentration-bound", "--A", "2", "--L", "542",
-                       "--epsilon", "3", "--C", "1", "--sigma2", "0.3",
-                       "--envelope", "zero")
-    assert code == 3
-    assert err.startswith("error:") and "P2**2" in err
+    # the whole-tree bound at the same depth is finite: its tilt, threshold
+    # and P2**2 leave float range, but it takes them as logs
+    for L in ("542", "1100"):
+        code, out, _ = run(capsys, "concentration-bound", "--A", "2", "--L", L,
+                           "--epsilon", "3", "--C", "1", "--sigma2", "0.3",
+                           "--envelope", "zero")
+        assert code == 0 and json.loads(out)["log_total"] < 0
+    # C**2 above C = 1.34e154
     code, _, err = run(capsys, "mc-tail", "--rate", "2", "--region", "strip(3,2)",
                        "--field", "independent", "--C", "1e308", "--epsilons", "1",
                        "--replicates", "100")
@@ -617,7 +614,26 @@ except CapacityError as exc:
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "A**(L - P1) leaves float range\n"
+    assert done.stdout == "A**(L - P1) or A**L may exceed 2**1048576\n"
+
+
+@pytest.mark.parametrize("L", [542, 1000, 1024, 1100, 3000, 100000])
+def test_concentration_bound_is_finite_past_float_range(L):
+    # the depths where a float schedule left float range: each exits 0 with
+    # finite values, and L = 10**5 in well under the child's timeout
+    argv = ["concentration-bound", "--A", "2", "--L", str(L), "--epsilon", "3", "--C", "1",
+            "--sigma2", "0.3333333333333333", "--envelope", "zero"]
+    probe = f"import sys; from treebound.cli import main; sys.exit(main({argv!r}))"
+    src = str(Path(treebound.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert time.perf_counter() - start < 2.0
+    assert (done.returncode, done.stderr) == (0, "")
+    row = json.loads(done.stdout)
+    assert all(math.isfinite(v) for v in row.values())
+    assert row["log_total"] < 0 and row["indicator_wedge"] == 0
 
 
 @pytest.mark.parametrize("argv,key", [

@@ -786,7 +786,7 @@ def test_tail_bounds_on_generations_are_the_whole_tree_bound_at_its_schedule(
         sched = concentration_schedule(inp)
         assert (bound.epsilon, bound.threshold) == (e, e * 255)
         assert (bound.P1, bound.P2, bound.Q2, bound.beta) == (
-            sched.P1, sched.P2, sched.Q2, sched.beta)
+            sched.P1, sched.P2, sched.Q2, math.exp(sched.log_beta))
         assert bound.log_bound.hex() == concentration_bound(inp).log_total.hex()
         assert bound.provenance == cert.envelope.provenance
     if not schedule:  # None takes the defaults of ConcentrationInput
